@@ -57,6 +57,9 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+_PARSER = build_parser()
+
+
 class _Reporter:
     def __init__(self, source: str | None, use_json: bool, color: bool):
         self.source = source
@@ -252,9 +255,8 @@ _COMMANDS = {
 
 def main(argv: list[str] | None = None) -> int:
     sys.setrecursionlimit(100_000)
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
     except SystemExit as e:
         return EXIT_USAGE if e.code not in (0, None) else EXIT_OK
     result, rep, code = _elaborate(args.file, (args.json, args.no_color))

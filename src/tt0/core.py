@@ -13,7 +13,7 @@ exactly when the flag is set.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Iterator
+from typing import TYPE_CHECKING, Callable
 
 from .diagnostics import InternalError, KernelError
 from .surface import Icit, Mode
@@ -163,6 +163,36 @@ class InsertedMeta(Term):
 
     mid: int
     mask: tuple[Mode | None, ...]
+
+
+def map_subterms(t: Term, f: Callable[[Term, int], Term], depth: int = 0) -> Term:
+    """Rebuild `t` with `f(child, depth + k)` in place of each immediate
+    subterm, where `k` is the number of binders `t` puts around that child."""
+    inner = depth + 1
+    match t:
+        case Lam(name, mode, icit, body):
+            return Lam(name, mode, icit, f(body, inner))
+        case App(mode, icit, fn, arg):
+            return App(mode, icit, f(fn, depth), f(arg, depth))
+        case Pi(name, mode, icit, dom, cod):
+            return Pi(name, mode, icit, f(dom, depth), f(cod, inner))
+        case Sigma(name, mode, fst_ty, snd_ty):
+            return Sigma(name, mode, f(fst_ty, depth), f(snd_ty, inner))
+        case Pair(mode, fst, snd):
+            return Pair(mode, f(fst, depth), f(snd, depth))
+        case Fst(mode, pair):
+            return Fst(mode, f(pair, depth))
+        case Snd(mode, pair):
+            return Snd(mode, f(pair, depth))
+        case Succ(arg):
+            return Succ(f(arg, depth))
+        case NatElim(motive, zcase, scase, scrut):
+            return NatElim(*(f(u, depth) for u in (motive, zcase, scase, scrut)))
+        case BoolElim(motive, tcase, fcase, scrut):
+            return BoolElim(*(f(u, depth) for u in (motive, tcase, fcase, scrut)))
+        case Let(name, ty, defn, body):
+            return Let(name, f(ty, depth), f(defn, depth), f(body, inner))
+    return t
 
 
 # ---------------------------------------------------------------------------
@@ -636,11 +666,13 @@ class CtxEntry:
 @dataclass(frozen=True)
 class Context:
     """A typing context: entries, their evaluation environment, and the
-    erased flag that represents the presence of the erasure marker."""
+    erased flag that represents the presence of the erasure marker.  The
+    first `top` entries are the top-level declarations of the module."""
 
     entries: tuple[CtxEntry, ...] = ()
     env: Env = ()
     flag: bool = False
+    top: int = 0
 
     @property
     def depth(self) -> int:
@@ -652,14 +684,34 @@ class Context:
 
     def bind(self, name: str, mode: Mode, ty: Value) -> Context:
         entry = CtxEntry(name, mode, ty, defined=False)
-        return Context(self.entries + (entry,), self.env + (vvar(self.depth),), self.flag)
+        return Context(
+            self.entries + (entry,), self.env + (vvar(self.depth),), self.flag, self.top
+        )
 
     def define(self, name: str, mode: Mode, ty: Value, value: Value) -> Context:
         entry = CtxEntry(name, mode, ty, defined=True)
-        return Context(self.entries + (entry,), self.env + (value,), self.flag)
+        return Context(
+            self.entries + (entry,), self.env + (value,), self.flag, self.top
+        )
+
+    def declare(self, name: str, ty: Value, value: Value | None = None) -> Context:
+        """Add a top-level declaration to a signature (a context of top-level
+        entries only); opaque when `value` is None."""
+        if value is None:
+            ctx = self.bind(name, Mode.OMEGA, ty)
+        else:
+            ctx = self.define(name, Mode.OMEGA, ty, value)
+        return Context(ctx.entries, ctx.env, ctx.flag, ctx.depth)
+
+    def signature(self) -> Context:
+        """The top-level prefix of this context, with this context's flag."""
+        top = self.top
+        return Context(self.entries[:top], self.env[:top], self.flag, top)
 
     def with_flag(self, flag: bool) -> Context:
-        return Context(self.entries, self.env, flag) if flag != self.flag else self
+        if flag == self.flag:
+            return self
+        return Context(self.entries, self.env, flag, self.top)
 
     def erased(self) -> Context:
         return self.with_flag(True)
@@ -670,9 +722,6 @@ class Context:
             if entry.name == name:
                 return ix, entry
         return None
-
-    def iter_levels(self) -> Iterator[tuple[int, CtxEntry]]:
-        return enumerate(self.entries)
 
 
 # ---------------------------------------------------------------------------

@@ -318,73 +318,36 @@ def _require_erased(ctx: Context, span: SourceSpan, what: str) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Zonking: substitute all solved metavariables into a term.  A solution is
-# stored under exactly the captured context of its meta, and an inserted
-# meta occurs at exactly that binding depth, so the solution body can be
-# spliced in verbatim.
+# Zonking: substitute all solved metavariables into a term.  A solution body
+# is stored under exactly the signature and captured context of its meta,
+# and an inserted meta occurs at exactly that binding depth, so the solution
+# body can be spliced in verbatim.
 
 
 def zonk(store: MetaStore, t: Term) -> Term:
-    match t:
-        case co.InsertedMeta(mid, _):
-            entry = store.lookup(mid)
-            if entry.solution_body is None:
-                return t
-            # The captured context coincides with the occurrence context,
-            # so the in-context solution splices in verbatim.
-            return zonk(store, entry.solution_body)
-        case co.Meta(mid):
-            entry = store.lookup(mid)
-            if entry.solution_closed is None:
-                return t
-            if not entry.entries:
-                return zonk(store, entry.solution_closed)
-            # A bare occurrence stands for the closed solution (applied by
-            # explicit spines around it); keep it inferable with a let.
-            return co.Let(
-                f"m{mid}",
-                zonk(store, entry.closed_ty),
-                zonk(store, entry.solution_closed),
-                co.Var(0),
-            )
-        case co.Var() | co.Univ() | co.NatTy() | co.Zero() | co.BoolTy() \
-                | co.TrueTm() | co.FalseTm():
-            return t
-        case co.Lam(name, mode, icit, body):
-            return co.Lam(name, mode, icit, zonk(store, body))
-        case co.App(mode, icit, fn, arg):
-            return co.App(mode, icit, zonk(store, fn), zonk(store, arg))
-        case co.Pi(name, mode, icit, dom, cod):
-            return co.Pi(name, mode, icit, zonk(store, dom), zonk(store, cod))
-        case co.Sigma(name, mode, fst_ty, snd_ty):
-            return co.Sigma(name, mode, zonk(store, fst_ty), zonk(store, snd_ty))
-        case co.Pair(mode, fst, snd):
-            return co.Pair(mode, zonk(store, fst), zonk(store, snd))
-        case co.Fst(mode, pair):
-            return co.Fst(mode, zonk(store, pair))
-        case co.Snd(mode, pair):
-            return co.Snd(mode, zonk(store, pair))
-        case co.Succ(arg):
-            return co.Succ(zonk(store, arg))
-        case co.NatElim(motive, zcase, scase, scrut):
-            return co.NatElim(
-                zonk(store, motive),
-                zonk(store, zcase),
-                zonk(store, scase),
-                zonk(store, scrut),
-            )
-        case co.BoolElim(motive, tcase, fcase, scrut):
-            return co.BoolElim(
-                zonk(store, motive),
-                zonk(store, tcase),
-                zonk(store, fcase),
-                zonk(store, scrut),
-            )
-        case co.Let(name, ty, defn, body):
-            return co.Let(
-                name, zonk(store, ty), zonk(store, defn), zonk(store, body)
-            )
-    raise AssertionError(f"unhandled term {t!r}")
+    def go(u: Term, _depth: int = 0) -> Term:
+        match u:
+            case co.InsertedMeta(mid, _):
+                entry = store.lookup(mid)
+                if entry.solution_body is None:
+                    return u
+                # The captured context coincides with the occurrence context,
+                # so the in-context solution splices in verbatim.
+                return go(entry.solution_body)
+            case co.Meta(mid):
+                entry = store.lookup(mid)
+                if entry.solution_closed is None:
+                    return u
+                if not entry.entries:
+                    return go(entry.solution_closed)
+                # A bare occurrence stands for the closed solution (applied by
+                # explicit spines around it); keep it inferable with a let.
+                return co.Let(
+                    f"m{mid}", go(entry.closed_ty), go(entry.solution_closed), co.Var(0)
+                )
+        return co.map_subterms(u, go)
+
+    return go(t)
 
 
 # ---------------------------------------------------------------------------
@@ -410,11 +373,11 @@ def elaborate_module(
             if ty_v is not None:
                 # The type elaborated; keep the name as an opaque axiom so
                 # later declarations can still mention it.
-                st.sig = st.sig.bind(decl.name, Mode.OMEGA, ty_v)
+                st.sig = st.sig.declare(decl.name, ty_v)
             continue
         body_v = evaluate(st.sig.env, body_t)
         decls.append(DeclInfo(decl.name, decl.span, ty_t, body_t, ty_v, body_v))
-        st.sig = st.sig.define(decl.name, Mode.OMEGA, ty_v, body_v)
+        st.sig = st.sig.declare(decl.name, ty_v, body_v)
 
     main: tuple[Term, Value] | None = None
     if m.main is not None:
@@ -427,12 +390,12 @@ def elaborate_module(
 
     if not errors:
         for entry in st.store.unsolved():
+            names = entry.sig.names + tuple(e.name for e in entry.entries)
             ctx_desc = ", ".join(
                 f"{e.name} :{'0' if e.mode is Mode.ZERO else ''} "
-                f"{co.pp(e.ty, tuple(x.name for x in entry.entries[:i]))}"
+                f"{co.pp(e.ty, names[: entry.sig.depth + i])}"
                 for i, e in enumerate(entry.entries)
             )
-            names = tuple(e.name for e in entry.entries)
             msg = f"unsolved metavariable ?{entry.mid} : {co.pp(entry.ty, names)}"
             if ctx_desc:
                 msg += f" in context ({ctx_desc})"
@@ -457,7 +420,7 @@ def elaborate_module(
                 f"kernel rejected elaborated declaration {d.name!r}: {e.message}"
             ) from e
         zonked.append(DeclInfo(d.name, d.span, ty_t, body_t, ty_v, body_v))
-        sig = sig.define(d.name, Mode.OMEGA, ty_v, body_v)
+        sig = sig.declare(d.name, ty_v, body_v)
     if main is not None:
         main_t = zonk(st.store, main[0])
         main_ty_t = zonk(st.store, quote(st.store, sig.depth, main[1]))
@@ -489,41 +452,13 @@ def _prefix_refs(t: Term, depth: int) -> set[int]:
     """Levels below `depth` referenced by a term elaborated at `depth`."""
     refs: set[int] = set()
 
-    def go(u: Term, c: int) -> None:
+    def go(u: Term, c: int) -> Term:
         match u:
-            case co.Var(ix):
-                if ix >= c:
-                    refs.add(depth + c - 1 - ix)
-            case co.Lam(body=b):
-                go(b, c + 1)
-            case co.App(fn=f, arg=a):
-                go(f, c)
-                go(a, c)
-            case co.Pi(dom=d, cod=b):
-                go(d, c)
-                go(b, c + 1)
-            case co.Sigma(fst_ty=d, snd_ty=b):
-                go(d, c)
-                go(b, c + 1)
-            case co.Pair(fst=f, snd=s):
-                go(f, c)
-                go(s, c)
-            case co.Fst(pair=p) | co.Snd(pair=p) | co.Succ(arg=p):
-                go(p, c)
-            case co.NatElim(motive=m, zcase=z, scase=s, scrut=n):
-                for u2 in (m, z, s, n):
-                    go(u2, c)
-            case co.BoolElim(motive=m, tcase=a, fcase=b2, scrut=n):
-                for u2 in (m, a, b2, n):
-                    go(u2, c)
-            case co.Let(ty=ty, defn=d, body=b):
-                go(ty, c)
-                go(d, c)
-                go(b, c + 1)
+            case co.Var(ix) if ix >= c:
+                refs.add(depth + c - 1 - ix)
             case co.InsertedMeta() | co.Meta():
                 raise InternalError("metavariable in a zonked term")
-            case _:
-                pass
+        return co.map_subterms(u, go, c)
 
     go(t, 0)
     return refs
@@ -535,40 +470,9 @@ def _thin(t: Term, depth: int, rank: dict[int, int]) -> Term:
     new_depth = sum(1 for lvl in rank if lvl < depth)
 
     def go(u: Term, c: int) -> Term:
-        match u:
-            case co.Var(ix):
-                if ix < c:
-                    return u
-                lvl = depth + c - 1 - ix
-                return co.Var(new_depth + c - 1 - rank[lvl])
-            case co.Lam(name, mode, icit, body):
-                return co.Lam(name, mode, icit, go(body, c + 1))
-            case co.App(mode, icit, fn, arg):
-                return co.App(mode, icit, go(fn, c), go(arg, c))
-            case co.Pi(name, mode, icit, dom, cod):
-                return co.Pi(name, mode, icit, go(dom, c), go(cod, c + 1))
-            case co.Sigma(name, mode, fst_ty, snd_ty):
-                return co.Sigma(name, mode, go(fst_ty, c), go(snd_ty, c + 1))
-            case co.Pair(mode, fst, snd):
-                return co.Pair(mode, go(fst, c), go(snd, c))
-            case co.Fst(mode, pair):
-                return co.Fst(mode, go(pair, c))
-            case co.Snd(mode, pair):
-                return co.Snd(mode, go(pair, c))
-            case co.Succ(arg):
-                return co.Succ(go(arg, c))
-            case co.NatElim(motive, zcase, scase, scrut):
-                return co.NatElim(
-                    go(motive, c), go(zcase, c), go(scase, c), go(scrut, c)
-                )
-            case co.BoolElim(motive, tcase, fcase, scrut):
-                return co.BoolElim(
-                    go(motive, c), go(tcase, c), go(fcase, c), go(scrut, c)
-                )
-            case co.Let(name, ty, defn, body):
-                return co.Let(name, go(ty, c), go(defn, c), go(body, c + 1))
-            case _:
-                return u
+        if isinstance(u, co.Var) and u.ix >= c:
+            return co.Var(new_depth + c - 1 - rank[depth + c - 1 - u.ix])
+        return co.map_subterms(u, go, c)
 
     return go(t, 0)
 
@@ -576,16 +480,14 @@ def _thin(t: Term, depth: int, rank: dict[int, int]) -> Term:
 def close_over_signature(result: ElabResult, t: Term, depth: int) -> Term:
     """Build a closed term from `t` (elaborated at signature depth `depth`)
     by wrapping it in lets for the declarations it transitively uses."""
-    needed = _prefix_refs(t, depth)
-    changed = True
-    while changed:
-        changed = False
-        for lvl in sorted(needed):
+    needed: set[int] = set()
+    todo = list(_prefix_refs(t, depth))
+    while todo:
+        lvl = todo.pop()
+        if lvl not in needed:
+            needed.add(lvl)
             d = result.decls[lvl]
-            more = _prefix_refs(d.ty, lvl) | _prefix_refs(d.body, lvl)
-            if not more <= needed:
-                needed |= more
-                changed = True
+            todo += _prefix_refs(d.ty, lvl) | _prefix_refs(d.body, lvl)
     kept = sorted(needed)
     rank = {lvl: i for i, lvl in enumerate(kept)}
     closed = _thin(t, depth, rank)

@@ -217,6 +217,8 @@ class StuckTerm(Diagnostic):
 
 
 def _shift(t: Target, by: int, cutoff: int = 0) -> Target:
+    if by == 0:
+        return t
     match t:
         case TVar(ix):
             return TVar(ix + by) if ix >= cutoff else t

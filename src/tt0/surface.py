@@ -663,11 +663,14 @@ def pp_term(t: Surface, prec: int = 0) -> str:
                 0,
             )
         case SPi(name=x, mode=mode, icit=icit, dom=dom, cod=cod):
+            # The parser reads a codomain as a function type, so a lambda or
+            # a let there needs parentheses.
+            cod_s = pp_term(cod, 1 if isinstance(cod, (SLam, SLet)) else 0)
             if icit is Icit.EXPL and x == "_" and mode is Mode.OMEGA:
-                return _wrap(f"{pp_term(dom, 1)} -> {pp_term(cod, 0)}", prec, 0)
+                return _wrap(f"{pp_term(dom, 1)} -> {cod_s}", prec, 0)
             open_, close = ("{", "}") if icit is Icit.IMPL else ("(", ")")
             binder = f"{open_}{x} {_mode_colon(mode)} {pp_term(dom, 0)}{close}"
-            return _wrap(f"{binder} -> {pp_term(cod, 0)}", prec, 0)
+            return _wrap(f"{binder} -> {cod_s}", prec, 0)
         case SSigma(name=x, mode=mode, fst_ty=a, snd_ty=b):
             if x == "_" and mode is Mode.OMEGA:
                 return _wrap(f"{pp_term(a, 2)} * {pp_term(b, 1)}", prec, 1)

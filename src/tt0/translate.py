@@ -13,7 +13,7 @@ Two translations, each followed by an independent kernel re-check:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from . import core as co
 from .core import Context, CtxEntry, Term, Value, evaluate
@@ -47,44 +47,14 @@ def check_zeroing(store: MetaStore, ctx: Context, t: Term, ty: Value) -> None:
 
 def strip_modes(t: Term) -> Term:
     """Rewrite every mode annotation in a term to omega."""
-    w = Mode.OMEGA
-    match t:
-        case co.Lam(name, _, icit, body):
-            return co.Lam(name, w, icit, strip_modes(body))
-        case co.App(_, icit, fn, arg):
-            return co.App(w, icit, strip_modes(fn), strip_modes(arg))
-        case co.Pi(name, _, icit, dom, cod):
-            return co.Pi(name, w, icit, strip_modes(dom), strip_modes(cod))
-        case co.Sigma(name, _, fst_ty, snd_ty):
-            return co.Sigma(name, w, strip_modes(fst_ty), strip_modes(snd_ty))
-        case co.Pair(_, fst, snd):
-            return co.Pair(w, strip_modes(fst), strip_modes(snd))
-        case co.Fst(_, pair):
-            return co.Fst(w, strip_modes(pair))
-        case co.Snd(_, pair):
-            return co.Snd(w, strip_modes(pair))
-        case co.Succ(arg):
-            return co.Succ(strip_modes(arg))
-        case co.NatElim(motive, zcase, scase, scrut):
-            return co.NatElim(
-                strip_modes(motive),
-                strip_modes(zcase),
-                strip_modes(scase),
-                strip_modes(scrut),
-            )
-        case co.BoolElim(motive, tcase, fcase, scrut):
-            return co.BoolElim(
-                strip_modes(motive),
-                strip_modes(tcase),
-                strip_modes(fcase),
-                strip_modes(scrut),
-            )
-        case co.Let(name, ty, defn, body):
-            return co.Let(name, strip_modes(ty), strip_modes(defn), strip_modes(body))
-        case co.InsertedMeta() | co.Meta():
+
+    def go(u: Term, _depth: int = 0) -> Term:
+        if isinstance(u, (co.InsertedMeta, co.Meta)):
             raise InternalError("metavariable in a term being mode-stripped")
-        case _:
-            return t
+        u = co.map_subterms(u, go)
+        return replace(u, mode=Mode.OMEGA) if hasattr(u, "mode") else u
+
+    return go(t)
 
 
 def recheck_stripped(store: MetaStore, stripped_sig: Context, t: Term, ty: Term) -> None:

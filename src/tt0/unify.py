@@ -1,12 +1,14 @@
 """Pattern unification for metavariables, with erasure-aware renaming.
 
-There is a single kind of metavariable (runtime).  Each meta captures its
-creation context, including the erased flag.  Candidate solutions are built
-by spine inversion followed by a renaming pass that performs the occurs
-check, the scope check, and a mode check: a variable bound at mode 0 may
-appear at a runtime position of a solution only if the meta was created
-with the erased flag set.  Every committed solution is re-checked by the
-kernel before it is stored.
+There is a single kind of metavariable (runtime).  Each meta captures the
+local part of its creation context (the binders and `let`s above the
+module's top-level declarations), including the erased flag; its type and
+solution live in the signature of the declarations before it.  Candidate
+solutions are built by spine inversion followed by a renaming pass that
+performs the occurs check, the scope check, and a mode check: a variable
+bound at mode 0 may appear at a runtime position of a solution only if the
+meta was created with the erased flag set.  Every committed solution is
+re-checked by the kernel before it is stored.
 """
 
 from __future__ import annotations
@@ -33,17 +35,17 @@ from .surface import Icit, Mode
 class CapturedEntry:
     name: str
     mode: Mode
-    ty: Term  # under the preceding captured entries
-    defn: Term | None  # set for let-bound and top-level entries
+    ty: Term  # under the signature and the preceding captured entries
+    defn: Term | None  # set for let-bound entries
 
 
 @dataclass
 class MetaEntry:
     mid: int
-    entries: tuple[CapturedEntry, ...]
-    flag: bool
-    ty: Term  # codomain, under the captured entries
-    closed_ty: Term
+    sig: Context  # the top-level prefix of the creation context, with its flag
+    entries: tuple[CapturedEntry, ...]  # the local entries above that prefix
+    ty: Term  # codomain, under the signature and the captured entries
+    closed_ty: Term  # under the signature
     closed_ty_value: Value
     span: SourceSpan | None = None
     solution_closed: Term | None = None  # lambda/let closure over the capture
@@ -51,8 +53,8 @@ class MetaEntry:
     solution_value: Value | None = None
 
     @property
-    def solution(self) -> Term | None:
-        return self.solution_body
+    def flag(self) -> bool:
+        return self.sig.flag
 
     @property
     def solved(self) -> bool:
@@ -84,8 +86,10 @@ class MetaStore:
 
 
 def capture_context(store: MetaStore, ctx: Context) -> tuple[CapturedEntry, ...]:
+    """Quote the local entries of a context, those above its top-level prefix."""
     captured: list[CapturedEntry] = []
-    for lvl, entry in ctx.iter_levels():
+    for lvl in range(ctx.top, ctx.depth):
+        entry = ctx.entries[lvl]
         ty = quote(store, lvl, entry.ty)
         defn = quote(store, lvl, ctx.env[lvl]) if entry.defined else None
         captured.append(CapturedEntry(entry.name, entry.mode, ty, defn))
@@ -110,22 +114,23 @@ def fresh_meta(
     return the term standing for it (the meta applied to the bound
     variables in scope)."""
     ty_term = quote(store, ctx.depth, ty)
+    sig = ctx.signature()
     entries = capture_context(store, ctx)
     closed = close_type(entries, ty_term)
     entry = MetaEntry(
         mid=len(store),
+        sig=sig,
         entries=entries,
-        flag=ctx.flag,
         ty=ty_term,
         closed_ty=closed,
-        closed_ty_value=evaluate((), closed),
+        closed_ty_value=evaluate(sig.env, closed),
         span=span,
     )
     store.fresh(entry)
     if not entries:
         return co.Meta(entry.mid)
     mask = tuple(None if e.defn is not None else e.mode for e in entries)
-    return co.InsertedMeta(entry.mid, mask)
+    return co.InsertedMeta(entry.mid, (None,) * sig.depth + mask)
 
 
 # ---------------------------------------------------------------------------
@@ -141,6 +146,7 @@ class PartialRenaming:
     cod: int  # depth of the unification context
     map: dict[int, tuple[int, Mode]]  # cod level -> (dom level, binder mode)
     allow_erased: bool = False  # the meta's captured flag
+    top: int = 0  # the meta's signature depth: levels below it are kept as they are
 
 
 def invert(
@@ -149,13 +155,15 @@ def invert(
     store: MetaStore,
     cod_depth: int,
     names: tuple[str, ...] = (),
+    top: int = 0,
 ) -> tuple[PartialRenaming, list[tuple[str, Mode] | CapturedEntry]]:
     """Check the pattern condition on a meta's spine and build the renaming.
 
-    Returns the renaming together with the binder layout of the solution:
-    one lambda per bound captured entry (paired positionally with a spine
-    argument), one let per defined entry, and one lambda per spine argument
-    beyond the capture.
+    Returns the renaming together with the binder layout of the solution,
+    which sits under the meta's signature of `top` entries: one lambda per
+    bound captured entry (paired positionally with a spine argument), one
+    let per defined entry, and one lambda per spine argument beyond the
+    capture.
     """
     n_bound = sum(1 for e in entries if e.defn is None)
     apps: list[co.SApp] = []
@@ -172,7 +180,7 @@ def invert(
 
     ren: dict[int, tuple[int, Mode]] = {}
     layout: list[tuple[str, Mode] | CapturedEntry] = []
-    dom = 0
+    dom = top
     next_app = 0
     for e in entries:
         if e.defn is not None:
@@ -200,7 +208,7 @@ def invert(
         bname = names[lvl] if 0 <= lvl < len(names) else f"x{lvl}"
         layout.append((bname, item.mode))
         dom += 1
-    return PartialRenaming(dom=dom, cod=cod_depth, map=ren), layout
+    return PartialRenaming(dom=dom, cod=cod_depth, map=ren, top=top), layout
 
 
 def _spine_var(store: MetaStore, item: co.SApp, names: tuple[str, ...]) -> int:
@@ -308,6 +316,9 @@ def _rename(
                 t = co.Meta(head.mid)
             else:
                 found = pren.map.get(head.lvl)
+                if found is None and head.lvl < pren.top:
+                    # An opaque name left by a failed top-level declaration.
+                    found = (head.lvl, Mode.OMEGA)
                 if found is None:
                     raise UnifyError(
                         "scope",
@@ -375,7 +386,7 @@ def solve(
     entry = store.lookup(mid)
     if entry.solved:
         raise InternalError(f"?{mid} is already solved")
-    pren, layout = invert(entry.entries, spine, store, depth, names)
+    pren, layout = invert(entry.entries, spine, store, depth, names, entry.sig.depth)
     pren.allow_erased = entry.flag
     body = rename(store, mid, pren, rhs, names)
 
@@ -387,9 +398,8 @@ def solve(
             bname, bmode = binder
             closed = co.Lam(bname, bmode, Icit.EXPL, closed)
 
-    check_ctx = Context(flag=entry.flag)
     try:
-        co.kernel_check(store, check_ctx, closed, entry.closed_ty_value)
+        co.kernel_check(store, entry.sig, closed, entry.closed_ty_value)
     except Exception as exc:  # noqa: BLE001 - any failure here is a bug
         raise InternalError(
             f"unifier produced an ill-typed solution for ?{mid}: {exc}"
@@ -397,7 +407,7 @@ def solve(
 
     entry.solution_closed = closed
     entry.solution_body = _strip_capture(closed, len(entry.entries))
-    entry.solution_value = evaluate((), closed)
+    entry.solution_value = evaluate(entry.sig.env, closed)
 
 
 def _strip_capture(solution: Term, n: int) -> Term:

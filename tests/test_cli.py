@@ -107,6 +107,18 @@ class TestRun:
         assert code == 0
         assert out.splitlines()[-1] == "= 12"
 
+    def test_fuel_pins_step_count(self, capsys, tmp_path):
+        # `plus 500 500` takes exactly 1504 reduction steps.
+        plus = (CORPUS / "mult.tt0").read_text().split("let mult")[0]
+        f = tmp_path / "plus500.tt0"
+        f.write_text(plus + "main = plus 500 500;\n")
+        code, out, _ = run(capsys, "run", str(f), "--fuel", "1504")
+        assert code == 0
+        assert out.splitlines()[-1] == "= 1000"
+        code, _, err = run(capsys, "run", str(f), "--fuel", "1503")
+        assert code == 3
+        assert "fuel exhausted" in err
+
     def test_non_numeric_result_prints_plain(self, capsys, tmp_path):
         f = tmp_path / "boolmain.tt0"
         f.write_text("main = true;\n")

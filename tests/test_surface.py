@@ -130,6 +130,15 @@ class TestRoundTrip:
             t = parse_term_text(src)
             assert parse_term_text(pp_term(t)) == t
 
+    def test_lambda_and_let_codomains_round_trip(self):
+        for src in [
+            "(x : Nat) -> (\\y. y)",
+            "Nat -> (let y : Nat = x in y)",
+        ]:
+            t = parse_term_text(src)
+            assert isinstance(t, sf.SPi)
+            assert parse_term_text(pp_term(t)) == t
+
     @given(data=st.data())
     @settings(max_examples=150, deadline=None)
     def test_random_term_round_trip(self, data):

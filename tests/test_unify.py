@@ -5,6 +5,7 @@ import pytest
 from tt0 import core as co
 from tt0.core import Context, VNatTy, VSucc, VZero, conv, evaluate, force, kernel_check
 from tt0.diagnostics import UnifyError
+from tt0.elab import elaborate_text
 from tt0.surface import Icit, Mode
 from tt0.unify import (
     MetaStore,
@@ -256,3 +257,49 @@ class TestSolutionSoundness:
                 )
                 total += 1
         assert total > 0
+
+
+ID = "let id : {A :0 U} -> A -> A = \\{A} x. x;\n"
+
+
+def subterms(t: co.Term):
+    yield t
+    for name in getattr(t, "__dataclass_fields__", {}):
+        child = getattr(t, name)
+        if isinstance(child, co.Term):
+            yield from subterms(child)
+
+
+class TestTopLevelSignature:
+    def test_chain_metas_capture_no_declarations(self):
+        n = 12
+        src = ID + (
+            "let plus : Nat -> Nat -> Nat = \\m n. natElim (\\k. Nat) n (\\k ih. succ ih) m;\n"
+            "let d0 : Nat = 0;\n"
+        ) + "".join(f"let d{i} : Nat = id (plus d{i - 1} 1);\n" for i in range(1, n + 1))
+        r = elaborate_text(src)
+        assert r.ok
+        top_names = {d.name for d in r.decls}
+        assert len(r.store) == n
+        for entry in r.store:
+            assert entry.entries == ()
+            assert not any(
+                isinstance(u, co.Let) and u.name in top_names
+                for u in subterms(entry.solution_closed)
+            )
+            assert not any(
+                isinstance(u, co.Let) and u.name in top_names
+                for u in subterms(entry.closed_ty)
+            )
+
+    def test_failed_declaration_stays_opaque_in_solutions(self):
+        # B's body fails, so B is an opaque name; `id b` then solves A := B,
+        # a solution that refers to the signature.
+        r = elaborate_text(ID + "let B : U = zero;\nlet f : B -> B = \\b. id b;\n")
+        assert [d.name for d in r.decls] == ["id", "f"]
+        assert len(r.errors) == 1
+        assert "type mismatch" in r.errors[0].message
+        assert r.errors[0].span.start_line == 2
+        entry = r.store.lookup(0)
+        assert entry.solution_closed == co.Lam("b", W, EX, co.Var(1))
+        kernel_check(r.store, entry.sig, entry.solution_closed, entry.closed_ty_value)
