@@ -7,6 +7,7 @@ import argparse
 import json
 import os
 import sys
+from json.encoder import encode_basestring_ascii as _quote
 
 from . import core as co
 from . import extract as ex
@@ -60,6 +61,33 @@ def build_parser() -> argparse.ArgumentParser:
 _PARSER = build_parser()
 
 
+class _Text(str):
+    """Output text, as opposed to a string value still to be encoded."""
+
+
+def _dumps(obj: object) -> str:
+    """`json.dumps(obj)` for the JSON values the CLI prints, without
+    recursion: a numeral is written as `succ` objects nested as deep as its
+    value, past what the C stack holds for the standard encoder."""
+    out: list[str] = []
+    todo: list[object] = [obj]
+    while todo:
+        o = todo.pop()
+        if isinstance(o, _Text):
+            out.append(o)
+        elif isinstance(o, (dict, list)):
+            opener, closer = ("{", "}") if isinstance(o, dict) else ("[", "]")
+            items = o.items() if isinstance(o, dict) else ((None, v) for v in o)
+            todo.append(_Text(closer))
+            for i, (key, value) in reversed(list(enumerate(items))):
+                key_text = "" if key is None else _quote(key) + ": "
+                todo += [value, _Text((", " if i else "") + key_text)]
+            todo.append(_Text(opener))
+        else:
+            out.append(_quote(o) if isinstance(o, str) else json.dumps(o))
+    return "".join(out)
+
+
 class _Reporter:
     def __init__(self, source: str | None, use_json: bool, color: bool):
         self.source = source
@@ -72,7 +100,7 @@ class _Reporter:
                 "version": JSON_VERSION,
                 "diagnostics": [d.to_json() for d in diags],
             }
-            print(json.dumps(payload), file=sys.stderr)
+            print(_dumps(payload), file=sys.stderr)
             return
         for d in diags:
             text = d.render(self.source)
@@ -82,29 +110,16 @@ class _Reporter:
 
 
 def _load(path: str) -> str:
-    with open(path, encoding="utf-8") as f:
-        return f.read()
-
-
-def _elaborate(path: str, reporter_args: tuple[bool, bool]) -> tuple[ElabResult | None, _Reporter, int]:
-    use_json, no_color = reporter_args
-    color = not no_color and sys.stderr.isatty()
+    """The text of a source file; an unreadable or non-UTF-8 file is a
+    diagnostic."""
     try:
-        source = _load(path)
+        with open(path, encoding="utf-8") as f:
+            return f.read()
     except OSError as e:
-        rep = _Reporter(None, use_json, color)
-        rep.emit([Diagnostic(f"cannot read {path}: {e.strerror}")])
-        return None, rep, EXIT_DIAGNOSTICS
-    rep = _Reporter(source, use_json, color)
-    try:
-        result = elaborate_text(source, path)
-    except Diagnostic as e:
-        rep.emit([e])
-        return None, rep, EXIT_DIAGNOSTICS
-    if not result.ok:
-        rep.emit(result.errors)
-        return None, rep, EXIT_DIAGNOSTICS
-    return result, rep, EXIT_OK
+        reason = e.strerror
+    except UnicodeDecodeError as e:
+        reason = f"not UTF-8 text ({e.reason} at byte {e.start})"
+    raise Diagnostic(f"cannot read {path}: {reason}")
 
 
 def _decl_names(result: ElabResult, upto: int) -> tuple[str, ...]:
@@ -125,7 +140,7 @@ def cmd_check(result: ElabResult, args: argparse.Namespace) -> int:
         if not args.json:
             print(f"ok main : {ty}")
     if args.json:
-        print(json.dumps({"version": JSON_VERSION, "checked": rows}))
+        print(_dumps({"version": JSON_VERSION, "checked": rows}))
     return EXIT_OK
 
 
@@ -138,7 +153,7 @@ def cmd_elab(result: ElabResult, args: argparse.Namespace) -> int:
         payload: dict = {"version": JSON_VERSION, "decls": decls}
         if result.main is not None:
             payload["main"] = co.to_json(result.main[0])
-        print(json.dumps(payload))
+        print(_dumps(payload))
         return EXIT_OK
     for i, d in enumerate(result.decls):
         names = _decl_names(result, i)
@@ -160,7 +175,7 @@ def cmd_nf(result: ElabResult, args: argparse.Namespace) -> int:
     closed = _named_closed(result, args.name)
     nf = co.normal_form(result.store, (), closed)
     if args.json:
-        print(json.dumps({"version": JSON_VERSION, "nf": co.to_json(nf)}))
+        print(_dumps({"version": JSON_VERSION, "nf": co.to_json(nf)}))
     else:
         print(co.pp(nf))
     return EXIT_OK
@@ -175,7 +190,7 @@ def cmd_extract(result: ElabResult, args: argparse.Namespace) -> int:
         closed = _named_closed(result, args.name)
     target = ex.extract(co.Context(), closed)
     if args.json:
-        print(json.dumps({"version": JSON_VERSION, "target": ex.target_to_json(target)}))
+        print(_dumps({"version": JSON_VERSION, "target": ex.target_to_json(target)}))
     else:
         print(ex.pp_target(target))
     return EXIT_OK
@@ -208,7 +223,7 @@ def cmd_run(result: ElabResult, args: argparse.Namespace) -> int:
         payload = {"version": JSON_VERSION, "result": ex.target_to_json(nf)}
         if k is not None:
             payload["numeral"] = k
-        print(json.dumps(payload))
+        print(_dumps(payload))
     else:
         print(ex.pp_target(nf))
         if k is not None:
@@ -232,7 +247,7 @@ def cmd_meta(result: ElabResult, args: argparse.Namespace) -> int:
             ],
             "ok": ok,
         }
-        print(json.dumps(payload))
+        print(_dumps(payload))
         return EXIT_OK if ok else EXIT_DIAGNOSTICS
     width = max((len(r.name) for r in rows), default=4)
     print(f"{'decl'.ljust(width)}  zeroing  stripping")
@@ -259,16 +274,19 @@ def main(argv: list[str] | None = None) -> int:
         args = _PARSER.parse_args(argv)
     except SystemExit as e:
         return EXIT_USAGE if e.code not in (0, None) else EXIT_OK
-    result, rep, code = _elaborate(args.file, (args.json, args.no_color))
-    if result is None:
-        return code
+    rep = _Reporter(None, args.json, not args.no_color and sys.stderr.isatty())
     try:
+        rep.source = _load(args.file)
+        result = elaborate_text(rep.source, args.file)
+        if not result.ok:
+            rep.emit(result.errors)
+            return EXIT_DIAGNOSTICS
         return _COMMANDS[args.command](result, args)
-    except InternalError as e:
-        rep.emit([e])
-        return EXIT_DIAGNOSTICS
     except Diagnostic as e:
         rep.emit([e])
+        return EXIT_DIAGNOSTICS
+    except Exception as e:  # noqa: BLE001 - no traceback past the driver
+        rep.emit([InternalError(f"{args.command}: {type(e).__name__}: {e}")])
         return EXIT_DIAGNOSTICS
 
 

@@ -99,13 +99,22 @@ class NatTy(Term):
 
 
 @dataclass(frozen=True)
-class Zero(Term):
-    pass
+class Lit(Term):
+    """The numeral n, held as an integer; `Lit(0)` is zero."""
+
+    n: int
 
 
 @dataclass(frozen=True)
 class Succ(Term):
+    """The successor of a term that is not a literal (see `succ`)."""
+
     arg: Term
+
+
+def succ(t: Term) -> Term:
+    """The successor of a term, folded when the term is a literal."""
+    return Lit(t.n + 1) if isinstance(t, Lit) else Succ(t)
 
 
 @dataclass(frozen=True)
@@ -185,7 +194,7 @@ def map_subterms(t: Term, f: Callable[[Term, int], Term], depth: int = 0) -> Ter
         case Snd(mode, pair):
             return Snd(mode, f(pair, depth))
         case Succ(arg):
-            return Succ(f(arg, depth))
+            return succ(f(arg, depth))
         case NatElim(motive, zcase, scase, scrut):
             return NatElim(*(f(u, depth) for u in (motive, zcase, scase, scrut)))
         case BoolElim(motive, tcase, fcase, scrut):
@@ -259,13 +268,29 @@ class VNatTy(Value):
 
 
 @dataclass(frozen=True)
-class VZero(Value):
-    pass
+class VLit(Value):
+    n: int
 
 
 @dataclass(frozen=True)
 class VSucc(Value):
+    """The successor of a value that is not a literal (see `vsucc`)."""
+
     arg: Value
+
+
+def vsucc(v: Value) -> Value:
+    return VLit(v.n + 1) if isinstance(v, VLit) else VSucc(v)
+
+
+def vpred(v: Value) -> Value | None:
+    """The predecessor of a successor value; None for zero and neutrals."""
+    match v:
+        case VLit(n) if n > 0:
+            return VLit(n - 1)
+        case VSucc(arg):
+            return arg
+    return None
 
 
 @dataclass(frozen=True)
@@ -368,10 +393,10 @@ def evaluate(env: Env, t: Term) -> Value:
             return VUniv()
         case NatTy():
             return VNatTy()
-        case Zero():
-            return VZero()
+        case Lit(n):
+            return VLit(n)
         case Succ(arg):
-            return VSucc(evaluate(env, arg))
+            return vsucc(evaluate(env, arg))
         case NatElim(motive, zcase, scase, scrut):
             return vnatelim(
                 evaluate(env, motive),
@@ -434,14 +459,22 @@ def vsnd(mode: Mode, v: Value) -> Value:
 
 def vnatelim(motive: Value, zcase: Value, scase: Value, scrut: Value) -> Value:
     match scrut:
-        case VZero():
-            return zcase
+        case VLit(k):
+            # The step case from the base upwards, as the VSucc case below
+            # would apply it to a chain of k successors.
+            ih = zcase
+            for i in range(k):
+                ih = _nat_step(scase, VLit(i), ih)
+            return ih
         case VSucc(pred):
-            ih = vnatelim(motive, zcase, scase, pred)
-            return vapp(vapp(scase, Mode.OMEGA, Icit.EXPL, pred), Mode.OMEGA, Icit.EXPL, ih)
+            return _nat_step(scase, pred, vnatelim(motive, zcase, scase, pred))
         case VNeutral(head, spine):
             return VNeutral(head, spine + (SNatElim(motive, zcase, scase),))
     raise InternalError(f"natural-number elimination of {scrut!r}")
+
+
+def _nat_step(scase: Value, pred: Value, ih: Value) -> Value:
+    return vapp(vapp(scase, Mode.OMEGA, Icit.EXPL, pred), Mode.OMEGA, Icit.EXPL, ih)
 
 
 def vboolelim(motive: Value, tcase: Value, fcase: Value, scrut: Value) -> Value:
@@ -511,10 +544,11 @@ def quote(store: "MetaStore", depth: int, v: Value) -> Term:
             return Univ()
         case VNatTy():
             return NatTy()
-        case VZero():
-            return Zero()
+        case VLit(n):
+            return Lit(n)
         case VSucc(arg):
-            return Succ(quote(store, depth, arg))
+            # The argument may be a meta solved to a literal.
+            return succ(quote(store, depth, arg))
         case VBoolTy():
             return BoolTy()
         case VTrue():
@@ -609,14 +643,16 @@ def conv(store: "MetaStore", depth: int, a: Value, b: Value) -> bool:
             return True
         case VBoolTy(), VBoolTy():
             return True
-        case VZero(), VZero():
-            return True
+        case VLit(m), VLit(n):
+            return m == n
         case VTrue(), VTrue():
             return True
         case VFalse(), VFalse():
             return True
-        case VSucc(x), VSucc(y):
-            return conv(store, depth, x, y)
+        case VSucc() | VLit(), VSucc() | VLit():
+            # succ x against succ y, or against a literal k > 0 as k - 1.
+            x, y = vpred(a), vpred(b)
+            return x is not None and y is not None and conv(store, depth, x, y)
         case VNeutral(h1, s1), VNeutral(h2, s2):
             if h1 != h2 or len(s1) != len(s2):
                 return False
@@ -812,7 +848,7 @@ def kernel_infer(store: "MetaStore", ctx: Context, t: Term) -> Value:
         case BoolTy():
             _require_erased(ctx, "Bool type")
             return VUniv()
-        case Zero():
+        case Lit():
             return VNatTy()
         case Succ(arg):
             kernel_check(store, ctx, arg, VNatTy())
@@ -824,7 +860,7 @@ def kernel_infer(store: "MetaStore", ctx: Context, t: Term) -> Value:
         case NatElim(motive, zcase, scase, scrut):
             kernel_check(store, ctx.erased(), motive, NAT_MOTIVE_TY)
             motive_v = evaluate(ctx.env, motive)
-            kernel_check(store, ctx, zcase, motive_app(motive_v, VZero()))
+            kernel_check(store, ctx, zcase, motive_app(motive_v, VLit(0)))
             kernel_check(store, ctx, scase, nat_succ_case_type(motive_v))
             kernel_check(store, ctx, scrut, VNatTy())
             return motive_app(motive_v, evaluate(ctx.env, scrut))
@@ -968,8 +1004,8 @@ def pp(t: Term, names: tuple[str, ...] = (), prec: int = 0) -> str:
             return "Nat"
         case BoolTy():
             return "Bool"
-        case Zero():
-            return "zero"
+        case Lit(n):
+            return succ_chain(n, prec, 2)
         case TrueTm():
             return "true"
         case FalseTm():
@@ -1037,12 +1073,31 @@ def _wrap(s: str, prec: int, at: int) -> str:
     return f"({s})" if prec > at else s
 
 
+def succ_chain(n: int, prec: int, at: int) -> str:
+    """The text `succ (succ (... zero))` of the numeral n, built without
+    recursion: `succ u` binds at precedence `at`, so it is parenthesised as
+    an argument and where `prec` is above `at`."""
+    if n == 0:
+        return "zero"
+    text = "succ " + "(succ " * (n - 1) + "zero" + ")" * (n - 1)
+    return _wrap(text, prec, at)
+
+
 # ---------------------------------------------------------------------------
 # Structural JSON encoding
 
 
 def _mode_json(mode: Mode) -> str:
     return "0" if mode is Mode.ZERO else "w"
+
+
+def succ_chain_json(n: int) -> dict:
+    """Nested `succ` objects around `zero` for the numeral n, built without
+    recursion."""
+    d: dict = {"tag": "zero"}
+    for _ in range(n):
+        d = {"tag": "succ", "arg": d}
+    return d
 
 
 def to_json(t: Term) -> dict:
@@ -1097,8 +1152,8 @@ def to_json(t: Term) -> dict:
             return {"tag": "U"}
         case NatTy():
             return {"tag": "Nat"}
-        case Zero():
-            return {"tag": "zero"}
+        case Lit(n):
+            return succ_chain_json(n)
         case Succ(arg):
             return {"tag": "succ", "arg": to_json(arg)}
         case NatElim(motive, z, s, n):

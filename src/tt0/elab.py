@@ -274,15 +274,12 @@ def infer(st: ElabState, ctx: Context, t: sf.Surface) -> tuple[Term, Value]:
             _require_erased(ctx, t.span, "the Bool type")
             return co.BoolTy(), co.VUniv()
         case sf.SZero():
-            return co.Zero(), co.VNatTy()
+            return co.Lit(0), co.VNatTy()
         case sf.SNum(value=v):
-            term: Term = co.Zero()
-            for _ in range(v):
-                term = co.Succ(term)
-            return term, co.VNatTy()
+            return co.Lit(v), co.VNatTy()
         case sf.SSucc(arg=arg):
             arg_t = check(st, ctx, arg, co.VNatTy())
-            return co.Succ(arg_t), co.VNatTy()
+            return co.succ(arg_t), co.VNatTy()
         case sf.STrue():
             return co.TrueTm(), co.VBoolTy()
         case sf.SFalse():
@@ -290,7 +287,7 @@ def infer(st: ElabState, ctx: Context, t: sf.Surface) -> tuple[Term, Value]:
         case sf.SNatElim(motive=motive, zcase=zcase, scase=scase, scrut=scrut):
             motive_t = check_erased(st, ctx, motive, co.NAT_MOTIVE_TY)
             motive_v = evaluate(ctx.env, motive_t)
-            zcase_t = check(st, ctx, zcase, co.motive_app(motive_v, co.VZero()))
+            zcase_t = check(st, ctx, zcase, co.motive_app(motive_v, co.VLit(0)))
             scase_t = check(st, ctx, scase, co.nat_succ_case_type(motive_v))
             scrut_t = check(st, ctx, scrut, co.VNatTy())
             res = co.motive_app(motive_v, evaluate(ctx.env, scrut_t))

@@ -57,13 +57,22 @@ class TSnd(Target):
 
 
 @dataclass(frozen=True)
-class TZero(Target):
-    pass
+class TLit(Target):
+    """The numeral n, held as an integer; `TLit(0)` is zero."""
+
+    n: int
 
 
 @dataclass(frozen=True)
 class TSucc(Target):
+    """The successor of a term; a normal form never has one over a literal."""
+
     arg: Target
+
+
+def tsucc(t: Target) -> Target:
+    """The successor of a target term, folded when it is a literal."""
+    return TLit(t.n + 1) if isinstance(t, TLit) else TSucc(t)
 
 
 @dataclass(frozen=True)
@@ -134,8 +143,8 @@ def extract_at(modes: tuple[Mode, ...], t: Term) -> Target:
             return TSnd(extract_at(modes, pair))
         case co.Snd(Mode.ZERO, pair):
             return extract_at(modes, pair)
-        case co.Zero():
-            return TZero()
+        case co.Lit(n):
+            return TLit(n)
         case co.Succ(arg):
             return TSucc(extract_at(modes, arg))
         case co.TrueTm():
@@ -180,10 +189,7 @@ def extract(ctx: Context, t: Term) -> Target:
 
 
 def numeral(k: int) -> Target:
-    t: Target = TZero()
-    for _ in range(k):
-        t = TSucc(t)
-    return t
+    return TLit(k)
 
 
 def as_numeral(t: Target) -> int | None:
@@ -191,7 +197,7 @@ def as_numeral(t: Target) -> int | None:
     while isinstance(t, TSucc):
         k += 1
         t = t.arg
-    return k if isinstance(t, TZero) else None
+    return k + t.n if isinstance(t, TLit) else None
 
 
 def alpha_eq(a: Target, b: Target) -> bool:
@@ -293,7 +299,7 @@ class _Fuel:
         self.left -= 1
 
 
-_CONSTRUCTORS = (TLam, TPair, TZero, TSucc, TTrue, TFalse)
+_CONSTRUCTORS = (TLam, TPair, TLit, TSucc, TTrue, TFalse)
 
 
 def _whnf(t: Target, fuel: _Fuel) -> Target:
@@ -331,12 +337,13 @@ def _whnf(t: Target, fuel: _Fuel) -> Target:
                     return TSnd(arg)
             case TNatRec(z, s, n):
                 n = _whnf(n, fuel)
-                if isinstance(n, TZero):
+                if n == TLit(0):
                     fuel.spend(t)
                     t = z
-                elif isinstance(n, TSucc):
+                elif isinstance(n, (TLit, TSucc)):
                     fuel.spend(t)
-                    t = TApp(TApp(s, n.arg), TNatRec(z, s, n.arg))
+                    pred = TLit(n.n - 1) if isinstance(n, TLit) else n.arg
+                    t = TApp(TApp(s, pred), TNatRec(z, s, pred))
                 elif isinstance(n, _CONSTRUCTORS):
                     raise StuckTerm(
                         "natural recursion on a non-number", TNatRec(z, s, n)
@@ -373,7 +380,7 @@ def _nf(t: Target, fuel: _Fuel) -> Target:
         case TSnd(arg):
             return TSnd(_nf(arg, fuel))
         case TSucc(arg):
-            return TSucc(_nf(arg, fuel))
+            return tsucc(_nf(arg, fuel))
         case TNatRec(z, s, n):
             return TNatRec(_nf(z, fuel), _nf(s, fuel), _nf(n, fuel))
         case TIf(c, a, b):
@@ -402,8 +409,8 @@ def pp_target(t: Target, names: tuple[str, ...] = (), prec: int = 0) -> str:
             if 0 <= ix < len(names):
                 return names[len(names) - 1 - ix]
             return f"@{ix}"
-        case TZero():
-            return "zero"
+        case TLit(n):
+            return co.succ_chain(n, prec, 1)
         case TTrue():
             return "true"
         case TFalse():
@@ -470,8 +477,8 @@ def target_to_json(t: Target) -> dict:
             return {"tag": "Fst", "arg": target_to_json(arg)}
         case TSnd(arg):
             return {"tag": "Snd", "arg": target_to_json(arg)}
-        case TZero():
-            return {"tag": "zero"}
+        case TLit(n):
+            return co.succ_chain_json(n)
         case TSucc(arg):
             return {"tag": "succ", "arg": target_to_json(arg)}
         case TNatRec(z, s, n):
@@ -517,9 +524,9 @@ def target_from_json(d: dict) -> Target:
         case "Snd":
             return TSnd(target_from_json(d["arg"]))
         case "zero":
-            return TZero()
+            return TLit(0)
         case "succ":
-            return TSucc(target_from_json(d["arg"]))
+            return tsucc(target_from_json(d["arg"]))
         case "natrec":
             return TNatRec(
                 target_from_json(d["zcase"]),

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
+from typing import Callable
 
 from .diagnostics import LexError, ParseError, SourceSpan
 
@@ -282,11 +283,33 @@ class Module:
 # ---------------------------------------------------------------------------
 # Parser
 
+# How many calls of `term`, `fun` and `atom` may be open at once.  Every
+# nested term goes through one of them (a parenthesis through all three),
+# so this bounds the parser's recursion, and that of the passes after it,
+# well within the recursion limit that `tt0.cli.main` sets.
+MAX_NESTING = 1000
+
+
+def _nested(parse: Callable[[_Parser], Surface]) -> Callable[[_Parser], Surface]:
+    def guarded(self: _Parser) -> Surface:
+        if self.depth >= MAX_NESTING:
+            raise ParseError(
+                f"term nested more than {MAX_NESTING} levels deep", self.peek().span
+            )
+        self.depth += 1
+        try:
+            return parse(self)
+        finally:
+            self.depth -= 1
+
+    return guarded
+
 
 class _Parser:
     def __init__(self, tokens: list[Token]):
         self.toks = tokens
         self.pos = 0
+        self.depth = 0  # open `_nested` calls
 
     def peek(self, k: int = 0) -> Token:
         return self.toks[min(self.pos + k, len(self.toks) - 1)]
@@ -354,6 +377,7 @@ class _Parser:
 
     # -- terms --------------------------------------------------------------
 
+    @_nested
     def term(self) -> Surface:
         t = self.peek()
         if t.kind == "\\":
@@ -421,6 +445,7 @@ class _Parser:
             "_",
         ) and self.peek(2).kind in (":", ":0")
 
+    @_nested
     def fun(self) -> Surface:
         if self.binder_group_ahead():
             return self.binder_form()
@@ -514,6 +539,7 @@ class _Parser:
                 break
         return head
 
+    @_nested
     def atom(self) -> Surface:
         t = self.peek()
         match t.kind:

@@ -298,10 +298,10 @@ def _rename(
         case co.VBoolTy():
             code_guard("the Bool type")
             return co.BoolTy()
-        case co.VZero():
-            return co.Zero()
+        case co.VLit(n):
+            return co.Lit(n)
         case co.VSucc(arg):
-            return co.Succ(go(arg))
+            return co.succ(go(arg))
         case co.VTrue():
             return co.TrueTm()
         case co.VFalse():
@@ -500,15 +500,20 @@ def unify(
             return
         case co.VBoolTy(), co.VBoolTy():
             return
-        case co.VZero(), co.VZero():
+        case co.VLit(m), co.VLit(n):
+            if m != n:
+                raise UnifyError("mismatch", _HEADS_DIFFER)
             return
         case co.VTrue(), co.VTrue():
             return
         case co.VFalse(), co.VFalse():
             return
-        case co.VSucc(x1), co.VSucc(y1):
-            unify(store, depth, x1, y1, names)
-            return
+        case co.VSucc() | co.VLit(), co.VSucc() | co.VLit():
+            # succ x against succ y, or against a literal k > 0 as k - 1.
+            x, y = co.vpred(a), co.vpred(b)
+            if x is not None and y is not None:
+                unify(store, depth, x, y, names)
+                return
         case VNeutral(co.MetaH(m1), s1), VNeutral(co.MetaH(m2), s2):
             if m1 == m2:
                 _unify_spines(store, depth, s1, s2, names)
@@ -548,7 +553,10 @@ def unify(
                 )
             _unify_spines(store, depth, s1, s2, names)
             return
-    raise UnifyError("mismatch", "terms have different head constructors")
+    raise UnifyError("mismatch", _HEADS_DIFFER)
+
+
+_HEADS_DIFFER = "terms have different head constructors"
 
 
 def _unify_spines(

@@ -1,10 +1,17 @@
 from __future__ import annotations
 
 import json
+import os
+import re
+import subprocess
+import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import BAD_CORPUS, CORPUS, corpus_files
+from conftest import BAD_CORPUS, CORPUS, REPO, corpus_files
+from tt0 import cli
 from tt0.cli import main
 from tt0.extract import target_from_json
 
@@ -51,6 +58,60 @@ class TestCheck:
         code, _, err = run(capsys, "check", "no_such_file.tt0")
         assert code == 1
         assert "cannot read" in err
+
+    def test_non_utf8_source_is_diagnostic(self, capsys, tmp_path):
+        f = tmp_path / "latin1.tt0"
+        f.write_bytes(b"main = \xff;")
+        code, _, err = run(capsys, "check", str(f))
+        assert code == 1
+        assert err.startswith(f"error: cannot read {f}: not UTF-8 text")
+        code, _, err = run(capsys, "check", str(f), "--json")
+        assert code == 1
+        [diag] = json.loads(err)["diagnostics"]
+        assert diag["message"].startswith(f"cannot read {f}: not UTF-8 text")
+
+    def test_deep_nesting_is_located_parse_error(self, tmp_path):
+        # Run as the `tt0` script runs, so that a traceback would show.
+        f = tmp_path / "deep.tt0"
+        f.write_text("main = " + "(" * 50_000 + "zero" + ")" * 50_000 + ";\n")
+        proc = subprocess.run(
+            [sys.executable, "-m", "tt0", "check", str(f)],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": str(REPO / "src")},
+        )
+        assert proc.returncode == 1
+        assert "Traceback" not in proc.stderr
+        assert re.match(rf"{re.escape(str(f))}:1:\d+: error: term nested more than", proc.stderr)
+
+    @pytest.mark.parametrize("use_json", [False, True])
+    def test_unexpected_exception_is_internal_error(self, capsys, monkeypatch, use_json):
+        def broken(result, args):
+            raise RuntimeError("boom")
+
+        monkeypatch.setitem(cli._COMMANDS, "check", broken)
+        argv = ["check", str(CORPUS / "identity.tt0")] + (["--json"] if use_json else [])
+        code, _, err = run(capsys, *argv)
+        assert code == 1
+        message = "check: RuntimeError: boom"
+        if use_json:
+            [diag] = json.loads(err)["diagnostics"]
+            assert diag == {"severity": "internal error", "message": message}
+        else:
+            assert err == f"internal error: {message}\n"
+
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.text(),
+    lambda inner: st.lists(inner) | st.dictionaries(st.text(), inner),
+)
+
+
+class TestJsonWriter:
+    @settings(max_examples=50, deadline=None)
+    @given(json_values)
+    def test_writes_what_json_dumps_writes(self, value):
+        assert cli._dumps(value) == json.dumps(value)
 
 
 class TestUsage:

@@ -10,13 +10,13 @@ from tt0.core import (
     NatElim,
     NatTy,
     Pi,
+    Lit,
     Succ,
     Var,
     VLam,
+    VLit,
     VNatTy,
     VSucc,
-    VZero,
-    Zero,
     conv,
     evaluate,
     force,
@@ -42,10 +42,7 @@ def app(fn, arg, mode=W):
 
 
 def nat(k: int) -> co.Term:
-    t: co.Term = Zero()
-    for _ in range(k):
-        t = Succ(t)
-    return t
+    return Lit(k)
 
 
 # Hand-rolled beta reduction over a tiny first-order fragment, used as an
@@ -59,31 +56,55 @@ def beta_oracle_natelim(zcase: int, succ_steps: int, scrut: int) -> int:
 
 class TestEvaluate:
     def test_beta(self):
-        v = evaluate((), app(lam(Var(0)), Zero()))
-        assert v == VZero()
+        v = evaluate((), app(lam(Var(0)), Lit(0)))
+        assert v == VLit(0)
 
     def test_natelim_identity_by_recursion(self):
         # natElim with zcase zero and scase (\k ih. succ ih) rebuilds its
         # argument; expected value computed by the hand reduction oracle.
         scase = Lam("k", W, EX, Lam("ih", W, EX, Succ(Var(0))))
         motive = Lam("k", W, EX, NatTy())
-        t = NatElim(motive, Zero(), scase, nat(2))
+        t = NatElim(motive, Lit(0), scase, nat(2))
         expected = beta_oracle_natelim(0, 1, 2)
         assert expected == 2
-        assert evaluate((), t) == VSucc(VSucc(VZero()))
+        assert evaluate((), t) == VLit(2)
 
     def test_constructors(self):
-        assert evaluate((), nat(2)) == VSucc(VSucc(VZero()))
+        assert evaluate((), nat(2)) == VLit(2)
 
     def test_let_substitutes(self):
         t = co.Let("y", NatTy(), nat(1), Succ(Var(0)))
-        assert evaluate((), t) == VSucc(VSucc(VZero()))
+        assert evaluate((), t) == VLit(2)
+
+    def test_natelim_over_literal_unfolds_like_a_successor_chain(self):
+        # natElim P z s (succ p) = s p (natElim P z s p), with s, z and x
+        # variables: over 3 the step case meets 0, 1, 2 from the inside
+        # out, as over succ (succ (succ x)) it meets x, succ x, succ (succ x).
+        s, z, x = co.vvar(0), co.vvar(1), co.vvar(2)
+        motive = evaluate((), lam(NatTy()))
+
+        def unfolded(preds, base):
+            for p in preds:
+                base = co.vapp(co.vapp(s, W, EX, p), W, EX, base)
+            return base
+
+        assert co.vnatelim(motive, z, s, VLit(3)) == unfolded(
+            [VLit(0), VLit(1), VLit(2)], z
+        )
+        stuck = co.VNeutral(co.VarH(2), (co.SNatElim(motive, z, s),))
+        assert co.vnatelim(motive, z, s, VSucc(VSucc(VSucc(x)))) == unfolded(
+            [x, VSucc(x), VSucc(VSucc(x))], stuck
+        )
+
+    def test_successor_of_literal_folds(self):
+        assert evaluate((), Succ(nat(41))) == VLit(42)
+        assert co.succ(nat(41)) == nat(42)
 
 
 class TestForce:
     def test_non_neutral_unchanged(self):
         store = MetaStore()
-        assert force(store, VZero()) == VZero()
+        assert force(store, VLit(0)) == VLit(0)
 
     def test_unsolved_meta_unchanged(self):
         store = MetaStore()
@@ -98,21 +119,21 @@ class TestForce:
         mv = evaluate(ctx.env, m)
         # Solve ?m := \x. x by unifying against the bound variable.
         unify(store, ctx.depth, mv, co.vvar(0), ctx.names)
-        replayed = force(store, evaluate((VSucc(VZero()),), m))
-        assert replayed == VSucc(VZero())
+        replayed = force(store, evaluate((VLit(1),), m))
+        assert replayed == VLit(1)
 
 
 class TestQuote:
     def test_quote_zero(self):
-        assert quote(MetaStore(), 0, VZero()) == Zero()
+        assert quote(MetaStore(), 0, VLit(0)) == Lit(0)
 
     def test_quote_identity_lambda(self):
         v = evaluate((), lam(Var(0)))
         assert quote(MetaStore(), 0, v) == lam(Var(0))
 
     def test_quote_neutral_application(self):
-        v = co.vapp(co.vvar(0), W, EX, VZero())
-        assert quote(MetaStore(), 1, v) == app(Var(0), Zero())
+        v = co.vapp(co.vvar(0), W, EX, VLit(0))
+        assert quote(MetaStore(), 1, v) == app(Var(0), Lit(0))
 
     @pytest.mark.parametrize("k", [0, 1, 5])
     def test_quote_eval_idempotent_on_numerals(self, k):
@@ -138,7 +159,19 @@ class TestConv:
 
     def test_beta_equality(self):
         store = MetaStore()
-        assert conv(store, 0, evaluate((), app(lam(Var(0)), Zero())), VZero())
+        assert conv(store, 0, evaluate((), app(lam(Var(0)), Lit(0))), VLit(0))
+
+    def test_successor_against_literal(self):
+        # succ ?n is convertible with a literal k exactly when ?n := k - 1.
+        store = MetaStore()
+        m = fresh_meta(store, Context(), VNatTy())
+        unify(store, 0, evaluate((), m), VLit(4))
+        sn = evaluate((), Succ(m))
+        assert sn == VSucc(evaluate((), m))  # evaluation does not read the store
+        assert conv(store, 0, sn, VLit(5)) and conv(store, 0, VLit(5), sn)
+        for k in (0, 1, 4, 6):
+            assert not conv(store, 0, sn, VLit(k))
+        assert not conv(store, 1, VSucc(co.vvar(0)), VLit(1))
 
     def test_eta_for_pairs(self):
         store = MetaStore()
@@ -164,18 +197,34 @@ class TestKernel:
     def test_erased_domain_constant_function(self):
         store = MetaStore()
         ty = evaluate((), Pi("x", Z0, EX, NatTy(), NatTy()))
-        kernel_check(store, Context(), Lam("x", Z0, EX, Zero()), ty)
+        kernel_check(store, Context(), Lam("x", Z0, EX, Lit(0)), ty)
 
     def test_lambda_mode_must_match(self):
         store = MetaStore()
         ty = evaluate((), Pi("x", Z0, EX, NatTy(), NatTy()))
         with pytest.raises(KernelError, match="mode"):
-            kernel_check(store, Context(), Lam("x", W, EX, Zero()), ty)
+            kernel_check(store, Context(), Lam("x", W, EX, Lit(0)), ty)
 
     def test_type_mismatch_reports_both_types(self):
         store = MetaStore()
         with pytest.raises(KernelError, match="expected .*Bool.*got .*Nat"):
-            kernel_check(store, Context(), Zero(), co.VBoolTy())
+            kernel_check(store, Context(), Lit(0), co.VBoolTy())
+
+    def test_successor_against_literal_in_a_type(self):
+        # v : F (succ ?n) checks against F k only at k = ?n + 1.
+        store = MetaStore()
+        m = fresh_meta(store, Context(), VNatTy())
+        unify(store, 0, evaluate((), m), VLit(2))
+        fam = evaluate((), Pi("k", W, EX, NatTy(), co.Univ()))
+
+        def in_f(n: co.Value) -> co.Value:
+            return co.vapp(co.vvar(0), W, EX, n)
+
+        ctx = Context().bind("F", Z0, fam).bind("v", W, in_f(evaluate((), Succ(m))))
+        kernel_check(store, ctx, Var(0), in_f(VLit(3)))
+        for k in (0, 2, 4):
+            with pytest.raises(KernelError, match="type mismatch"):
+                kernel_check(store, ctx, Var(0), in_f(VLit(k)))
 
     def test_type_code_rejected_at_runtime(self):
         with pytest.raises(KernelError, match="type code"):
@@ -187,7 +236,7 @@ class TestKernel:
         motive = Lam("k", W, EX, NatTy())
         scase = Lam("k", W, EX, Lam("ih", W, EX, Succ(Var(0))))
         ctx = Context().bind("n", Z0, VNatTy())
-        t = NatElim(motive, Zero(), scase, Var(0))
+        t = NatElim(motive, Lit(0), scase, Var(0))
         with pytest.raises(KernelError, match="erased variable"):
             kernel_infer(store, ctx, t)
         assert kernel_infer(store, ctx.erased(), t) == VNatTy()
@@ -207,8 +256,8 @@ class TestKernel:
         f_ty = evaluate((), Pi("x", Z0, EX, NatTy(), NatTy()))
         ctx = Context().bind("f", W, f_ty)
         with pytest.raises(KernelError, match="annotation"):
-            kernel_infer(store, ctx, app(Var(0), Zero(), mode=W))
-        assert kernel_infer(store, ctx, app(Var(0), Zero(), mode=Z0)) == VNatTy()
+            kernel_infer(store, ctx, app(Var(0), Lit(0), mode=W))
+        assert kernel_infer(store, ctx, app(Var(0), Lit(0), mode=Z0)) == VNatTy()
 
     def test_projection_mode_annotation_verified(self):
         store = MetaStore()
@@ -222,8 +271,18 @@ class TestKernel:
         store = MetaStore()
         sig0 = evaluate((), co.Sigma("n", Z0, NatTy(), NatTy()))
         with pytest.raises(KernelError, match="mode"):
-            kernel_check(store, Context(), co.Pair(W, Zero(), Zero()), sig0)
-        kernel_check(store, Context(), co.Pair(Z0, Zero(), Zero()), sig0)
+            kernel_check(store, Context(), co.Pair(W, Lit(0), Lit(0)), sig0)
+        kernel_check(store, Context(), co.Pair(Z0, Lit(0), Lit(0)), sig0)
+
+
+class TestPrinting:
+    def test_literal_prints_as_successor_chain(self):
+        assert co.pp(Lit(0)) == "zero"
+        assert co.pp(Lit(2)) == "succ (succ zero)"
+        assert co.pp(app(Var(0), Lit(1)), ("f",)) == "f (succ zero)"
+        assert co.pp(Succ(Var(0)), ("x",)) == "succ x"
+        two = {"tag": "succ", "arg": {"tag": "succ", "arg": {"tag": "zero"}}}
+        assert co.to_json(Lit(2)) == two
 
 
 class TestCorpusInvariants:

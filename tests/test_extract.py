@@ -16,9 +16,9 @@ from tt0.extract import (
     TLam,
     TLet,
     TNatRec,
+    TLit,
     TSucc,
     TVar,
-    TZero,
     alpha_eq,
     as_numeral,
     eval_target,
@@ -37,10 +37,7 @@ EX = Icit.EXPL
 
 
 def nat(k: int) -> co.Term:
-    t: co.Term = co.Zero()
-    for _ in range(k):
-        t = co.Succ(t)
-    return t
+    return co.Lit(k)
 
 
 class TestExtract:
@@ -67,7 +64,7 @@ class TestExtract:
 
     def test_marker_context_refused(self):
         with pytest.raises(InternalError):
-            extract(Context(flag=True), co.Zero())
+            extract(Context(flag=True), co.Lit(0))
 
 
 class TestRuntimeIndex:
@@ -90,7 +87,7 @@ class TestRuntimeIndex:
 
 class TestEvalTarget:
     def test_beta(self):
-        assert eval_target(TApp(TLam("x", TVar(0)), TZero())) == TZero()
+        assert eval_target(TApp(TLam("x", TVar(0)), TLit(0))) == TLit(0)
 
     def test_natrec_addition(self):
         # natrec 2 (\_ r. succ r) 3 adds three successors to two.
@@ -100,7 +97,7 @@ class TestEvalTarget:
 
     def test_stuck_projection(self):
         with pytest.raises(StuckTerm):
-            eval_target(TFst(TZero()))
+            eval_target(TFst(TLit(0)))
 
     def test_fuel_exhaustion(self):
         omega = TLam("x", TApp(TVar(0), TVar(0)))
@@ -112,8 +109,8 @@ class TestEvalTarget:
         assert eval_target(t) == numeral(3)
 
     def test_normalises_under_binders(self):
-        t = TLam("x", TApp(TLam("y", TVar(0)), TZero()))
-        assert eval_target(t) == TLam("x", TZero())
+        t = TLam("x", TApp(TLam("y", TVar(0)), TLit(0)))
+        assert eval_target(t) == TLam("x", TLit(0))
 
     def test_if_branches(self):
         from tt0.extract import TFalse, TIf, TTrue
@@ -123,11 +120,23 @@ class TestEvalTarget:
 
 
 class TestNumerals:
+    def test_natrec_on_literal_costs_what_a_successor_chain_costs(self):
+        s = TLam("k", TLam("r", TSucc(TVar(0))))
+        for scrut in (numeral(3), TSucc(TSucc(TSucc(numeral(0))))):
+            t = TNatRec(numeral(2), s, scrut)
+            assert eval_target(t, fuel=10) == numeral(5)
+            with pytest.raises(FuelExhausted):
+                eval_target(t, fuel=9)
+
+    def test_successor_of_literal_folds_in_normal_forms(self):
+        assert eval_target(TSucc(TSucc(numeral(40)))) == numeral(42)
+        assert eval_target(TLam("x", TSucc(TVar(0)))) == TLam("x", TSucc(TVar(0)))
+
     def test_numeral_zero(self):
-        assert numeral(0) == TZero()
+        assert numeral(0) == TLit(0)
 
     def test_as_numeral_one(self):
-        assert as_numeral(TSucc(TZero())) == 1
+        assert as_numeral(TSucc(TLit(0))) == 1
 
     def test_non_numeral(self):
         assert as_numeral(TLam("x", TVar(0))) is None
@@ -143,11 +152,11 @@ class TestAlphaEq:
         assert alpha_eq(TLam("x", TVar(0)), TLam("y", TVar(0)))
 
     def test_distinct_terms(self):
-        assert not alpha_eq(TZero(), TSucc(TZero()))
+        assert not alpha_eq(TLit(0), TLit(1))
 
     def test_let_not_identified_with_its_inlining(self):
-        lt = TLet("x", TZero(), TSucc(TVar(0)))
-        assert not alpha_eq(lt, TSucc(TZero()))
+        lt = TLet("x", TLit(0), TSucc(TVar(0)))
+        assert not alpha_eq(lt, TLit(1))
 
 
 class TestJson:
@@ -234,7 +243,13 @@ class TestPrinting:
         t = TLet(
             "f",
             TLam("x", TSucc(TVar(0))),
-            TApp(TVar(0), TNatRec(TZero(), TLam("k", TLam("r", TVar(0))), numeral(1))),
+            TApp(TVar(0), TNatRec(TLit(0), TLam("k", TLam("r", TVar(0))), numeral(1))),
         )
         s = pp_target(t)
         assert s == "let f = \\x. succ x in f (natrec zero (\\k. \\r. r) (succ zero))"
+
+    def test_literal_prints_and_encodes_as_successor_chain(self):
+        assert pp_target(TApp(TVar(0), numeral(2)), ("f",)) == "f (succ (succ zero))"
+        two = {"tag": "succ", "arg": {"tag": "succ", "arg": {"tag": "zero"}}}
+        assert target_to_json(numeral(2)) == two
+        assert target_from_json(two) == numeral(2)

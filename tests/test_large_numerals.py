@@ -1,0 +1,74 @@
+"""Numerals as large as memory allows, at the interpreter's default stack.
+
+The suite's `conftest` raises the recursion limit; these tests run in a
+fresh interpreter so that the default limit applies.
+"""
+
+from __future__ import annotations
+
+import os
+import subprocess
+import sys
+import textwrap
+
+from conftest import REPO
+
+MILLION = "let x : Nat = 1000000;\nmain = x;\n"
+PLUS = "let plus : Nat -> Nat -> Nat = \\m n. natElim (\\k. Nat) n (\\k ih. succ ih) m;\n"
+PLUS_MILLION = PLUS + "let x : Nat = 1000000;\nmain = plus 3 (succ x);\n"
+
+
+def python(*args: str) -> subprocess.CompletedProcess:
+    env = {**os.environ, "PYTHONPATH": str(REPO / "src")}
+    return subprocess.run(
+        [sys.executable, *args], capture_output=True, text=True, env=env, timeout=300
+    )
+
+
+def test_library_pipeline_at_default_recursion_limit():
+    script = textwrap.dedent(
+        """
+        import sys
+        from tt0 import translate
+        from tt0.core import Context
+        from tt0.elab import closed_main, elaborate_text
+        from tt0.extract import as_numeral, eval_target, extract
+
+        assert sys.getrecursionlimit() == 1000, sys.getrecursionlimit()
+        for source in sys.argv[1:]:
+            result = elaborate_text(source)
+            assert result.ok, [e.message for e in result.errors]
+            rows = translate.sweep(result)
+            assert all(r.zeroing_ok and r.stripping_ok for r in rows)
+            target = extract(Context(), closed_main(result))
+            print(as_numeral(eval_target(target)))
+        """
+    )
+    proc = python("-c", script, MILLION, PLUS_MILLION)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert proc.stdout.split() == ["1000000", "1000004"]
+
+
+def test_cli_checks_and_runs_a_million(tmp_path):
+    f = tmp_path / "million.tt0"
+    f.write_text(MILLION)
+    check = python("-m", "tt0", "check", str(f))
+    assert check.returncode == 0, check.stderr[-2000:]
+    assert check.stdout.splitlines() == ["ok x : Nat", "ok main : Nat"]
+    run = python("-m", "tt0", "run", str(f))
+    assert run.returncode == 0, run.stderr[-2000:]
+    printed, value = run.stdout.splitlines()
+    assert value == "= 1000000"
+    assert printed == "succ " + "(succ " * 999_999 + "zero" + ")" * 999_999
+
+
+def test_cli_json_nests_a_numeral_past_the_c_stack(tmp_path):
+    # The standard JSON encoder recurses in C once per level and overflows
+    # the C stack (a segmentation fault) well before 200 000 levels.
+    n = 200_000
+    f = tmp_path / "big.tt0"
+    f.write_text(f"main = {n};\n")
+    run = python("-m", "tt0", "run", str(f), "--json")
+    assert run.returncode == 0, run.stderr[-2000:]
+    chain = '{"tag": "succ", "arg": ' * n + '{"tag": "zero"}' + "}" * n
+    assert run.stdout == f'{{"version": 1, "result": {chain}, "numeral": {n}}}\n'

@@ -1,7 +1,7 @@
 from __future__ import annotations
 
 from tt0 import core as co
-from tt0.core import Context, VNatTy, VZero, conv, evaluate
+from tt0.core import Context, VLit, VNatTy, conv, evaluate
 from tt0.surface import Icit, Mode
 from tt0.translate import check_zeroing, recheck_stripped, strip_modes, sweep, zero_ctx
 from tt0.unify import MetaStore
@@ -25,7 +25,7 @@ class TestZeroCtx:
         ctx = (
             Context()
             .bind("x", Z0, VNatTy())
-            .define("d", W, VNatTy(), VZero())
+            .define("d", W, VNatTy(), VLit(0))
             .erased()
         )
         once = zero_ctx(ctx)
@@ -59,12 +59,12 @@ class TestStripModes:
         )
 
     def test_lam(self):
-        assert strip_modes(co.Lam("x", Z0, EX, co.Zero())) == co.Lam(
-            "x", W, EX, co.Zero()
+        assert strip_modes(co.Lam("x", Z0, EX, co.Lit(0))) == co.Lam(
+            "x", W, EX, co.Lit(0)
         )
 
     def test_constructor_unchanged(self):
-        assert strip_modes(co.Zero()) == co.Zero()
+        assert strip_modes(co.Lit(0)) == co.Lit(0)
 
     def test_idempotent_on_corpus(self, corpus):
         for result in corpus.values():
@@ -91,7 +91,7 @@ class TestRecheckStripped:
     def test_erased_pair(self):
         store = MetaStore()
         ty = co.Sigma("n", Z0, co.NatTy(), co.NatTy())
-        body = co.Pair(Z0, co.Zero(), co.Zero())
+        body = co.Pair(Z0, co.Lit(0), co.Lit(0))
         recheck_stripped(store, Context(), strip_modes(body), strip_modes(ty))
 
     def test_corpus_sweep(self, corpus):

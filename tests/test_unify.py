@@ -3,7 +3,7 @@ from __future__ import annotations
 import pytest
 
 from tt0 import core as co
-from tt0.core import Context, VNatTy, VSucc, VZero, conv, evaluate, force, kernel_check
+from tt0.core import Context, VLit, VNatTy, VSucc, conv, evaluate, force, kernel_check
 from tt0.diagnostics import UnifyError
 from tt0.elab import elaborate_text
 from tt0.surface import Icit, Mode
@@ -48,14 +48,14 @@ class TestFreshMeta:
 
     def test_defined_entries_not_in_mask(self):
         store = MetaStore()
-        ctx = Context().define("d", W, VNatTy(), VZero()).bind("x", W, VNatTy())
+        ctx = Context().define("d", W, VNatTy(), VLit(0)).bind("x", W, VNatTy())
         t = fresh_meta(store, ctx, VNatTy())
         assert t == co.InsertedMeta(0, (None, W))
 
 
 class TestUnify:
     def test_ground(self):
-        unify(MetaStore(), 0, VZero(), VZero())
+        unify(MetaStore(), 0, VLit(0), VLit(0))
 
     def test_pi_mode_mismatch(self):
         store = MetaStore()
@@ -86,6 +86,23 @@ class TestUnify:
         rhs = VSucc(co.vvar(0))
         unify(store, ctx.depth, mv, rhs, ctx.names)
         assert conv(store, ctx.depth, force(store, mv), rhs)
+
+    def test_succ_of_meta_against_literal_solves_predecessor(self):
+        # succ ?m =?= 5 solves ?m := 4, from either side.
+        for swap in (False, True):
+            store = MetaStore()
+            lhs, rhs = VSucc(flex(store, Context(), VNatTy())), VLit(5)
+            unify(store, 0, *((rhs, lhs) if swap else (lhs, rhs)))
+            assert store.lookup(0).solution_closed == co.Lit(4)
+            assert force(store, evaluate((), co.Meta(0))) == VLit(4)
+
+    def test_literal_mismatches(self):
+        store = MetaStore()
+        m = flex(store, Context(), VNatTy())
+        for a, b in [(VLit(2), VLit(3)), (VSucc(m), VLit(0)), (VSucc(VSucc(m)), VLit(1))]:
+            with pytest.raises(UnifyError, match="different head constructors"):
+                unify(store, 0, a, b)
+        assert not store.lookup(0).solved
 
     def test_flex_flex_distinct_solves_one_side(self):
         store = MetaStore()
@@ -137,7 +154,7 @@ class TestInvert:
             invert((), spine, self.store, 1)
 
     def test_non_pattern_constant_argument(self):
-        v = evaluate((VZero(), co.vvar(1)), self.meta)
+        v = evaluate((VLit(0), co.vvar(1)), self.meta)
         with pytest.raises(UnifyError, match="non-pattern"):
             invert(self.entries, spine_of(v), self.store, self.ctx.depth)
 
@@ -223,12 +240,12 @@ class TestSolve:
 
     def test_solution_with_defined_prefix_uses_let(self):
         store = MetaStore()
-        ctx = Context().define("d", W, VNatTy(), VSucc(VZero()))
+        ctx = Context().define("d", W, VNatTy(), VLit(1))
         fresh_meta(store, ctx, VNatTy())
-        solve(store, ctx.depth, 0, (), VSucc(VZero()))
+        solve(store, ctx.depth, 0, (), VLit(1))
         sol = store.lookup(0).solution_closed
         assert isinstance(sol, co.Let)
-        assert store.lookup(0).solution_body == co.Succ(co.Zero())
+        assert store.lookup(0).solution_body == co.Lit(1)
         kernel_check(store, Context(), sol, store.lookup(0).closed_ty_value)
 
     def test_extra_spine_arguments_become_lambdas(self):
