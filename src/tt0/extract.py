@@ -188,10 +188,6 @@ def extract(ctx: Context, t: Term) -> Target:
 # Numerals
 
 
-def numeral(k: int) -> Target:
-    return TLit(k)
-
-
 def as_numeral(t: Target) -> int | None:
     k = 0
     while isinstance(t, TSucc):

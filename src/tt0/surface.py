@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, TypeVar
 
 from .diagnostics import LexError, ParseError, SourceSpan
 
@@ -283,33 +283,11 @@ class Module:
 # ---------------------------------------------------------------------------
 # Parser
 
-# How many calls of `term`, `fun` and `atom` may be open at once.  Every
-# nested term goes through one of them (a parenthesis through all three),
-# so this bounds the parser's recursion, and that of the passes after it,
-# well within the recursion limit that `tt0.cli.main` sets.
-MAX_NESTING = 1000
-
-
-def _nested(parse: Callable[[_Parser], Surface]) -> Callable[[_Parser], Surface]:
-    def guarded(self: _Parser) -> Surface:
-        if self.depth >= MAX_NESTING:
-            raise ParseError(
-                f"term nested more than {MAX_NESTING} levels deep", self.peek().span
-            )
-        self.depth += 1
-        try:
-            return parse(self)
-        finally:
-            self.depth -= 1
-
-    return guarded
-
 
 class _Parser:
     def __init__(self, tokens: list[Token]):
         self.toks = tokens
         self.pos = 0
-        self.depth = 0  # open `_nested` calls
 
     def peek(self, k: int = 0) -> Token:
         return self.toks[min(self.pos + k, len(self.toks) - 1)]
@@ -377,7 +355,6 @@ class _Parser:
 
     # -- terms --------------------------------------------------------------
 
-    @_nested
     def term(self) -> Surface:
         t = self.peek()
         if t.kind == "\\":
@@ -445,7 +422,6 @@ class _Parser:
             "_",
         ) and self.peek(2).kind in (":", ":0")
 
-    @_nested
     def fun(self) -> Surface:
         if self.binder_group_ahead():
             return self.binder_form()
@@ -539,7 +515,6 @@ class _Parser:
                 break
         return head
 
-    @_nested
     def atom(self) -> Surface:
         t = self.peek()
         match t.kind:
@@ -611,8 +586,23 @@ def describe(t: Token) -> str:
     return "end of input" if t.kind == "eof" else f"{t.text!r}"
 
 
+_T = TypeVar("_T")
+
+
+def _parse(tokens: list[Token], start: Callable[[_Parser], _T]) -> _T:
+    # The parser recurses at least once per nesting level, so the
+    # recursion limit bounds how deep a term may nest: about 16 000
+    # `succ (…)` levels under the limit of 100 000 that `tt0.cli.main`
+    # sets.  Deeper input is reported where the parser stood.
+    p = _Parser(tokens)
+    try:
+        return start(p)
+    except RecursionError:
+        raise ParseError("term nested too deeply", p.peek().span) from None
+
+
 def parse_module(tokens: list[Token]) -> Module:
-    return _Parser(tokens).module()
+    return _parse(tokens, _Parser.module)
 
 
 def parse_module_text(source: str, filename: str = "<input>") -> Module:
@@ -620,10 +610,12 @@ def parse_module_text(source: str, filename: str = "<input>") -> Module:
 
 
 def parse_term_text(source: str, filename: str = "<input>") -> Surface:
-    p = _Parser(tokenize(source, filename))
-    t = p.term()
-    p.expect("eof")
-    return t
+    def whole_term(p: _Parser) -> Surface:
+        t = p.term()
+        p.expect("eof")
+        return t
+
+    return _parse(tokenize(source, filename), whole_term)
 
 
 # ---------------------------------------------------------------------------

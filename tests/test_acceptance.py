@@ -17,12 +17,12 @@ from tt0.elab import close_over_signature, closed_definition, elaborate_text
 from tt0.extract import (
     TApp,
     TLam,
+    TLit,
     TVar,
     alpha_eq,
     as_numeral,
     eval_target,
     extract,
-    numeral,
 )
 from tt0.surface import Icit, Mode
 from tt0.translate import strip_modes
@@ -136,8 +136,8 @@ def test_acceptance_3_tracking(corpus):
             semantic = read_core_numeral(
                 normal_form(result.store, (), applied_core)
             )
-            got = eval_target(TApp(target_fn, numeral(k)))
-            assert got == numeral(semantic), f"{mod}.{fname} at {k}"
+            got = eval_target(TApp(target_fn, TLit(k)))
+            assert got == TLit(semantic), f"{mod}.{fname} at {k}"
     _passed(3, f"tracking over {len(fns)} functions x 11 inputs")
 
 

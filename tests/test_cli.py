@@ -82,7 +82,7 @@ class TestCheck:
         )
         assert proc.returncode == 1
         assert "Traceback" not in proc.stderr
-        assert re.match(rf"{re.escape(str(f))}:1:\d+: error: term nested more than", proc.stderr)
+        assert re.match(rf"{re.escape(str(f))}:1:\d+: error: term nested too deeply", proc.stderr)
 
     @pytest.mark.parametrize("use_json", [False, True])
     def test_unexpected_exception_is_internal_error(self, capsys, monkeypatch, use_json):
@@ -135,6 +135,19 @@ class TestRun:
         code, out, _ = run(capsys, "run", str(CORPUS / "plus.tt0"))
         assert code == 0
         assert out.splitlines()[-1] == "= 5"
+
+    def test_printed_numeral_parses_back(self, capsys, tmp_path):
+        # `run` prints a literal as its `succ (…)` chain; that text, nested
+        # 15 000 levels deep, is a program `check` and `run` accept.
+        f = tmp_path / "lit.tt0"
+        f.write_text("main = 15000;\n")
+        code, out, _ = run(capsys, "run", str(f))
+        assert code == 0
+        printed, value = out.splitlines()
+        assert value == "= 15000"
+        f.write_text(f"main = {printed};\n")
+        assert run(capsys, "check", str(f)) == (0, "ok main : Nat\n", "")
+        assert run(capsys, "run", str(f)) == (0, out, "")
 
     def test_fuel_exhaustion_exit_three(self, capsys):
         code, _, err = run(capsys, "run", str(CORPUS / "mult.tt0"), "--fuel", "2")

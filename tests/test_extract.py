@@ -24,7 +24,6 @@ from tt0.extract import (
     eval_target,
     extract,
     extract_at,
-    numeral,
     pp_target,
     runtime_index,
     target_from_json,
@@ -47,11 +46,11 @@ class TestExtract:
 
     def test_erased_pair_keeps_second_component(self):
         t = co.Pair(Z0, nat(3), nat(5))
-        assert extract(Context(), t) == numeral(5)
+        assert extract(Context(), t) == TLit(5)
 
     def test_erased_domain_constant(self):
         t = co.Lam("n", Z0, EX, nat(7))
-        assert extract(Context(), t) == numeral(7)
+        assert extract(Context(), t) == TLit(7)
 
     def test_erased_application_drops_argument(self):
         f = co.Lam("n", Z0, EX, nat(7))
@@ -92,8 +91,8 @@ class TestEvalTarget:
     def test_natrec_addition(self):
         # natrec 2 (\_ r. succ r) 3 adds three successors to two.
         s = TLam("k", TLam("r", TSucc(TVar(0))))
-        t = TNatRec(numeral(2), s, numeral(3))
-        assert eval_target(t) == numeral(5)
+        t = TNatRec(TLit(2), s, TLit(3))
+        assert eval_target(t) == TLit(5)
 
     def test_stuck_projection(self):
         with pytest.raises(StuckTerm):
@@ -105,8 +104,8 @@ class TestEvalTarget:
             eval_target(TApp(omega, omega), fuel=100)
 
     def test_let_substitutes(self):
-        t = TLet("x", numeral(2), TSucc(TVar(0)))
-        assert eval_target(t) == numeral(3)
+        t = TLet("x", TLit(2), TSucc(TVar(0)))
+        assert eval_target(t) == TLit(3)
 
     def test_normalises_under_binders(self):
         t = TLam("x", TApp(TLam("y", TVar(0)), TLit(0)))
@@ -115,25 +114,26 @@ class TestEvalTarget:
     def test_if_branches(self):
         from tt0.extract import TFalse, TIf, TTrue
 
-        assert eval_target(TIf(TTrue(), numeral(1), numeral(2))) == numeral(1)
-        assert eval_target(TIf(TFalse(), numeral(1), numeral(2))) == numeral(2)
+        assert eval_target(TIf(TTrue(), TLit(1), TLit(2))) == TLit(1)
+        assert eval_target(TIf(TFalse(), TLit(1), TLit(2))) == TLit(2)
 
 
 class TestNumerals:
     def test_natrec_on_literal_costs_what_a_successor_chain_costs(self):
         s = TLam("k", TLam("r", TSucc(TVar(0))))
-        for scrut in (numeral(3), TSucc(TSucc(TSucc(numeral(0))))):
-            t = TNatRec(numeral(2), s, scrut)
-            assert eval_target(t, fuel=10) == numeral(5)
+        for scrut in (TLit(3), TSucc(TSucc(TSucc(TLit(0))))):
+            t = TNatRec(TLit(2), s, scrut)
+            assert eval_target(t, fuel=10) == TLit(5)
             with pytest.raises(FuelExhausted):
                 eval_target(t, fuel=9)
 
     def test_successor_of_literal_folds_in_normal_forms(self):
-        assert eval_target(TSucc(TSucc(numeral(40)))) == numeral(42)
+        assert eval_target(TSucc(TSucc(TLit(40)))) == TLit(42)
         assert eval_target(TLam("x", TSucc(TVar(0)))) == TLam("x", TSucc(TVar(0)))
 
     def test_numeral_zero(self):
-        assert numeral(0) == TLit(0)
+        assert extract(Context(), co.Lit(0)) == TLit(0)
+        assert as_numeral(TLit(0)) == 0
 
     def test_as_numeral_one(self):
         assert as_numeral(TSucc(TLit(0))) == 1
@@ -144,7 +144,7 @@ class TestNumerals:
     @settings(max_examples=50, deadline=None)
     @given(st.integers(min_value=0, max_value=200))
     def test_round_trip(self, k):
-        assert as_numeral(numeral(k)) == k
+        assert as_numeral(TLit(k)) == k
 
 
 class TestAlphaEq:
@@ -243,13 +243,13 @@ class TestPrinting:
         t = TLet(
             "f",
             TLam("x", TSucc(TVar(0))),
-            TApp(TVar(0), TNatRec(TLit(0), TLam("k", TLam("r", TVar(0))), numeral(1))),
+            TApp(TVar(0), TNatRec(TLit(0), TLam("k", TLam("r", TVar(0))), TLit(1))),
         )
         s = pp_target(t)
         assert s == "let f = \\x. succ x in f (natrec zero (\\k. \\r. r) (succ zero))"
 
     def test_literal_prints_and_encodes_as_successor_chain(self):
-        assert pp_target(TApp(TVar(0), numeral(2)), ("f",)) == "f (succ (succ zero))"
+        assert pp_target(TApp(TVar(0), TLit(2)), ("f",)) == "f (succ (succ zero))"
         two = {"tag": "succ", "arg": {"tag": "succ", "arg": {"tag": "zero"}}}
-        assert target_to_json(numeral(2)) == two
-        assert target_from_json(two) == numeral(2)
+        assert target_to_json(TLit(2)) == two
+        assert target_from_json(two) == TLit(2)

@@ -103,6 +103,14 @@ class TestParse:
             lines = src.splitlines() or [""]
             assert 1 <= span.start_line <= len(lines) + 1
 
+    def test_nesting_past_the_stack_is_located_parse_error(self):
+        n = 50_000
+        with pytest.raises(ParseError, match="term nested too deeply") as e:
+            parse_term_text("(" * n + "zero" + ")" * n)
+        span = e.value.span
+        assert span is not None
+        assert span.start_line == 1 and 1 < span.start_col <= n
+
 
 class TestRoundTrip:
     @pytest.mark.parametrize("path", corpus_files(), ids=lambda p: p.stem)
