@@ -1,9 +1,9 @@
 """Byte-for-byte snapshots of the command line over the whole corpus.
 
 For every corpus file (good and bad) the snapshot holds the exit code,
-stdout and stderr of `tt0 check|elab|run|meta`, each plain and with
-`--json`, of `tt0 extract --main`, and of `tt0 extract --def NAME` and
-`tt0 nf --def NAME` for every declaration the file declares.  `cli.main`
+stdout and stderr of `tt0 check|elab|run|meta`, of `tt0 extract --main`,
+and of `tt0 extract --def NAME` and `tt0 nf --def NAME` for every
+declaration the file declares, each plain and with `--json`.  `cli.main`
 runs in process from the repository root, so diagnostics name files by
 their relative path.
 
@@ -45,14 +45,14 @@ def argvs_for(path: str) -> list[list[str]]:
     from tt0.surface import parse_module_text
 
     argvs = [[cmd, path, *json_flag] for cmd in COMMANDS for json_flag in ([], ["--json"])]
-    argvs.append(["extract", path, "--main"])
+    argvs += [["extract", path, "--main"], ["extract", path, "--main", "--json"]]
     try:
         decls = parse_module_text((REPO / path).read_text(), path).decls
     except Diagnostic:
         decls = ()
     for d in decls:
-        argvs.append(["extract", path, "--def", d.name])
-        argvs.append(["nf", path, "--def", d.name])
+        for cmd in ("extract", "nf"):
+            argvs += [[cmd, path, "--def", d.name], [cmd, path, "--def", d.name, "--json"]]
     return argvs
 
 
