@@ -12,7 +12,8 @@ exactly when the flag is set.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
+from functools import cache
 from typing import TYPE_CHECKING, Callable
 
 from .diagnostics import InternalError, KernelError
@@ -1087,111 +1088,86 @@ def succ_chain(n: int, prec: int, at: int) -> str:
 # Structural JSON encoding
 
 
-def _mode_json(mode: Mode) -> str:
-    return "0" if mode is Mode.ZERO else "w"
+# The JSON tag of each syntax class; extract.py adds the target classes.  A
+# literal is written as nested `succ` objects around `zero`.
+JSON_TAGS: dict[type, str] = {
+    Var: "Var", Lam: "Lam", App: "App", Pi: "Pi", Sigma: "Sigma", Pair: "Pair",
+    Fst: "Fst", Snd: "Snd", Univ: "U", NatTy: "Nat", Lit: "zero", Succ: "succ",
+    NatElim: "natElim", BoolTy: "Bool", TrueTm: "true", FalseTm: "false",
+    BoolElim: "boolElim", Let: "Let", Meta: "Meta", InsertedMeta: "InsertedMeta",
+}
+
+# JSON keys that differ from the field names.
+_JSON_KEYS = {"fst_ty": "fst", "snd_ty": "snd", "icit": "implicit", "mid": "id", "els": "else"}
 
 
-def succ_chain_json(n: int) -> dict:
-    """Nested `succ` objects around `zero` for the numeral n, built without
-    recursion."""
-    d: dict = {"tag": "zero"}
-    for _ in range(n):
-        d = {"tag": "succ", "arg": d}
-    return d
+# (encode, decode) of the fields that are neither subterms nor JSON as they are.
+_FIELD_CODECS: dict[str, tuple[Callable, Callable]] = {
+    "mode": (lambda m: m.value, Mode),
+    "icit": (lambda i: i is Icit.IMPL, lambda b: Icit.IMPL if b else Icit.EXPL),
+    "mask": (
+        lambda ms: [None if m is None else m.value for m in ms],
+        lambda ms: tuple(None if m is None else Mode(m) for m in ms),
+    ),
+}
 
 
-def to_json(t: Term) -> dict:
-    match t:
-        case Var(ix):
-            return {"tag": "Var", "ix": ix}
-        case Lam(name, mode, icit, body):
-            return {
-                "tag": "Lam",
-                "name": name,
-                "mode": _mode_json(mode),
-                "implicit": icit is Icit.IMPL,
-                "body": to_json(body),
-            }
-        case App(mode, icit, fn, arg):
-            return {
-                "tag": "App",
-                "mode": _mode_json(mode),
-                "implicit": icit is Icit.IMPL,
-                "fn": to_json(fn),
-                "arg": to_json(arg),
-            }
-        case Pi(name, mode, icit, dom, cod):
-            return {
-                "tag": "Pi",
-                "name": name,
-                "mode": _mode_json(mode),
-                "implicit": icit is Icit.IMPL,
-                "dom": to_json(dom),
-                "cod": to_json(cod),
-            }
-        case Sigma(name, mode, fst_ty, snd_ty):
-            return {
-                "tag": "Sigma",
-                "name": name,
-                "mode": _mode_json(mode),
-                "fst": to_json(fst_ty),
-                "snd": to_json(snd_ty),
-            }
-        case Pair(mode, fst, snd):
-            return {
-                "tag": "Pair",
-                "mode": _mode_json(mode),
-                "fst": to_json(fst),
-                "snd": to_json(snd),
-            }
-        case Fst(mode, pair):
-            return {"tag": "Fst", "mode": _mode_json(mode), "pair": to_json(pair)}
-        case Snd(mode, pair):
-            return {"tag": "Snd", "mode": _mode_json(mode), "pair": to_json(pair)}
-        case Univ():
-            return {"tag": "U"}
-        case NatTy():
-            return {"tag": "Nat"}
-        case Lit(n):
-            return succ_chain_json(n)
-        case Succ(arg):
-            return {"tag": "succ", "arg": to_json(arg)}
-        case NatElim(motive, z, s, n):
-            return {
-                "tag": "natElim",
-                "motive": to_json(motive),
-                "zcase": to_json(z),
-                "scase": to_json(s),
-                "scrut": to_json(n),
-            }
-        case BoolTy():
-            return {"tag": "Bool"}
-        case TrueTm():
-            return {"tag": "true"}
-        case FalseTm():
-            return {"tag": "false"}
-        case BoolElim(motive, a, b, c):
-            return {
-                "tag": "boolElim",
-                "motive": to_json(motive),
-                "tcase": to_json(a),
-                "fcase": to_json(b),
-                "scrut": to_json(c),
-            }
-        case Let(name, ty, defn, body):
-            return {
-                "tag": "Let",
-                "name": name,
-                "ty": to_json(ty),
-                "defn": to_json(defn),
-                "body": to_json(body),
-            }
-        case Meta(mid):
-            return {"tag": "Meta", "id": mid}
-        case InsertedMeta(mid, mask):
-            return {
-                "tag": "InsertedMeta",
-                "id": mid,
-                "mask": [None if m is None else _mode_json(m) for m in mask],
-            }
-    raise AssertionError(f"unhandled term {t!r}")
+@cache
+def _json_fields(cls: type) -> tuple[tuple[str, str], ...]:
+    """(field name, JSON key) of each field of a syntax class, in order."""
+    return tuple((f.name, _JSON_KEYS.get(f.name, f.name)) for f in fields(cls))
+
+
+def to_json(t: object) -> dict:
+    """The JSON object of a core term or an extracted target term, built on
+    an explicit stack, so its depth is bounded by memory."""
+    root: dict = {}
+    todo: list[tuple[object, dict, str]] = [(t, root, "")]
+    while todo:
+        t, parent, key = todo.pop()
+        tag = JSON_TAGS[type(t)]
+        d: dict = {"tag": tag}
+        if tag == "zero":
+            for _ in range(t.n):
+                d = {"tag": "succ", "arg": d}
+        else:
+            for name, k in _json_fields(type(t)):
+                v = getattr(t, name)
+                if name in _FIELD_CODECS:
+                    d[k] = _FIELD_CODECS[name][0](v)
+                elif type(v) in JSON_TAGS:
+                    d[k] = None  # holds the key's place until the subterm is built
+                    todo.append((v, d, k))
+                else:
+                    d[k] = v
+        parent[key] = d
+    return root[""]
+
+
+def from_json(d: dict, base: type = Term):
+    """The tree of class `base` (`Term`, or extract's `Target`) whose JSON
+    object `to_json` wrote, built without recursion.  `succ` of a literal
+    folds to a literal."""
+    classes = {tag: cls for cls, tag in JSON_TAGS.items() if issubclass(cls, base)}
+    lit = classes["zero"]
+    order, todo = [], [d]
+    while todo:  # every object before the objects inside it
+        order.append(todo.pop())
+        todo += [v for v in order[-1].values() if isinstance(v, dict)]
+    built: dict[int, object] = {}
+    for d in reversed(order):
+        cls = classes.get(d["tag"])
+        if cls is None:
+            raise ValueError(f"unknown {base.__name__} tag {d['tag']!r}")
+        if cls is lit:
+            built[id(d)] = lit(0)
+            continue
+        args = [
+            _FIELD_CODECS[name][1](d[k]) if name in _FIELD_CODECS
+            else built[id(d[k])] if isinstance(d[k], dict)
+            else d[k]
+            for name, k in _json_fields(cls)
+        ]
+        fold = cls is classes["succ"] and isinstance(args[0], lit)
+        built[id(d)] = lit(args[0].n + 1) if fold else cls(*args)
+    return built[id(order[0])]

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from . import core as co
-from .core import Context, Term
+from .core import Context, Term, _fresh, _wrap
 from .diagnostics import Diagnostic, InternalError
 from .surface import Mode
 
@@ -443,104 +443,15 @@ def pp_target(t: Target, names: tuple[str, ...] = (), prec: int = 0) -> str:
     raise AssertionError(f"unhandled target term {t!r}")
 
 
-def _fresh(name: str, names: tuple[str, ...]) -> str:
-    if name == "_":
-        return name
-    while name in names:
-        name += "'"
-    return name
+co.JSON_TAGS.update({
+    TVar: "Var", TLam: "Lam", TApp: "App", TPair: "Pair", TFst: "Fst", TSnd: "Snd",
+    TLit: "zero", TSucc: "succ", TNatRec: "natrec", TTrue: "true", TFalse: "false",
+    TIf: "if", TLet: "let",
+})
 
-
-def _wrap(s: str, prec: int, at: int) -> str:
-    return f"({s})" if prec > at else s
-
-
-def target_to_json(t: Target) -> dict:
-    match t:
-        case TVar(ix):
-            return {"tag": "Var", "ix": ix}
-        case TLam(name, body):
-            return {"tag": "Lam", "name": name, "body": target_to_json(body)}
-        case TApp(fn, arg):
-            return {"tag": "App", "fn": target_to_json(fn), "arg": target_to_json(arg)}
-        case TPair(fst, snd):
-            return {
-                "tag": "Pair",
-                "fst": target_to_json(fst),
-                "snd": target_to_json(snd),
-            }
-        case TFst(arg):
-            return {"tag": "Fst", "arg": target_to_json(arg)}
-        case TSnd(arg):
-            return {"tag": "Snd", "arg": target_to_json(arg)}
-        case TLit(n):
-            return co.succ_chain_json(n)
-        case TSucc(arg):
-            return {"tag": "succ", "arg": target_to_json(arg)}
-        case TNatRec(z, s, n):
-            return {
-                "tag": "natrec",
-                "zcase": target_to_json(z),
-                "scase": target_to_json(s),
-                "scrut": target_to_json(n),
-            }
-        case TTrue():
-            return {"tag": "true"}
-        case TFalse():
-            return {"tag": "false"}
-        case TIf(c, a, b):
-            return {
-                "tag": "if",
-                "cond": target_to_json(c),
-                "then": target_to_json(a),
-                "else": target_to_json(b),
-            }
-        case TLet(name, d, body):
-            return {
-                "tag": "let",
-                "name": name,
-                "defn": target_to_json(d),
-                "body": target_to_json(body),
-            }
-    raise AssertionError(f"unhandled target term {t!r}")
+target_to_json = co.to_json
 
 
 def target_from_json(d: dict) -> Target:
-    match d["tag"]:
-        case "Var":
-            return TVar(d["ix"])
-        case "Lam":
-            return TLam(d["name"], target_from_json(d["body"]))
-        case "App":
-            return TApp(target_from_json(d["fn"]), target_from_json(d["arg"]))
-        case "Pair":
-            return TPair(target_from_json(d["fst"]), target_from_json(d["snd"]))
-        case "Fst":
-            return TFst(target_from_json(d["arg"]))
-        case "Snd":
-            return TSnd(target_from_json(d["arg"]))
-        case "zero":
-            return TLit(0)
-        case "succ":
-            return tsucc(target_from_json(d["arg"]))
-        case "natrec":
-            return TNatRec(
-                target_from_json(d["zcase"]),
-                target_from_json(d["scase"]),
-                target_from_json(d["scrut"]),
-            )
-        case "true":
-            return TTrue()
-        case "false":
-            return TFalse()
-        case "if":
-            return TIf(
-                target_from_json(d["cond"]),
-                target_from_json(d["then"]),
-                target_from_json(d["else"]),
-            )
-        case "let":
-            return TLet(
-                d["name"], target_from_json(d["defn"]), target_from_json(d["body"])
-            )
-    raise ValueError(f"unknown target tag {d['tag']!r}")
+    """The target term whose JSON object `target_to_json` wrote."""
+    return co.from_json(d, Target)

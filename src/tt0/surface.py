@@ -62,7 +62,8 @@ class Token:
 
 
 def tokenize(source: str, filename: str = "<input>") -> list[Token]:
-    """Split source text into tokens; raises LexError on an illegal character."""
+    """Split source text into tokens; raises LexError on an illegal character
+    or a number literal too long to convert."""
     toks: list[Token] = []
     line, col = 1, 1
     i, n = 0, len(source)
@@ -96,7 +97,12 @@ def tokenize(source: str, filename: str = "<input>") -> list[Token]:
                 j += 1
             text = source[i:j]
             col += j - i
-            toks.append(Token("number", text, span(l0, c0, line, col - 1), int(text)))
+            where = span(l0, c0, line, col - 1)
+            try:
+                value = int(text)
+            except ValueError:  # past Python's limit on int() of a string
+                raise LexError(f"number literal too long ({j - i} digits)", where) from None
+            toks.append(Token("number", text, where, value))
             i = j
             continue
         if c in letters:

@@ -84,6 +84,21 @@ class TestCheck:
         assert "Traceback" not in proc.stderr
         assert re.match(rf"{re.escape(str(f))}:1:\d+: error: term nested too deeply", proc.stderr)
 
+    def test_long_literal_is_located_lex_error(self, tmp_path):
+        # Python refuses int() of more than 4 300 digits; the lexer reports it.
+        f = tmp_path / "long.tt0"
+        f.write_text("main = " + "1" * 5_000 + ";\n")
+        proc = subprocess.run(
+            [sys.executable, "-m", "tt0", "check", str(f)],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": str(REPO / "src")},
+        )
+        assert proc.returncode == 1
+        assert "Traceback" not in proc.stderr
+        assert "internal error" not in proc.stderr
+        assert proc.stderr.startswith(f"{f}:1:8: error: number literal too long (5000 digits)")
+
     @pytest.mark.parametrize("use_json", [False, True])
     def test_unexpected_exception_is_internal_error(self, capsys, monkeypatch, use_json):
         def broken(result, args):
@@ -201,13 +216,11 @@ class TestRun:
         assert out.splitlines() == ["true"]
 
     def test_module_entry_point(self, tmp_path):
-        import subprocess
-        import sys
-
         proc = subprocess.run(
             [sys.executable, "-m", "tt0", "run", str(CORPUS / "plus.tt0")],
             capture_output=True,
             text=True,
+            env={**os.environ, "PYTHONPATH": str(REPO / "src")},
         )
         assert proc.returncode == 0
         assert proc.stdout.splitlines()[-1] == "= 5"

@@ -285,6 +285,17 @@ class TestPrinting:
         assert co.to_json(Lit(2)) == two
 
 
+class TestJson:
+    def test_metas_encode_with_id_and_mask(self):
+        # No golden run reaches these formers: elaboration solves every meta.
+        meta = co.Meta(3)
+        inserted = co.InsertedMeta(3, (None, Mode.ZERO))
+        assert co.to_json(meta) == {"tag": "Meta", "id": 3}
+        assert co.to_json(inserted) == {"tag": "InsertedMeta", "id": 3, "mask": [None, "0"]}
+        assert co.from_json(co.to_json(meta)) == meta
+        assert co.from_json(co.to_json(inserted)) == inserted
+
+
 class TestCorpusInvariants:
     def test_weakening_by_marker(self, corpus):
         # Every judgment accepted without the marker is accepted with it.

@@ -11,13 +11,19 @@ from tt0.elab import closed_definition, closed_main
 from tt0.extract import (
     FuelExhausted,
     StuckTerm,
+    Target,
     TApp,
+    TFalse,
     TFst,
+    TIf,
     TLam,
     TLet,
     TNatRec,
     TLit,
+    TPair,
+    TSnd,
     TSucc,
+    TTrue,
     TVar,
     alpha_eq,
     as_numeral,
@@ -165,6 +171,19 @@ class TestJson:
             if result.main is None:
                 continue
             t = extract(Context(), closed_main(result))
+            assert target_from_json(target_to_json(t)) == t
+
+
+    def test_every_target_former_round_trips(self):
+        formers = [
+            TVar(0), TLam("x", TVar(0)), TApp(TVar(0), TVar(1)), TPair(TTrue(), TFalse()),
+            TFst(TVar(0)), TSnd(TVar(0)), TLit(3), TSucc(TVar(0)),
+            TNatRec(TLit(0), TVar(0), TVar(1)), TTrue(), TFalse(),
+            TIf(TVar(0), TTrue(), TFalse()), TLet("y", TLit(1), TVar(0)),
+        ]
+        concrete = {c for c in co.JSON_TAGS if issubclass(c, Target)}
+        assert {type(t) for t in formers} == concrete == set(Target.__subclasses__())
+        for t in formers:
             assert target_from_json(target_to_json(t)) == t
 
 

@@ -1,4 +1,5 @@
-"""Numerals as large as memory allows, at the interpreter's default stack.
+"""Numerals and JSON trees as large as memory allows, at the interpreter's
+default stack.
 
 The suite's `conftest` raises the recursion limit; these tests run in a
 fresh interpreter so that the default limit applies.
@@ -72,3 +73,32 @@ def test_cli_json_nests_a_numeral_past_the_c_stack(tmp_path):
     assert run.returncode == 0, run.stderr[-2000:]
     chain = '{"tag": "succ", "arg": ' * n + '{"tag": "zero"}' + "}" * n
     assert run.stdout == f'{{"version": 1, "result": {chain}, "numeral": {n}}}\n'
+
+
+def test_json_codec_at_default_recursion_limit():
+    # Compared as text: dataclass equality recurses once per level.
+    script = textwrap.dedent(
+        """
+        import sys
+        from tt0.cli import _dumps
+        from tt0.core import Succ, Var, to_json
+        from tt0.extract import target_from_json, target_to_json
+
+        assert sys.getrecursionlimit() == 1000, sys.getrecursionlimit()
+        n = 100_000
+        var = '{"tag": "Var", "ix": 0}'
+        t = Var(0)
+        for _ in range(n):
+            t = Succ(t)
+        assert _dumps(to_json(t)) == '{"tag": "succ", "arg": ' * n + var + "}" * n
+        d = {"tag": "Var", "ix": 0}
+        for _ in range(n):
+            d = {"tag": "Lam", "name": "x", "body": d}
+        text = _dumps(target_to_json(target_from_json(d)))
+        assert text == '{"tag": "Lam", "name": "x", "body": ' * n + var + "}" * n
+        print("ok")
+        """
+    )
+    proc = python("-c", script)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert proc.stdout == "ok\n"
