@@ -1098,7 +1098,9 @@ JSON_TAGS: dict[type, str] = {
 }
 
 # JSON keys that differ from the field names.
-_JSON_KEYS = {"fst_ty": "fst", "snd_ty": "snd", "icit": "implicit", "mid": "id", "els": "else"}
+_JSON_KEYS = {
+    "fst_ty": "fst", "snd_ty": "snd", "icit": "implicit", "mid": "id", "els": "else"
+}
 
 
 # (encode, decode) of the fields that are neither subterms nor JSON as they are.

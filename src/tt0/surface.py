@@ -101,7 +101,8 @@ def tokenize(source: str, filename: str = "<input>") -> list[Token]:
             try:
                 value = int(text)
             except ValueError:  # past Python's limit on int() of a string
-                raise LexError(f"number literal too long ({j - i} digits)", where) from None
+                message = f"number literal too long ({j - i} digits)"
+                raise LexError(message, where) from None
             toks.append(Token("number", text, where, value))
             i = j
             continue
