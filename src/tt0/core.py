@@ -1103,14 +1103,11 @@ _JSON_KEYS = {
 }
 
 
-# (encode, decode) of the fields that are neither subterms nor JSON as they are.
-_FIELD_CODECS: dict[str, tuple[Callable, Callable]] = {
-    "mode": (lambda m: m.value, Mode),
-    "icit": (lambda i: i is Icit.IMPL, lambda b: Icit.IMPL if b else Icit.EXPL),
-    "mask": (
-        lambda ms: [None if m is None else m.value for m in ms],
-        lambda ms: tuple(None if m is None else Mode(m) for m in ms),
-    ),
+# The encoding of the fields that are neither subterms nor JSON as they are.
+_FIELD_CODECS: dict[str, Callable] = {
+    "mode": lambda m: m.value,
+    "icit": lambda i: i is Icit.IMPL,
+    "mask": lambda ms: [None if m is None else m.value for m in ms],
 }
 
 
@@ -1136,7 +1133,7 @@ def to_json(t: object) -> dict:
             for name, k in _json_fields(type(t)):
                 v = getattr(t, name)
                 if name in _FIELD_CODECS:
-                    d[k] = _FIELD_CODECS[name][0](v)
+                    d[k] = _FIELD_CODECS[name](v)
                 elif type(v) in JSON_TAGS:
                     d[k] = None  # holds the key's place until the subterm is built
                     todo.append((v, d, k))
@@ -1144,32 +1141,3 @@ def to_json(t: object) -> dict:
                     d[k] = v
         parent[key] = d
     return root[""]
-
-
-def from_json(d: dict, base: type = Term):
-    """The tree of class `base` (`Term`, or extract's `Target`) whose JSON
-    object `to_json` wrote, built without recursion.  `succ` of a literal
-    folds to a literal."""
-    classes = {tag: cls for cls, tag in JSON_TAGS.items() if issubclass(cls, base)}
-    lit = classes["zero"]
-    order, todo = [], [d]
-    while todo:  # every object before the objects inside it
-        order.append(todo.pop())
-        todo += [v for v in order[-1].values() if isinstance(v, dict)]
-    built: dict[int, object] = {}
-    for d in reversed(order):
-        cls = classes.get(d["tag"])
-        if cls is None:
-            raise ValueError(f"unknown {base.__name__} tag {d['tag']!r}")
-        if cls is lit:
-            built[id(d)] = lit(0)
-            continue
-        args = [
-            _FIELD_CODECS[name][1](d[k]) if name in _FIELD_CODECS
-            else built[id(d[k])] if isinstance(d[k], dict)
-            else d[k]
-            for name, k in _json_fields(cls)
-        ]
-        fold = cls is classes["succ"] and isinstance(args[0], lit)
-        built[id(d)] = lit(args[0].n + 1) if fold else cls(*args)
-    return built[id(order[0])]

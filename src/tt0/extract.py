@@ -453,5 +453,25 @@ target_to_json = co.to_json
 
 
 def target_from_json(d: dict) -> Target:
-    """The target term whose JSON object `target_to_json` wrote."""
-    return co.from_json(d, Target)
+    """The target term whose JSON object `target_to_json` wrote, built
+    without recursion.  `succ` of a literal folds to a literal."""
+    classes = {
+        tag: (c, [k for _, k in co._json_fields(c)])
+        for c, tag in co.JSON_TAGS.items()
+        if issubclass(c, Target)
+    }
+    order, todo = [], [d]
+    while todo:  # every object before the objects inside it
+        order.append(todo.pop())
+        todo += [v for v in order[-1].values() if isinstance(v, dict)]
+    built: dict[int, Target] = {}
+    for d in reversed(order):
+        if d["tag"] not in classes:
+            raise ValueError(f"unknown target tag {d['tag']!r}")
+        cls, keys = classes[d["tag"]]
+        if cls is TLit:
+            built[id(d)] = TLit(0)
+            continue
+        args = [built[id(d[k])] if isinstance(d[k], dict) else d[k] for k in keys]
+        built[id(d)] = tsucc(*args) if cls is TSucc else cls(*args)
+    return built[id(order[0])]
