@@ -24,6 +24,11 @@ class SourceSpan:
         return f"{self.file}:{self.start_line}:{self.start_col}"
 
 
+# Columns of the source line shown on each side of the caret; the rest is
+# cut and marked with "…", so a long line cannot flood the terminal.
+EXCERPT_WIDTH = 60
+
+
 class Diagnostic(Exception):
     """Base class for all user-facing errors produced by the pipeline."""
 
@@ -40,9 +45,13 @@ class Diagnostic(Exception):
         if source is not None and self.span is not None:
             lines = source.splitlines()
             if 1 <= self.span.start_line <= len(lines):
-                line = lines[self.span.start_line - 1]
-                caret = " " * (self.span.start_col - 1) + "^"
-                out += f"\n  {line}\n  {caret}"
+                line, col = lines[self.span.start_line - 1], self.span.start_col - 1
+                lo = max(0, col - EXCERPT_WIDTH)
+                cut = "…" if lo else ""
+                excerpt = cut + line[lo : col + EXCERPT_WIDTH]
+                excerpt += "…" if col + EXCERPT_WIDTH < len(line) else ""
+                caret = " " * (len(cut) + col - lo) + "^"
+                out += f"\n  {excerpt}\n  {caret}"
         return out
 
     def to_json(self) -> dict:

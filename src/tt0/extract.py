@@ -1,5 +1,5 @@
 """Extraction of runtime terms to an untyped lambda target, plus a fueled
-normal-order evaluator for that target.
+call-by-need evaluator for that target.
 
 Extraction drops everything erased: mode-0 binders and arguments, first
 components of mode-0 pairs, motives, and type annotations.  It is defined
@@ -10,7 +10,7 @@ internal error, not a user-facing one.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, replace
 
 from . import core as co
 from .core import Context, Term, _fresh, _wrap
@@ -203,7 +203,7 @@ def alpha_eq(a: Target, b: Target) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Normal-order evaluation with fuel
+# Call-by-need evaluation with fuel
 
 
 class FuelExhausted(Diagnostic):
@@ -218,180 +218,210 @@ class StuckTerm(Diagnostic):
         self.term = term
 
 
-def _shift(t: Target, by: int, cutoff: int = 0) -> Target:
-    if by == 0:
-        return t
-    match t:
-        case TVar(ix):
-            return TVar(ix + by) if ix >= cutoff else t
-        case TLam(name, body):
-            return TLam(name, _shift(body, by, cutoff + 1))
-        case TApp(fn, arg):
-            return TApp(_shift(fn, by, cutoff), _shift(arg, by, cutoff))
-        case TPair(fst, snd):
-            return TPair(_shift(fst, by, cutoff), _shift(snd, by, cutoff))
-        case TFst(arg):
-            return TFst(_shift(arg, by, cutoff))
-        case TSnd(arg):
-            return TSnd(_shift(arg, by, cutoff))
-        case TSucc(arg):
-            return TSucc(_shift(arg, by, cutoff))
-        case TNatRec(z, s, n):
-            return TNatRec(
-                _shift(z, by, cutoff), _shift(s, by, cutoff), _shift(n, by, cutoff)
-            )
-        case TIf(c, a, b):
-            return TIf(
-                _shift(c, by, cutoff), _shift(a, by, cutoff), _shift(b, by, cutoff)
-            )
-        case TLet(name, d, body):
-            return TLet(name, _shift(d, by, cutoff), _shift(body, by, cutoff + 1))
-        case _:
-            return t
+@dataclass(slots=True)
+class _Thunk:
+    """A term delayed in its environment until forced, then its value."""
+
+    env: tuple[list, int] | None
+    term: Target | None
+    value: object = None
 
 
-def _subst(t: Target, arg: Target, depth: int = 0) -> Target:
-    """Substitute `arg` for index `depth` in t, lowering the indices above."""
-    match t:
-        case TVar(ix):
-            if ix == depth:
-                return _shift(arg, depth)
-            return TVar(ix - 1) if ix > depth else t
-        case TLam(name, body):
-            return TLam(name, _subst(body, arg, depth + 1))
-        case TApp(fn, a):
-            return TApp(_subst(fn, arg, depth), _subst(a, arg, depth))
-        case TPair(fst, snd):
-            return TPair(_subst(fst, arg, depth), _subst(snd, arg, depth))
-        case TFst(a):
-            return TFst(_subst(a, arg, depth))
-        case TSnd(a):
-            return TSnd(_subst(a, arg, depth))
-        case TSucc(a):
-            return TSucc(_subst(a, arg, depth))
-        case TNatRec(z, s, n):
-            return TNatRec(
-                _subst(z, arg, depth), _subst(s, arg, depth), _subst(n, arg, depth)
-            )
-        case TIf(c, a, b):
-            return TIf(
-                _subst(c, arg, depth), _subst(a, arg, depth), _subst(b, arg, depth)
-            )
-        case TLet(name, d, body):
-            return TLet(name, _subst(d, arg, depth), _subst(body, arg, depth + 1))
-        case _:
-            return t
+# Values: `TLit`, `TTrue` and `TFalse` stand for themselves; the others hold
+# thunks.  `_Ne(level, None)` is a variable bound by readback, and
+# `_Ne(head, frame)` an elimination frame stuck on its head.
+@dataclass(slots=True)
+class _Clo:
+    env: tuple[list, int]
+    lam: TLam
 
 
-class _Fuel:
-    def __init__(self, amount: int | None):
-        self.left = amount
-
-    def spend(self, redex: Target) -> None:
-        if self.left is None:
-            return
-        if self.left <= 0:
-            raise FuelExhausted(redex)
-        self.left -= 1
+@dataclass(slots=True)
+class _Pair:
+    fst: _Thunk
+    snd: _Thunk
 
 
-_CONSTRUCTORS = (TLam, TPair, TLit, TSucc, TTrue, TFalse)
+@dataclass(slots=True)
+class _Succ:
+    arg: _Thunk
 
 
-def _whnf(t: Target, fuel: _Fuel) -> Target:
-    while True:
-        match t:
-            case TApp(fn, arg):
-                fn = _whnf(fn, fuel)
-                if isinstance(fn, TLam):
-                    fuel.spend(t)
-                    t = _subst(fn.body, arg)
-                elif isinstance(fn, _CONSTRUCTORS):
-                    raise StuckTerm("applying a non-function", TApp(fn, arg))
-                else:
-                    return TApp(fn, arg)
-            case TLet(_, d, body):
-                fuel.spend(t)
-                t = _subst(body, d)
-            case TFst(arg):
-                arg = _whnf(arg, fuel)
-                if isinstance(arg, TPair):
-                    fuel.spend(t)
-                    t = arg.fst
-                elif isinstance(arg, _CONSTRUCTORS):
-                    raise StuckTerm("first projection of a non-pair", TFst(arg))
-                else:
-                    return TFst(arg)
-            case TSnd(arg):
-                arg = _whnf(arg, fuel)
-                if isinstance(arg, TPair):
-                    fuel.spend(t)
-                    t = arg.snd
-                elif isinstance(arg, _CONSTRUCTORS):
-                    raise StuckTerm("second projection of a non-pair", TSnd(arg))
-                else:
-                    return TSnd(arg)
-            case TNatRec(z, s, n):
-                n = _whnf(n, fuel)
-                if n == TLit(0):
-                    fuel.spend(t)
-                    t = z
-                elif isinstance(n, (TLit, TSucc)):
-                    fuel.spend(t)
-                    pred = TLit(n.n - 1) if isinstance(n, TLit) else n.arg
-                    t = TApp(TApp(s, pred), TNatRec(z, s, pred))
-                elif isinstance(n, _CONSTRUCTORS):
-                    raise StuckTerm(
-                        "natural recursion on a non-number", TNatRec(z, s, n)
-                    )
-                else:
-                    return TNatRec(z, s, n)
-            case TIf(c, a, b):
-                c = _whnf(c, fuel)
-                if isinstance(c, TTrue):
-                    fuel.spend(t)
-                    t = a
-                elif isinstance(c, TFalse):
-                    fuel.spend(t)
-                    t = b
-                elif isinstance(c, _CONSTRUCTORS):
-                    raise StuckTerm("conditional on a non-boolean", TIf(c, a, b))
-                else:
-                    return TIf(c, a, b)
-            case _:
-                return t
+@dataclass(slots=True)
+class _Ne:
+    head: object
+    frame: tuple | None
 
 
-def _nf(t: Target, fuel: _Fuel) -> Target:
-    t = _whnf(t, fuel)
-    match t:
-        case TLam(name, body):
-            return TLam(name, _nf(body, fuel))
-        case TApp(fn, arg):
-            return TApp(_nf(fn, fuel), _nf(arg, fuel))
-        case TPair(fst, snd):
-            return TPair(_nf(fst, fuel), _nf(snd, fuel))
-        case TFst(arg):
-            return TFst(_nf(arg, fuel))
-        case TSnd(arg):
-            return TSnd(_nf(arg, fuel))
-        case TSucc(arg):
-            return tsucc(_nf(arg, fuel))
-        case TNatRec(z, s, n):
-            return TNatRec(_nf(z, fuel), _nf(s, fuel), _nf(n, fuel))
-        case TIf(c, a, b):
-            return TIf(_nf(c, fuel), _nf(a, fuel), _nf(b, fuel))
-        case _:
-            return t
+def _extend(env: tuple[list, int], th: _Thunk) -> tuple[list, int]:
+    """`env` with `th` bound innermost.  An environment is a list and its
+    length: the list is shared while each extension appends to it, and
+    copied only when an environment that is not its whole list extends,
+    so extending costs O(1), not the O(n) of copying a tuple."""
+    items, n = env
+    items = items if len(items) == n else items[:n]
+    items.append(th)
+    return items, n + 1
+
+
+def _delay(env: tuple[list, int], t: Target) -> _Thunk:
+    """`t` in `env`, unevaluated: a variable shares the thunk it names."""
+    if type(t) is TVar:
+        return env[0][env[1] - 1 - t.ix]
+    if type(t) is TLam:
+        return _Thunk(None, None, _Clo(env, t))
+    return _Thunk(None, None, t) if type(t) in (TLit, TTrue, TFalse) else _Thunk(env, t)
+
+
+# The successor case of `natrec z s pred`, in the environment (z, s, pred).
+_STEP = TApp(TApp(TVar(1), TVar(0)), TNatRec(TVar(2), TVar(1), TVar(0)))
+# The values each frame eliminates, and what is stuck on any other value.
+_ELIMINATES = {
+    TApp: ((_Clo,), "applying a non-function"),
+    TFst: ((_Pair,), "first projection of a non-pair"),
+    TSnd: ((_Pair,), "second projection of a non-pair"),
+    TNatRec: ((_Succ, TLit), "natural recursion on a non-number"),
+    TIf: ((TTrue, TFalse), "conditional on a non-boolean"),
+}
+
+
+class _Machine:
+    """A lazy Krivine-style machine (Sestoft's): a control term, its
+    environment of thunks, and an explicit stack of frames: `(TApp, arg)`,
+    `(TFst,)`, `(TSnd,)`, `(TNatRec, zcase, scase)`, `(TIf, then, else)`
+    of thunks, and a thunk to update.  Each β, `let` and ι step spends one
+    unit of fuel; `left` below 0 means unbounded."""
+
+    def __init__(self, fuel: int | None):
+        self.left = -1 if fuel is None else fuel
+
+    def force(self, th: _Thunk, depth: int) -> object:
+        """The weak head value of a thunk, written back into it; `depth`
+        is the number of binders readback has gone under."""
+        if th.value is not None:
+            return th.value
+        left, stack = self.left, [th]
+        env, t = th.env, th.term
+        while True:
+            tt = type(t)
+            if tt is TVar:
+                th = env[0][env[1] - 1 - t.ix]
+                if th.value is None:
+                    stack.append(th)
+                    env, t = th.env, th.term
+                    continue
+                v = th.value
+            elif tt is TApp:
+                stack.append((TApp, _delay(env, t.arg)))
+                t = t.fn
+                continue
+            elif tt is TLet:
+                if left == 0:
+                    raise FuelExhausted(self.quote(_Thunk(env, t), depth, False))
+                left -= 1
+                env, t = _extend(env, _delay(env, t.defn)), t.body
+                continue
+            elif tt is TFst or tt is TSnd:
+                stack.append((tt,))
+                t = t.arg
+                continue
+            elif tt is TNatRec or tt is TIf:
+                a, b, t = (t.zcase, t.scase, t.scrut) if tt is TNatRec else (t.then, t.els, t.cond)
+                stack.append((tt, _delay(env, a), _delay(env, b)))
+                continue
+            elif tt is TLam:
+                v = _Clo(env, t)
+            elif tt is TPair:
+                v = _Pair(_delay(env, t.fst), _delay(env, t.snd))
+            elif tt is TSucc:
+                v = _Succ(_delay(env, t.arg))
+            else:
+                v = t
+            while True:  # return v to the frames on the stack
+                f = stack.pop()
+                if type(f) is _Thunk:
+                    f.env = f.term = None
+                    f.value = v
+                    if stack:
+                        continue
+                    self.left = left
+                    return v
+                tag, tv = f[0], type(v)
+                if tv is _Ne:
+                    v = _Ne(v, f)
+                    continue
+                accepts, stuck = _ELIMINATES[tag]
+                if left == 0 or tv not in accepts:
+                    redex = self.quote(_Thunk(None, None, _Ne(v, f)), depth, False)
+                    raise FuelExhausted(redex) if tv in accepts else StuckTerm(stuck, redex)
+                left -= 1
+                if tag is TApp:
+                    env, t = _extend(v.env, f[1]), v.lam.body
+                    break
+                if tv is _Succ or tv is TLit and v.n > 0:
+                    pred = v.arg if tv is _Succ else _Thunk(None, None, TLit(v.n - 1))
+                    env, t = ([f[1], f[2], pred], 3), _STEP
+                elif tag is TFst or tag is TSnd:
+                    env, t = ([v.fst if tag is TFst else v.snd], 1), TVar(0)
+                else:  # natrec at zero, or a conditional
+                    env, t = ([f[2] if tv is TFalse else f[1]], 1), TVar(0)
+                break
+
+    def quote(self, th: _Thunk, depth: int, force: bool = True) -> Target:
+        """Read a thunk back as a target term, under `depth` binders, with
+        an explicit stack of work.  With `force` off nothing is evaluated:
+        thunks not yet forced are read back as their terms."""
+        out: list[Target] = []
+        todo: list = [(depth, th)]
+        while todo:
+            d, x = todo.pop()
+            if type(d) is not int:  # build a node from the last x results
+                args = out[len(out) - x :]
+                del out[len(out) - x :]
+                out.append(d(*args))
+                continue
+            if force:
+                v = self.force(x, d)
+            elif x.value is not None:
+                v = x.value
+            elif type(x.term) is TVar:
+                todo.append((d, _delay(x.env, x.term)))
+                continue
+            else:  # its term, with the same environment
+                t, env, var = x.term, x.env, _Thunk(None, None, _Ne(d, None))
+                kids = [f.name for f in fields(t) if isinstance(getattr(t, f.name), Target)]
+                todo.append((lambda *ks, t=t, kids=kids: replace(t, **dict(zip(kids, ks))), len(kids)))
+                for k in reversed(kids):  # only `TLam` and `TLet` have a body
+                    under = k == "body"
+                    todo.append((d + under, _Thunk(_extend(env, var) if under else env, getattr(t, k))))
+                continue
+            tv = type(v)
+            if tv is _Clo:
+                todo.append((lambda b, name=v.lam.name: TLam(name, b), 1))
+                var = _Thunk(None, None, _Ne(d, None))
+                todo.append((d + 1, _Thunk(_extend(v.env, var), v.lam.body)))
+            elif tv is _Pair:
+                todo += [(TPair, 2), (d, v.snd), (d, v.fst)]
+            elif tv is _Succ:
+                todo += [(tsucc, 1), (d, v.arg)]
+            elif tv is not _Ne or v.frame is None:
+                out.append(v if tv is not _Ne else TVar(d - 1 - v.head))
+            else:  # the head, then the frame's thunks
+                f = v.frame
+                build = f[0] if f[0] is not TNatRec else lambda n, z, s: TNatRec(z, s, n)
+                todo += [(build, len(f)), *((d, th) for th in reversed(f[1:]))]
+                todo.append((d, _Thunk(None, None, v.head)))
+        return out[0]
 
 
 DEFAULT_FUEL = 1_000_000
 
 
 def eval_target(t: Target, fuel: int | None = DEFAULT_FUEL) -> Target:
-    """Normal-order beta normalisation with primitive reduction steps; each
-    rewrite costs one unit of fuel.  `fuel=None` means unbounded."""
-    return _nf(t, _Fuel(fuel))
+    """Call-by-need evaluation to normal form: weak head evaluation of the
+    closed term `t` by `_Machine`, then readback under binders.  Each β,
+    `let` and ι step costs one unit of fuel; `fuel=None` means unbounded."""
+    return _Machine(fuel).quote(_Thunk(([], 0), t), 0)
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from conftest import BAD_CORPUS, CORPUS, REPO, corpus_files
 from tt0 import cli
 from tt0.cli import main
+from tt0.diagnostics import Diagnostic, SourceSpan
 from tt0.extract import target_from_json
 
 
@@ -98,6 +99,22 @@ class TestCheck:
         assert "Traceback" not in proc.stderr
         assert "internal error" not in proc.stderr
         assert proc.stderr.startswith(f"{f}:1:8: error: number literal too long (5000 digits)")
+
+    def test_long_line_excerpt_is_clipped_around_the_caret(self, capsys, tmp_path):
+        f = tmp_path / "long.tt0"
+        f.write_text("main = " + "1" * 5_000 + ";\n")
+        code, _, err = run(capsys, "check", str(f))
+        assert code == 1
+        message, excerpt, caret = err.splitlines()
+        assert message.startswith(f"{f}:1:8: error: number literal too long")
+        assert len(excerpt) < 150 and excerpt.endswith("1…")
+        assert caret.endswith("^") and len(caret) - 1 == excerpt.index("1")
+        # A caret far into a long line: the start is cut as well.
+        line = " " * 5_000 + "x" + " " * 5_000
+        rendered = Diagnostic("here", SourceSpan("f", 1, 5_001, 1, 5_002)).render(line)
+        _, excerpt, caret = rendered.splitlines()
+        assert len(excerpt) < 150 and excerpt.startswith("  …") and excerpt.endswith("…")
+        assert caret.endswith("^") and excerpt[len(caret) - 1] == "x"
 
     @pytest.mark.parametrize("use_json", [False, True])
     def test_unexpected_exception_is_internal_error(self, capsys, monkeypatch, use_json):

@@ -1,13 +1,19 @@
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+import textwrap
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import REPO
 from tt0 import core as co
 from tt0.core import Context, VNatTy
 from tt0.diagnostics import InternalError
-from tt0.elab import closed_definition, closed_main
+from tt0.elab import closed_definition, closed_main, elaborate_text
 from tt0.extract import (
     FuelExhausted,
     StuckTerm,
@@ -122,6 +128,76 @@ class TestEvalTarget:
 
         assert eval_target(TIf(TTrue(), TLit(1), TLit(2))) == TLit(1)
         assert eval_target(TIf(TFalse(), TLit(1), TLit(2))) == TLit(2)
+
+
+POW2 = (
+    "let plus : Nat -> Nat -> Nat = \\m n. natElim (\\k. Nat) n (\\k ih. succ ih) m;\n"
+    "main = natElim (\\k. Nat) 1 (\\k ih. plus ih ih) {n};\n"
+)
+
+
+class TestCallByNeed:
+    # `plus ih ih` uses the induction hypothesis twice; normal order, which
+    # substitutes it, reduced it twice: 203, 1 019 and 4 859 steps.
+    @pytest.mark.parametrize("n, steps, normal_order", [(4, 71, 203), (6, 227, 1019), (8, 815, 4859)])
+    def test_duplicated_argument_is_evaluated_once(self, n, steps, normal_order):
+        result = elaborate_text(POW2.format(n=n))
+        t = extract(Context(), closed_main(result))
+        assert eval_target(t, fuel=steps) == TLit(2**n)
+        with pytest.raises(FuelExhausted):
+            eval_target(t, fuel=steps - 1)
+        assert steps < normal_order
+
+    def test_deep_terms_at_default_recursion_limit(self):
+        # Compared by walking: dataclass equality recurses once per level.
+        script = textwrap.dedent(
+            """
+            import sys
+            from tt0.extract import TApp, TLam, TLit, TSucc, TVar, as_numeral, eval_target
+
+            assert sys.getrecursionlimit() == 1000, sys.getrecursionlimit()
+            n = 50_000
+            t = TLit(0)
+            for _ in range(n):  # (\\x. succ x) ((\\x. succ x) (... zero))
+                t = TApp(TLam("x", TSucc(TVar(0))), t)
+            assert as_numeral(eval_target(t)) == n
+            t = TVar(0)
+            for _ in range(n):
+                t = TSucc(t)
+            t, k = eval_target(TLam("x", t)).body, 0
+            while isinstance(t, TSucc):
+                t, k = t.arg, k + 1
+            assert (t, k) == (TVar(0), n), (t, k)
+            print("ok")
+            """
+        )
+        env = {**os.environ, "PYTHONPATH": str(REPO / "src")}
+        proc = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=300
+        )
+        assert proc.returncode == 0, proc.stderr[-2000:]
+        assert proc.stdout == "ok\n"
+
+    def test_errors_print_the_redex_read_back(self):
+        omega = TLam("x", TApp(TVar(0), TVar(0)))
+        cases = [
+            (TFst(TLit(0)), None, "stuck term: first projection of a non-pair: fst zero"),
+            (
+                TApp(TLam("f", TApp(TVar(0), TLit(1))), TLit(0)),
+                None,
+                "stuck term: applying a non-function: zero (succ zero)",
+            ),
+            (TApp(omega, omega), 100, "fuel exhausted while reducing (\\x. x x) (\\x. x x)"),
+            (
+                TApp(TLam("y", TLet("z", TVar(0), TVar(0))), TLit(2)),
+                1,
+                "fuel exhausted while reducing let z = succ (succ zero) in z",
+            ),
+        ]
+        for t, fuel, message in cases:
+            with pytest.raises((StuckTerm, FuelExhausted)) as e:
+                eval_target(t, fuel)
+            assert str(e.value) == message
 
 
 class TestNumerals:

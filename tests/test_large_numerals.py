@@ -102,3 +102,30 @@ def test_json_codec_at_default_recursion_limit():
     proc = python("-c", script)
     assert proc.returncode == 0, proc.stderr[-2000:]
     assert proc.stdout == "ok\n"
+
+
+def test_function_of_a_large_literal_runs_at_default_recursion_limit(tmp_path):
+    # `f 7` reduces to 200 000 successors of 7, one thunk each; readback
+    # forces them and folds them into a literal in a loop.
+    source = PLUS + "let f : Nat -> Nat = \\x. plus 200000 x;\nmain = f 7;\n"
+    script = textwrap.dedent(
+        """
+        import sys
+        from tt0.core import Context
+        from tt0.elab import closed_main, elaborate_text
+        from tt0.extract import as_numeral, eval_target, extract
+
+        assert sys.getrecursionlimit() == 1000, sys.getrecursionlimit()
+        result = elaborate_text(sys.argv[1])
+        assert result.ok, [e.message for e in result.errors]
+        print(as_numeral(eval_target(extract(Context(), closed_main(result)))))
+        """
+    )
+    proc = python("-c", script, source)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert proc.stdout == "200007\n"
+    f = tmp_path / "f.tt0"
+    f.write_text(source)
+    run = python("-m", "tt0", "run", str(f), "--json")
+    assert run.returncode == 0, run.stderr[-2000:]
+    assert run.stdout.endswith(', "numeral": 200007}\n')
