@@ -218,39 +218,41 @@ class StuckTerm(Diagnostic):
         self.term = term
 
 
-@dataclass(slots=True)
 class _Thunk:
     """A term delayed in its environment until forced, then its value."""
 
-    env: tuple[list, int] | None
-    term: Target | None
-    value: object = None
+    __slots__ = ("env", "term", "value")
+
+    def __init__(self, env: tuple[list, int] | None, term: Target | None, value=None):
+        self.env, self.term, self.value = env, term, value
 
 
 # Values: `TLit`, `TTrue` and `TFalse` stand for themselves; the others hold
 # thunks.  `_Ne(level, None)` is a variable bound by readback, and
-# `_Ne(head, frame)` an elimination frame stuck on its head.
-@dataclass(slots=True)
+# `_Ne(head, frame)` an elimination frame stuck on its head.  These are
+# slotted classes, not dataclasses, which cost every import 0.3 ms each.
 class _Clo:
-    env: tuple[list, int]
-    lam: TLam
+    __slots__ = ("env", "lam")
+    def __init__(self, env: tuple[list, int], lam: TLam):
+        self.env, self.lam = env, lam
 
 
-@dataclass(slots=True)
 class _Pair:
-    fst: _Thunk
-    snd: _Thunk
+    __slots__ = ("fst", "snd")
+    def __init__(self, fst: _Thunk, snd: _Thunk):
+        self.fst, self.snd = fst, snd
 
 
-@dataclass(slots=True)
 class _Succ:
-    arg: _Thunk
+    __slots__ = ("arg",)
+    def __init__(self, arg: _Thunk):
+        self.arg = arg
 
 
-@dataclass(slots=True)
 class _Ne:
-    head: object
-    frame: tuple | None
+    __slots__ = ("head", "frame")
+    def __init__(self, head: object, frame: tuple | None):
+        self.head, self.frame = head, frame
 
 
 def _extend(env: tuple[list, int], th: _Thunk) -> tuple[list, int]:
@@ -384,22 +386,19 @@ class _Machine:
                 v = self.force(x, d)
             elif x.value is not None:
                 v = x.value
-            elif type(x.term) is TVar:
-                todo.append((d, _delay(x.env, x.term)))
-                continue
-            else:  # its term, with the same environment
+            else:  # its term, with the same environment (never a variable)
                 t, env, var = x.term, x.env, _Thunk(None, None, _Ne(d, None))
                 kids = [f.name for f in fields(t) if isinstance(getattr(t, f.name), Target)]
                 todo.append((lambda *ks, t=t, kids=kids: replace(t, **dict(zip(kids, ks))), len(kids)))
                 for k in reversed(kids):  # only `TLam` and `TLet` have a body
                     under = k == "body"
-                    todo.append((d + under, _Thunk(_extend(env, var) if under else env, getattr(t, k))))
+                    todo.append((d + under, _delay(_extend(env, var) if under else env, getattr(t, k))))
                 continue
             tv = type(v)
             if tv is _Clo:
                 todo.append((lambda b, name=v.lam.name: TLam(name, b), 1))
                 var = _Thunk(None, None, _Ne(d, None))
-                todo.append((d + 1, _Thunk(_extend(v.env, var), v.lam.body)))
+                todo.append((d + 1, _delay(_extend(v.env, var), v.lam.body)))
             elif tv is _Pair:
                 todo += [(TPair, 2), (d, v.snd), (d, v.fst)]
             elif tv is _Succ:
