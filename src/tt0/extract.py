@@ -292,10 +292,10 @@ class _Machine:
     environment of thunks, and an explicit stack of frames: `(TApp, arg)`,
     `(TFst,)`, `(TSnd,)`, `(TNatRec, zcase, scase)`, `(TIf, then, else)`
     of thunks, and a thunk to update.  Each β, `let` and ι step spends one
-    unit of fuel; `left` below 0 means unbounded."""
+    unit of fuel; `left` below 0 means unbounded, and negative fuel none."""
 
     def __init__(self, fuel: int | None):
-        self.left = -1 if fuel is None else fuel
+        self.left = -1 if fuel is None else max(fuel, 0)
 
     def force(self, th: _Thunk, depth: int) -> object:
         """The weak head value of a thunk, written back into it; `depth`

@@ -199,6 +199,13 @@ class TestCallByNeed:
                 eval_target(t, fuel)
             assert str(e.value) == message
 
+    def test_negative_fuel_allows_no_step(self):
+        t = TApp(TLam("x", TVar(0)), TLit(0))
+        for fuel in (0, -1, -5):
+            with pytest.raises(FuelExhausted):
+                eval_target(t, fuel)
+        assert eval_target(TLit(3), -1) == TLit(3)
+
 
 class TestNumerals:
     def test_natrec_on_literal_costs_what_a_successor_chain_costs(self):
