@@ -212,6 +212,89 @@ class TestRename:
         assert store.lookup(0).solved
 
 
+OUTSIDE = "at a runtime position, but the metavariable lives outside the erased fragment"
+
+
+def refusal(store: MetaStore, ctx: Context, ty: co.Value, rhs: co.Value) -> tuple[str, str]:
+    """Solve a fresh meta of type `ty` in `ctx` with `rhs`; return the
+    reason and message of the refusal."""
+    m = fresh_meta(store, ctx, ty)
+    spine = spine_of(evaluate(ctx.env, m))
+    with pytest.raises(UnifyError) as e:
+        solve(store, ctx.depth, 0, spine, rhs, ctx.names)
+    return e.value.reason, e.value.message
+
+
+class TestRenameRefusals:
+    """The exact reason and message of each refusal of a solution."""
+
+    def test_type_code_for_runtime_meta_of_type_universe(self):
+        got = refusal(MetaStore(), Context(), co.VUniv(), VNatTy())
+        assert got == ("mode", f"solution would place the Nat type {OUTSIDE}")
+
+    def test_erased_first_projection_at_runtime(self):
+        pair_ty = evaluate((), co.Sigma("a", Z0, co.NatTy(), co.NatTy()))
+        ctx = Context().bind("p", W, pair_ty)
+        got = refusal(MetaStore(), ctx, VNatTy(), co.vfst(Z0, co.vvar(0)))
+        assert got == ("mode", f"solution would use an erased first projection {OUTSIDE}")
+
+    def test_erased_binder_of_the_solution_is_named_by_level(self):
+        fn_ty = evaluate((), co.Pi("x", Z0, EX, co.NatTy(), co.NatTy()))
+        rhs = evaluate((), co.Lam("x", Z0, EX, co.Var(0)))
+        got = refusal(MetaStore(), Context(), fn_ty, rhs)
+        assert got == ("mode", f"solution would use erased variable #0 {OUTSIDE}")
+
+    def test_erased_variable_inside_motive_is_accepted(self):
+        # ?m A c n = natElim (\k. A) c (\k ih. ih) n, with A :0 U.
+        store = MetaStore()
+        ctx = (
+            Context()
+            .bind("A", Z0, co.VUniv())
+            .bind("c", W, co.vvar(0))
+            .bind("n", W, VNatTy())
+        )
+        m = fresh_meta(store, ctx, co.vvar(0))
+        body = co.NatElim(
+            co.Lam("k", W, EX, co.Var(3)),
+            co.Var(1),
+            co.Lam("k", W, EX, co.Lam("ih", W, EX, co.Var(0))),
+            co.Var(0),
+        )
+        spine = spine_of(evaluate(ctx.env, m))
+        solve(store, ctx.depth, 0, spine, evaluate(ctx.env, body), ctx.names)
+        assert store.lookup(0).solution_body == body
+
+    def test_occurs_check_inside_spine_argument(self):
+        # ?m f = f (?m f)
+        store = MetaStore()
+        fn_ty = evaluate((), co.Pi("a", W, EX, co.NatTy(), co.NatTy()))
+        ctx = Context().bind("f", W, fn_ty)
+        m = fresh_meta(store, ctx, VNatTy())
+        mv = evaluate(ctx.env, m)
+        rhs = co.vapp(co.vvar(0), W, EX, mv)
+        with pytest.raises(UnifyError) as e:
+            solve(store, ctx.depth, 0, spine_of(mv), rhs, ctx.names)
+        assert (e.value.reason, e.value.message) == (
+            "occurs",
+            "occurs check: ?0 appears in its own solution",
+        )
+
+    def test_head_scope_error_before_argument_mode_error(self):
+        # ?m z = g z, where g is not in ?m's scope and z :0 Nat is erased.
+        store = MetaStore()
+        fn_ty = evaluate((), co.Pi("a", W, EX, co.NatTy(), co.NatTy()))
+        ctx = Context().bind("g", W, fn_ty).bind("z", Z0, VNatTy())
+        m = fresh_meta(store, Context().bind("z", Z0, VNatTy()), VNatTy())
+        spine = spine_of(evaluate((co.vvar(1),), m))
+        rhs = co.vapp(co.vvar(0), W, EX, co.vvar(1))
+        with pytest.raises(UnifyError) as e:
+            solve(store, ctx.depth, 0, spine, rhs, ctx.names)
+        assert (e.value.reason, e.value.message) == (
+            "scope",
+            "variable 'g' is not in scope for the solution of ?0",
+        )
+
+
 class TestSolve:
     def test_succ_solution(self):
         store = MetaStore()
