@@ -285,6 +285,13 @@ def main(argv: list[str] | None = None) -> int:
     except Diagnostic as e:
         rep.emit([e])
         return EXIT_DIAGNOSTICS
+    except BrokenPipeError:
+        # The reader closed stdout (`tt0 run … | head`): end quietly, with
+        # stdout on the null device so that the flush at exit cannot fail.
+        null = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(null, sys.stdout.fileno())
+        os.close(null)
+        return EXIT_OK
     except Exception as e:  # noqa: BLE001 - no traceback past the driver
         rep.emit([InternalError(f"{args.command}: {type(e).__name__}: {e}")])
         return EXIT_DIAGNOSTICS

@@ -745,13 +745,10 @@ class Context:
         top = self.top
         return Context(self.entries[:top], self.env[:top], self.flag, top)
 
-    def with_flag(self, flag: bool) -> Context:
-        if flag == self.flag:
-            return self
-        return Context(self.entries, self.env, flag, self.top)
-
     def erased(self) -> Context:
-        return self.with_flag(True)
+        if self.flag:
+            return self
+        return Context(self.entries, self.env, True, self.top)
 
     def lookup(self, name: str) -> tuple[int, CtxEntry] | None:
         """Innermost entry with the given name, as (de Bruijn index, entry)."""

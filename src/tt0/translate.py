@@ -2,9 +2,11 @@
 
 Two translations, each followed by an independent kernel re-check:
 
-* zeroing: set every context entry's mode to 0 and clear the erasure flag,
-  then re-check the unchanged term as an erased judgment.  Success
-  witnesses that types and erased terms depend on no runtime data.
+* zeroing: set every context entry's mode to 0 and re-check the unchanged
+  term as an erased judgment.  Success witnesses that types and erased
+  terms depend on no runtime data.  Zeroing is the erased flag: the kernel
+  reads an entry's mode only while the flag is clear, and no rule clears
+  it, so the zeroed erased judgment is the erased judgment itself.
 * mode stripping: rewrite every mode annotation to omega and re-check with
   the erased flag set.  In that configuration every variable and every
   type code is usable everywhere, so the check is exactly a plain MLTT
@@ -16,31 +18,23 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 from . import core as co
-from .core import Context, CtxEntry, Term, Value, evaluate
+from .core import Context, Term, Value, evaluate
 from .diagnostics import Diagnostic, InternalError
 from .elab import ElabResult
 from .surface import Mode
 from .unify import MetaStore
 
 
-def zero_ctx(ctx: Context) -> Context:
-    """Set every entry's mode to 0 and clear the erased flag; types and the
-    evaluation environment are unchanged."""
-    entries = tuple(
-        CtxEntry(e.name, Mode.ZERO, e.ty, e.defined) for e in ctx.entries
-    )
-    return Context(entries, ctx.env, flag=False)
-
-
 def check_zeroing(store: MetaStore, ctx: Context, t: Term, ty: Value) -> None:
     """Re-check a term in the zeroed context, as an erased judgment.
 
-    Under the flag representation zeroing is the identity on syntax, so the
-    whole content of the translation is this well-typedness transport; a
-    failure indicates a bug rather than a user error.
+    Under the flag representation zeroing is the identity on syntax, and
+    the zeroed context is `ctx.erased()`, so the whole content of the
+    translation is this well-typedness transport; a failure indicates a bug
+    rather than a user error.
     """
     try:
-        co.kernel_check(store, zero_ctx(ctx).erased(), t, ty)
+        co.kernel_check(store, ctx.erased(), t, ty)
     except Diagnostic as e:
         raise InternalError(f"zeroed judgment failed to re-check: {e.message}") from e
 

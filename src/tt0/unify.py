@@ -3,12 +3,14 @@
 There is a single kind of metavariable (runtime).  Each meta captures the
 local part of its creation context (the binders and `let`s above the
 module's top-level declarations), including the erased flag; its type and
-solution live in the signature of the declarations before it.  Candidate
-solutions are built by spine inversion followed by a renaming pass that
-performs the occurs check, the scope check, and a mode check: a variable
-bound at mode 0 may appear at a runtime position of a solution only if the
-meta was created with the erased flag set.  Every committed solution is
-re-checked by the kernel before it is stored.
+solution live in the signature of the declarations before it.  A candidate
+solution is built in three steps: spine inversion gives a partial renaming,
+`quote` reads the right-hand side back, and one walk over the read-back term
+renames its variables.  The walk performs the occurs check, the scope check,
+and a mode check: a variable bound at mode 0, a type code or an erased first
+projection may appear at a runtime position of a solution only if the meta
+was created with the erased flag set.  Every committed solution is re-checked
+by the kernel before it is stored.
 """
 
 from __future__ import annotations
@@ -17,7 +19,6 @@ from dataclasses import dataclass
 
 from . import core as co
 from .core import (
-    Closure,
     Context,
     Term,
     Value,
@@ -165,53 +166,41 @@ def invert(
     let per defined entry, and one lambda per spine argument beyond the
     capture.
     """
-    n_bound = sum(1 for e in entries if e.defn is None)
-    apps: list[co.SApp] = []
-    for item in spine:
-        if not isinstance(item, co.SApp):
-            raise UnifyError(
-                "non-pattern",
-                "non-pattern spine: a projection or eliminator is applied to a "
-                "metavariable",
-            )
-        apps.append(item)
-    if len(apps) < n_bound:
+    if not all(isinstance(item, co.SApp) for item in spine):
+        raise UnifyError(
+            "non-pattern",
+            "non-pattern spine: a projection or eliminator is applied to a "
+            "metavariable",
+        )
+    if len(spine) < sum(1 for e in entries if e.defn is None):
         raise UnifyError("non-pattern", "non-pattern spine: metavariable under-applied")
 
+    # Each bound captured entry takes the next spine argument, with the
+    # entry's name and mode; the arguments beyond the capture follow.
+    args = iter(spine)
+    slots = [e if e.defn is not None else (e.name, e.mode, next(args)) for e in entries]
+    slots += [(None, item.mode, item) for item in args]
     ren: dict[int, tuple[int, Mode]] = {}
     layout: list[tuple[str, Mode] | CapturedEntry] = []
-    dom = top
-    next_app = 0
-    for e in entries:
-        if e.defn is not None:
-            layout.append(e)
-            dom += 1
+    for dom, slot in enumerate(slots, top):
+        if isinstance(slot, CapturedEntry):
+            layout.append(slot)
             continue
-        lvl = _spine_var(store, apps[next_app], names)
-        next_app += 1
+        name, mode, item = slot
+        lvl = _spine_var(store, item)
         if lvl in ren:
             raise UnifyError(
                 "non-linear",
                 f"non-linear spine: variable {_name_at(names, lvl)} occurs twice",
             )
-        ren[lvl] = (dom, e.mode)
-        layout.append((e.name, e.mode))
-        dom += 1
-    for item in apps[next_app:]:
-        lvl = _spine_var(store, item, names)
-        if lvl in ren:
-            raise UnifyError(
-                "non-linear",
-                f"non-linear spine: variable {_name_at(names, lvl)} occurs twice",
-            )
-        ren[lvl] = (dom, item.mode)
-        bname = names[lvl] if 0 <= lvl < len(names) else f"x{lvl}"
-        layout.append((bname, item.mode))
-        dom += 1
-    return PartialRenaming(dom=dom, cod=cod_depth, map=ren, top=top), layout
+        ren[lvl] = (dom, mode)
+        if name is None:
+            name = names[lvl] if 0 <= lvl < len(names) else f"x{lvl}"
+        layout.append((name, mode))
+    return PartialRenaming(dom=top + len(slots), cod=cod_depth, map=ren, top=top), layout
 
 
-def _spine_var(store: MetaStore, item: co.SApp, names: tuple[str, ...]) -> int:
+def _spine_var(store: MetaStore, item: co.SApp) -> int:
     arg = force(store, item.arg)
     if isinstance(arg, VNeutral) and isinstance(arg.head, co.VarH) and not arg.spine:
         return arg.head.lvl
@@ -227,7 +216,7 @@ def _name_at(names: tuple[str, ...], lvl: int) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Renaming (occurs check + scope check + mode check)
+# Renaming (readback, then occurs check + scope check + mode check)
 
 
 def rename(
@@ -237,137 +226,99 @@ def rename(
     rhs: Value,
     names: tuple[str, ...] = (),
 ) -> Term:
-    """Quote `rhs` through the partial renaming, refusing occurrences of the
-    meta being solved, out-of-scope variables, and erased resources at
-    runtime positions (unless the meta's context is erased)."""
-    return _rename(store, mid, pren, names, pren.dom, pren.cod, rhs, runtime=True)
+    """Read `rhs` back and rename it through the partial renaming, refusing
+    occurrences of the meta being solved, out-of-scope variables, and erased
+    resources at runtime positions (unless the meta's context is erased).
 
+    The walk is at `k` binders below the unification context.  It checks a
+    neutral's head before its spine, an eliminator's scrutinee before its
+    motive and cases, and a type code before its parts."""
 
-def _rename(
-    store: MetaStore,
-    mid: int,
-    pren: PartialRenaming,
-    names: tuple[str, ...],
-    dom: int,
-    cod: int,
-    v: Value,
-    runtime: bool,
-) -> Term:
-    v = force(store, v)
+    def refuse(what: str) -> UnifyError:
+        return UnifyError(
+            "mode",
+            f"solution would {what} at a runtime position, but the "
+            "metavariable lives outside the erased fragment",
+        )
 
-    def go(u: Value, runtime_: bool = runtime) -> Term:
-        return _rename(store, mid, pren, names, dom, cod, u, runtime_)
-
-    def go_bind(clos: Closure, mode: Mode, runtime_: bool) -> Term:
-        pren.map[cod] = (dom, mode)
-        try:
-            return _rename(
-                store, mid, pren, names, dom + 1, cod + 1, clos.apply(vvar(cod)), runtime_
-            )
-        finally:
-            del pren.map[cod]
-
-    def code_guard(what: str) -> None:
-        if runtime and not pren.allow_erased:
-            raise UnifyError(
-                "mode",
-                f"solution would place {what} at a runtime position, but the "
-                "metavariable lives outside the erased fragment",
-            )
-
-    match v:
-        case co.VLam(name, mode, icit, clos):
-            return co.Lam(name, mode, icit, go_bind(clos, mode, runtime))
-        case co.VPi(name, mode, icit, dom_v, cod_clos):
-            code_guard("a function type")
-            return co.Pi(
-                name, mode, icit, go(dom_v, False), go_bind(cod_clos, mode, False)
-            )
-        case co.VSigma(name, mode, fst_ty, snd_ty):
-            code_guard("a pair type")
-            return co.Sigma(name, mode, go(fst_ty, False), go_bind(snd_ty, mode, False))
-        case co.VPair(mode, fst, snd):
-            fst_runtime = runtime and mode is not Mode.ZERO
-            return co.Pair(mode, go(fst, fst_runtime), go(snd))
-        case co.VUniv():
-            code_guard("a universe")
-            return co.Univ()
-        case co.VNatTy():
-            code_guard("the Nat type")
-            return co.NatTy()
-        case co.VBoolTy():
-            code_guard("the Bool type")
-            return co.BoolTy()
-        case co.VLit(n):
-            return co.Lit(n)
-        case co.VSucc(arg):
-            return co.succ(go(arg))
-        case co.VTrue():
-            return co.TrueTm()
-        case co.VFalse():
-            return co.FalseTm()
-        case VNeutral(head, spine):
-            t: Term
-            if isinstance(head, co.MetaH):
-                if head.mid == mid:
-                    raise UnifyError(
-                        "occurs", f"occurs check: ?{mid} appears in its own solution"
-                    )
-                t = co.Meta(head.mid)
-            else:
-                found = pren.map.get(head.lvl)
-                if found is None and head.lvl < pren.top:
+    def go(t: Term, k: int, runtime: bool) -> Term:
+        guard = runtime and not pren.allow_erased
+        if guard and type(t) in _TYPE_CODES:
+            raise refuse(f"place {_TYPE_CODES[type(t)]}")
+        match t:
+            case co.Var(ix):
+                lvl = pren.cod + k - 1 - ix
+                found = pren.map.get(lvl)
+                if found is None and lvl < pren.top:
                     # An opaque name left by a failed top-level declaration.
-                    found = (head.lvl, Mode.OMEGA)
+                    found = (lvl, Mode.OMEGA)
                 if found is None:
                     raise UnifyError(
                         "scope",
-                        f"variable {_name_at(names, head.lvl)} is not in scope for "
+                        f"variable {_name_at(names, lvl)} is not in scope for "
                         f"the solution of ?{mid}",
                     )
                 dlvl, mode = found
-                if mode is Mode.ZERO and runtime and not pren.allow_erased:
+                if mode is Mode.ZERO and guard:
+                    raise refuse(f"use erased variable {_name_at(names, lvl)}")
+                return co.Var(pren.dom + k - 1 - dlvl)
+            case co.Meta(m):
+                if m == mid:
                     raise UnifyError(
-                        "mode",
-                        f"solution would use erased variable "
-                        f"{_name_at(names, head.lvl)} at a runtime position, but "
-                        "the metavariable lives outside the erased fragment",
+                        "occurs", f"occurs check: ?{mid} appears in its own solution"
                     )
-                t = co.Var(dom - 1 - dlvl)
-            for item in spine:
-                t = _rename_spine_item(t, item, go, runtime, pren, mid, names)
-            return t
-    raise AssertionError(f"unhandled value {v!r}")
-
-
-def _rename_spine_item(
-    t: Term,
-    item: co.SpineItem,
-    go,
-    runtime: bool,
-    pren: PartialRenaming,
-    mid: int,
-    names: tuple[str, ...],
-) -> Term:
-    match item:
-        case co.SApp(mode, icit, arg):
-            arg_runtime = runtime and mode is not Mode.ZERO
-            return co.App(mode, icit, t, go(arg, arg_runtime))
-        case co.SFst(mode):
-            if mode is Mode.ZERO and runtime and not pren.allow_erased:
-                raise UnifyError(
-                    "mode",
-                    "solution would use an erased first projection at a runtime "
-                    "position, but the metavariable lives outside the erased fragment",
+                return t
+            case co.App(mode, icit, fn, arg):
+                fn = go(fn, k, runtime)
+                return co.App(mode, icit, fn, go(arg, k, runtime and mode is not Mode.ZERO))
+            case co.Succ(arg):
+                return co.Succ(go(arg, k, runtime))
+            case co.Lam(name, mode, icit, body):
+                return co.Lam(name, mode, icit, go_bind(body, k, mode, runtime))
+            case co.Pi(name, mode, icit, dom, cod):
+                return co.Pi(
+                    name, mode, icit, go(dom, k, False), go_bind(cod, k, mode, False)
                 )
-            return co.Fst(mode, t)
-        case co.SSnd(mode):
-            return co.Snd(mode, t)
-        case co.SNatElim(motive, zcase, scase):
-            return co.NatElim(go(motive, False), go(zcase), go(scase), t)
-        case co.SBoolElim(motive, tcase, fcase):
-            return co.BoolElim(go(motive, False), go(tcase), go(fcase), t)
-    raise AssertionError(f"unhandled spine item {item!r}")
+            case co.Sigma(name, mode, fst_ty, snd_ty):
+                return co.Sigma(
+                    name, mode, go(fst_ty, k, False), go_bind(snd_ty, k, mode, False)
+                )
+            case co.Pair(mode, fst, snd):
+                fst = go(fst, k, runtime and mode is not Mode.ZERO)
+                return co.Pair(mode, fst, go(snd, k, runtime))
+            case co.NatElim(motive, zcase, scase, scrut):
+                scrut = go(scrut, k, runtime)
+                return co.NatElim(
+                    go(motive, k, False), go(zcase, k, runtime), go(scase, k, runtime), scrut
+                )
+            case co.BoolElim(motive, tcase, fcase, scrut):
+                scrut = go(scrut, k, runtime)
+                return co.BoolElim(
+                    go(motive, k, False), go(tcase, k, runtime), go(fcase, k, runtime), scrut
+                )
+        renamed = co.map_subterms(t, lambda u, k_: go(u, k_, runtime), k)
+        if isinstance(t, co.Fst) and t.mode is Mode.ZERO and guard:
+            raise refuse("use an erased first projection")
+        return renamed
+
+    def go_bind(body: Term, k: int, mode: Mode, runtime: bool) -> Term:
+        lvl = pren.cod + k
+        pren.map[lvl] = (pren.dom + k, mode)
+        try:
+            return go(body, k + 1, runtime)
+        finally:
+            del pren.map[lvl]
+
+    return go(quote(store, pren.cod, rhs), 0, True)
+
+
+_TYPE_CODES = {
+    co.Pi: "a function type",
+    co.Sigma: "a pair type",
+    co.Univ: "a universe",
+    co.NatTy: "the Nat type",
+    co.BoolTy: "the Bool type",
+}
 
 
 # ---------------------------------------------------------------------------

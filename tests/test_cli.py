@@ -242,6 +242,24 @@ class TestRun:
         assert proc.returncode == 0
         assert proc.stdout.splitlines()[-1] == "= 5"
 
+    def test_closed_stdout_ends_output_quietly(self, tmp_path):
+        # As `tt0 run big.tt0 | head -c 20`: the printed numeral is far
+        # larger than a pipe buffer, so the reader closes stdout mid-write.
+        f = tmp_path / "big.tt0"
+        f.write_text("main = 200000;\n")
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "tt0", "run", str(f)],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env={**os.environ, "PYTHONPATH": str(REPO / "src")},
+        )
+        assert proc.stdout.read(20) == b"succ (succ (succ (su"
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait() == 0
+        assert err == b""
+
 
 class TestExtract:
     def test_erased_pair_definition(self, capsys):

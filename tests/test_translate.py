@@ -1,35 +1,16 @@
 from __future__ import annotations
 
+import pytest
+
 from tt0 import core as co
-from tt0.core import Context, VLit, VNatTy, conv, evaluate
+from tt0.core import Context, VNatTy, conv, evaluate
+from tt0.diagnostics import KernelError
 from tt0.surface import Icit, Mode
-from tt0.translate import check_zeroing, recheck_stripped, strip_modes, sweep, zero_ctx
+from tt0.translate import check_zeroing, recheck_stripped, strip_modes, sweep
 from tt0.unify import MetaStore
 
 W, Z0 = Mode.OMEGA, Mode.ZERO
 EX = Icit.EXPL
-
-
-class TestZeroCtx:
-    def test_runtime_entry_and_flag(self):
-        ctx = Context().bind("x", W, VNatTy()).erased()
-        z = zero_ctx(ctx)
-        assert z.entries[0].mode is Z0
-        assert z.flag is False
-        assert z.entries[0].ty == VNatTy()
-
-    def test_empty_context(self):
-        assert zero_ctx(Context()) == Context()
-
-    def test_idempotent(self):
-        ctx = (
-            Context()
-            .bind("x", Z0, VNatTy())
-            .define("d", W, VNatTy(), VLit(0))
-            .erased()
-        )
-        once = zero_ctx(ctx)
-        assert zero_ctx(once) == once
 
 
 class TestCheckZeroing:
@@ -42,6 +23,15 @@ class TestCheckZeroing:
         store = MetaStore()
         ctx = Context().bind("x", W, VNatTy()).erased()
         check_zeroing(store, ctx, co.Var(0), VNatTy())
+
+    def test_erased_entry_passes_only_because_of_the_flag(self):
+        # Zeroing makes every entry mode 0 under the flag; the kernel reads
+        # an entry's mode only without the flag, so the flag alone decides.
+        store = MetaStore()
+        ctx = Context().bind("z", Z0, VNatTy())
+        check_zeroing(store, ctx, co.Var(0), VNatTy())
+        with pytest.raises(KernelError, match="erased variable 'z' used at runtime"):
+            co.kernel_check(store, ctx, co.Var(0), VNatTy())
 
     def test_corpus_sweep(self, corpus):
         for result in corpus.values():

@@ -403,3 +403,46 @@ class TestTopLevelSignature:
         entry = r.store.lookup(0)
         assert entry.solution_closed == co.Lam("b", W, EX, co.Var(1))
         kernel_check(r.store, entry.sig, entry.solution_closed, entry.closed_ty_value)
+
+
+class TestRenameAgainstQuote:
+    def test_identity_renaming_is_readback(self, corpus):
+        # Every declaration value, renamed identically with nothing refused,
+        # is its read-back term.
+        total = 0
+        for result in corpus.values():
+            for depth, d in enumerate(result.decls):
+                pren = PartialRenaming(
+                    dom=depth,
+                    cod=depth,
+                    map={lvl: (lvl, W) for lvl in range(depth)},
+                    allow_erased=True,
+                    top=depth,
+                )
+                for v in (d.ty_value, d.body_value):
+                    assert rename(result.store, -1, pren, v) == co.quote(result.store, depth, v)
+                    total += 1
+        assert total > 0
+
+    def test_deep_succ_chain_over_a_variable(self):
+        # The walk takes one frame per successor, as readback and the
+        # kernel do; anything more overflows under the tests' limit.
+        store = MetaStore()
+        ctx = Context().bind("x", W, VNatTy())
+        m = fresh_meta(store, ctx, VNatTy())
+        rhs = co.vvar(0)
+        for _ in range(40_000):
+            rhs = VSucc(rhs)
+        # Checked outside the handler, so that a failure report does not
+        # walk a traceback of a hundred thousand frames.
+        overflowed = False
+        try:
+            solve(store, ctx.depth, 0, spine_of(evaluate(ctx.env, m)), rhs, ctx.names)
+        except RecursionError:
+            overflowed = True
+        assert not overflowed, "solving a 40 000-deep succ chain overflowed the stack"
+        body = store.lookup(0).solution_body
+        for _ in range(40_000):
+            assert isinstance(body, co.Succ)
+            body = body.arg
+        assert body == co.Var(0)
