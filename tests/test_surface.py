@@ -24,6 +24,14 @@ def kinds(source: str) -> list[str]:
     return [t.kind for t in tokenize(source)]
 
 
+# Pieces that concatenate to lexable text: every `-` is part of `->` or `--`.
+TOKEN_ALPHABET = [
+    " ", "\t", "\r", "\n", "-- c", "->", ":0", ":", "(", ")", "{", "}", "\\", ".",
+    "*", ",", ";", "=", "_", "0", "7", "42", "x", "y'", "a_1", "let", "in",
+    "zero", "succ", "Nat", "natElim", "main",
+]
+
+
 class TestTokenize:
     def test_mode_annotated_binder(self):
         assert kinds("(x :0 Nat) -> Nat") == [
@@ -49,6 +57,64 @@ class TestTokenize:
 
     def test_arrow_not_split(self):
         assert kinds("a->b") == ["ident", "->", "ident", "eof"]
+
+    def test_erased_colon_needs_a_lone_zero(self):
+        toks = tokenize("x :05")
+        assert [(t.kind, t.text, t.value) for t in toks] == [
+            ("ident", "x", None), (":", ":", None), ("number", "05", 5), ("eof", "", None),
+        ]
+
+    def test_identifier_characters(self):
+        toks = tokenize("x'1_")
+        assert [(t.kind, t.text) for t in toks] == [("ident", "x'1_"), ("eof", "")]
+
+    def test_keyword_prefixes_are_identifiers(self):
+        assert kinds("lets zero' Natural") == ["ident", "ident", "ident", "eof"]
+
+    def test_double_dash_starts_a_comment(self):
+        assert kinds("a--b") == ["ident", "eof"]
+        assert kinds("a--b\nc") == ["ident", "ident", "eof"]
+
+    def test_lone_dash_is_illegal_at_its_column(self):
+        with pytest.raises(LexError, match="illegal character '-'") as e:
+            tokenize("a - b")
+        assert (e.value.span.start_line, e.value.span.start_col) == (1, 3)
+
+    def test_tab_and_carriage_return_are_one_column(self):
+        toks = tokenize("\tx\r y")
+        assert [(t.span.start_col, t.span.end_col) for t in toks] == [
+            (2, 2), (5, 5), (6, 6),
+        ]
+        with pytest.raises(LexError, match="illegal character 'λ'") as e:
+            tokenize("a\t\rλ")
+        span = e.value.span
+        assert (span.start_line, span.start_col, span.end_line, span.end_col) == (1, 4, 1, 4)
+        with pytest.raises(LexError) as e:
+            tokenize("\tx\r\nλ")
+        assert (e.value.span.start_line, e.value.span.start_col) == (2, 1)
+
+    def test_span_of_overlong_literal(self):
+        with pytest.raises(LexError, match=r"number literal too long \(4301 digits\)") as e:
+            tokenize("x =\n  " + "1" * 4301 + " y")
+        span = e.value.span
+        assert (span.start_line, span.start_col, span.end_line, span.end_col) == (
+            2, 3, 2, 4303,
+        )
+
+    @given(pieces=st.lists(st.sampled_from(TOKEN_ALPHABET), max_size=40))
+    @settings(max_examples=300, deadline=None)
+    def test_token_text_is_the_slice_its_span_names(self, pieces):
+        source = "".join(pieces)
+        lines = source.split("\n")
+        toks = tokenize(source)
+        assert toks[-1].kind == "eof"
+        previous = (1, 0)
+        for t in toks[:-1]:
+            s = t.span
+            assert s.start_line == s.end_line
+            assert lines[s.start_line - 1][s.start_col - 1 : s.end_col] == t.text
+            assert (s.start_line, s.start_col) > previous
+            previous = (s.end_line, s.end_col)
 
 
 class TestParse:
