@@ -22,12 +22,9 @@ from .unify import MetaStore, fresh_meta, unify
 
 @dataclass
 class ElabState:
-    """Mutable state of one module elaboration: the meta store plus the
-    signature of already elaborated declarations."""
+    """Mutable state of one module elaboration: the meta store."""
 
     store: MetaStore = field(default_factory=MetaStore)
-    sig: Context = field(default_factory=Context)
-    source: str | None = None
 
 
 @dataclass(frozen=True)
@@ -351,10 +348,9 @@ def zonk(store: MetaStore, t: Term) -> Term:
 # Modules
 
 
-def elaborate_module(
-    m: sf.Module, source: str | None = None
-) -> ElabResult:
-    st = ElabState(source=source)
+def elaborate_module(m: sf.Module) -> ElabResult:
+    st = ElabState()
+    sig = Context()  # the declarations elaborated so far
     decls: list[DeclInfo] = []
     errors: list[Diagnostic] = []
 
@@ -362,25 +358,25 @@ def elaborate_module(
         ty_t: Term | None = None
         ty_v: Value | None = None
         try:
-            ty_t = check_type(st, st.sig, decl.ty)
-            ty_v = evaluate(st.sig.env, ty_t)
-            body_t = check(st, st.sig, decl.body, ty_v)
+            ty_t = check_type(st, sig, decl.ty)
+            ty_v = evaluate(sig.env, ty_t)
+            body_t = check(st, sig, decl.body, ty_v)
         except Diagnostic as e:
             errors.append(e)
             if ty_v is not None:
                 # The type elaborated; keep the name as an opaque axiom so
                 # later declarations can still mention it.
-                st.sig = st.sig.declare(decl.name, ty_v)
+                sig = sig.declare(decl.name, ty_v)
             continue
-        body_v = evaluate(st.sig.env, body_t)
+        body_v = evaluate(sig.env, body_t)
         decls.append(DeclInfo(decl.name, decl.span, ty_t, body_t, ty_v, body_v))
-        st.sig = st.sig.declare(decl.name, ty_v, body_v)
+        sig = sig.declare(decl.name, ty_v, body_v)
 
     main: tuple[Term, Value] | None = None
     if m.main is not None:
         try:
-            main_t, main_ty = infer(st, st.sig, m.main)
-            main_t, main_ty = insert_implicits(st, st.sig, main_t, main_ty, m.main.span)
+            main_t, main_ty = infer(st, sig, m.main)
+            main_t, main_ty = insert_implicits(st, sig, main_t, main_ty, m.main.span)
             main = (main_t, main_ty)
         except Diagnostic as e:
             errors.append(e)
@@ -399,7 +395,7 @@ def elaborate_module(
             errors.append(ElabError(msg, entry.span))
 
     if errors:
-        return ElabResult(decls, main, st.store, st.sig, errors)
+        return ElabResult(decls, main, st.store, sig, errors)
 
     # Zonk and re-check everything with the kernel.
     zonked: list[DeclInfo] = []
@@ -435,7 +431,7 @@ def elaborate_module(
 
 def elaborate_text(source: str, filename: str = "<input>") -> ElabResult:
     module = sf.parse_module_text(source, filename)
-    return elaborate_module(module, source)
+    return elaborate_module(module)
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,7 @@ implicit variants, and `(x :0 A) * B` an erased-first-component pair type.
 from __future__ import annotations
 
 import enum
+import re
 from dataclasses import dataclass, field
 from typing import Callable, TypeVar
 
@@ -33,26 +34,6 @@ class Icit(enum.Enum):
 # Tokens
 
 
-KEYWORDS = (
-    "let",
-    "in",
-    "U",
-    "Nat",
-    "Bool",
-    "zero",
-    "succ",
-    "natElim",
-    "true",
-    "false",
-    "boolElim",
-    "fst",
-    "snd",
-    "main",
-)
-
-PUNCT = ("(", ")", "{", "}", "\\", ".", ":0", ":", "->", "*", ",", ";", "=", "_")
-
-
 @dataclass(frozen=True)
 class Token:
     kind: str  # keyword, punctuation symbol, "ident", "number", "eof"
@@ -61,81 +42,49 @@ class Token:
     value: int | None = None  # set for number tokens
 
 
+# White space and `--` comments are the unnamed alternatives; `bad` is any
+# other character.  Classes are ASCII, so `λ` is illegal.
+_TOKEN = re.compile(
+    r"(?P<newline>\n)|[ \t\r]+|--[^\n]*"
+    r"|(?P<number>[0-9]+)"
+    r"|(?P<word>[A-Za-z][A-Za-z0-9_']*)"
+    r"|(?P<punct>:0(?![0-9])|->|[(){}\\.:*,;=_])"
+    r"|(?P<bad>.)"
+)
+
+
 def tokenize(source: str, filename: str = "<input>") -> list[Token]:
-    """Split source text into tokens; raises LexError on an illegal character
-    or a number literal too long to convert."""
+    """Split source text into tokens, ending with an `eof` token at the end
+    of the input.  Lines and columns count from 1; a tab or a carriage return
+    is one column.  Raises LexError on an illegal character or a number
+    literal too long to convert."""
     toks: list[Token] = []
-    line, col = 1, 1
-    i, n = 0, len(source)
-
-    def span(l0: int, c0: int, l1: int, c1: int) -> SourceSpan:
-        return SourceSpan(filename, l0, c0, l1, c1)
-
-    digits = "0123456789"
-    letters = "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ"
-    ident_chars = letters + digits + "_'"
-
-    while i < n:
-        c = source[i]
-        if c == "\n":
-            i += 1
-            line += 1
-            col = 1
+    line, line_start = 1, 0
+    for m in _TOKEN.finditer(source):
+        kind = m.lastgroup
+        if kind is None:
             continue
-        if c in " \t\r":
-            i += 1
-            col += 1
+        if kind == "newline":
+            line, line_start = line + 1, m.end()
             continue
-        if source.startswith("--", i):
-            while i < n and source[i] != "\n":
-                i += 1
-            continue
-        l0, c0 = line, col
-        if c in digits:
-            j = i
-            while j < n and source[j] in digits:
-                j += 1
-            text = source[i:j]
-            col += j - i
-            where = span(l0, c0, line, col - 1)
+        text = m.group()
+        col = m.start() - line_start + 1
+        where = SourceSpan(filename, line, col, line, col + len(text) - 1)
+        if kind == "number":
             try:
                 value = int(text)
             except ValueError:  # past Python's limit on int() of a string
-                message = f"number literal too long ({j - i} digits)"
+                message = f"number literal too long ({len(text)} digits)"
                 raise LexError(message, where) from None
             toks.append(Token("number", text, where, value))
-            i = j
-            continue
-        if c in letters:
-            j = i
-            while j < n and source[j] in ident_chars:
-                j += 1
-            text = source[i:j]
-            col += j - i
-            kind = text if text in KEYWORDS else "ident"
-            toks.append(Token(kind, text, span(l0, c0, line, col - 1)))
-            i = j
-            continue
-        if c == ":" and i + 1 < n and source[i + 1] == "0" and not (
-            i + 2 < n and source[i + 2] in digits
-        ):
-            toks.append(Token(":0", ":0", span(l0, c0, line, col + 1)))
-            i += 2
-            col += 2
-            continue
-        if source.startswith("->", i):
-            toks.append(Token("->", "->", span(l0, c0, line, col + 1)))
-            i += 2
-            col += 2
-            continue
-        if c in "(){}\\.:*,;=_":
-            toks.append(Token(c, c, span(l0, c0, line, col)))
-            i += 1
-            col += 1
-            continue
-        raise LexError(f"illegal character {c!r}", span(l0, c0, line, col))
-
-    toks.append(Token("eof", "", span(line, col, line, col)))
+        elif kind == "bad":
+            raise LexError(f"illegal character {text!r}", where)
+        elif kind == "word" and text not in KEYWORDS:
+            toks.append(Token("ident", text, where))
+        else:
+            toks.append(Token(text, text, where))
+    col = len(source) - line_start + 1
+    toks.append(Token("eof", "", SourceSpan(filename, line, col, line, col)))
     return toks
 
 
@@ -285,6 +234,24 @@ class Module:
     span: SourceSpan = field(compare=False, repr=False)
     decls: tuple[Decl, ...] = ()
     main: Surface | None = None
+
+
+# ---------------------------------------------------------------------------
+# Vocabulary.  Each atom named by a keyword is one entry: a constant, or a
+# prefix former whose arguments, each an atom, are its fields in order.
+
+_CONSTANTS: dict[str, type[Surface]] = {
+    "_": SHole, "U": SUniv, "Nat": SNatTy, "Bool": SBoolTy,
+    "zero": SZero, "true": STrue, "false": SFalse,
+}
+
+_PREFIXES: dict[str, type[Surface]] = {
+    "succ": SSucc, "fst": SFst, "snd": SSnd, "natElim": SNatElim, "boolElim": SBoolElim,
+}
+
+KEYWORDS = frozenset({"let", "in", "main", *_CONSTANTS, *_PREFIXES})
+
+_ATOM_STARTERS = frozenset({"ident", "number", "(", *_CONSTANTS, *_PREFIXES})
 
 
 # ---------------------------------------------------------------------------
@@ -482,40 +449,17 @@ class _Parser:
             return self.binder_form()
         return self.sigma()
 
-    _ATOM_STARTERS = (
-        "ident",
-        "number",
-        "_",
-        "(",
-        "U",
-        "Nat",
-        "Bool",
-        "zero",
-        "true",
-        "false",
-        "succ",
-        "fst",
-        "snd",
-        "natElim",
-        "boolElim",
-    )
-
     def app(self) -> Surface:
         head = self.atom()
-        while True:
+        # A binder group ends the application: it opens a Pi or Sigma type.
+        while not self.binder_group_ahead():
             t = self.peek()
             if t.kind == "{":
-                # Implicit argument; a `{x : A}` binder group cannot appear
-                # in argument position, so no ambiguity with implicit Pi.
-                if self.binder_group_ahead():
-                    break
                 self.next()
                 arg = self.term()
                 end = self.expect("}")
                 head = SApp(head.span.merge(end.span), head, arg, Icit.IMPL)
-            elif t.kind in self._ATOM_STARTERS:
-                if t.kind == "(" and self.binder_group_ahead():
-                    break
+            elif t.kind in _ATOM_STARTERS:
                 arg = self.atom()
                 head = SApp(head.span.merge(arg.span), head, arg, Icit.EXPL)
             else:
@@ -524,69 +468,37 @@ class _Parser:
 
     def atom(self) -> Surface:
         t = self.peek()
-        match t.kind:
-            case "ident":
+        if t.kind in _CONSTANTS:
+            self.next()
+            return _CONSTANTS[t.kind](t.span)
+        if t.kind in _PREFIXES:
+            self.next()
+            cls = _PREFIXES[t.kind]
+            arity = len(cls.__match_args__) - 1  # the fields after the span
+            # A loop, not a comprehension: a comprehension's frame would
+            # halve how deep `succ (…)` may nest.
+            args: list[Surface] = []
+            while len(args) < arity:
+                args.append(self.atom())
+            return cls(t.span.merge(args[-1].span), *args)
+        if t.kind == "ident":
+            self.next()
+            return SVar(t.span, t.text)
+        if t.kind == "number":
+            self.next()
+            assert t.value is not None
+            return SNum(t.span, t.value)
+        if t.kind == "(":
+            self.next()
+            inner = self.term()
+            if self.peek().kind == ",":
                 self.next()
-                return SVar(t.span, t.text)
-            case "number":
-                self.next()
-                assert t.value is not None
-                return SNum(t.span, t.value)
-            case "_":
-                self.next()
-                return SHole(t.span)
-            case "U":
-                self.next()
-                return SUniv(t.span)
-            case "Nat":
-                self.next()
-                return SNatTy(t.span)
-            case "Bool":
-                self.next()
-                return SBoolTy(t.span)
-            case "zero":
-                self.next()
-                return SZero(t.span)
-            case "true":
-                self.next()
-                return STrue(t.span)
-            case "false":
-                self.next()
-                return SFalse(t.span)
-            case "succ":
-                self.next()
-                arg = self.atom()
-                return SSucc(t.span.merge(arg.span), arg)
-            case "fst":
-                self.next()
-                arg = self.atom()
-                return SFst(t.span.merge(arg.span), arg)
-            case "snd":
-                self.next()
-                arg = self.atom()
-                return SSnd(t.span.merge(arg.span), arg)
-            case "natElim":
-                self.next()
-                motive, z, s, n = (self.atom() for _ in range(4))
-                return SNatElim(t.span.merge(n.span), motive, z, s, n)
-            case "boolElim":
-                self.next()
-                motive, a, b, c = (self.atom() for _ in range(4))
-                return SBoolElim(t.span.merge(c.span), motive, a, b, c)
-            case "(":
-                self.next()
-                inner = self.term()
-                if self.peek().kind == ",":
-                    self.next()
-                    snd = self.term()
-                    end = self.expect(")")
-                    return SPair(t.span.merge(end.span), inner, snd)
-                self.expect(")")
-                return inner
-            case _:
-                raise ParseError(
-                    f"unexpected {describe(t)}", t.span, expected=("term",)
-                )
+                snd = self.term()
+                end = self.expect(")")
+                return SPair(t.span.merge(end.span), inner, snd)
+            self.expect(")")
+            return inner
+        raise ParseError(f"unexpected {describe(t)}", t.span, expected=("term",))
 
 
 def describe(t: Token) -> str:
@@ -629,43 +541,30 @@ def parse_term_text(source: str, filename: str = "<input>") -> Surface:
 # Printer.  Printing a module and re-parsing it yields an equal Module.
 
 
-def _mode_colon(mode: Mode | None) -> str:
-    return ":0" if mode is Mode.ZERO else ":"
+_CONSTANT_NAMES = {cls: keyword for keyword, cls in _CONSTANTS.items()}
+_PREFIX_NAMES = {cls: keyword for keyword, cls in _PREFIXES.items()}
+
+
+def _binder(x: str, mode: Mode | None, ty: Surface, icit: Icit = Icit.EXPL) -> str:
+    text = f"{x} {':0' if mode is Mode.ZERO else ':'} {pp_term(ty, 0)}"
+    return f"{{{text}}}" if icit is Icit.IMPL else f"({text})"
 
 
 def pp_term(t: Surface, prec: int = 0) -> str:
     # prec levels: 0 term (lambda/let/pi), 1 sigma, 2 application, 3 atom
+    cls = type(t)
+    if cls in _CONSTANT_NAMES:
+        return _CONSTANT_NAMES[cls]
+    if cls in _PREFIX_NAMES:
+        parts = [_PREFIX_NAMES[cls]]
+        for f in cls.__match_args__[1:]:
+            parts.append(pp_term(getattr(t, f), 3))
+        return _wrap(" ".join(parts), prec, 2)
     match t:
         case SVar(name=x):
             return x
         case SNum(value=v):
             return str(v)
-        case SHole():
-            return "_"
-        case SUniv():
-            return "U"
-        case SNatTy():
-            return "Nat"
-        case SBoolTy():
-            return "Bool"
-        case SZero():
-            return "zero"
-        case STrue():
-            return "true"
-        case SFalse():
-            return "false"
-        case SSucc(arg=a):
-            return _wrap(f"succ {pp_term(a, 3)}", prec, 2)
-        case SFst(arg=a):
-            return _wrap(f"fst {pp_term(a, 3)}", prec, 2)
-        case SSnd(arg=a):
-            return _wrap(f"snd {pp_term(a, 3)}", prec, 2)
-        case SNatElim(motive=p, zcase=z, scase=s, scrut=n):
-            parts = " ".join(pp_term(u, 3) for u in (p, z, s, n))
-            return _wrap(f"natElim {parts}", prec, 2)
-        case SBoolElim(motive=p, tcase=a, fcase=b, scrut=c):
-            parts = " ".join(pp_term(u, 3) for u in (p, a, b, c))
-            return _wrap(f"boolElim {parts}", prec, 2)
         case SApp(fn=f, arg=a, icit=icit):
             if icit is Icit.IMPL:
                 return _wrap(f"{pp_term(f, 2)} {{{pp_term(a, 0)}}}", prec, 2)
@@ -674,8 +573,7 @@ def pp_term(t: Surface, prec: int = 0) -> str:
             return f"({pp_term(a, 0)}, {pp_term(b, 0)})"
         case SLam(name=x, mode=mode, ann=ann, icit=icit, body=b):
             if ann is not None:
-                open_, close = ("{", "}") if icit is Icit.IMPL else ("(", ")")
-                binder = f"{open_}{x} {_mode_colon(mode)} {pp_term(ann, 0)}{close}"
+                binder = _binder(x, mode, ann, icit)
             elif icit is Icit.IMPL:
                 binder = f"{{{x}}}"
             else:
@@ -693,14 +591,11 @@ def pp_term(t: Surface, prec: int = 0) -> str:
             cod_s = pp_term(cod, 1 if isinstance(cod, (SLam, SLet)) else 0)
             if icit is Icit.EXPL and x == "_" and mode is Mode.OMEGA:
                 return _wrap(f"{pp_term(dom, 1)} -> {cod_s}", prec, 0)
-            open_, close = ("{", "}") if icit is Icit.IMPL else ("(", ")")
-            binder = f"{open_}{x} {_mode_colon(mode)} {pp_term(dom, 0)}{close}"
-            return _wrap(f"{binder} -> {cod_s}", prec, 0)
+            return _wrap(f"{_binder(x, mode, dom, icit)} -> {cod_s}", prec, 0)
         case SSigma(name=x, mode=mode, fst_ty=a, snd_ty=b):
             if x == "_" and mode is Mode.OMEGA:
                 return _wrap(f"{pp_term(a, 2)} * {pp_term(b, 1)}", prec, 1)
-            binder = f"({x} {_mode_colon(mode)} {pp_term(a, 0)})"
-            return _wrap(f"{binder} * {pp_term(b, 1)}", prec, 1)
+            return _wrap(f"{_binder(x, mode, a)} * {pp_term(b, 1)}", prec, 1)
     raise AssertionError(f"unhandled surface node {t!r}")
 
 

@@ -28,7 +28,7 @@ from .core import (
     quote,
     vvar,
 )
-from .diagnostics import InternalError, SourceSpan, UnifyError
+from .diagnostics import Diagnostic, InternalError, SourceSpan, UnifyError
 from .surface import Icit, Mode
 
 
@@ -351,7 +351,7 @@ def solve(
 
     try:
         co.kernel_check(store, entry.sig, closed, entry.closed_ty_value)
-    except Exception as exc:  # noqa: BLE001 - any failure here is a bug
+    except Diagnostic as exc:  # a kernel refusal here is a bug
         raise InternalError(
             f"unifier produced an ill-typed solution for ?{mid}: {exc}"
         ) from exc

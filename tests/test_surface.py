@@ -139,6 +139,17 @@ class TestParse:
         assert e.value.span is not None
         assert e.value.span.start_col == 15
 
+    def test_end_of_input_after_trailing_comment(self):
+        # The end of input is where the text ends, also after a comment that
+        # no newline closes.
+        for src, where in [
+            ("let x : Nat = -- trailing", (1, 26)),
+            ("let x : Nat = -- trailing\n", (2, 1)),
+        ]:
+            with pytest.raises(ParseError, match="unexpected end of input") as e:
+                parse_module_text(src)
+            assert (e.value.span.start_line, e.value.span.start_col) == where
+
     def test_arrow_right_associative(self):
         t = parse_term_text("Nat -> Nat -> Nat")
         assert isinstance(t, SPi)
@@ -231,7 +242,9 @@ def surface_terms(depth: int) -> st.SearchStrategy:
         st.just(sf.SZero(DUMMY)),
         st.just(sf.SUniv(DUMMY)),
         st.just(sf.SNatTy(DUMMY)),
+        st.just(sf.SBoolTy(DUMMY)),
         st.just(sf.STrue(DUMMY)),
+        st.just(sf.SFalse(DUMMY)),
         st.just(sf.SHole(DUMMY)),
         st.integers(0, 9).map(lambda k: sf.SNum(DUMMY, k)),
     )

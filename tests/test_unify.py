@@ -4,7 +4,7 @@ import pytest
 
 from tt0 import core as co
 from tt0.core import Context, VLit, VNatTy, VSucc, conv, evaluate, force, kernel_check
-from tt0.diagnostics import UnifyError
+from tt0.diagnostics import InternalError, KernelError, UnifyError
 from tt0.elab import elaborate_text
 from tt0.surface import Icit, Mode
 from tt0.unify import (
@@ -320,6 +320,28 @@ class TestSolve:
         v = evaluate((co.vvar(0),), m)
         with pytest.raises(UnifyError, match="scope.*y|y.*scope"):
             solve(store, ctx.depth, 0, spine_of(v), co.vvar(1), ctx.names)
+
+    def test_kernel_refusal_of_solution_is_internal_error(self, monkeypatch):
+        def refuse(*args):
+            raise KernelError("refused")
+
+        store = MetaStore()
+        fresh_meta(store, Context().erased(), co.VUniv())
+        monkeypatch.setattr(co, "kernel_check", refuse)
+        with pytest.raises(InternalError, match=r"ill-typed solution for \?0: refused"):
+            solve(store, 0, 0, (), VNatTy())
+        assert not store.lookup(0).solved
+
+    def test_stack_overflow_in_recheck_is_not_an_ill_typed_solution(self, monkeypatch):
+        def overflow(*args):
+            raise RecursionError("maximum recursion depth exceeded")
+
+        store = MetaStore()
+        fresh_meta(store, Context().erased(), co.VUniv())
+        monkeypatch.setattr(co, "kernel_check", overflow)
+        with pytest.raises(RecursionError):
+            solve(store, 0, 0, (), VNatTy())
+        assert not store.lookup(0).solved
 
     def test_solution_with_defined_prefix_uses_let(self):
         store = MetaStore()
