@@ -1,8 +1,10 @@
 """Core calculus: mode-annotated terms, NbE values, conversion, kernel.
 
-Terms use de Bruijn indices, values use de Bruijn levels.  Eliminations
-(App/Pair/Fst/Snd) record the mode of the Pi/Sigma they interact with; the
-extraction pass consumes those annotations.
+Terms use de Bruijn indices, values use de Bruijn levels.  A former with no
+subterms (U, Nat, Bool, a literal, true, false) is a `Constant`: one class
+that is both a term and its own value.  Eliminations (App/Pair/Fst/Snd)
+record the mode of the Pi/Sigma they interact with; the extraction pass
+consumes those annotations.
 
 The erasure marker is represented by one boolean flag on the context: a
 judgment checked with the flag set is an erased judgment, and erased
@@ -17,7 +19,7 @@ from functools import cache
 from typing import TYPE_CHECKING, Callable
 
 from .diagnostics import InternalError, KernelError
-from .surface import Icit, Mode
+from .surface import Icit, Mode, _wrap
 
 if TYPE_CHECKING:
     from .unify import MetaStore
@@ -30,6 +32,16 @@ if TYPE_CHECKING:
 @dataclass(frozen=True)
 class Term:
     pass
+
+
+@dataclass(frozen=True)
+class Value:
+    pass
+
+
+@dataclass(frozen=True)
+class Constant(Term, Value):
+    """A former without subterms: it evaluates and reads back to itself."""
 
 
 @dataclass(frozen=True)
@@ -90,17 +102,17 @@ class Snd(Term):
 
 
 @dataclass(frozen=True)
-class Univ(Term):
+class Univ(Constant):
     pass
 
 
 @dataclass(frozen=True)
-class NatTy(Term):
+class NatTy(Constant):
     pass
 
 
 @dataclass(frozen=True)
-class Lit(Term):
+class Lit(Constant):
     """The numeral n, held as an integer; `Lit(0)` is zero."""
 
     n: int
@@ -127,17 +139,17 @@ class NatElim(Term):
 
 
 @dataclass(frozen=True)
-class BoolTy(Term):
+class BoolTy(Constant):
     pass
 
 
 @dataclass(frozen=True)
-class TrueTm(Term):
+class TrueTm(Constant):
     pass
 
 
 @dataclass(frozen=True)
-class FalseTm(Term):
+class FalseTm(Constant):
     pass
 
 
@@ -209,11 +221,6 @@ def map_subterms(t: Term, f: Callable[[Term, int], Term], depth: int = 0) -> Ter
 # Values
 
 
-@dataclass(frozen=True)
-class Value:
-    pass
-
-
 Env = tuple[Value, ...]
 
 
@@ -259,21 +266,6 @@ class VPair(Value):
 
 
 @dataclass(frozen=True)
-class VUniv(Value):
-    pass
-
-
-@dataclass(frozen=True)
-class VNatTy(Value):
-    pass
-
-
-@dataclass(frozen=True)
-class VLit(Value):
-    n: int
-
-
-@dataclass(frozen=True)
 class VSucc(Value):
     """The successor of a value that is not a literal (see `vsucc`)."""
 
@@ -281,32 +273,17 @@ class VSucc(Value):
 
 
 def vsucc(v: Value) -> Value:
-    return VLit(v.n + 1) if isinstance(v, VLit) else VSucc(v)
+    return Lit(v.n + 1) if isinstance(v, Lit) else VSucc(v)
 
 
 def vpred(v: Value) -> Value | None:
     """The predecessor of a successor value; None for zero and neutrals."""
     match v:
-        case VLit(n) if n > 0:
-            return VLit(n - 1)
+        case Lit(n) if n > 0:
+            return Lit(n - 1)
         case VSucc(arg):
             return arg
     return None
-
-
-@dataclass(frozen=True)
-class VBoolTy(Value):
-    pass
-
-
-@dataclass(frozen=True)
-class VTrue(Value):
-    pass
-
-
-@dataclass(frozen=True)
-class VFalse(Value):
-    pass
 
 
 @dataclass(frozen=True)
@@ -390,12 +367,8 @@ def evaluate(env: Env, t: Term) -> Value:
             return vfst(mode, evaluate(env, pair))
         case Snd(mode, pair):
             return vsnd(mode, evaluate(env, pair))
-        case Univ():
-            return VUniv()
-        case NatTy():
-            return VNatTy()
-        case Lit(n):
-            return VLit(n)
+        case Constant():
+            return t
         case Succ(arg):
             return vsucc(evaluate(env, arg))
         case NatElim(motive, zcase, scase, scrut):
@@ -405,12 +378,6 @@ def evaluate(env: Env, t: Term) -> Value:
                 evaluate(env, scase),
                 evaluate(env, scrut),
             )
-        case BoolTy():
-            return VBoolTy()
-        case TrueTm():
-            return VTrue()
-        case FalseTm():
-            return VFalse()
         case BoolElim(motive, tcase, fcase, scrut):
             return vboolelim(
                 evaluate(env, motive),
@@ -460,12 +427,12 @@ def vsnd(mode: Mode, v: Value) -> Value:
 
 def vnatelim(motive: Value, zcase: Value, scase: Value, scrut: Value) -> Value:
     match scrut:
-        case VLit(k):
+        case Lit(k):
             # The step case from the base upwards, as the VSucc case below
             # would apply it to a chain of k successors.
             ih = zcase
             for i in range(k):
-                ih = _nat_step(scase, VLit(i), ih)
+                ih = _nat_step(scase, Lit(i), ih)
             return ih
         case VSucc(pred):
             return _nat_step(scase, pred, vnatelim(motive, zcase, scase, pred))
@@ -480,9 +447,9 @@ def _nat_step(scase: Value, pred: Value, ih: Value) -> Value:
 
 def vboolelim(motive: Value, tcase: Value, fcase: Value, scrut: Value) -> Value:
     match scrut:
-        case VTrue():
+        case TrueTm():
             return tcase
-        case VFalse():
+        case FalseTm():
             return fcase
         case VNeutral(head, spine):
             return VNeutral(head, spine + (SBoolElim(motive, tcase, fcase),))
@@ -541,21 +508,11 @@ def quote(store: "MetaStore", depth: int, v: Value) -> Term:
             )
         case VPair(mode, fst, snd):
             return Pair(mode, quote(store, depth, fst), quote(store, depth, snd))
-        case VUniv():
-            return Univ()
-        case VNatTy():
-            return NatTy()
-        case VLit(n):
-            return Lit(n)
+        case Constant():
+            return v
         case VSucc(arg):
             # The argument may be a meta solved to a literal.
             return succ(quote(store, depth, arg))
-        case VBoolTy():
-            return BoolTy()
-        case VTrue():
-            return TrueTm()
-        case VFalse():
-            return FalseTm()
         case VNeutral(head, spine):
             t: Term
             if isinstance(head, VarH):
@@ -638,19 +595,9 @@ def conv(store: "MetaStore", depth: int, a: Value, b: Value) -> bool:
                 return False
             x = vvar(depth)
             return conv(store, depth + 1, snd_ty.apply(x), snd2.apply(x))
-        case VUniv(), VUniv():
-            return True
-        case VNatTy(), VNatTy():
-            return True
-        case VBoolTy(), VBoolTy():
-            return True
-        case VLit(m), VLit(n):
-            return m == n
-        case VTrue(), VTrue():
-            return True
-        case VFalse(), VFalse():
-            return True
-        case VSucc() | VLit(), VSucc() | VLit():
+        case Constant(), Constant():
+            return a == b
+        case VSucc() | Lit(), VSucc() | Lit():
             # succ x against succ y, or against a literal k > 0 as k - 1.
             x, y = vpred(a), vpred(b)
             return x is not None and y is not None and conv(store, depth, x, y)
@@ -774,8 +721,8 @@ class Context:
 # domain and over an erased one are interchangeable (the binder is only
 # ever used inside types), and the runtime choice keeps mode stripping
 # syntax-preserving.
-NAT_MOTIVE_TY = VPi("n", Mode.OMEGA, Icit.EXPL, VNatTy(), Closure((), Univ()))
-BOOL_MOTIVE_TY = VPi("b", Mode.OMEGA, Icit.EXPL, VBoolTy(), Closure((), Univ()))
+NAT_MOTIVE_TY = VPi("n", Mode.OMEGA, Icit.EXPL, NatTy(), Closure((), Univ()))
+BOOL_MOTIVE_TY = VPi("b", Mode.OMEGA, Icit.EXPL, BoolTy(), Closure((), Univ()))
 
 # Type of the successor case, Pi (k : Nat). P k -> P (succ k), evaluated in
 # an environment holding the motive value.
@@ -827,47 +774,45 @@ def kernel_infer(store: "MetaStore", ctx: Context, t: Term) -> Value:
             return fn_ty.cod.apply(evaluate(ctx.env, arg))
         case Pi(name, mode, _, dom, cod):
             _require_erased(ctx, "dependent function type")
-            kernel_check(store, ctx.erased(), dom, VUniv())
+            kernel_check(store, ctx.erased(), dom, Univ())
             dom_v = evaluate(ctx.env, dom)
-            kernel_check(store, ctx.bind(name, mode, dom_v).erased(), cod, VUniv())
-            return VUniv()
+            kernel_check(store, ctx.bind(name, mode, dom_v).erased(), cod, Univ())
+            return Univ()
         case Sigma(name, mode, fst_ty, snd_ty):
             _require_erased(ctx, "dependent pair type")
-            kernel_check(store, ctx.erased(), fst_ty, VUniv())
+            kernel_check(store, ctx.erased(), fst_ty, Univ())
             fst_v = evaluate(ctx.env, fst_ty)
-            kernel_check(store, ctx.bind(name, mode, fst_v).erased(), snd_ty, VUniv())
-            return VUniv()
+            kernel_check(store, ctx.bind(name, mode, fst_v).erased(), snd_ty, Univ())
+            return Univ()
         case Univ():
             _require_erased(ctx, "universe")
-            return VUniv()
+            return Univ()
         case NatTy():
             _require_erased(ctx, "Nat type")
-            return VUniv()
+            return Univ()
         case BoolTy():
             _require_erased(ctx, "Bool type")
-            return VUniv()
+            return Univ()
         case Lit():
-            return VNatTy()
+            return NatTy()
         case Succ(arg):
-            kernel_check(store, ctx, arg, VNatTy())
-            return VNatTy()
-        case TrueTm():
-            return VBoolTy()
-        case FalseTm():
-            return VBoolTy()
+            kernel_check(store, ctx, arg, NatTy())
+            return NatTy()
+        case TrueTm() | FalseTm():
+            return BoolTy()
         case NatElim(motive, zcase, scase, scrut):
             kernel_check(store, ctx.erased(), motive, NAT_MOTIVE_TY)
             motive_v = evaluate(ctx.env, motive)
-            kernel_check(store, ctx, zcase, motive_app(motive_v, VLit(0)))
+            kernel_check(store, ctx, zcase, motive_app(motive_v, Lit(0)))
             kernel_check(store, ctx, scase, nat_succ_case_type(motive_v))
-            kernel_check(store, ctx, scrut, VNatTy())
+            kernel_check(store, ctx, scrut, NatTy())
             return motive_app(motive_v, evaluate(ctx.env, scrut))
         case BoolElim(motive, tcase, fcase, scrut):
             kernel_check(store, ctx.erased(), motive, BOOL_MOTIVE_TY)
             motive_v = evaluate(ctx.env, motive)
-            kernel_check(store, ctx, tcase, motive_app(motive_v, VTrue()))
-            kernel_check(store, ctx, fcase, motive_app(motive_v, VFalse()))
-            kernel_check(store, ctx, scrut, VBoolTy())
+            kernel_check(store, ctx, tcase, motive_app(motive_v, TrueTm()))
+            kernel_check(store, ctx, fcase, motive_app(motive_v, FalseTm()))
+            kernel_check(store, ctx, scrut, BoolTy())
             return motive_app(motive_v, evaluate(ctx.env, scrut))
         case Fst(mode, pair):
             pair_ty = force(store, kernel_infer(store, ctx, pair))
@@ -886,7 +831,7 @@ def kernel_infer(store: "MetaStore", ctx: Context, t: Term) -> Value:
                 raise KernelError("projection mode does not match pair type")
             return pair_ty.snd_ty.apply(vfst(mode, evaluate(ctx.env, pair)))
         case Let(name, ty, defn, body):
-            kernel_check(store, ctx.erased(), ty, VUniv())
+            kernel_check(store, ctx.erased(), ty, Univ())
             ty_v = evaluate(ctx.env, ty)
             kernel_check(store, ctx, defn, ty_v)
             inner = ctx.define(name, Mode.OMEGA, ty_v, evaluate(ctx.env, defn))
@@ -943,7 +888,7 @@ def kernel_check(store: "MetaStore", ctx: Context, t: Term, expected: Value) -> 
                 f"{pp(quote(store, ctx.depth, expected), ctx.names)}"
             )
         case Let(name, ty, defn, body), _:
-            kernel_check(store, ctx.erased(), ty, VUniv())
+            kernel_check(store, ctx.erased(), ty, Univ())
             ty_v = evaluate(ctx.env, ty)
             kernel_check(store, ctx, defn, ty_v)
             inner = ctx.define(name, Mode.OMEGA, ty_v, evaluate(ctx.env, defn))
@@ -1065,10 +1010,6 @@ def pp(t: Term, names: tuple[str, ...] = (), prec: int = 0) -> str:
                 0,
             )
     raise AssertionError(f"unhandled term {t!r}")
-
-
-def _wrap(s: str, prec: int, at: int) -> str:
-    return f"({s})" if prec > at else s
 
 
 def succ_chain(n: int, prec: int, at: int) -> str:

@@ -43,9 +43,14 @@ class Diagnostic(Exception):
         loc = f"{self.span}: " if self.span is not None else ""
         out = f"{loc}{self.kind}: {self.message}"
         if source is not None and self.span is not None:
-            lines = source.splitlines()
+            # Lines end at "\n" only, as the tokenizer counts them; a final
+            # "\n" ends the last line and starts no new one.
+            lines = source.split("\n")
+            if not lines[-1]:
+                lines.pop()
             if 1 <= self.span.start_line <= len(lines):
-                line, col = lines[self.span.start_line - 1], self.span.start_col - 1
+                line = lines[self.span.start_line - 1].removesuffix("\r")
+                col = self.span.start_col - 1
                 lo = max(0, col - EXCERPT_WIDTH)
                 cut = "…" if lo else ""
                 excerpt = cut + line[lo : col + EXCERPT_WIDTH]

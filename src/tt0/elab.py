@@ -92,7 +92,7 @@ def check_erased(st: ElabState, ctx: Context, t: sf.Surface, expected: Value) ->
 
 
 def check_type(st: ElabState, ctx: Context, t: sf.Surface) -> Term:
-    return check_erased(st, ctx, t, co.VUniv())
+    return check_erased(st, ctx, t, co.Univ())
 
 
 # ---------------------------------------------------------------------------
@@ -102,7 +102,7 @@ def check_type(st: ElabState, ctx: Context, t: sf.Surface) -> Term:
 def check(st: ElabState, ctx: Context, t: sf.Surface, expected: Value) -> Term:
     expected = force(st.store, expected)
     match t, expected:
-        case sf.SLam(), co.VPi() if _lam_matches(t, expected):
+        case sf.SLam(), co.VPi() if t.icit is expected.icit:
             if t.mode is not None and t.mode is not expected.mode:
                 raise ElabError(
                     f"lambda binder mode {t.mode} does not match function type "
@@ -142,10 +142,6 @@ def check(st: ElabState, ctx: Context, t: sf.Surface, expected: Value) -> Term:
             return term
 
 
-def _lam_matches(t: sf.SLam, pi: co.VPi) -> bool:
-    return t.icit is pi.icit
-
-
 # ---------------------------------------------------------------------------
 # Inference
 
@@ -176,10 +172,10 @@ def infer(st: ElabState, ctx: Context, t: sf.Surface) -> tuple[Term, Value]:
             if not isinstance(fn_ty, co.VPi):
                 # A metavariable can still become a function type.
                 if co.is_flex(fn_ty):
-                    dom_m = fresh_meta(st.store, ctx.erased(), co.VUniv(), fn.span)
+                    dom_m = fresh_meta(st.store, ctx.erased(), co.Univ(), fn.span)
                     dom_v = evaluate(ctx.env, dom_m)
                     cod_ctx = ctx.bind("x", Mode.OMEGA, dom_v).erased()
-                    cod_m = fresh_meta(st.store, cod_ctx, co.VUniv(), fn.span)
+                    cod_m = fresh_meta(st.store, cod_ctx, co.Univ(), fn.span)
                     pi = co.VPi(
                         "x", Mode.OMEGA, icit, dom_v,
                         co.Closure(ctx.env, cod_m),
@@ -208,7 +204,7 @@ def infer(st: ElabState, ctx: Context, t: sf.Surface) -> tuple[Term, Value]:
             if ann is not None:
                 dom_t = check_type(st, ctx, ann)
             else:
-                dom_t = fresh_meta(st.store, ctx.erased(), co.VUniv(), t.span)
+                dom_t = fresh_meta(st.store, ctx.erased(), co.Univ(), t.span)
             dom_v = evaluate(ctx.env, dom_t)
             inner = ctx.bind(name, lam_mode, dom_v)
             body_t, body_ty = infer(st, inner, body)
@@ -221,13 +217,13 @@ def infer(st: ElabState, ctx: Context, t: sf.Surface) -> tuple[Term, Value]:
             dom_t = check_type(st, ctx, dom)
             inner = ctx.bind(name, mode, evaluate(ctx.env, dom_t))
             cod_t = check_type(st, inner, cod)
-            return co.Pi(name, mode, icit, dom_t, cod_t), co.VUniv()
+            return co.Pi(name, mode, icit, dom_t, cod_t), co.Univ()
         case sf.SSigma(name=name, mode=mode, fst_ty=fst_ty, snd_ty=snd_ty):
             _require_erased(ctx, t.span, "a pair type")
             fst_t = check_type(st, ctx, fst_ty)
             inner = ctx.bind(name, mode, evaluate(ctx.env, fst_t))
             snd_t = check_type(st, inner, snd_ty)
-            return co.Sigma(name, mode, fst_t, snd_t), co.VUniv()
+            return co.Sigma(name, mode, fst_t, snd_t), co.Univ()
         case sf.SPair():
             raise ElabError(
                 "cannot infer a type for a pair; annotate the enclosing binding",
@@ -263,42 +259,42 @@ def infer(st: ElabState, ctx: Context, t: sf.Surface) -> tuple[Term, Value]:
             return co.Let(name, ty_t, defn_t, body_t), body_ty
         case sf.SUniv():
             _require_erased(ctx, t.span, "the universe")
-            return co.Univ(), co.VUniv()
+            return co.Univ(), co.Univ()
         case sf.SNatTy():
             _require_erased(ctx, t.span, "the Nat type")
-            return co.NatTy(), co.VUniv()
+            return co.NatTy(), co.Univ()
         case sf.SBoolTy():
             _require_erased(ctx, t.span, "the Bool type")
-            return co.BoolTy(), co.VUniv()
+            return co.BoolTy(), co.Univ()
         case sf.SZero():
-            return co.Lit(0), co.VNatTy()
+            return co.Lit(0), co.NatTy()
         case sf.SNum(value=v):
-            return co.Lit(v), co.VNatTy()
+            return co.Lit(v), co.NatTy()
         case sf.SSucc(arg=arg):
-            arg_t = check(st, ctx, arg, co.VNatTy())
-            return co.succ(arg_t), co.VNatTy()
+            arg_t = check(st, ctx, arg, co.NatTy())
+            return co.succ(arg_t), co.NatTy()
         case sf.STrue():
-            return co.TrueTm(), co.VBoolTy()
+            return co.TrueTm(), co.BoolTy()
         case sf.SFalse():
-            return co.FalseTm(), co.VBoolTy()
+            return co.FalseTm(), co.BoolTy()
         case sf.SNatElim(motive=motive, zcase=zcase, scase=scase, scrut=scrut):
             motive_t = check_erased(st, ctx, motive, co.NAT_MOTIVE_TY)
             motive_v = evaluate(ctx.env, motive_t)
-            zcase_t = check(st, ctx, zcase, co.motive_app(motive_v, co.VLit(0)))
+            zcase_t = check(st, ctx, zcase, co.motive_app(motive_v, co.Lit(0)))
             scase_t = check(st, ctx, scase, co.nat_succ_case_type(motive_v))
-            scrut_t = check(st, ctx, scrut, co.VNatTy())
+            scrut_t = check(st, ctx, scrut, co.NatTy())
             res = co.motive_app(motive_v, evaluate(ctx.env, scrut_t))
             return co.NatElim(motive_t, zcase_t, scase_t, scrut_t), res
         case sf.SBoolElim(motive=motive, tcase=tcase, fcase=fcase, scrut=scrut):
             motive_t = check_erased(st, ctx, motive, co.BOOL_MOTIVE_TY)
             motive_v = evaluate(ctx.env, motive_t)
-            tcase_t = check(st, ctx, tcase, co.motive_app(motive_v, co.VTrue()))
-            fcase_t = check(st, ctx, fcase, co.motive_app(motive_v, co.VFalse()))
-            scrut_t = check(st, ctx, scrut, co.VBoolTy())
+            tcase_t = check(st, ctx, tcase, co.motive_app(motive_v, co.TrueTm()))
+            fcase_t = check(st, ctx, fcase, co.motive_app(motive_v, co.FalseTm()))
+            scrut_t = check(st, ctx, scrut, co.BoolTy())
             res = co.motive_app(motive_v, evaluate(ctx.env, scrut_t))
             return co.BoolElim(motive_t, tcase_t, fcase_t, scrut_t), res
         case sf.SHole():
-            ty_m = fresh_meta(st.store, ctx.erased(), co.VUniv(), t.span)
+            ty_m = fresh_meta(st.store, ctx.erased(), co.Univ(), t.span)
             ty_v = evaluate(ctx.env, ty_m)
             return fresh_meta(st.store, ctx, ty_v, t.span), ty_v
     raise AssertionError(f"unhandled surface term {t!r}")
@@ -406,7 +402,7 @@ def elaborate_module(m: sf.Module) -> ElabResult:
         ty_v = evaluate(sig.env, ty_t)
         body_v = evaluate(sig.env, body_t)
         try:
-            co.kernel_check(st.store, sig.erased(), ty_t, co.VUniv())
+            co.kernel_check(st.store, sig.erased(), ty_t, co.Univ())
             co.kernel_check(st.store, sig, body_t, ty_v)
         except Diagnostic as e:
             raise InternalError(

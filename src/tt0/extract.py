@@ -13,9 +13,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field, fields, replace
 
 from . import core as co
-from .core import Context, Term, _fresh, _wrap
+from .core import Context, Term, _fresh
 from .diagnostics import Diagnostic, InternalError
-from .surface import Mode
+from .surface import Mode, _wrap
 
 
 @dataclass(frozen=True)

@@ -56,7 +56,7 @@ def recheck_stripped(store: MetaStore, stripped_sig: Context, t: Term, ty: Term)
     flag-set configuration (plain MLTT)."""
     try:
         ty_v = evaluate(stripped_sig.env, ty)
-        co.kernel_check(store, stripped_sig.erased(), ty, co.VUniv())
+        co.kernel_check(store, stripped_sig.erased(), ty, co.Univ())
         co.kernel_check(store, stripped_sig.erased(), t, ty_v)
     except Diagnostic as e:
         raise InternalError(f"stripped judgment failed to re-check: {e.message}") from e
@@ -79,7 +79,7 @@ def sweep(result: ElabResult) -> list[SweepRow]:
         zero_ok = strip_ok = True
         detail = ""
         try:
-            check_zeroing(result.store, sig.erased(), d.ty, co.VUniv())
+            check_zeroing(result.store, sig.erased(), d.ty, co.Univ())
             check_zeroing(result.store, sig, d.body, d.ty_value)
         except InternalError as e:
             zero_ok = False

@@ -445,21 +445,11 @@ def unify(
             unify(store, depth, fst, fst2, names)
             unify(store, depth, snd, snd2, names)
             return
-        case co.VUniv(), co.VUniv():
-            return
-        case co.VNatTy(), co.VNatTy():
-            return
-        case co.VBoolTy(), co.VBoolTy():
-            return
-        case co.VLit(m), co.VLit(n):
-            if m != n:
+        case co.Constant(), co.Constant():
+            if a != b:
                 raise UnifyError("mismatch", _HEADS_DIFFER)
             return
-        case co.VTrue(), co.VTrue():
-            return
-        case co.VFalse(), co.VFalse():
-            return
-        case co.VSucc() | co.VLit(), co.VSucc() | co.VLit():
+        case co.VSucc() | co.Lit(), co.VSucc() | co.Lit():
             # succ x against succ y, or against a literal k > 0 as k - 1.
             x, y = co.vpred(a), co.vpred(b)
             if x is not None and y is not None:

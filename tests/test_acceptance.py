@@ -11,7 +11,7 @@ import pytest
 from conftest import CORPUS, corpus_files
 from tt0 import core as co
 from tt0.cli import main as cli_main
-from tt0.core import Context, VNatTy, kernel_check, normal_form
+from tt0.core import Context, NatTy, kernel_check, normal_form
 from tt0.diagnostics import UnifyError
 from tt0.elab import close_over_signature, closed_definition, elaborate_text
 from tt0.extract import (
@@ -50,8 +50,8 @@ def is_simple_fn(ty: co.Value, mode: Mode) -> bool:
         isinstance(ty, co.VPi)
         and ty.mode is mode
         and ty.icit is Icit.EXPL
-        and ty.dom == VNatTy()
-        and ty.cod.apply(co.vvar(0)) == VNatTy()
+        and ty.dom == NatTy()
+        and ty.cod.apply(co.vvar(0)) == NatTy()
     )
 
 
@@ -81,7 +81,7 @@ def test_acceptance_1_kernel_independence(corpus):
         assert result.store.unsolved() == [], name
         sig = Context()
         for d in result.decls:
-            kernel_check(result.store, sig.erased(), d.ty, co.VUniv())
+            kernel_check(result.store, sig.erased(), d.ty, co.Univ())
             kernel_check(result.store, sig, d.body, d.ty_value)
             sig = sig.define(d.name, W, d.ty_value, d.body_value)
             checked += 1
@@ -95,7 +95,7 @@ def test_acceptance_2_canonicity(corpus):
     programs = 0
     for name, result in corpus.items():
         for d in result.decls:
-            if d.ty_value != VNatTy():
+            if d.ty_value != NatTy():
                 continue
             closed = closed_definition(result, d.name)
             semantic = read_core_numeral(normal_form(result.store, (), closed))
@@ -166,7 +166,7 @@ def test_acceptance_4_non_interference(corpus):
             wrapped = co.Let(
                 "f", closed_type(result, fname), closed, co.App(Z0, EX, co.Var(0), x)
             )
-            kernel_check(result.store, Context(), wrapped, VNatTy())
+            kernel_check(result.store, Context(), wrapped, NatTy())
             assert as_numeral(eval_target(extract(Context(), wrapped))) == constant
     _passed(4, f"non-interference over {len(fns)} erased functions x 3 arguments")
 
@@ -203,8 +203,8 @@ def test_acceptance_7_unification_regressions(corpus):
     )
     # (b) Non-linear and non-pattern spines are rejected.
     store = MetaStore()
-    ctx = Context().bind("x", W, VNatTy()).bind("y", W, VNatTy())
-    m = fresh_meta(store, ctx, VNatTy())
+    ctx = Context().bind("x", W, NatTy()).bind("y", W, NatTy())
+    m = fresh_meta(store, ctx, NatTy())
     entries = store.lookup(0).entries
     x = co.vvar(0)
     nonlinear = co.evaluate((x, x), m)
@@ -215,7 +215,7 @@ def test_acceptance_7_unification_regressions(corpus):
         invert(entries, (co.SFst(W),), store, ctx.depth, ctx.names)
     assert e2.value.reason == "non-pattern"
     with pytest.raises(UnifyError) as e3:
-        solve(store, ctx.depth, 0, co.evaluate((x, co.VLit(0)), m).spine, x)
+        solve(store, ctx.depth, 0, co.evaluate((x, co.Lit(0)), m).spine, x)
     assert e3.value.reason == "non-pattern"
     # (c) Every committed solution kernel-checks in its captured context.
     solutions = 0
@@ -246,7 +246,7 @@ def test_acceptance_8_eliminator_mode_rule(corpus):
     assert corpus["erased_scrutinee_ok"].ok
     # Elimination of erased data computed at the type level really ran:
     used = corpus["erased_scrutinee_ok"].decl("used")
-    assert used.ty_value == VNatTy()
+    assert used.ty_value == NatTy()
     _passed(8, "eliminator scrutinee mode rule")
 
 
@@ -254,8 +254,8 @@ def test_unify_success_implies_conv(corpus):
     # Sanity companion to criterion 7: unification success entails
     # convertibility after solving.
     store = MetaStore()
-    ctx = Context().bind("x", W, VNatTy())
-    m = fresh_meta(store, ctx, VNatTy())
+    ctx = Context().bind("x", W, NatTy())
+    m = fresh_meta(store, ctx, NatTy())
     mv = co.evaluate(ctx.env, m)
     rhs = co.VSucc(co.vvar(0))
     unify(store, ctx.depth, mv, rhs, ctx.names)

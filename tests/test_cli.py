@@ -116,6 +116,33 @@ class TestCheck:
         assert len(excerpt) < 150 and excerpt.startswith("  …") and excerpt.endswith("…")
         assert caret.endswith("^") and excerpt[len(caret) - 1] == "x"
 
+    @pytest.mark.parametrize("brk", ["\f", "\u2028"], ids=["form feed", "U+2028"])
+    def test_excerpt_counts_lines_at_newlines_only(self, capsys, tmp_path, brk):
+        # str.splitlines() also breaks at these; the tokenizer does not.
+        f = tmp_path / "brk.tt0"
+        f.write_text(f"-- a{brk}b\nlet x : Nat = y;", encoding="utf-8")
+        code, _, err = run(capsys, "check", str(f))
+        assert code == 1
+        assert err.splitlines() == [
+            f"{f}:2:15: error: unbound name 'y'",
+            "  let x : Nat = y;",
+            "                ^",
+        ]
+
+    def test_crlf_excerpt_shows_the_line_without_its_carriage_return(self, capsys, tmp_path):
+        f = tmp_path / "crlf.tt0"
+        f.write_bytes(b"-- a\r\nlet x : Nat = y;\r\n")
+        expected = [
+            f"{f}:2:15: error: unbound name 'y'",
+            "  let x : Nat = y;",
+            "                ^",
+        ]
+        code, _, err = run(capsys, "check", str(f))
+        assert code == 1 and err.split("\n") == expected + [""]
+        # The same source given to render as it is, carriage returns and all.
+        diag = Diagnostic("unbound name 'y'", SourceSpan(str(f), 2, 15, 2, 15))
+        assert diag.render(f.read_bytes().decode()).split("\n") == expected
+
     @pytest.mark.parametrize("use_json", [False, True])
     def test_unexpected_exception_is_internal_error(self, capsys, monkeypatch, use_json):
         def broken(result, args):

@@ -14,14 +14,14 @@ from tt0.unify import MetaStore, unify
 X = co.vvar(0)  # a rigid variable; every pair is compared at depth 1
 
 VALUES = {
-    "U": co.VUniv(),
-    "Nat": co.VNatTy(),
-    "Bool": co.VBoolTy(),
-    "0": co.VLit(0),
-    "3": co.VLit(3),
-    "4": co.VLit(4),
-    "true": co.VTrue(),
-    "false": co.VFalse(),
+    "U": co.Univ(),
+    "Nat": co.NatTy(),
+    "Bool": co.BoolTy(),
+    "0": co.Lit(0),
+    "3": co.Lit(3),
+    "4": co.Lit(4),
+    "true": co.TrueTm(),
+    "false": co.FalseTm(),
     "succ x": co.VSucc(X),
     "x": X,
 }

@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+from dataclasses import fields
+from typing import get_type_hints
+
 import pytest
 
 from tt0 import core as co
@@ -15,8 +18,6 @@ from tt0.core import (
     Succ,
     Var,
     VLam,
-    VLit,
-    VNatTy,
     VSucc,
     conv,
     evaluate,
@@ -58,7 +59,7 @@ def beta_oracle_natelim(zcase: int, succ_steps: int, scrut: int) -> int:
 class TestEvaluate:
     def test_beta(self):
         v = evaluate((), app(lam(Var(0)), Lit(0)))
-        assert v == VLit(0)
+        assert v == Lit(0)
 
     def test_natelim_identity_by_recursion(self):
         # natElim with zcase zero and scase (\k ih. succ ih) rebuilds its
@@ -68,14 +69,14 @@ class TestEvaluate:
         t = NatElim(motive, Lit(0), scase, nat(2))
         expected = beta_oracle_natelim(0, 1, 2)
         assert expected == 2
-        assert evaluate((), t) == VLit(2)
+        assert evaluate((), t) == Lit(2)
 
     def test_constructors(self):
-        assert evaluate((), nat(2)) == VLit(2)
+        assert evaluate((), nat(2)) == Lit(2)
 
     def test_let_substitutes(self):
         t = co.Let("y", NatTy(), nat(1), Succ(Var(0)))
-        assert evaluate((), t) == VLit(2)
+        assert evaluate((), t) == Lit(2)
 
     def test_natelim_over_literal_unfolds_like_a_successor_chain(self):
         # natElim P z s (succ p) = s p (natElim P z s p), with s, z and x
@@ -89,8 +90,8 @@ class TestEvaluate:
                 base = co.vapp(co.vapp(s, W, EX, p), W, EX, base)
             return base
 
-        assert co.vnatelim(motive, z, s, VLit(3)) == unfolded(
-            [VLit(0), VLit(1), VLit(2)], z
+        assert co.vnatelim(motive, z, s, Lit(3)) == unfolded(
+            [Lit(0), Lit(1), Lit(2)], z
         )
         stuck = co.VNeutral(co.VarH(2), (co.SNatElim(motive, z, s),))
         assert co.vnatelim(motive, z, s, VSucc(VSucc(VSucc(x)))) == unfolded(
@@ -98,42 +99,42 @@ class TestEvaluate:
         )
 
     def test_successor_of_literal_folds(self):
-        assert evaluate((), Succ(nat(41))) == VLit(42)
+        assert evaluate((), Succ(nat(41))) == Lit(42)
         assert co.succ(nat(41)) == nat(42)
 
 
 class TestForce:
     def test_non_neutral_unchanged(self):
         store = MetaStore()
-        assert force(store, VLit(0)) == VLit(0)
+        assert force(store, Lit(0)) == Lit(0)
 
     def test_unsolved_meta_unchanged(self):
         store = MetaStore()
-        m = fresh_meta(store, Context(), VNatTy())
+        m = fresh_meta(store, Context(), NatTy())
         v = evaluate((), m)
         assert force(store, v) is v
 
     def test_solved_meta_replays_spine(self):
         store = MetaStore()
-        ctx = Context().bind("x", W, VNatTy())
-        m = fresh_meta(store, ctx, VNatTy())  # ?m applied to x
+        ctx = Context().bind("x", W, NatTy())
+        m = fresh_meta(store, ctx, NatTy())  # ?m applied to x
         mv = evaluate(ctx.env, m)
         # Solve ?m := \x. x by unifying against the bound variable.
         unify(store, ctx.depth, mv, co.vvar(0), ctx.names)
-        replayed = force(store, evaluate((VLit(1),), m))
-        assert replayed == VLit(1)
+        replayed = force(store, evaluate((Lit(1),), m))
+        assert replayed == Lit(1)
 
 
 class TestQuote:
     def test_quote_zero(self):
-        assert quote(MetaStore(), 0, VLit(0)) == Lit(0)
+        assert quote(MetaStore(), 0, Lit(0)) == Lit(0)
 
     def test_quote_identity_lambda(self):
         v = evaluate((), lam(Var(0)))
         assert quote(MetaStore(), 0, v) == lam(Var(0))
 
     def test_quote_neutral_application(self):
-        v = co.vapp(co.vvar(0), W, EX, VLit(0))
+        v = co.vapp(co.vvar(0), W, EX, Lit(0))
         assert quote(MetaStore(), 1, v) == app(Var(0), Lit(0))
 
     @pytest.mark.parametrize("k", [0, 1, 5])
@@ -141,6 +142,31 @@ class TestQuote:
         store = MetaStore()
         once = normal_form(store, (), nat(k))
         assert normal_form(store, (), once) == once
+
+
+CONSTANTS = [
+    co.Univ(), NatTy(), co.BoolTy(), Lit(0), Lit(3), co.TrueTm(), co.FalseTm()
+]
+
+
+class TestConstant:
+    """A former without subterms is its own value."""
+
+    @pytest.mark.parametrize("c", CONSTANTS, ids=repr)
+    def test_evaluate_and_quote_return_the_constant_itself(self, c):
+        assert evaluate((), c) is c and evaluate((co.vvar(0),), c) is c
+        assert quote(MetaStore(), 0, c) is c and quote(MetaStore(), 1, c) is c
+
+    def test_the_formers_without_subterms_are_the_constants_and_the_leaves(self):
+        # So a new nullary former is a Constant and gets no value copy.
+        terms = [cls for cls in co.JSON_TAGS if issubclass(cls, co.Term)]
+        nullary = {
+            cls
+            for cls in terms
+            if co.Term not in (get_type_hints(cls)[f.name] for f in fields(cls))
+        }
+        constants = set(co.Constant.__subclasses__())
+        assert constants and nullary == constants | {co.Var, co.Meta, co.InsertedMeta}
 
 
 class TestConv:
@@ -160,19 +186,19 @@ class TestConv:
 
     def test_beta_equality(self):
         store = MetaStore()
-        assert conv(store, 0, evaluate((), app(lam(Var(0)), Lit(0))), VLit(0))
+        assert conv(store, 0, evaluate((), app(lam(Var(0)), Lit(0))), Lit(0))
 
     def test_successor_against_literal(self):
         # succ ?n is convertible with a literal k exactly when ?n := k - 1.
         store = MetaStore()
-        m = fresh_meta(store, Context(), VNatTy())
-        unify(store, 0, evaluate((), m), VLit(4))
+        m = fresh_meta(store, Context(), NatTy())
+        unify(store, 0, evaluate((), m), Lit(4))
         sn = evaluate((), Succ(m))
         assert sn == VSucc(evaluate((), m))  # evaluation does not read the store
-        assert conv(store, 0, sn, VLit(5)) and conv(store, 0, VLit(5), sn)
+        assert conv(store, 0, sn, Lit(5)) and conv(store, 0, Lit(5), sn)
         for k in (0, 1, 4, 6):
-            assert not conv(store, 0, sn, VLit(k))
-        assert not conv(store, 1, VSucc(co.vvar(0)), VLit(1))
+            assert not conv(store, 0, sn, Lit(k))
+        assert not conv(store, 1, VSucc(co.vvar(0)), Lit(1))
 
     def test_eta_for_pairs(self):
         store = MetaStore()
@@ -182,18 +208,18 @@ class TestConv:
 
 
 def nat_fn_ty():
-    return co.VPi("x", W, EX, VNatTy(), co.Closure((), NatTy()))
+    return co.VPi("x", W, EX, NatTy(), co.Closure((), NatTy()))
 
 
 class TestKernel:
     def test_erased_variable_rejected_at_runtime(self):
-        ctx = Context().bind("x", Z0, VNatTy())
+        ctx = Context().bind("x", Z0, NatTy())
         with pytest.raises(KernelError, match="erased variable"):
             kernel_infer(MetaStore(), ctx, Var(0))
 
     def test_erased_variable_usable_under_marker(self):
-        ctx = Context().bind("x", Z0, VNatTy()).erased()
-        assert kernel_infer(MetaStore(), ctx, Var(0)) == VNatTy()
+        ctx = Context().bind("x", Z0, NatTy()).erased()
+        assert kernel_infer(MetaStore(), ctx, Var(0)) == NatTy()
 
     def test_erased_domain_constant_function(self):
         store = MetaStore()
@@ -209,38 +235,38 @@ class TestKernel:
     def test_type_mismatch_reports_both_types(self):
         store = MetaStore()
         with pytest.raises(KernelError, match="expected .*Bool.*got .*Nat"):
-            kernel_check(store, Context(), Lit(0), co.VBoolTy())
+            kernel_check(store, Context(), Lit(0), co.BoolTy())
 
     def test_successor_against_literal_in_a_type(self):
         # v : F (succ ?n) checks against F k only at k = ?n + 1.
         store = MetaStore()
-        m = fresh_meta(store, Context(), VNatTy())
-        unify(store, 0, evaluate((), m), VLit(2))
+        m = fresh_meta(store, Context(), NatTy())
+        unify(store, 0, evaluate((), m), Lit(2))
         fam = evaluate((), Pi("k", W, EX, NatTy(), co.Univ()))
 
         def in_f(n: co.Value) -> co.Value:
             return co.vapp(co.vvar(0), W, EX, n)
 
         ctx = Context().bind("F", Z0, fam).bind("v", W, in_f(evaluate((), Succ(m))))
-        kernel_check(store, ctx, Var(0), in_f(VLit(3)))
+        kernel_check(store, ctx, Var(0), in_f(Lit(3)))
         for k in (0, 2, 4):
             with pytest.raises(KernelError, match="type mismatch"):
-                kernel_check(store, ctx, Var(0), in_f(VLit(k)))
+                kernel_check(store, ctx, Var(0), in_f(Lit(k)))
 
     def test_type_code_rejected_at_runtime(self):
         with pytest.raises(KernelError, match="type code"):
             kernel_infer(MetaStore(), Context(), NatTy())
-        kernel_check(MetaStore(), Context().erased(), NatTy(), co.VUniv())
+        kernel_check(MetaStore(), Context().erased(), NatTy(), co.Univ())
 
     def test_scrutinee_checked_at_ambient_flag(self):
         store = MetaStore()
         motive = Lam("k", W, EX, NatTy())
         scase = Lam("k", W, EX, Lam("ih", W, EX, Succ(Var(0))))
-        ctx = Context().bind("n", Z0, VNatTy())
+        ctx = Context().bind("n", Z0, NatTy())
         t = NatElim(motive, Lit(0), scase, Var(0))
         with pytest.raises(KernelError, match="erased variable"):
             kernel_infer(store, ctx, t)
-        assert kernel_infer(store, ctx.erased(), t) == VNatTy()
+        assert kernel_infer(store, ctx.erased(), t) == NatTy()
 
     def test_erased_first_projection(self):
         store = MetaStore()
@@ -248,8 +274,8 @@ class TestKernel:
         ctx = Context().bind("p", W, sig)
         with pytest.raises(KernelError, match="erased first projection"):
             kernel_infer(store, ctx, co.Fst(Z0, Var(0)))
-        assert kernel_infer(store, ctx.erased(), co.Fst(Z0, Var(0))) == VNatTy()
-        assert kernel_infer(store, ctx, co.Snd(Z0, Var(0))) == VNatTy()
+        assert kernel_infer(store, ctx.erased(), co.Fst(Z0, Var(0))) == NatTy()
+        assert kernel_infer(store, ctx, co.Snd(Z0, Var(0))) == NatTy()
 
     def test_application_mode_annotation_verified(self):
         # The recorded application mode must agree with the function type.
@@ -258,7 +284,7 @@ class TestKernel:
         ctx = Context().bind("f", W, f_ty)
         with pytest.raises(KernelError, match="annotation"):
             kernel_infer(store, ctx, app(Var(0), Lit(0), mode=W))
-        assert kernel_infer(store, ctx, app(Var(0), Lit(0), mode=Z0)) == VNatTy()
+        assert kernel_infer(store, ctx, app(Var(0), Lit(0), mode=Z0)) == NatTy()
 
     def test_projection_mode_annotation_verified(self):
         store = MetaStore()
@@ -266,7 +292,7 @@ class TestKernel:
         ctx = Context().bind("p", W, sig)
         with pytest.raises(KernelError, match="mode"):
             kernel_infer(store, ctx, co.Snd(Z0, Var(0)))
-        assert kernel_infer(store, ctx, co.Snd(W, Var(0))) == VNatTy()
+        assert kernel_infer(store, ctx, co.Snd(W, Var(0))) == NatTy()
 
     def test_pair_mode_annotation_verified(self):
         store = MetaStore()
@@ -304,7 +330,7 @@ class TestCorpusInvariants:
         for result in corpus.values():
             sig = Context()
             for d in result.decls:
-                kernel_check(result.store, sig.erased(), d.ty, co.VUniv())
+                kernel_check(result.store, sig.erased(), d.ty, co.Univ())
                 kernel_check(result.store, sig.erased(), d.body, d.ty_value)
                 sig = sig.define(d.name, W, d.ty_value, d.body_value)
 
@@ -332,7 +358,7 @@ class TestCorpusInvariants:
             depth = len(result.decls)
             for v, _ in values:
                 assert conv(result.store, depth, v, v)
-            nat_values = [v for v, ty in values if ty == VNatTy()]
+            nat_values = [v for v, ty in values if ty == NatTy()]
             for a in nat_values:
                 for b in nat_values:
                     assert conv(result.store, depth, a, b) == conv(

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tt0 import core as co
-from tt0.core import Context, VNatTy, evaluate, kernel_check, normal_form
+from tt0.core import Context, NatTy, evaluate, kernel_check, normal_form
 from tt0.diagnostics import ElabError
 from tt0.elab import ElabState, check, check_erased, elaborate_text, infer, zonk
 from tt0.surface import Icit, Mode, parse_term_text
@@ -22,7 +22,7 @@ def term(src: str):
 def vty(src: str, st_: ElabState | None = None, ctx: Context | None = None):
     st_ = st_ or ElabState()
     ctx = ctx or Context()
-    t = check_erased(st_, ctx, term(src), co.VUniv())
+    t = check_erased(st_, ctx, term(src), co.Univ())
     return evaluate(ctx.env, t)
 
 
@@ -39,15 +39,15 @@ class TestCheck:
 
     def test_erased_variable_at_runtime_is_an_error(self):
         st_ = ElabState()
-        ctx = Context().bind("x", Z0, VNatTy())
+        ctx = Context().bind("x", Z0, NatTy())
         with pytest.raises(ElabError, match="erased variable"):
-            check(st_, ctx, term("x"), VNatTy())
+            check(st_, ctx, term("x"), NatTy())
 
     def test_check_erased_gives_access(self):
         st_ = ElabState()
-        ctx = Context().bind("x", Z0, VNatTy())
+        ctx = Context().bind("x", Z0, NatTy())
         assert ctx.flag is False
-        t = check_erased(st_, ctx, term("x"), VNatTy())
+        t = check_erased(st_, ctx, term("x"), NatTy())
         assert t == co.Var(0)
 
     def test_check_erased_lambda_against_erased_pi(self):
@@ -59,11 +59,11 @@ class TestCheck:
 
     def test_check_erased_allows_elimination_of_erased_scrutinee(self):
         st_ = ElabState()
-        ctx = Context().bind("n", Z0, VNatTy())
+        ctx = Context().bind("n", Z0, NatTy())
         src = "natElim (\\k. Nat) zero (\\k ih. succ ih) n"
         with pytest.raises(ElabError):
-            check(st_, ctx, term(src), VNatTy())
-        t = check_erased(st_, ctx, term(src), VNatTy())
+            check(st_, ctx, term(src), NatTy())
+        t = check_erased(st_, ctx, term(src), NatTy())
         assert isinstance(t, co.NatElim)
 
 
@@ -96,7 +96,7 @@ let one : Nat = id zero;
         sig = Context().define(
             "id", W, r.decls[0].ty_value, r.decls[0].body_value
         )
-        kernel_check(r.store, sig, body, VNatTy())
+        kernel_check(r.store, sig, body, NatTy())
 
     def test_erased_first_projection_rejected(self):
         st_ = ElabState()
@@ -106,7 +106,7 @@ let one : Nat = id zero;
             infer(st_, ctx, term("fst p"))
         t, ty = infer(st_, ctx.erased(), term("fst p"))
         assert t == co.Fst(Z0, co.Var(0))
-        assert ty == VNatTy()
+        assert ty == NatTy()
 
     def test_unbound_name(self):
         with pytest.raises(ElabError, match="unbound"):
@@ -190,7 +190,7 @@ class TestSoundness:
         for name, result in corpus.items():
             sig = Context()
             for d in result.decls:
-                kernel_check(result.store, sig.erased(), d.ty, co.VUniv())
+                kernel_check(result.store, sig.erased(), d.ty, co.Univ())
                 kernel_check(result.store, sig, d.body, d.ty_value)
                 sig = sig.define(d.name, W, d.ty_value, d.body_value)
             if result.main is not None:
@@ -240,15 +240,15 @@ let d : Nat -> Nat = \\x. succ c;
         from tt0.unify import fresh_meta, unify
 
         store = MetaStore()
-        ctx = Context().bind("x", W, VNatTy())
-        b = fresh_meta(store, ctx, VNatTy())
-        f = fresh_meta(store, ctx, VNatTy())
+        ctx = Context().bind("x", W, NatTy())
+        b = fresh_meta(store, ctx, NatTy())
+        f = fresh_meta(store, ctx, NatTy())
         bv = evaluate(ctx.env, b)
         fv = evaluate(ctx.env, f)
         unify(store, ctx.depth, fv, co.VSucc(bv), ctx.names)
         unify(store, ctx.depth, bv, co.vvar(0), ctx.names)
         zonked = zonk(store, f)
-        kernel_check(store, ctx, zonked, VNatTy())
+        kernel_check(store, ctx, zonked, NatTy())
         assert normal_form(store, ctx.env, zonked) == co.Succ(co.Var(0))
 
 
@@ -286,17 +286,17 @@ class TestErasurePhaseSoundness:
     @given(nat_term(3))
     def test_well_moded_terms_elaborate_under_both_flags(self, src):
         st_ = ElabState()
-        t_runtime = check(st_, Context(), term(src), VNatTy())
+        t_runtime = check(st_, Context(), term(src), NatTy())
         st2 = ElabState()
-        t_erased = check(st2, Context(flag=True), term(src), VNatTy())
-        kernel_check(st_.store, Context(), t_runtime, VNatTy())
-        kernel_check(st2.store, Context(flag=True), t_erased, VNatTy())
+        t_erased = check(st2, Context(flag=True), term(src), NatTy())
+        kernel_check(st_.store, Context(), t_runtime, NatTy())
+        kernel_check(st2.store, Context(flag=True), t_erased, NatTy())
 
     @settings(max_examples=60, deadline=None)
     @given(nat_term(3))
     def test_numeral_value_matches_direct_count(self, src):
         st_ = ElabState()
-        t = check(st_, Context(), term(src), VNatTy())
+        t = check(st_, Context(), term(src), NatTy())
         v = normal_form(st_.store, (), t)
         assert isinstance(v, co.Lit)
 
@@ -306,8 +306,8 @@ class TestErasurePhaseSoundness:
         from tt0.extract import as_numeral, eval_target, extract
 
         st_ = ElabState()
-        t = check(st_, Context(), term(src), VNatTy())
-        kernel_check(st_.store, Context(), t, VNatTy())
+        t = check(st_, Context(), term(src), NatTy())
+        kernel_check(st_.store, Context(), t, NatTy())
         core_v = normal_form(st_.store, (), t)
         assert isinstance(core_v, co.Lit)
         assert as_numeral(eval_target(extract(Context(), t))) == core_v.n

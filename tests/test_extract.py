@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from conftest import REPO
 from tt0 import core as co
-from tt0.core import Context, VNatTy
+from tt0.core import Context, NatTy
 from tt0.diagnostics import InternalError
 from tt0.elab import closed_definition, closed_main, elaborate_text
 from tt0.extract import (
@@ -70,7 +70,7 @@ class TestExtract:
         assert alpha_eq(extract(Context(), t), extract(Context(), f))
 
     def test_snd_of_erased_pair_is_identity(self):
-        ctx = Context().bind("p", W, VNatTy())  # type irrelevant to extraction
+        ctx = Context().bind("p", W, NatTy())  # type irrelevant to extraction
         assert extract(ctx, co.Snd(Z0, co.Var(0))) == TVar(0)
 
     def test_marker_context_refused(self):

@@ -11,7 +11,7 @@ from __future__ import annotations
 import random
 
 from tt0 import core as co
-from tt0.core import Context, VNatTy, normal_form
+from tt0.core import Context, NatTy, normal_form
 from tt0.elab import closed_definition, closed_main, elaborate_text
 from tt0.extract import as_numeral, eval_target, extract
 from tt0.translate import sweep
@@ -98,7 +98,7 @@ def test_random_modules_agree_everywhere():
         rows = sweep(result)
         assert all(r.zeroing_ok and r.stripping_ok for r in rows), src
         for d in result.decls:
-            if d.ty_value != VNatTy():
+            if d.ty_value != NatTy():
                 continue
             closed = closed_definition(result, d.name)
             nf = normal_form(result.store, (), closed)

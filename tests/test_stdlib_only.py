@@ -1,0 +1,32 @@
+"""tt0 needs nothing beyond the Python standard library (README)."""
+
+from __future__ import annotations
+
+import ast
+import sys
+
+from conftest import REPO
+
+MODULES = sorted((REPO / "src" / "tt0").glob("*.py"))
+
+
+def absolute_imports(path) -> list[str]:
+    """The top-level name of each absolute import in a module."""
+    names = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
+        if isinstance(node, ast.Import):
+            names += [alias.name.split(".")[0] for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names.append(node.module.split(".")[0])
+    return names
+
+
+def test_every_module_imports_only_the_standard_library():
+    assert MODULES
+    outside = {
+        f"{path.name}: {name}"
+        for path in MODULES
+        for name in absolute_imports(path)
+        if name not in sys.stdlib_module_names
+    }
+    assert not outside

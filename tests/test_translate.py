@@ -3,7 +3,7 @@ from __future__ import annotations
 import pytest
 
 from tt0 import core as co
-from tt0.core import Context, VNatTy, conv, evaluate
+from tt0.core import Context, NatTy, conv, evaluate
 from tt0.diagnostics import KernelError
 from tt0.surface import Icit, Mode
 from tt0.translate import check_zeroing, recheck_stripped, strip_modes, sweep
@@ -16,28 +16,28 @@ EX = Icit.EXPL
 class TestCheckZeroing:
     def test_type_over_runtime_context(self):
         store = MetaStore()
-        ctx = Context().bind("x", W, VNatTy())
-        check_zeroing(store, ctx.erased(), co.NatTy(), co.VUniv())
+        ctx = Context().bind("x", W, NatTy())
+        check_zeroing(store, ctx.erased(), co.NatTy(), co.Univ())
 
     def test_erased_judgment_transports(self):
         store = MetaStore()
-        ctx = Context().bind("x", W, VNatTy()).erased()
-        check_zeroing(store, ctx, co.Var(0), VNatTy())
+        ctx = Context().bind("x", W, NatTy()).erased()
+        check_zeroing(store, ctx, co.Var(0), NatTy())
 
     def test_erased_entry_passes_only_because_of_the_flag(self):
         # Zeroing makes every entry mode 0 under the flag; the kernel reads
         # an entry's mode only without the flag, so the flag alone decides.
         store = MetaStore()
-        ctx = Context().bind("z", Z0, VNatTy())
-        check_zeroing(store, ctx, co.Var(0), VNatTy())
+        ctx = Context().bind("z", Z0, NatTy())
+        check_zeroing(store, ctx, co.Var(0), NatTy())
         with pytest.raises(KernelError, match="erased variable 'z' used at runtime"):
-            co.kernel_check(store, ctx, co.Var(0), VNatTy())
+            co.kernel_check(store, ctx, co.Var(0), NatTy())
 
     def test_corpus_sweep(self, corpus):
         for result in corpus.values():
             sig = Context()
             for d in result.decls:
-                check_zeroing(result.store, sig.erased(), d.ty, co.VUniv())
+                check_zeroing(result.store, sig.erased(), d.ty, co.Univ())
                 check_zeroing(result.store, sig, d.body, d.ty_value)
                 sig = sig.define(d.name, W, d.ty_value, d.body_value)
 

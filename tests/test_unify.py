@@ -3,7 +3,7 @@ from __future__ import annotations
 import pytest
 
 from tt0 import core as co
-from tt0.core import Context, VLit, VNatTy, VSucc, conv, evaluate, force, kernel_check
+from tt0.core import Context, Lit, NatTy, VSucc, conv, evaluate, force, kernel_check
 from tt0.diagnostics import InternalError, KernelError, UnifyError
 from tt0.elab import elaborate_text
 from tt0.surface import Icit, Mode
@@ -28,34 +28,34 @@ def flex(store: MetaStore, ctx: Context, ty) -> co.Value:
 class TestFreshMeta:
     def test_empty_context_bare_meta(self):
         store = MetaStore()
-        t = fresh_meta(store, Context(), VNatTy())
+        t = fresh_meta(store, Context(), NatTy())
         assert t == co.Meta(0)
         assert store.lookup(0).entries == ()
 
     def test_bound_context_inserted_meta(self):
         store = MetaStore()
-        ctx = Context().bind("x", W, VNatTy())
-        t = fresh_meta(store, ctx, VNatTy())
+        ctx = Context().bind("x", W, NatTy())
+        t = fresh_meta(store, ctx, NatTy())
         assert t == co.InsertedMeta(0, (W,))
 
     def test_capture_records_mode_and_flag(self):
         store = MetaStore()
-        ctx = Context().bind("x", Z0, VNatTy()).erased()
-        fresh_meta(store, ctx, VNatTy())
+        ctx = Context().bind("x", Z0, NatTy()).erased()
+        fresh_meta(store, ctx, NatTy())
         entry = store.lookup(0)
         assert entry.flag is True
         assert entry.entries[0].mode is Z0
 
     def test_defined_entries_not_in_mask(self):
         store = MetaStore()
-        ctx = Context().define("d", W, VNatTy(), VLit(0)).bind("x", W, VNatTy())
-        t = fresh_meta(store, ctx, VNatTy())
+        ctx = Context().define("d", W, NatTy(), Lit(0)).bind("x", W, NatTy())
+        t = fresh_meta(store, ctx, NatTy())
         assert t == co.InsertedMeta(0, (None, W))
 
 
 class TestUnify:
     def test_ground(self):
-        unify(MetaStore(), 0, VLit(0), VLit(0))
+        unify(MetaStore(), 0, Lit(0), Lit(0))
 
     def test_pi_mode_mismatch(self):
         store = MetaStore()
@@ -68,7 +68,7 @@ class TestUnify:
         # ?m x y = (x, y)  solves to \x. \y. (x, y)
         store = MetaStore()
         sig_ty = evaluate((), co.Sigma("a", W, co.NatTy(), co.NatTy()))
-        ctx = Context().bind("x", W, VNatTy()).bind("y", W, VNatTy())
+        ctx = Context().bind("x", W, NatTy()).bind("y", W, NatTy())
         mv = flex(store, ctx, sig_ty)
         rhs = co.VPair(W, co.vvar(0), co.vvar(1))
         unify(store, ctx.depth, mv, rhs, ctx.names)
@@ -81,8 +81,8 @@ class TestUnify:
 
     def test_post_unification_convertibility(self):
         store = MetaStore()
-        ctx = Context().bind("x", W, VNatTy())
-        mv = flex(store, ctx, VNatTy())
+        ctx = Context().bind("x", W, NatTy())
+        mv = flex(store, ctx, NatTy())
         rhs = VSucc(co.vvar(0))
         unify(store, ctx.depth, mv, rhs, ctx.names)
         assert conv(store, ctx.depth, force(store, mv), rhs)
@@ -91,31 +91,31 @@ class TestUnify:
         # succ ?m =?= 5 solves ?m := 4, from either side.
         for swap in (False, True):
             store = MetaStore()
-            lhs, rhs = VSucc(flex(store, Context(), VNatTy())), VLit(5)
+            lhs, rhs = VSucc(flex(store, Context(), NatTy())), Lit(5)
             unify(store, 0, *((rhs, lhs) if swap else (lhs, rhs)))
             assert store.lookup(0).solution_closed == co.Lit(4)
-            assert force(store, evaluate((), co.Meta(0))) == VLit(4)
+            assert force(store, evaluate((), co.Meta(0))) == Lit(4)
 
     def test_literal_mismatches(self):
         store = MetaStore()
-        m = flex(store, Context(), VNatTy())
-        for a, b in [(VLit(2), VLit(3)), (VSucc(m), VLit(0)), (VSucc(VSucc(m)), VLit(1))]:
+        m = flex(store, Context(), NatTy())
+        for a, b in [(Lit(2), Lit(3)), (VSucc(m), Lit(0)), (VSucc(VSucc(m)), Lit(1))]:
             with pytest.raises(UnifyError, match="different head constructors"):
                 unify(store, 0, a, b)
         assert not store.lookup(0).solved
 
     def test_flex_flex_distinct_solves_one_side(self):
         store = MetaStore()
-        ctx = Context().bind("x", W, VNatTy())
-        m1 = flex(store, ctx, VNatTy())
-        m2 = flex(store, ctx, VNatTy())
+        ctx = Context().bind("x", W, NatTy())
+        m1 = flex(store, ctx, NatTy())
+        m2 = flex(store, ctx, NatTy())
         unify(store, ctx.depth, m1, m2, ctx.names)
         assert store.lookup(0).solved or store.lookup(1).solved
 
     def test_spine_mismatch_same_meta(self):
         store = MetaStore()
-        ctx = Context().bind("x", W, VNatTy()).bind("y", W, VNatTy())
-        m = fresh_meta(store, ctx, VNatTy())
+        ctx = Context().bind("x", W, NatTy()).bind("y", W, NatTy())
+        m = fresh_meta(store, ctx, NatTy())
         v1 = evaluate((co.vvar(0), co.vvar(1)), m)
         v2 = evaluate((co.vvar(1), co.vvar(0)), m)
         with pytest.raises(UnifyError, match="variables"):
@@ -130,8 +130,8 @@ def spine_of(v: co.Value) -> tuple[co.SpineItem, ...]:
 class TestInvert:
     def setup_method(self):
         self.store = MetaStore()
-        self.ctx = Context().bind("x", W, VNatTy()).bind("y", W, VNatTy())
-        self.meta = fresh_meta(self.store, self.ctx, VNatTy())
+        self.ctx = Context().bind("x", W, NatTy()).bind("y", W, NatTy())
+        self.meta = fresh_meta(self.store, self.ctx, NatTy())
         self.entries = self.store.lookup(0).entries
 
     def test_distinct_variables(self):
@@ -154,7 +154,7 @@ class TestInvert:
             invert((), spine, self.store, 1)
 
     def test_non_pattern_constant_argument(self):
-        v = evaluate((VLit(0), co.vvar(1)), self.meta)
+        v = evaluate((Lit(0), co.vvar(1)), self.meta)
         with pytest.raises(UnifyError, match="non-pattern"):
             invert(self.entries, spine_of(v), self.store, self.ctx.depth)
 
@@ -162,7 +162,7 @@ class TestInvert:
 class TestRename:
     def test_occurs_check(self):
         store = MetaStore()
-        m = fresh_meta(store, Context(), VNatTy())
+        m = fresh_meta(store, Context(), NatTy())
         pren = PartialRenaming(dom=0, cod=0, map={})
         rhs = VSucc(evaluate((), m))
         with pytest.raises(UnifyError, match="occurs"):
@@ -170,7 +170,7 @@ class TestRename:
 
     def test_scope_check(self):
         store = MetaStore()
-        fresh_meta(store, Context(), VNatTy())
+        fresh_meta(store, Context(), NatTy())
         pren = PartialRenaming(dom=0, cod=1, map={})
         with pytest.raises(UnifyError, match="scope"):
             rename(store, 0, pren, co.vvar(0), names=("y",))
@@ -179,8 +179,8 @@ class TestRename:
         # Meta captured outside the erased fragment must not use z :0 Nat
         # at a runtime position of its solution.
         store = MetaStore()
-        ctx = Context().bind("z", Z0, VNatTy())
-        m = fresh_meta(store, ctx, VNatTy())
+        ctx = Context().bind("z", Z0, NatTy())
+        m = fresh_meta(store, ctx, NatTy())
         entry = store.lookup(0)
         assert entry.flag is False
         spine = spine_of(evaluate(ctx.env, m))
@@ -191,8 +191,8 @@ class TestRename:
 
     def test_same_solution_allowed_under_marker(self):
         store = MetaStore()
-        ctx = Context().bind("z", Z0, VNatTy()).erased()
-        m = fresh_meta(store, ctx, VNatTy())
+        ctx = Context().bind("z", Z0, NatTy()).erased()
+        m = fresh_meta(store, ctx, NatTy())
         spine = spine_of(evaluate(ctx.env, m))
         solve(store, ctx.depth, 0, spine, VSucc(co.vvar(0)), ctx.names)
         assert store.lookup(0).solution_closed == co.Lam(
@@ -204,8 +204,8 @@ class TestRename:
         # solution even when the meta itself is a runtime meta.
         store = MetaStore()
         fn_ty = evaluate((), co.Pi("a", Z0, EX, co.NatTy(), co.NatTy()))
-        ctx = Context().bind("f", W, fn_ty).bind("z", Z0, VNatTy())
-        m = fresh_meta(store, ctx, VNatTy())
+        ctx = Context().bind("f", W, fn_ty).bind("z", Z0, NatTy())
+        m = fresh_meta(store, ctx, NatTy())
         spine = spine_of(evaluate(ctx.env, m))
         rhs = co.vapp(co.vvar(0), Z0, EX, co.vvar(1))  # f z, argument erased
         solve(store, ctx.depth, 0, spine, rhs, ctx.names)
@@ -229,13 +229,13 @@ class TestRenameRefusals:
     """The exact reason and message of each refusal of a solution."""
 
     def test_type_code_for_runtime_meta_of_type_universe(self):
-        got = refusal(MetaStore(), Context(), co.VUniv(), VNatTy())
+        got = refusal(MetaStore(), Context(), co.Univ(), NatTy())
         assert got == ("mode", f"solution would place the Nat type {OUTSIDE}")
 
     def test_erased_first_projection_at_runtime(self):
         pair_ty = evaluate((), co.Sigma("a", Z0, co.NatTy(), co.NatTy()))
         ctx = Context().bind("p", W, pair_ty)
-        got = refusal(MetaStore(), ctx, VNatTy(), co.vfst(Z0, co.vvar(0)))
+        got = refusal(MetaStore(), ctx, NatTy(), co.vfst(Z0, co.vvar(0)))
         assert got == ("mode", f"solution would use an erased first projection {OUTSIDE}")
 
     def test_erased_binder_of_the_solution_is_named_by_level(self):
@@ -249,9 +249,9 @@ class TestRenameRefusals:
         store = MetaStore()
         ctx = (
             Context()
-            .bind("A", Z0, co.VUniv())
+            .bind("A", Z0, co.Univ())
             .bind("c", W, co.vvar(0))
-            .bind("n", W, VNatTy())
+            .bind("n", W, NatTy())
         )
         m = fresh_meta(store, ctx, co.vvar(0))
         body = co.NatElim(
@@ -269,7 +269,7 @@ class TestRenameRefusals:
         store = MetaStore()
         fn_ty = evaluate((), co.Pi("a", W, EX, co.NatTy(), co.NatTy()))
         ctx = Context().bind("f", W, fn_ty)
-        m = fresh_meta(store, ctx, VNatTy())
+        m = fresh_meta(store, ctx, NatTy())
         mv = evaluate(ctx.env, m)
         rhs = co.vapp(co.vvar(0), W, EX, mv)
         with pytest.raises(UnifyError) as e:
@@ -283,8 +283,8 @@ class TestRenameRefusals:
         # ?m z = g z, where g is not in ?m's scope and z :0 Nat is erased.
         store = MetaStore()
         fn_ty = evaluate((), co.Pi("a", W, EX, co.NatTy(), co.NatTy()))
-        ctx = Context().bind("g", W, fn_ty).bind("z", Z0, VNatTy())
-        m = fresh_meta(store, Context().bind("z", Z0, VNatTy()), VNatTy())
+        ctx = Context().bind("g", W, fn_ty).bind("z", Z0, NatTy())
+        m = fresh_meta(store, Context().bind("z", Z0, NatTy()), NatTy())
         spine = spine_of(evaluate((co.vvar(1),), m))
         rhs = co.vapp(co.vvar(0), W, EX, co.vvar(1))
         with pytest.raises(UnifyError) as e:
@@ -298,8 +298,8 @@ class TestRenameRefusals:
 class TestSolve:
     def test_succ_solution(self):
         store = MetaStore()
-        ctx = Context().bind("x", W, VNatTy())
-        m = fresh_meta(store, ctx, VNatTy())
+        ctx = Context().bind("x", W, NatTy())
+        m = fresh_meta(store, ctx, NatTy())
         solve(store, 1, 0, spine_of(evaluate(ctx.env, m)), VSucc(co.vvar(0)), ("x",))
         assert store.lookup(0).solution_closed == co.Lam(
             "x", W, EX, co.Succ(co.Var(0))
@@ -309,14 +309,14 @@ class TestSolve:
     def test_type_meta_solution(self):
         store = MetaStore()
         ctx = Context().erased()
-        fresh_meta(store, ctx, co.VUniv())
-        solve(store, 0, 0, (), VNatTy())
+        fresh_meta(store, ctx, co.Univ())
+        solve(store, 0, 0, (), NatTy())
         assert store.lookup(0).solution_closed == co.NatTy()
 
     def test_scope_error_names_variable(self):
         store = MetaStore()
-        ctx = Context().bind("x", W, VNatTy()).bind("y", W, VNatTy())
-        m = fresh_meta(store, Context().bind("x", W, VNatTy()), VNatTy())
+        ctx = Context().bind("x", W, NatTy()).bind("y", W, NatTy())
+        m = fresh_meta(store, Context().bind("x", W, NatTy()), NatTy())
         v = evaluate((co.vvar(0),), m)
         with pytest.raises(UnifyError, match="scope.*y|y.*scope"):
             solve(store, ctx.depth, 0, spine_of(v), co.vvar(1), ctx.names)
@@ -326,10 +326,10 @@ class TestSolve:
             raise KernelError("refused")
 
         store = MetaStore()
-        fresh_meta(store, Context().erased(), co.VUniv())
+        fresh_meta(store, Context().erased(), co.Univ())
         monkeypatch.setattr(co, "kernel_check", refuse)
         with pytest.raises(InternalError, match=r"ill-typed solution for \?0: refused"):
-            solve(store, 0, 0, (), VNatTy())
+            solve(store, 0, 0, (), NatTy())
         assert not store.lookup(0).solved
 
     def test_stack_overflow_in_recheck_is_not_an_ill_typed_solution(self, monkeypatch):
@@ -337,17 +337,17 @@ class TestSolve:
             raise RecursionError("maximum recursion depth exceeded")
 
         store = MetaStore()
-        fresh_meta(store, Context().erased(), co.VUniv())
+        fresh_meta(store, Context().erased(), co.Univ())
         monkeypatch.setattr(co, "kernel_check", overflow)
         with pytest.raises(RecursionError):
-            solve(store, 0, 0, (), VNatTy())
+            solve(store, 0, 0, (), NatTy())
         assert not store.lookup(0).solved
 
     def test_solution_with_defined_prefix_uses_let(self):
         store = MetaStore()
-        ctx = Context().define("d", W, VNatTy(), VLit(1))
-        fresh_meta(store, ctx, VNatTy())
-        solve(store, ctx.depth, 0, (), VLit(1))
+        ctx = Context().define("d", W, NatTy(), Lit(1))
+        fresh_meta(store, ctx, NatTy())
+        solve(store, ctx.depth, 0, (), Lit(1))
         sol = store.lookup(0).solution_closed
         assert isinstance(sol, co.Let)
         assert store.lookup(0).solution_body == co.Lit(1)
@@ -450,8 +450,8 @@ class TestRenameAgainstQuote:
         # The walk takes one frame per successor, as readback and the
         # kernel do; anything more overflows under the tests' limit.
         store = MetaStore()
-        ctx = Context().bind("x", W, VNatTy())
-        m = fresh_meta(store, ctx, VNatTy())
+        ctx = Context().bind("x", W, NatTy())
+        m = fresh_meta(store, ctx, NatTy())
         rhs = co.vvar(0)
         for _ in range(40_000):
             rhs = VSucc(rhs)
