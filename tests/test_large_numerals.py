@@ -1,5 +1,5 @@
-"""Numerals and JSON trees as large as memory allows, at the interpreter's
-default stack.
+"""Numerals, JSON trees and chains of definitions as large as memory
+allows, at the interpreter's default stack.
 
 The suite's `conftest` raises the recursion limit; these tests run in a
 fresh interpreter so that the default limit applies.
@@ -129,3 +129,33 @@ def test_function_of_a_large_literal_runs_at_default_recursion_limit(tmp_path):
     run = python("-m", "tt0", "run", str(f), "--json")
     assert run.returncode == 0, run.stderr[-2000:]
     assert run.stdout.endswith(', "numeral": 200007}\n')
+
+
+def test_chains_of_definitions_at_default_recursion_limit():
+    # Each value is read back after the whole chain is bound, so a value
+    # that is computed only when first read must not nest one call per link.
+    decls = "let a0 : Nat = 0;\n" + "".join(
+        f"let a{i} : Nat = succ a{i - 1};\n" for i in range(1, 2001)
+    )
+    lets = "".join(f"let x{i} : Nat = succ x{i - 1} in " for i in range(1, 301))
+    nested = f"main = let x0 : Nat = 0 in {lets}x300;\n"
+    script = textwrap.dedent(
+        """
+        import sys
+        from tt0 import translate
+        from tt0.core import normal_form, quote
+        from tt0.elab import closed_main, elaborate_text
+
+        assert sys.getrecursionlimit() == 1000, sys.getrecursionlimit()
+        r = elaborate_text(sys.argv[1])
+        assert r.ok, [e.message for e in r.errors]
+        assert all(row.zeroing_ok and row.stripping_ok for row in translate.sweep(r))
+        print(quote(r.store, 0, r.decls[-1].body_value))
+        r = elaborate_text(sys.argv[2])
+        assert r.ok, [e.message for e in r.errors]
+        print(normal_form(r.store, (), closed_main(r)))
+        """
+    )
+    proc = python("-c", script, decls, nested)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert proc.stdout.splitlines() == ["Lit(n=2000)", "Lit(n=300)"]
