@@ -221,7 +221,50 @@ def map_subterms(t: Term, f: Callable[[Term, int], Term], depth: int = 0) -> Ter
 # Values
 
 
-Env = tuple[Value, ...]
+Env = tuple["Value | Thunk", ...]
+
+
+class Thunk:
+    """A term delayed in its environment until forced, then its value.
+
+    Only environments hold thunks, and `evaluate` forces one where a
+    variable reads it, so `quote`, `conv`, `unify` and the kernel never
+    meet one.  A definition's thunk links to the thunk directly below it in
+    its environment (see `definition`).  Forcing follows those links down
+    to the oldest unforced thunk and evaluates the pending thunks oldest
+    first, in a loop, so a chain of definitions is forced without one
+    Python call per link.
+    """
+
+    __slots__ = ("env", "term", "below", "value")
+
+    def __init__(self, env: Env, term: Term, below: Thunk | None = None):
+        self.env, self.term, self.below = env, term, below
+        self.value: Value | None = None
+
+    def force(self) -> Value:
+        if self.value is None:
+            pending = []
+            th = self
+            while th is not None and th.value is None:
+                pending.append(th)
+                th = th.below
+            for th in reversed(pending):
+                th.value = evaluate(th.env, th.term)
+                th.env = th.term = th.below = None
+        return self.value
+
+
+def definition(env: Env, term: Term) -> Thunk:
+    """The delayed value of a definition: `term` in `env`, linked to the
+    entry directly below it when that entry is a thunk."""
+    below = env[-1] if env and type(env[-1]) is Thunk else None
+    return Thunk(env, term, below)
+
+
+def entry_value(entry: Value | Thunk) -> Value:
+    """The value of an environment entry, forced if it is a thunk."""
+    return entry.force() if type(entry) is Thunk else entry
 
 
 @dataclass(frozen=True)
@@ -229,7 +272,7 @@ class Closure:
     env: Env
     body: Term
 
-    def apply(self, arg: Value) -> Value:
+    def apply(self, arg: Value | Thunk) -> Value:
         return evaluate(self.env + (arg,), self.body)
 
 
@@ -346,13 +389,14 @@ def is_flex(v: Value) -> bool:
 
 # ---------------------------------------------------------------------------
 # Evaluation.  Pure in the meta store: unsolved and solved metas alike
-# evaluate to flexible neutrals; `force` consults the store.
+# evaluate to flexible neutrals; `force` consults the store.  Call-by-need
+# for definitions: a `let` binds a thunk of its value.
 
 
 def evaluate(env: Env, t: Term) -> Value:
     match t:
         case Var(ix):
-            return env[len(env) - 1 - ix]
+            return entry_value(env[len(env) - 1 - ix])
         case Lam(name, mode, icit, body):
             return VLam(name, mode, icit, Closure(env, body))
         case App(mode, icit, fn, arg):
@@ -386,14 +430,14 @@ def evaluate(env: Env, t: Term) -> Value:
                 evaluate(env, scrut),
             )
         case Let(_, _, defn, body):
-            return evaluate(env + (evaluate(env, defn),), body)
+            return evaluate(env + (definition(env, defn),), body)
         case Meta(mid):
             return VNeutral(MetaH(mid))
         case InsertedMeta(mid, mask):
             v: Value = VNeutral(MetaH(mid))
             for i, m in enumerate(mask):
                 if m is not None:
-                    v = vapp(v, m, Icit.EXPL, env[i])
+                    v = vapp(v, m, Icit.EXPL, entry_value(env[i]))
             return v
     raise AssertionError(f"unhandled term {t!r}")
 
@@ -672,13 +716,15 @@ class Context:
             self.entries + (entry,), self.env + (vvar(self.depth),), self.flag, self.top
         )
 
-    def define(self, name: str, mode: Mode, ty: Value, value: Value) -> Context:
+    def define(self, name: str, mode: Mode, ty: Value, value: Value | Thunk) -> Context:
         entry = CtxEntry(name, mode, ty, defined=True)
         return Context(
             self.entries + (entry,), self.env + (value,), self.flag, self.top
         )
 
-    def declare(self, name: str, ty: Value, value: Value | None = None) -> Context:
+    def declare(
+        self, name: str, ty: Value, value: Value | Thunk | None = None
+    ) -> Context:
         """Add a top-level declaration to a signature (a context of top-level
         entries only); opaque when `value` is None."""
         if value is None:
@@ -771,7 +817,7 @@ def kernel_infer(store: "MetaStore", ctx: Context, t: Term) -> Value:
                 )
             arg_ctx = ctx.erased() if mode is Mode.ZERO else ctx
             kernel_check(store, arg_ctx, arg, fn_ty.dom)
-            return fn_ty.cod.apply(evaluate(ctx.env, arg))
+            return fn_ty.cod.apply(Thunk(ctx.env, arg))
         case Pi(name, mode, _, dom, cod):
             _require_erased(ctx, "dependent function type")
             kernel_check(store, ctx.erased(), dom, Univ())
@@ -829,12 +875,12 @@ def kernel_infer(store: "MetaStore", ctx: Context, t: Term) -> Value:
                 raise KernelError("second projection of a non-pair")
             if pair_ty.mode is not mode:
                 raise KernelError("projection mode does not match pair type")
-            return pair_ty.snd_ty.apply(vfst(mode, evaluate(ctx.env, pair)))
+            return pair_ty.snd_ty.apply(Thunk(ctx.env, Fst(mode, pair)))
         case Let(name, ty, defn, body):
             kernel_check(store, ctx.erased(), ty, Univ())
             ty_v = evaluate(ctx.env, ty)
             kernel_check(store, ctx, defn, ty_v)
-            inner = ctx.define(name, Mode.OMEGA, ty_v, evaluate(ctx.env, defn))
+            inner = ctx.define(name, Mode.OMEGA, ty_v, definition(ctx.env, defn))
             return kernel_infer(store, inner, body)
         case Meta(mid):
             return store.lookup(mid).closed_ty_value
@@ -880,7 +926,7 @@ def kernel_check(store: "MetaStore", ctx: Context, t: Term, expected: Value) -> 
                 raise KernelError("pair mode does not match pair type mode")
             fst_ctx = ctx.erased() if mode is Mode.ZERO else ctx
             kernel_check(store, fst_ctx, fst, fst_ty)
-            kernel_check(store, ctx, snd, snd_ty.apply(evaluate(ctx.env, fst)))
+            kernel_check(store, ctx, snd, snd_ty.apply(Thunk(ctx.env, fst)))
             return
         case Pair(), _:
             raise KernelError(
@@ -891,7 +937,7 @@ def kernel_check(store: "MetaStore", ctx: Context, t: Term, expected: Value) -> 
             kernel_check(store, ctx.erased(), ty, Univ())
             ty_v = evaluate(ctx.env, ty)
             kernel_check(store, ctx, defn, ty_v)
-            inner = ctx.define(name, Mode.OMEGA, ty_v, evaluate(ctx.env, defn))
+            inner = ctx.define(name, Mode.OMEGA, ty_v, definition(ctx.env, defn))
             kernel_check(store, inner, body, expected)
             return
         case _:

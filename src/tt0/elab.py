@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 from . import core as co
 from . import surface as sf
-from .core import Context, Term, Value, evaluate, force, quote
+from .core import Context, Term, Thunk, Value, definition, evaluate, force, quote
 from .diagnostics import Diagnostic, ElabError, InternalError, SourceSpan, UnifyError
 from .surface import Icit, Mode
 from .unify import MetaStore, fresh_meta, unify
@@ -34,7 +34,11 @@ class DeclInfo:
     ty: Term  # zonked, at the depth of the preceding declarations
     body: Term  # zonked, same depth
     ty_value: Value
-    body_value: Value
+    body_thunk: Thunk  # the value, computed when first read
+
+    @property
+    def body_value(self) -> Value:
+        return self.body_thunk.force()
 
 
 @dataclass
@@ -82,7 +86,7 @@ def insert_implicits(
         arg_ctx = ctx.erased() if ty.mode is Mode.ZERO else ctx
         m = fresh_meta(st.store, arg_ctx, ty.dom, span)
         term = co.App(ty.mode, Icit.IMPL, term, m)
-        ty = force(st.store, ty.cod.apply(evaluate(ctx.env, m)))
+        ty = force(st.store, ty.cod.apply(Thunk(ctx.env, m)))
     return term, ty
 
 
@@ -124,13 +128,13 @@ def check(st: ElabState, ctx: Context, t: sf.Surface, expected: Value) -> Term:
         case sf.SPair(fst=fst, snd=snd), co.VSigma(_, mode, fst_ty, snd_ty):
             fst_ctx = ctx.erased() if mode is Mode.ZERO else ctx
             fst_t = check(st, fst_ctx, fst, fst_ty)
-            snd_t = check(st, ctx, snd, snd_ty.apply(evaluate(ctx.env, fst_t)))
+            snd_t = check(st, ctx, snd, snd_ty.apply(Thunk(ctx.env, fst_t)))
             return co.Pair(mode, fst_t, snd_t)
         case sf.SLet(name=name, ty=ty, defn=defn, body=body), _:
             ty_t = check_type(st, ctx, ty)
             ty_v = evaluate(ctx.env, ty_t)
             defn_t = check(st, ctx, defn, ty_v)
-            inner = ctx.define(name, Mode.OMEGA, ty_v, evaluate(ctx.env, defn_t))
+            inner = ctx.define(name, Mode.OMEGA, ty_v, definition(ctx.env, defn_t))
             body_t = check(st, inner, body, expected)
             return co.Let(name, ty_t, defn_t, body_t)
         case sf.SHole(), _:
@@ -195,7 +199,7 @@ def infer(st: ElabState, ctx: Context, t: sf.Surface) -> tuple[Term, Value]:
                 arg_t = check_erased(st, ctx, arg, fn_ty.dom)
             else:
                 arg_t = check(st, ctx, arg, fn_ty.dom)
-            res_ty = fn_ty.cod.apply(evaluate(ctx.env, arg_t))
+            res_ty = fn_ty.cod.apply(Thunk(ctx.env, arg_t))
             return co.App(fn_ty.mode, icit, fn_t, arg_t), res_ty
         case sf.SLam(name=name, mode=mode, ann=ann, icit=icit, body=body):
             if icit is Icit.IMPL:
@@ -248,13 +252,13 @@ def infer(st: ElabState, ctx: Context, t: sf.Surface) -> tuple[Term, Value]:
             if not isinstance(pair_ty, co.VSigma):
                 got = co.pp(quote(st.store, ctx.depth, pair_ty), ctx.names)
                 raise ElabError(f"projecting from a non-pair of type {got}", t.span)
-            fst_v = co.vfst(pair_ty.mode, evaluate(ctx.env, pair_t))
+            fst_v = Thunk(ctx.env, co.Fst(pair_ty.mode, pair_t))
             return co.Snd(pair_ty.mode, pair_t), pair_ty.snd_ty.apply(fst_v)
         case sf.SLet(name=name, ty=ty, defn=defn, body=body):
             ty_t = check_type(st, ctx, ty)
             ty_v = evaluate(ctx.env, ty_t)
             defn_t = check(st, ctx, defn, ty_v)
-            inner = ctx.define(name, Mode.OMEGA, ty_v, evaluate(ctx.env, defn_t))
+            inner = ctx.define(name, Mode.OMEGA, ty_v, definition(ctx.env, defn_t))
             body_t, body_ty = infer(st, inner, body)
             return co.Let(name, ty_t, defn_t, body_t), body_ty
         case sf.SUniv():
@@ -364,9 +368,9 @@ def elaborate_module(m: sf.Module) -> ElabResult:
                 # later declarations can still mention it.
                 sig = sig.declare(decl.name, ty_v)
             continue
-        body_v = evaluate(sig.env, body_t)
-        decls.append(DeclInfo(decl.name, decl.span, ty_t, body_t, ty_v, body_v))
-        sig = sig.declare(decl.name, ty_v, body_v)
+        body_th = definition(sig.env, body_t)
+        decls.append(DeclInfo(decl.name, decl.span, ty_t, body_t, ty_v, body_th))
+        sig = sig.declare(decl.name, ty_v, body_th)
 
     main: tuple[Term, Value] | None = None
     if m.main is not None:
@@ -400,7 +404,7 @@ def elaborate_module(m: sf.Module) -> ElabResult:
         ty_t = zonk(st.store, d.ty)
         body_t = zonk(st.store, d.body)
         ty_v = evaluate(sig.env, ty_t)
-        body_v = evaluate(sig.env, body_t)
+        body_th = definition(sig.env, body_t)
         try:
             co.kernel_check(st.store, sig.erased(), ty_t, co.Univ())
             co.kernel_check(st.store, sig, body_t, ty_v)
@@ -408,8 +412,8 @@ def elaborate_module(m: sf.Module) -> ElabResult:
             raise InternalError(
                 f"kernel rejected elaborated declaration {d.name!r}: {e.message}"
             ) from e
-        zonked.append(DeclInfo(d.name, d.span, ty_t, body_t, ty_v, body_v))
-        sig = sig.declare(d.name, ty_v, body_v)
+        zonked.append(DeclInfo(d.name, d.span, ty_t, body_t, ty_v, body_th))
+        sig = sig.declare(d.name, ty_v, body_th)
     if main is not None:
         main_t = zonk(st.store, main[0])
         main_ty_t = zonk(st.store, quote(st.store, sig.depth, main[1]))

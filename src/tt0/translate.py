@@ -92,8 +92,8 @@ def sweep(result: ElabResult) -> list[SweepRow]:
             strip_ok = False
             detail = e.message
         rows.append(SweepRow(d.name, zero_ok, strip_ok, detail))
-        sig = sig.define(d.name, Mode.OMEGA, d.ty_value, d.body_value)
+        sig = sig.define(d.name, Mode.OMEGA, d.ty_value, d.body_thunk)
         s_ty_v = evaluate(stripped_sig.env, s_ty)
-        s_body_v = evaluate(stripped_sig.env, s_body)
-        stripped_sig = stripped_sig.define(d.name, Mode.OMEGA, s_ty_v, s_body_v)
+        s_body_th = co.definition(stripped_sig.env, s_body)
+        stripped_sig = stripped_sig.define(d.name, Mode.OMEGA, s_ty_v, s_body_th)
     return rows

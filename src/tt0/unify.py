@@ -92,7 +92,7 @@ def capture_context(store: MetaStore, ctx: Context) -> tuple[CapturedEntry, ...]
     for lvl in range(ctx.top, ctx.depth):
         entry = ctx.entries[lvl]
         ty = quote(store, lvl, entry.ty)
-        defn = quote(store, lvl, ctx.env[lvl]) if entry.defined else None
+        defn = quote(store, lvl, co.entry_value(ctx.env[lvl])) if entry.defined else None
         captured.append(CapturedEntry(entry.name, entry.mode, ty, defn))
     return tuple(captured)
 

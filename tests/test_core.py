@@ -6,6 +6,7 @@ from typing import get_type_hints
 import pytest
 
 from tt0 import core as co
+from tt0 import translate
 from tt0.cli import _dumps
 from tt0.core import (
     App,
@@ -26,8 +27,10 @@ from tt0.core import (
     kernel_infer,
     normal_form,
     quote,
+    Thunk,
 )
 from tt0.diagnostics import KernelError
+from tt0.elab import elaborate_text
 from tt0.surface import Icit, Mode
 from tt0.unify import MetaStore, fresh_meta, unify
 
@@ -101,6 +104,81 @@ class TestEvaluate:
     def test_successor_of_literal_folds(self):
         assert evaluate((), Succ(nat(41))) == Lit(42)
         assert co.succ(nat(41)) == nat(42)
+
+
+PRELUDE = (
+    "let id : {A :0 U} -> A -> A = \\{A} x. x;\n"
+    "let plus : Nat -> Nat -> Nat = \\m n.\n"
+    "  natElim (\\k. Nat) n (\\k ih. succ ih) m;\n"
+    "let mult : Nat -> Nat -> Nat = \\m n.\n"
+    "  natElim (\\k. Nat) zero (\\k ih. plus n ih) m;\n"
+)
+
+
+@pytest.fixture
+def natelim_calls(monkeypatch):
+    """The argument tuples of every call of `core.vnatelim`, in order."""
+    calls = []
+    real = co.vnatelim
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(co, "vnatelim", counted)
+    return calls
+
+
+class TestCallByNeed:
+    def test_definition_links_to_the_thunk_below(self):
+        a = co.definition((), nat(1))
+        b = co.definition((a,), Succ(Var(0)))
+        assert b.below is a
+        assert co.definition((a, Lit(0)), Var(0)).below is None
+        assert Thunk((a,), Var(0)).below is None  # an argument is never linked
+
+    def test_forcing_a_definition_forces_the_ones_below_first(self):
+        a = co.definition((), nat(1))
+        b = co.definition((a,), Succ(Var(0)))
+        c = co.definition((a, b), Succ(Var(0)))
+        assert c.force() == Lit(3)
+        assert (a.value, b.value) == (Lit(1), Lit(2))
+        for th in (a, b, c):
+            assert th.env is th.term is th.below is None
+
+    def test_let_value_is_not_computed_unless_read(self, natelim_calls):
+        plus3 = NatElim(lam(NatTy()), Lit(0), lam(lam(Succ(Var(0)))), nat(3))
+        t = co.Let("y", NatTy(), plus3, nat(5))
+        assert evaluate((), t) == Lit(5)
+        assert natelim_calls == []
+
+    def test_chain_elaborates_and_sweeps_without_computing_values(self, natelim_calls):
+        links = "".join(
+            f"let d{i} : Nat = id (plus d{i - 1} 1);\n" for i in range(1, 65)
+        )
+        r = elaborate_text(PRELUDE + "let d0 : Nat = 0;\n" + links)
+        assert r.ok, [e.message for e in r.errors]
+        assert all(row.zeroing_ok and row.stripping_ok for row in translate.sweep(r))
+        assert natelim_calls == []
+        assert quote(r.store, 0, r.decl("d64").body_value) == Lit(64)
+        assert natelim_calls
+
+    def test_codomain_argument_is_not_computed(self, natelim_calls):
+        r = elaborate_text(PRELUDE + "main = id (mult 30 30);\n")
+        assert r.ok, [e.message for e in r.errors]
+        assert natelim_calls == []
+
+    def test_definition_value_is_computed_once(self, natelim_calls):
+        r = elaborate_text(PRELUDE + "let p : Nat = plus 3 4;\n")
+        assert r.ok, [e.message for e in r.errors]
+        assert natelim_calls == []
+        first = r.decl("p").body_value
+        assert first == Lit(7)
+        calls = len(natelim_calls)
+        assert calls > 0
+        second = r.decl("p").body_value
+        assert second is first
+        assert len(natelim_calls) == calls
 
 
 class TestForce:
