@@ -110,10 +110,11 @@ class _Reporter:
 
 
 def _load(path: str) -> str:
-    """The text of a source file; an unreadable or non-UTF-8 file is a
-    diagnostic."""
+    """The text of a source file, line breaks as they are, so that the
+    tokenizer sees what the library sees; an unreadable or non-UTF-8 file
+    is a diagnostic."""
     try:
-        with open(path, encoding="utf-8") as f:
+        with open(path, encoding="utf-8", newline="") as f:
             return f.read()
     except OSError as e:
         reason = e.strerror

@@ -28,6 +28,10 @@ class SourceSpan:
 # cut and marked with "…", so a long line cannot flood the terminal.
 EXCERPT_WIDTH = 60
 
+# The tokenizer counts a tab or a carriage return as one column; the excerpt
+# prints each as one space, so that the caret stays under its column.
+_ONE_COLUMN = str.maketrans("\t\r", "  ")
+
 
 class Diagnostic(Exception):
     """Base class for all user-facing errors produced by the pipeline."""
@@ -50,6 +54,7 @@ class Diagnostic(Exception):
                 lines.pop()
             if 1 <= self.span.start_line <= len(lines):
                 line = lines[self.span.start_line - 1].removesuffix("\r")
+                line = line.translate(_ONE_COLUMN)
                 col = self.span.start_col - 1
                 lo = max(0, col - EXCERPT_WIDTH)
                 cut = "…" if lo else ""

@@ -143,6 +143,33 @@ class TestCheck:
         diag = Diagnostic("unbound name 'y'", SourceSpan(str(f), 2, 15, 2, 15))
         assert diag.render(f.read_bytes().decode()).split("\n") == expected
 
+    def test_lone_carriage_return_is_one_column(self, capsys, tmp_path):
+        # As the tokenizer counts it: the same place as `elaborate_text` gives.
+        f = tmp_path / "cr.tt0"
+        f.write_bytes(b"let x : Nat =\ry;\n")
+        code, _, err = run(capsys, "check", str(f))
+        assert code == 1
+        assert err.split("\n") == [
+            f"{f}:1:15: error: unbound name 'y'",
+            "  let x : Nat = y;",
+            "                ^",
+            "",
+        ]
+        code, _, err = run(capsys, "check", str(f), "--json")
+        assert code == 1
+        [diag] = json.loads(err)["diagnostics"]
+        assert (diag["line"], diag["col"]) == (1, 15)
+
+    def test_tab_before_an_unbound_name_keeps_the_caret_under_it(self, capsys, tmp_path):
+        f = tmp_path / "tab.tt0"
+        f.write_text("let x : Nat =\ty;\n")
+        code, _, err = run(capsys, "check", str(f))
+        assert code == 1
+        message, excerpt, caret = err.splitlines()
+        assert message == f"{f}:1:15: error: unbound name 'y'"
+        assert excerpt == "  let x : Nat = y;"
+        assert excerpt[len(caret) - 1] == "y" and caret.strip() == "^"
+
     @pytest.mark.parametrize("use_json", [False, True])
     def test_unexpected_exception_is_internal_error(self, capsys, monkeypatch, use_json):
         def broken(result, args):
