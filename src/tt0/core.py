@@ -14,11 +14,11 @@ exactly when the flag is set.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
 from functools import cache
 from typing import TYPE_CHECKING, Callable
 
 from .diagnostics import InternalError, KernelError
+from .record import Record
 from .surface import Icit, Mode, _wrap
 
 if TYPE_CHECKING:
@@ -29,35 +29,29 @@ if TYPE_CHECKING:
 # Terms
 
 
-@dataclass(frozen=True)
-class Term:
+class Term(Record):
     pass
 
 
-@dataclass(frozen=True)
-class Value:
+class Value(Record):
     pass
 
 
-@dataclass(frozen=True)
 class Constant(Term, Value):
     """A former without subterms: it evaluates and reads back to itself."""
 
 
-@dataclass(frozen=True)
 class Var(Term):
     ix: int
 
 
-@dataclass(frozen=True)
-class Lam(Term):
-    name: str = field(compare=False)
+class Lam(Term, uncompared=("name",)):
+    name: str
     mode: Mode
     icit: Icit
     body: Term
 
 
-@dataclass(frozen=True)
 class App(Term):
     mode: Mode
     icit: Icit
@@ -65,60 +59,51 @@ class App(Term):
     arg: Term
 
 
-@dataclass(frozen=True)
-class Pi(Term):
-    name: str = field(compare=False)
+class Pi(Term, uncompared=("name",)):
+    name: str
     mode: Mode
     icit: Icit
     dom: Term
     cod: Term
 
 
-@dataclass(frozen=True)
-class Sigma(Term):
-    name: str = field(compare=False)
+class Sigma(Term, uncompared=("name",)):
+    name: str
     mode: Mode
     fst_ty: Term
     snd_ty: Term
 
 
-@dataclass(frozen=True)
 class Pair(Term):
     mode: Mode
     fst: Term
     snd: Term
 
 
-@dataclass(frozen=True)
 class Fst(Term):
     mode: Mode
     pair: Term
 
 
-@dataclass(frozen=True)
 class Snd(Term):
     mode: Mode
     pair: Term
 
 
-@dataclass(frozen=True)
 class Univ(Constant):
     pass
 
 
-@dataclass(frozen=True)
 class NatTy(Constant):
     pass
 
 
-@dataclass(frozen=True)
 class Lit(Constant):
     """The numeral n, held as an integer; `Lit(0)` is zero."""
 
     n: int
 
 
-@dataclass(frozen=True)
 class Succ(Term):
     """The successor of a term that is not a literal (see `succ`)."""
 
@@ -130,7 +115,6 @@ def succ(t: Term) -> Term:
     return Lit(t.n + 1) if isinstance(t, Lit) else Succ(t)
 
 
-@dataclass(frozen=True)
 class NatElim(Term):
     motive: Term
     zcase: Term
@@ -138,22 +122,18 @@ class NatElim(Term):
     scrut: Term
 
 
-@dataclass(frozen=True)
 class BoolTy(Constant):
     pass
 
 
-@dataclass(frozen=True)
 class TrueTm(Constant):
     pass
 
 
-@dataclass(frozen=True)
 class FalseTm(Constant):
     pass
 
 
-@dataclass(frozen=True)
 class BoolElim(Term):
     motive: Term
     tcase: Term
@@ -161,20 +141,17 @@ class BoolElim(Term):
     scrut: Term
 
 
-@dataclass(frozen=True)
-class Let(Term):
-    name: str = field(compare=False)
+class Let(Term, uncompared=("name",)):
+    name: str
     ty: Term
     defn: Term
     body: Term
 
 
-@dataclass(frozen=True)
 class Meta(Term):
     mid: int
 
 
-@dataclass(frozen=True)
 class InsertedMeta(Term):
     """A metavariable applied to the bound variables of its creation context.
 
@@ -267,8 +244,7 @@ def entry_value(entry: Value | Thunk) -> Value:
     return entry.force() if type(entry) is Thunk else entry
 
 
-@dataclass(frozen=True)
-class Closure:
+class Closure(Record):
     env: Env
     body: Term
 
@@ -276,39 +252,34 @@ class Closure:
         return evaluate(self.env + (arg,), self.body)
 
 
-@dataclass(frozen=True)
-class VLam(Value):
-    name: str = field(compare=False)
+class VLam(Value, uncompared=("name",)):
+    name: str
     mode: Mode
     icit: Icit
     clos: Closure
 
 
-@dataclass(frozen=True)
-class VPi(Value):
-    name: str = field(compare=False)
+class VPi(Value, uncompared=("name",)):
+    name: str
     mode: Mode
     icit: Icit
     dom: Value
     cod: Closure
 
 
-@dataclass(frozen=True)
-class VSigma(Value):
-    name: str = field(compare=False)
+class VSigma(Value, uncompared=("name",)):
+    name: str
     mode: Mode
     fst_ty: Value
     snd_ty: Closure
 
 
-@dataclass(frozen=True)
 class VPair(Value):
     mode: Mode
     fst: Value
     snd: Value
 
 
-@dataclass(frozen=True)
 class VSucc(Value):
     """The successor of a value that is not a literal (see `vsucc`)."""
 
@@ -329,42 +300,35 @@ def vpred(v: Value) -> Value | None:
     return None
 
 
-@dataclass(frozen=True)
-class VarH:
+class VarH(Record):
     lvl: int
 
 
-@dataclass(frozen=True)
-class MetaH:
+class MetaH(Record):
     mid: int
 
 
-@dataclass(frozen=True)
-class SApp:
+class SApp(Record):
     mode: Mode
     icit: Icit
     arg: Value
 
 
-@dataclass(frozen=True)
-class SFst:
+class SFst(Record):
     mode: Mode
 
 
-@dataclass(frozen=True)
-class SSnd:
+class SSnd(Record):
     mode: Mode
 
 
-@dataclass(frozen=True)
-class SNatElim:
+class SNatElim(Record):
     motive: Value
     zcase: Value
     scase: Value
 
 
-@dataclass(frozen=True)
-class SBoolElim:
+class SBoolElim(Record):
     motive: Value
     tcase: Value
     fcase: Value
@@ -373,7 +337,6 @@ class SBoolElim:
 SpineItem = SApp | SFst | SSnd | SNatElim | SBoolElim
 
 
-@dataclass(frozen=True)
 class VNeutral(Value):
     head: VarH | MetaH
     spine: tuple[SpineItem, ...] = ()
@@ -683,16 +646,14 @@ def _conv_spine_item(
 # Contexts
 
 
-@dataclass(frozen=True)
-class CtxEntry:
+class CtxEntry(Record):
     name: str
     mode: Mode
     ty: Value
     defined: bool  # let-bound or top-level definition, not a lambda binder
 
 
-@dataclass(frozen=True)
-class Context:
+class Context(Record):
     """A typing context: entries, their evaluation environment, and the
     erased flag that represents the presence of the erasure marker.  The
     first `top` entries are the top-level declarations of the module."""
@@ -1098,7 +1059,7 @@ _FIELD_CODECS: dict[str, Callable] = {
 @cache
 def _json_fields(cls: type) -> tuple[tuple[str, str], ...]:
     """(field name, JSON key) of each field of a syntax class, in order."""
-    return tuple((f.name, _JSON_KEYS.get(f.name, f.name)) for f in fields(cls))
+    return tuple((f, _JSON_KEYS.get(f, f)) for f in cls.__match_args__)
 
 
 def to_json(t: object) -> dict:

@@ -2,11 +2,10 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from .record import Record
 
 
-@dataclass(frozen=True)
-class SourceSpan:
+class SourceSpan(Record):
     """A half-open region of a source file, 1-based lines and columns."""
 
     file: str

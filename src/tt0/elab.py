@@ -10,25 +10,25 @@ then zonked and independently re-checked by the kernel.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from . import core as co
 from . import surface as sf
 from .core import Context, Term, Thunk, Value, definition, evaluate, force, quote
 from .diagnostics import Diagnostic, ElabError, InternalError, SourceSpan, UnifyError
+from .record import Record
 from .surface import Icit, Mode
 from .unify import MetaStore, fresh_meta, unify
 
 
-@dataclass
-class ElabState:
+class ElabState(Record, frozen=False):
     """Mutable state of one module elaboration: the meta store."""
 
-    store: MetaStore = field(default_factory=MetaStore)
+    store: MetaStore
+
+    def __init__(self, store: MetaStore | None = None) -> None:
+        self.store = MetaStore() if store is None else store
 
 
-@dataclass(frozen=True)
-class DeclInfo:
+class DeclInfo(Record):
     name: str
     span: SourceSpan
     ty: Term  # zonked, at the depth of the preceding declarations
@@ -41,8 +41,7 @@ class DeclInfo:
         return self.body_thunk.force()
 
 
-@dataclass
-class ElabResult:
+class ElabResult(Record, frozen=False):
     decls: list[DeclInfo]
     main: tuple[Term, Value] | None  # zonked main and its type value
     store: MetaStore

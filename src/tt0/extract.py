@@ -10,60 +10,50 @@ internal error, not a user-facing one.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields, replace
-
 from . import core as co
 from .core import Context, Term, _fresh
 from .diagnostics import Diagnostic, InternalError
+from .record import Record
 from .surface import Mode, _wrap
 
 
-@dataclass(frozen=True)
-class Target:
+class Target(Record):
     pass
 
 
-@dataclass(frozen=True)
 class TVar(Target):
     ix: int
 
 
-@dataclass(frozen=True)
-class TLam(Target):
-    name: str = field(compare=False)
+class TLam(Target, uncompared=("name",)):
+    name: str
     body: Target
 
 
-@dataclass(frozen=True)
 class TApp(Target):
     fn: Target
     arg: Target
 
 
-@dataclass(frozen=True)
 class TPair(Target):
     fst: Target
     snd: Target
 
 
-@dataclass(frozen=True)
 class TFst(Target):
     arg: Target
 
 
-@dataclass(frozen=True)
 class TSnd(Target):
     arg: Target
 
 
-@dataclass(frozen=True)
 class TLit(Target):
     """The numeral n, held as an integer; `TLit(0)` is zero."""
 
     n: int
 
 
-@dataclass(frozen=True)
 class TSucc(Target):
     """The successor of a term; a normal form never has one over a literal."""
 
@@ -75,33 +65,28 @@ def tsucc(t: Target) -> Target:
     return TLit(t.n + 1) if isinstance(t, TLit) else TSucc(t)
 
 
-@dataclass(frozen=True)
 class TNatRec(Target):
     zcase: Target
     scase: Target
     scrut: Target
 
 
-@dataclass(frozen=True)
 class TTrue(Target):
     pass
 
 
-@dataclass(frozen=True)
 class TFalse(Target):
     pass
 
 
-@dataclass(frozen=True)
 class TIf(Target):
     cond: Target
     then: Target
     els: Target
 
 
-@dataclass(frozen=True)
-class TLet(Target):
-    name: str = field(compare=False)
+class TLet(Target, uncompared=("name",)):
+    name: str
     defn: Target
     body: Target
 
@@ -230,7 +215,7 @@ class _Thunk:
 # Values: `TLit`, `TTrue` and `TFalse` stand for themselves; the others hold
 # thunks.  `_Ne(level, None)` is a variable bound by readback, and
 # `_Ne(head, frame)` an elimination frame stuck on its head.  These are
-# slotted classes, not dataclasses, which cost every import 0.3 ms each.
+# slotted classes, not records: the machine needs no `==`, hash or repr.
 class _Clo:
     __slots__ = ("env", "lam")
     def __init__(self, env: tuple[list, int], lam: TLam):
@@ -388,8 +373,8 @@ class _Machine:
                 v = x.value
             else:  # its term, with the same environment (never a variable)
                 t, env, var = x.term, x.env, _Thunk(None, None, _Ne(d, None))
-                kids = [f.name for f in fields(t) if isinstance(getattr(t, f.name), Target)]
-                todo.append((lambda *ks, t=t, kids=kids: replace(t, **dict(zip(kids, ks))), len(kids)))
+                kids = [k for k in t.__match_args__ if isinstance(getattr(t, k), Target)]
+                todo.append((lambda *ks, t=t, kids=kids: t.replace(**dict(zip(kids, ks))), len(kids)))
                 for k in reversed(kids):  # only `TLam` and `TLet` have a body
                     under = k == "body"
                     todo.append((d + under, _delay(_extend(env, var) if under else env, getattr(t, k))))

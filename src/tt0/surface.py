@@ -9,10 +9,10 @@ from __future__ import annotations
 
 import enum
 import re
-from dataclasses import dataclass, field
 from typing import Callable, TypeVar
 
 from .diagnostics import LexError, ParseError, SourceSpan
+from .record import Record
 
 
 class Mode(enum.Enum):
@@ -34,8 +34,7 @@ class Icit(enum.Enum):
 # Tokens
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(Record):
     kind: str  # keyword, punctuation symbol, "ident", "number", "eof"
     text: str
     span: SourceSpan
@@ -93,17 +92,14 @@ def tokenize(source: str, filename: str = "<input>") -> list[Token]:
 # text are `==` even if whitespace differs.
 
 
-@dataclass(frozen=True)
-class Surface:
-    span: SourceSpan = field(compare=False, repr=False)
+class Surface(Record, uncompared=("span",), unshown=("span",)):
+    span: SourceSpan
 
 
-@dataclass(frozen=True)
 class SVar(Surface):
     name: str = ""
 
 
-@dataclass(frozen=True)
 class SLam(Surface):
     name: str = ""
     mode: Mode | None = None
@@ -112,14 +108,12 @@ class SLam(Surface):
     body: Surface | None = None
 
 
-@dataclass(frozen=True)
 class SApp(Surface):
     fn: Surface | None = None
     arg: Surface | None = None
     icit: Icit = Icit.EXPL
 
 
-@dataclass(frozen=True)
 class SPi(Surface):
     name: str = "_"
     mode: Mode = Mode.OMEGA
@@ -128,7 +122,6 @@ class SPi(Surface):
     cod: Surface | None = None
 
 
-@dataclass(frozen=True)
 class SSigma(Surface):
     name: str = "_"
     mode: Mode = Mode.OMEGA
@@ -136,23 +129,19 @@ class SSigma(Surface):
     snd_ty: Surface | None = None
 
 
-@dataclass(frozen=True)
 class SPair(Surface):
     fst: Surface | None = None
     snd: Surface | None = None
 
 
-@dataclass(frozen=True)
 class SFst(Surface):
     arg: Surface | None = None
 
 
-@dataclass(frozen=True)
 class SSnd(Surface):
     arg: Surface | None = None
 
 
-@dataclass(frozen=True)
 class SLet(Surface):
     name: str = ""
     ty: Surface | None = None
@@ -160,32 +149,26 @@ class SLet(Surface):
     body: Surface | None = None
 
 
-@dataclass(frozen=True)
 class SUniv(Surface):
     pass
 
 
-@dataclass(frozen=True)
 class SNatTy(Surface):
     pass
 
 
-@dataclass(frozen=True)
 class SNum(Surface):
     value: int = 0
 
 
-@dataclass(frozen=True)
 class SZero(Surface):
     pass
 
 
-@dataclass(frozen=True)
 class SSucc(Surface):
     arg: Surface | None = None
 
 
-@dataclass(frozen=True)
 class SNatElim(Surface):
     motive: Surface | None = None
     zcase: Surface | None = None
@@ -193,22 +176,18 @@ class SNatElim(Surface):
     scrut: Surface | None = None
 
 
-@dataclass(frozen=True)
 class SBoolTy(Surface):
     pass
 
 
-@dataclass(frozen=True)
 class STrue(Surface):
     pass
 
 
-@dataclass(frozen=True)
 class SFalse(Surface):
     pass
 
 
-@dataclass(frozen=True)
 class SBoolElim(Surface):
     motive: Surface | None = None
     tcase: Surface | None = None
@@ -216,22 +195,19 @@ class SBoolElim(Surface):
     scrut: Surface | None = None
 
 
-@dataclass(frozen=True)
 class SHole(Surface):
     pass
 
 
-@dataclass(frozen=True)
-class Decl:
-    span: SourceSpan = field(compare=False, repr=False)
+class Decl(Record, uncompared=("span",), unshown=("span",)):
+    span: SourceSpan
     name: str = ""
     ty: Surface | None = None
     body: Surface | None = None
 
 
-@dataclass(frozen=True)
-class Module:
-    span: SourceSpan = field(compare=False, repr=False)
+class Module(Record, uncompared=("span",), unshown=("span",)):
+    span: SourceSpan
     decls: tuple[Decl, ...] = ()
     main: Surface | None = None
 

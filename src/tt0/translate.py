@@ -15,12 +15,11 @@ Two translations, each followed by an independent kernel re-check:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-
 from . import core as co
 from .core import Context, Term, Value, evaluate
 from .diagnostics import Diagnostic, InternalError
 from .elab import ElabResult
+from .record import Record
 from .surface import Mode
 from .unify import MetaStore
 
@@ -46,7 +45,7 @@ def strip_modes(t: Term) -> Term:
         if isinstance(u, (co.InsertedMeta, co.Meta)):
             raise InternalError("metavariable in a term being mode-stripped")
         u = co.map_subterms(u, go)
-        return replace(u, mode=Mode.OMEGA) if hasattr(u, "mode") else u
+        return u.replace(mode=Mode.OMEGA) if "mode" in u.__match_args__ else u
 
     return go(t)
 
@@ -62,8 +61,7 @@ def recheck_stripped(store: MetaStore, stripped_sig: Context, t: Term, ty: Term)
         raise InternalError(f"stripped judgment failed to re-check: {e.message}") from e
 
 
-@dataclass(frozen=True)
-class SweepRow:
+class SweepRow(Record):
     name: str
     zeroing_ok: bool
     stripping_ok: bool

@@ -15,8 +15,6 @@ by the kernel before it is stored.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from . import core as co
 from .core import (
     Context,
@@ -29,19 +27,18 @@ from .core import (
     vvar,
 )
 from .diagnostics import Diagnostic, InternalError, SourceSpan, UnifyError
+from .record import Record
 from .surface import Icit, Mode
 
 
-@dataclass(frozen=True)
-class CapturedEntry:
+class CapturedEntry(Record):
     name: str
     mode: Mode
     ty: Term  # under the signature and the preceding captured entries
     defn: Term | None  # set for let-bound entries
 
 
-@dataclass
-class MetaEntry:
+class MetaEntry(Record, frozen=False):
     mid: int
     sig: Context  # the top-level prefix of the creation context, with its flag
     entries: tuple[CapturedEntry, ...]  # the local entries above that prefix
@@ -138,8 +135,7 @@ def fresh_meta(
 # Spine inversion
 
 
-@dataclass
-class PartialRenaming:
+class PartialRenaming(Record, frozen=False):
     """An injective map from levels of the unification context into binder
     levels of the solution under construction."""
 

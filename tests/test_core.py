@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-from dataclasses import fields
 from typing import get_type_hints
 
 import pytest
@@ -238,10 +237,11 @@ class TestConstant:
     def test_the_formers_without_subterms_are_the_constants_and_the_leaves(self):
         # So a new nullary former is a Constant and gets no value copy.
         terms = [cls for cls in co.JSON_TAGS if issubclass(cls, co.Term)]
+        assert any(cls.__match_args__ for cls in terms)
         nullary = {
             cls
             for cls in terms
-            if co.Term not in (get_type_hints(cls)[f.name] for f in fields(cls))
+            if co.Term not in (get_type_hints(cls)[f] for f in cls.__match_args__)
         }
         constants = set(co.Constant.__subclasses__())
         assert constants and nullary == constants | {co.Var, co.Meta, co.InsertedMeta}

@@ -149,7 +149,7 @@ class TestCallByNeed:
         assert steps < normal_order
 
     def test_deep_terms_at_default_recursion_limit(self):
-        # Compared by walking: dataclass equality recurses once per level.
+        # Compared by walking: record equality recurses once per level.
         script = textwrap.dedent(
             """
             import sys

@@ -76,7 +76,7 @@ def test_cli_json_nests_a_numeral_past_the_c_stack(tmp_path):
 
 
 def test_json_codec_at_default_recursion_limit():
-    # Compared as text: dataclass equality recurses once per level.
+    # Compared as text: record equality recurses once per level.
     script = textwrap.dedent(
         """
         import sys

@@ -85,7 +85,8 @@ RECORDS = {
     "core.CtxEntry": "name mode ty defined",
     "core.Context": "entries env flag top",
     "unify.CapturedEntry": "name mode ty defn",
-    "unify.MetaEntry": "mid sig entries ty closed_ty closed_ty_value span solution_closed solution_body solution_value",
+    "unify.MetaEntry": "mid sig entries ty closed_ty closed_ty_value span"
+    " solution_closed solution_body solution_value",
     "unify.PartialRenaming": "dom cod map allow_erased top",
     "elab.ElabState": "store",
     "elab.DeclInfo": "name span ty body ty_value body_thunk",

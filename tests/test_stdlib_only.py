@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import ast
+import os
+import subprocess
 import sys
 
 from conftest import REPO
@@ -30,3 +32,15 @@ def test_every_module_imports_only_the_standard_library():
         if name not in sys.stdlib_module_names
     }
     assert not outside
+
+
+def test_importing_the_cli_does_not_import_dataclasses():
+    # Record classes are built by `tt0.record`; the `dataclasses` decorator
+    # cost most of the import time.
+    env = {**os.environ, "PYTHONPATH": str(REPO / "src")}
+    script = "import sys, tt0.cli; print('dataclasses' in sys.modules)"
+    proc = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"

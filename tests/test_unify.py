@@ -384,12 +384,18 @@ class TestSolutionSoundness:
 ID = "let id : {A :0 U} -> A -> A = \\{A} x. x;\n"
 
 
-def subterms(t: co.Term):
-    yield t
-    for name in getattr(t, "__dataclass_fields__", {}):
+LEAVES = (co.Constant, co.Var, co.Meta, co.InsertedMeta)
+
+
+def subterms(t: co.Term) -> list[co.Term]:
+    """`t` and every term below it; only a leaf has none below it."""
+    out = [t]
+    for name in t.__match_args__:
         child = getattr(t, name)
         if isinstance(child, co.Term):
-            yield from subterms(child)
+            out += subterms(child)
+    assert len(out) > 1 or isinstance(t, LEAVES), t
+    return out
 
 
 class TestTopLevelSignature:
@@ -413,6 +419,10 @@ class TestTopLevelSignature:
                 isinstance(u, co.Let) and u.name in top_names
                 for u in subterms(entry.closed_ty)
             )
+        # Solutions are zonked into the bodies, which are not leaves.
+        below = [u for d in r.decls for u in subterms(d.body)]
+        assert len(below) > len(r.decls)
+        assert not any(isinstance(u, co.Let) and u.name in top_names for u in below)
 
     def test_failed_declaration_stays_opaque_in_solutions(self):
         # B's body fails, so B is an opaque name; `id b` then solves A := B,
