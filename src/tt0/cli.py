@@ -67,8 +67,8 @@ class _Text(str):
 
 def _dumps(obj: object) -> str:
     """`json.dumps(obj)` for the JSON values the CLI prints, without
-    recursion: a numeral is written as `succ` objects nested as deep as its
-    value, past what the C stack holds for the standard encoder."""
+    recursion.  A term arrives as `_Text` from `core.to_json` and is copied
+    as it is, so only the shallow envelope around it is walked here."""
     out: list[str] = []
     todo: list[object] = [obj]
     while todo:
@@ -148,12 +148,13 @@ def cmd_check(result: ElabResult, args: argparse.Namespace) -> int:
 def cmd_elab(result: ElabResult, args: argparse.Namespace) -> int:
     if args.json:
         decls = [
-            {"name": d.name, "type": co.to_json(d.ty), "body": co.to_json(d.body)}
+            {"name": d.name, "type": _Text(co.to_json(d.ty)),
+             "body": _Text(co.to_json(d.body))}
             for d in result.decls
         ]
         payload: dict = {"version": JSON_VERSION, "decls": decls}
         if result.main is not None:
-            payload["main"] = co.to_json(result.main[0])
+            payload["main"] = _Text(co.to_json(result.main[0]))
         print(_dumps(payload))
         return EXIT_OK
     for i, d in enumerate(result.decls):
@@ -176,7 +177,7 @@ def cmd_nf(result: ElabResult, args: argparse.Namespace) -> int:
     closed = _named_closed(result, args.name)
     nf = co.normal_form(result.store, (), closed)
     if args.json:
-        print(_dumps({"version": JSON_VERSION, "nf": co.to_json(nf)}))
+        print(_dumps({"version": JSON_VERSION, "nf": _Text(co.to_json(nf))}))
     else:
         print(co.pp(nf))
     return EXIT_OK
@@ -191,7 +192,8 @@ def cmd_extract(result: ElabResult, args: argparse.Namespace) -> int:
         closed = _named_closed(result, args.name)
     target = ex.extract(co.Context(), closed)
     if args.json:
-        print(_dumps({"version": JSON_VERSION, "target": ex.target_to_json(target)}))
+        target_text = _Text(ex.target_to_json(target))
+        print(_dumps({"version": JSON_VERSION, "target": target_text}))
     else:
         print(ex.pp_target(target))
     return EXIT_OK
@@ -221,7 +223,7 @@ def cmd_run(result: ElabResult, args: argparse.Namespace) -> int:
         return EXIT_FUEL
     k = ex.as_numeral(nf)
     if args.json:
-        payload = {"version": JSON_VERSION, "result": ex.target_to_json(nf)}
+        payload = {"version": JSON_VERSION, "result": _Text(ex.target_to_json(nf))}
         if k is not None:
             payload["numeral"] = k
         print(_dumps(payload))

@@ -15,6 +15,7 @@ exactly when the flag is set.
 from __future__ import annotations
 
 from functools import cache
+from json.encoder import encode_basestring_ascii as _quote
 from typing import TYPE_CHECKING, Callable
 
 from .diagnostics import InternalError, KernelError
@@ -1048,11 +1049,11 @@ _JSON_KEYS = {
 }
 
 
-# The encoding of the fields that are neither subterms nor JSON as they are.
-_FIELD_CODECS: dict[str, Callable] = {
-    "mode": lambda m: m.value,
-    "icit": lambda i: i is Icit.IMPL,
-    "mask": lambda ms: [None if m is None else m.value for m in ms],
+# The JSON text of the fields that are neither subterms nor JSON scalars.
+_FIELD_CODECS: dict[str, Callable[..., str]] = {
+    "mode": lambda m: f'"{m.value}"',
+    "icit": lambda i: "true" if i is Icit.IMPL else "false",
+    "mask": lambda ms: "[%s]" % ", ".join("null" if m is None else f'"{m.value}"' for m in ms),
 }
 
 
@@ -1062,27 +1063,27 @@ def _json_fields(cls: type) -> tuple[tuple[str, str], ...]:
     return tuple((f, _JSON_KEYS.get(f, f)) for f in cls.__match_args__)
 
 
-def to_json(t: object) -> dict:
-    """The JSON object of a core term or an extracted target term, built on
-    an explicit stack, so its depth is bounded by memory."""
-    root: dict = {}
-    todo: list[tuple[object, dict, str]] = [(t, root, "")]
+def to_json(t: object) -> str:
+    """The JSON text of a core term or an extracted target term, as
+    `json.dumps` writes it, written on an explicit stack of subterms and
+    text pieces, so its depth is bounded by memory.  A literal is one string
+    repetition, with no Python step per `succ`."""
+    out: list[str] = []
+    todo: list[object] = [t]
     while todo:
-        t, parent, key = todo.pop()
-        tag = JSON_TAGS[type(t)]
-        d: dict = {"tag": tag}
-        if tag == "zero":
-            for _ in range(t.n):
-                d = {"tag": "succ", "arg": d}
+        t = todo.pop()
+        if type(t) is str:
+            out.append(t)
+        elif (tag := JSON_TAGS[type(t)]) == "zero":
+            out.append('{"tag": "succ", "arg": ' * t.n + '{"tag": "zero"}' + "}" * t.n)
         else:
-            for name, k in _json_fields(type(t)):
+            out.append(f'{{"tag": "{tag}"')
+            todo.append("}")
+            for name, k in reversed(_json_fields(type(t))):
                 v = getattr(t, name)
                 if name in _FIELD_CODECS:
-                    d[k] = _FIELD_CODECS[name](v)
-                elif type(v) in JSON_TAGS:
-                    d[k] = None  # holds the key's place until the subterm is built
-                    todo.append((v, d, k))
-                else:
-                    d[k] = v
-        parent[key] = d
-    return root[""]
+                    v = _FIELD_CODECS[name](v)
+                elif type(v) not in JSON_TAGS:
+                    v = _quote(v) if type(v) is str else str(v)
+                todo += [v, f', "{k}": ']
+    return "".join(out)

@@ -467,8 +467,9 @@ target_to_json = co.to_json
 
 
 def target_from_json(d: dict) -> Target:
-    """The target term whose JSON object `target_to_json` wrote, built
-    without recursion.  `succ` of a literal folds to a literal."""
+    """The target term of the JSON object `json.loads` reads from the text
+    `target_to_json` wrote, built without recursion.  `succ` of a literal
+    folds to a literal."""
     classes = {
         tag: (c, [k for _, k in co._json_fields(c)])
         for c, tag in co.JSON_TAGS.items()

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import json
 import os
 import subprocess
 import sys
@@ -254,7 +255,7 @@ class TestJson:
             if result.main is None:
                 continue
             t = extract(Context(), closed_main(result))
-            assert target_from_json(target_to_json(t)) == t
+            assert target_from_json(json.loads(target_to_json(t))) == t
 
 
     def test_every_target_former_round_trips(self):
@@ -267,7 +268,50 @@ class TestJson:
         concrete = {c for c in co.JSON_TAGS if issubclass(c, Target)}
         assert {type(t) for t in formers} == concrete == set(Target.__subclasses__())
         for t in formers:
-            assert target_from_json(target_to_json(t)) == t
+            assert target_from_json(json.loads(target_to_json(t))) == t
+
+    def test_text_is_what_json_dumps_writes_on_corpus_terms(self, corpus):
+        # The writer's spacing, key order and escaping are those of
+        # `json.dumps` of the object it encodes.
+        terms: list[object] = []
+        for result in corpus.values():
+            for d in result.decls:
+                closed = closed_definition(result, d.name)
+                nf = co.normal_form(result.store, (), closed)
+                terms += [d.ty, d.body, nf, extract(Context(), closed)]
+            if result.main is not None:
+                target = extract(Context(), closed_main(result))
+                terms += [result.main[0], target, eval_target(target)]
+        assert len(terms) > 200
+        for t in terms:
+            text = co.to_json(t)
+            assert text == json.dumps(json.loads(text)), t
+
+    def test_text_of_edge_cases(self):
+        zero = '{"tag": "zero"}'
+        two = '{"tag": "succ", "arg": {"tag": "succ", "arg": ' + zero + "}}"
+        var = '{"tag": "Var", "ix": 0}'
+        cases = [
+            (co.Lit(0), zero),
+            (co.Lit(3), '{"tag": "succ", "arg": ' + two + "}"),
+            (
+                co.App(W, Icit.EXPL, co.Var(0), co.Lit(2)),
+                f'{{"tag": "App", "mode": "w", "implicit": false, "fn": {var}, '
+                f'"arg": {two}}}',
+            ),
+            (TApp(TVar(0), TLit(2)), f'{{"tag": "App", "fn": {var}, "arg": {two}}}'),
+            (TPair(TLit(2), TLit(0)), f'{{"tag": "Pair", "fst": {two}, "snd": {zero}}}'),
+            (co.Succ(co.Var(0)), f'{{"tag": "succ", "arg": {var}}}'),
+            (TSucc(TVar(0)), f'{{"tag": "succ", "arg": {var}}}'),
+            (
+                co.InsertedMeta(4, (None, Z0, W)),
+                '{"tag": "InsertedMeta", "id": 4, "mask": [null, "0", "w"]}',
+            ),
+            (co.InsertedMeta(0, ()), '{"tag": "InsertedMeta", "id": 0, "mask": []}'),
+        ]
+        for t, text in cases:
+            assert co.to_json(t) == text
+            assert json.dumps(json.loads(text)) == text
 
 
 class TestCorpusTotality:
@@ -353,5 +397,5 @@ class TestPrinting:
     def test_literal_prints_and_encodes_as_successor_chain(self):
         assert pp_target(TApp(TVar(0), TLit(2)), ("f",)) == "f (succ (succ zero))"
         two = {"tag": "succ", "arg": {"tag": "succ", "arg": {"tag": "zero"}}}
-        assert target_to_json(TLit(2)) == two
+        assert json.loads(target_to_json(TLit(2))) == two
         assert target_from_json(two) == TLit(2)

@@ -80,7 +80,6 @@ def test_json_codec_at_default_recursion_limit():
     script = textwrap.dedent(
         """
         import sys
-        from tt0.cli import _dumps
         from tt0.core import Succ, Var, to_json
         from tt0.extract import target_from_json, target_to_json
 
@@ -90,11 +89,11 @@ def test_json_codec_at_default_recursion_limit():
         t = Var(0)
         for _ in range(n):
             t = Succ(t)
-        assert _dumps(to_json(t)) == '{"tag": "succ", "arg": ' * n + var + "}" * n
+        assert to_json(t) == '{"tag": "succ", "arg": ' * n + var + "}" * n
         d = {"tag": "Var", "ix": 0}
         for _ in range(n):
             d = {"tag": "Lam", "name": "x", "body": d}
-        text = _dumps(target_to_json(target_from_json(d)))
+        text = target_to_json(target_from_json(d))
         assert text == '{"tag": "Lam", "name": "x", "body": ' * n + var + "}" * n
         print("ok")
         """
