@@ -2,9 +2,11 @@
 
 Terms use de Bruijn indices, values use de Bruijn levels.  A former with no
 subterms (U, Nat, Bool, a literal, true, false) is a `Constant`: one class
-that is both a term and its own value.  Eliminations (App/Pair/Fst/Snd)
-record the mode of the Pi/Sigma they interact with; the extraction pass
-consumes those annotations.
+that is both a term and its own value.  The table `CONSTANTS` names each
+base constant once, with its keyword, its type and whether it is a type
+code; the parser, printers, elaborator, kernel and unifier all read it.
+Eliminations (App/Pair/Fst/Snd) record the mode of the Pi/Sigma they
+interact with; the extraction pass consumes those annotations.
 
 The erasure marker is represented by one boolean flag on the context: a
 judgment checked with the flag set is an erased judgment, and erased
@@ -14,16 +16,31 @@ exactly when the flag is set.
 
 from __future__ import annotations
 
+import enum
 from functools import cache
 from json.encoder import encode_basestring_ascii as _quote
 from typing import TYPE_CHECKING, Callable
 
 from .diagnostics import InternalError, KernelError
 from .record import Record
-from .surface import Icit, Mode, _wrap
 
 if TYPE_CHECKING:
     from .unify import MetaStore
+
+
+class Mode(enum.Enum):
+    """Erasure mode of a binder or argument: erased (0) or runtime (omega)."""
+
+    ZERO = "0"
+    OMEGA = "w"
+
+    def __str__(self) -> str:
+        return "0" if self is Mode.ZERO else "ω"
+
+
+class Icit(enum.Enum):
+    EXPL = "explicit"
+    IMPL = "implicit"
 
 
 # ---------------------------------------------------------------------------
@@ -140,6 +157,22 @@ class BoolElim(Term):
     tcase: Term
     fcase: Term
     scrut: Term
+
+
+# The base constants by keyword: each constant, its type, and the name it
+# goes by as a type code (None for a runtime constant).
+CONSTANTS: dict[str, tuple[Constant, Constant, str | None]] = {
+    "U": (Univ(), Univ(), "the universe"),
+    "Nat": (NatTy(), Univ(), "the Nat type"),
+    "Bool": (BoolTy(), Univ(), "the Bool type"),
+    "zero": (Lit(0), NatTy(), None),
+    "true": (TrueTm(), BoolTy(), None),
+    "false": (FalseTm(), BoolTy(), None),
+}
+
+# The same rows by class, with the keyword in place of the constant.  `Lit`
+# gets the row of `zero`, whose type every literal shares.
+_CONSTANT_ROWS = {type(c): (kw, ty, code) for kw, (c, ty, code) in CONSTANTS.items()}
 
 
 class Let(Term, uncompared=("name",)):
@@ -792,22 +825,14 @@ def kernel_infer(store: "MetaStore", ctx: Context, t: Term) -> Value:
             fst_v = evaluate(ctx.env, fst_ty)
             kernel_check(store, ctx.bind(name, mode, fst_v).erased(), snd_ty, Univ())
             return Univ()
-        case Univ():
-            _require_erased(ctx, "universe")
-            return Univ()
-        case NatTy():
-            _require_erased(ctx, "Nat type")
-            return Univ()
-        case BoolTy():
-            _require_erased(ctx, "Bool type")
-            return Univ()
-        case Lit():
-            return NatTy()
+        case Constant():
+            _, ty, code = _CONSTANT_ROWS[type(t)]
+            if code is not None:
+                _require_erased(ctx, code)
+            return ty
         case Succ(arg):
             kernel_check(store, ctx, arg, NatTy())
             return NatTy()
-        case TrueTm() | FalseTm():
-            return BoolTy()
         case NatElim(motive, zcase, scase, scrut):
             kernel_check(store, ctx.erased(), motive, NAT_MOTIVE_TY)
             motive_v = evaluate(ctx.env, motive)
@@ -949,18 +974,10 @@ def pp(t: Term, names: tuple[str, ...] = (), prec: int = 0) -> str:
                 if m is not None
             ]
             return f"?{mid}[{', '.join(args)}]" if args else f"?{mid}"
-        case Univ():
-            return "U"
-        case NatTy():
-            return "Nat"
-        case BoolTy():
-            return "Bool"
         case Lit(n):
             return succ_chain(n, prec, 2)
-        case TrueTm():
-            return "true"
-        case FalseTm():
-            return "false"
+        case Constant():
+            return _CONSTANT_ROWS[type(t)][0]
         case Succ(arg):
             return _wrap(f"succ {pp(arg, names, 3)}", prec, 2)
         case Fst(mode, pair):
@@ -1030,17 +1047,22 @@ def succ_chain(n: int, prec: int, at: int) -> str:
     return _wrap(text, prec, at)
 
 
+def _wrap(s: str, prec: int, at: int) -> str:
+    return f"({s})" if prec > at else s
+
+
 # ---------------------------------------------------------------------------
 # Structural JSON encoding
 
 
 # The JSON tag of each syntax class; extract.py adds the target classes.  A
-# literal is written as nested `succ` objects around `zero`.
+# constant's tag is its keyword, and a literal is written as nested `succ`
+# objects around `zero`.
 JSON_TAGS: dict[type, str] = {
     Var: "Var", Lam: "Lam", App: "App", Pi: "Pi", Sigma: "Sigma", Pair: "Pair",
-    Fst: "Fst", Snd: "Snd", Univ: "U", NatTy: "Nat", Lit: "zero", Succ: "succ",
-    NatElim: "natElim", BoolTy: "Bool", TrueTm: "true", FalseTm: "false",
-    BoolElim: "boolElim", Let: "Let", Meta: "Meta", InsertedMeta: "InsertedMeta",
+    Fst: "Fst", Snd: "Snd", Succ: "succ", NatElim: "natElim", BoolElim: "boolElim",
+    Let: "Let", Meta: "Meta", InsertedMeta: "InsertedMeta",
+    **{type(c): kw for kw, (c, _, _) in CONSTANTS.items()},
 }
 
 # JSON keys that differ from the field names.

@@ -12,10 +12,9 @@ from __future__ import annotations
 
 from . import core as co
 from . import surface as sf
-from .core import Context, Term, Thunk, Value, definition, evaluate, force, quote
+from .core import Context, Icit, Mode, Term, Thunk, Value, definition, evaluate, force, quote
 from .diagnostics import Diagnostic, ElabError, InternalError, SourceSpan, UnifyError
 from .record import Record
-from .surface import Icit, Mode
 from .unify import MetaStore, fresh_meta, unify
 
 
@@ -260,26 +259,16 @@ def infer(st: ElabState, ctx: Context, t: sf.Surface) -> tuple[Term, Value]:
             inner = ctx.define(name, Mode.OMEGA, ty_v, definition(ctx.env, defn_t))
             body_t, body_ty = infer(st, inner, body)
             return co.Let(name, ty_t, defn_t, body_t), body_ty
-        case sf.SUniv():
-            _require_erased(ctx, t.span, "the universe")
-            return co.Univ(), co.Univ()
-        case sf.SNatTy():
-            _require_erased(ctx, t.span, "the Nat type")
-            return co.NatTy(), co.Univ()
-        case sf.SBoolTy():
-            _require_erased(ctx, t.span, "the Bool type")
-            return co.BoolTy(), co.Univ()
-        case sf.SZero():
-            return co.Lit(0), co.NatTy()
+        case sf.SConst(keyword=kw):
+            const, ty, code = co.CONSTANTS[kw]
+            if code is not None:
+                _require_erased(ctx, t.span, code)
+            return const, ty
         case sf.SNum(value=v):
             return co.Lit(v), co.NatTy()
         case sf.SSucc(arg=arg):
             arg_t = check(st, ctx, arg, co.NatTy())
             return co.succ(arg_t), co.NatTy()
-        case sf.STrue():
-            return co.TrueTm(), co.BoolTy()
-        case sf.SFalse():
-            return co.FalseTm(), co.BoolTy()
         case sf.SNatElim(motive=motive, zcase=zcase, scase=scase, scrut=scrut):
             motive_t = check_erased(st, ctx, motive, co.NAT_MOTIVE_TY)
             motive_v = evaluate(ctx.env, motive_t)

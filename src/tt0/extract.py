@@ -11,10 +11,9 @@ internal error, not a user-facing one.
 from __future__ import annotations
 
 from . import core as co
-from .core import Context, Term, _fresh
+from .core import Context, Mode, Term, _fresh, _wrap
 from .diagnostics import Diagnostic, InternalError
 from .record import Record
-from .surface import Mode, _wrap
 
 
 class Target(Record):
@@ -154,7 +153,7 @@ def extract_at(modes: tuple[Mode, ...], t: Term) -> Target:
             )
         case co.Fst(Mode.ZERO, _):
             raise InternalError("erased first projection at a runtime position")
-        case co.Univ() | co.NatTy() | co.BoolTy() | co.Pi() | co.Sigma():
+        case co.Constant() | co.Pi() | co.Sigma():
             raise InternalError("type code at a runtime position")
         case co.Meta() | co.InsertedMeta():
             raise InternalError("metavariable in a term being extracted")

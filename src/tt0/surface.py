@@ -7,27 +7,12 @@ implicit variants, and `(x :0 A) * B` an erased-first-component pair type.
 
 from __future__ import annotations
 
-import enum
 import re
 from typing import Callable, TypeVar
 
+from .core import CONSTANTS, Icit, Mode, _wrap  # Icit and Mode are re-exported
 from .diagnostics import LexError, ParseError, SourceSpan
 from .record import Record
-
-
-class Mode(enum.Enum):
-    """Erasure mode of a binder or argument: erased (0) or runtime (omega)."""
-
-    ZERO = "0"
-    OMEGA = "w"
-
-    def __str__(self) -> str:
-        return "0" if self is Mode.ZERO else "ω"
-
-
-class Icit(enum.Enum):
-    EXPL = "explicit"
-    IMPL = "implicit"
 
 
 # ---------------------------------------------------------------------------
@@ -149,20 +134,12 @@ class SLet(Surface):
     body: Surface | None = None
 
 
-class SUniv(Surface):
-    pass
-
-
-class SNatTy(Surface):
-    pass
+class SConst(Surface):
+    keyword: str = ""  # a key of `core.CONSTANTS`
 
 
 class SNum(Surface):
     value: int = 0
-
-
-class SZero(Surface):
-    pass
 
 
 class SSucc(Surface):
@@ -174,18 +151,6 @@ class SNatElim(Surface):
     zcase: Surface | None = None
     scase: Surface | None = None
     scrut: Surface | None = None
-
-
-class SBoolTy(Surface):
-    pass
-
-
-class STrue(Surface):
-    pass
-
-
-class SFalse(Surface):
-    pass
 
 
 class SBoolElim(Surface):
@@ -213,21 +178,16 @@ class Module(Record, uncompared=("span",), unshown=("span",)):
 
 
 # ---------------------------------------------------------------------------
-# Vocabulary.  Each atom named by a keyword is one entry: a constant, or a
-# prefix former whose arguments, each an atom, are its fields in order.
-
-_CONSTANTS: dict[str, type[Surface]] = {
-    "_": SHole, "U": SUniv, "Nat": SNatTy, "Bool": SBoolTy,
-    "zero": SZero, "true": STrue, "false": SFalse,
-}
+# Vocabulary.  An atom named by a keyword is `_`, a constant of `core.CONSTANTS`,
+# or a prefix former whose arguments, each an atom, are its fields in order.
 
 _PREFIXES: dict[str, type[Surface]] = {
     "succ": SSucc, "fst": SFst, "snd": SSnd, "natElim": SNatElim, "boolElim": SBoolElim,
 }
 
-KEYWORDS = frozenset({"let", "in", "main", *_CONSTANTS, *_PREFIXES})
+KEYWORDS = frozenset({"let", "in", "main", "_", *CONSTANTS, *_PREFIXES})
 
-_ATOM_STARTERS = frozenset({"ident", "number", "(", *_CONSTANTS, *_PREFIXES})
+_ATOM_STARTERS = frozenset({"ident", "number", "(", "_", *CONSTANTS, *_PREFIXES})
 
 
 # ---------------------------------------------------------------------------
@@ -444,9 +404,12 @@ class _Parser:
 
     def atom(self) -> Surface:
         t = self.peek()
-        if t.kind in _CONSTANTS:
+        if t.kind in CONSTANTS:
             self.next()
-            return _CONSTANTS[t.kind](t.span)
+            return SConst(t.span, t.kind)
+        if t.kind == "_":
+            self.next()
+            return SHole(t.span)
         if t.kind in _PREFIXES:
             self.next()
             cls = _PREFIXES[t.kind]
@@ -517,7 +480,6 @@ def parse_term_text(source: str, filename: str = "<input>") -> Surface:
 # Printer.  Printing a module and re-parsing it yields an equal Module.
 
 
-_CONSTANT_NAMES = {cls: keyword for keyword, cls in _CONSTANTS.items()}
 _PREFIX_NAMES = {cls: keyword for keyword, cls in _PREFIXES.items()}
 
 
@@ -529,14 +491,16 @@ def _binder(x: str, mode: Mode | None, ty: Surface, icit: Icit = Icit.EXPL) -> s
 def pp_term(t: Surface, prec: int = 0) -> str:
     # prec levels: 0 term (lambda/let/pi), 1 sigma, 2 application, 3 atom
     cls = type(t)
-    if cls in _CONSTANT_NAMES:
-        return _CONSTANT_NAMES[cls]
     if cls in _PREFIX_NAMES:
         parts = [_PREFIX_NAMES[cls]]
         for f in cls.__match_args__[1:]:
             parts.append(pp_term(getattr(t, f), 3))
         return _wrap(" ".join(parts), prec, 2)
     match t:
+        case SConst(keyword=kw):
+            return kw
+        case SHole():
+            return "_"
         case SVar(name=x):
             return x
         case SNum(value=v):
@@ -573,10 +537,6 @@ def pp_term(t: Surface, prec: int = 0) -> str:
                 return _wrap(f"{pp_term(a, 2)} * {pp_term(b, 1)}", prec, 1)
             return _wrap(f"{_binder(x, mode, a)} * {pp_term(b, 1)}", prec, 1)
     raise AssertionError(f"unhandled surface node {t!r}")
-
-
-def _wrap(s: str, prec: int, at: int) -> str:
-    return f"({s})" if prec > at else s
 
 
 def pp_module(m: Module) -> str:

@@ -16,11 +16,10 @@ Two translations, each followed by an independent kernel re-check:
 from __future__ import annotations
 
 from . import core as co
-from .core import Context, Term, Value, evaluate
+from .core import Context, Mode, Term, Value, evaluate
 from .diagnostics import Diagnostic, InternalError
 from .elab import ElabResult
 from .record import Record
-from .surface import Mode
 from .unify import MetaStore
 
 

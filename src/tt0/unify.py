@@ -18,6 +18,8 @@ from __future__ import annotations
 from . import core as co
 from .core import (
     Context,
+    Icit,
+    Mode,
     Term,
     Value,
     VNeutral,
@@ -28,7 +30,6 @@ from .core import (
 )
 from .diagnostics import Diagnostic, InternalError, SourceSpan, UnifyError
 from .record import Record
-from .surface import Icit, Mode
 
 
 class CapturedEntry(Record):
@@ -84,12 +85,19 @@ class MetaStore:
 
 
 def capture_context(store: MetaStore, ctx: Context) -> tuple[CapturedEntry, ...]:
-    """Quote the local entries of a context, those above its top-level prefix."""
+    """Quote the local entries of a context, those above its top-level prefix.
+    A local definition not yet computed is captured as its own term."""
     captured: list[CapturedEntry] = []
     for lvl in range(ctx.top, ctx.depth):
         entry = ctx.entries[lvl]
         ty = quote(store, lvl, entry.ty)
-        defn = quote(store, lvl, co.entry_value(ctx.env[lvl])) if entry.defined else None
+        defn = None
+        if entry.defined:
+            # Every local `define` binds `definition(ctx.env, defn)` at the
+            # entry's own level, so an unforced thunk's term is at depth `lvl`.
+            value = ctx.env[lvl]
+            pending = type(value) is co.Thunk and value.value is None
+            defn = value.term if pending else quote(store, lvl, co.entry_value(value))
         captured.append(CapturedEntry(entry.name, entry.mode, ty, defn))
     return tuple(captured)
 
@@ -311,9 +319,7 @@ def rename(
 _TYPE_CODES = {
     co.Pi: "a function type",
     co.Sigma: "a pair type",
-    co.Univ: "a universe",
-    co.NatTy: "the Nat type",
-    co.BoolTy: "the Bool type",
+    **{type(c): code for c, _, code in co.CONSTANTS.values() if code is not None},
 }
 
 

@@ -167,6 +167,11 @@ class TestCallByNeed:
         assert r.ok, [e.message for e in r.errors]
         assert natelim_calls == []
 
+    def test_meta_under_a_local_let_does_not_compute_its_value(self, natelim_calls):
+        r = elaborate_text(PRELUDE + "main = let x : Nat = mult 30 30 in id x;\n")
+        assert r.ok, [e.message for e in r.errors]
+        assert natelim_calls == []
+
     def test_definition_value_is_computed_once(self, natelim_calls):
         r = elaborate_text(PRELUDE + "let p : Nat = plus 3 4;\n")
         assert r.ok, [e.message for e in r.errors]

@@ -5,9 +5,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tt0 import core as co
+from tt0 import extract as ex
+from tt0 import surface as sf
 from tt0.core import Context, NatTy, evaluate, kernel_check, normal_form
-from tt0.diagnostics import ElabError
-from tt0.elab import ElabState, check, check_erased, elaborate_text, infer, zonk
+from tt0.diagnostics import ElabError, KernelError
+from tt0.elab import ElabState, check, check_erased, closed_main, elaborate_text, infer, zonk
 from tt0.surface import Icit, Mode, parse_term_text
 from tt0.unify import MetaStore
 
@@ -115,6 +117,32 @@ let one : Nat = id zero;
     def test_applying_non_function(self):
         with pytest.raises(ElabError, match="non-function"):
             infer(ElabState(), Context(), term("zero zero"))
+
+
+# The target constant each runtime constant of `core.CONSTANTS` runs to.
+TARGET_CONSTANTS = {"zero": ex.TLit(0), "true": ex.TTrue(), "false": ex.TFalse()}
+
+
+@pytest.mark.parametrize("keyword", list(co.CONSTANTS))
+def test_base_constant_in_every_layer(keyword):
+    const, ty, code = co.CONSTANTS[keyword]
+    parsed = term(keyword)
+    assert parsed == sf.SConst(parsed.span, keyword)
+    assert sf.pp_term(parsed) == keyword
+    assert co.pp(const) == keyword
+    assert infer(ElabState(), Context().erased(), parsed) == (const, ty)
+    assert co.kernel_infer(MetaStore(), Context().erased(), const) == ty
+    r = elaborate_text(f"main = {keyword};")
+    if code is None:
+        assert r.ok, [e.message for e in r.errors]
+        assert co.kernel_infer(r.store, Context(), const) == ty
+        target = ex.extract(Context(), closed_main(r))
+        assert ex.eval_target(target) == TARGET_CONSTANTS[keyword]
+        return
+    message = f"{code} is a type code and can only appear in erased positions"
+    assert [e.message for e in r.errors] == [message]
+    with pytest.raises(KernelError, match=f"^{code} is a type code"):
+        co.kernel_infer(MetaStore(), Context(), const)
 
 
 class TestModules:

@@ -32,15 +32,10 @@ RECORDS = {
     "surface.SFst": "span- arg",
     "surface.SSnd": "span- arg",
     "surface.SLet": "span- name ty defn body",
-    "surface.SUniv": "span-",
-    "surface.SNatTy": "span-",
+    "surface.SConst": "span- keyword",
     "surface.SNum": "span- value",
-    "surface.SZero": "span-",
     "surface.SSucc": "span- arg",
     "surface.SNatElim": "span- motive zcase scase scrut",
-    "surface.SBoolTy": "span-",
-    "surface.STrue": "span-",
-    "surface.SFalse": "span-",
     "surface.SBoolElim": "span- motive tcase fcase scrut",
     "surface.SHole": "span-",
     "surface.Decl": "span- name ty body",
@@ -223,7 +218,8 @@ def test_repr_of_core_value_target_and_surface_nodes():
     m = sf.parse_module_text("let f : Nat -> Nat = \\x. succ x; main = f 2;", "m.tt0")
     assert repr(m) == (
         "Module(decls=(Decl(name='f', ty=SPi(name='_', mode=<Mode.OMEGA: 'w'>, "
-        "icit=<Icit.EXPL: 'explicit'>, dom=SNatTy(), cod=SNatTy()), body=SLam(name='x', "
+        "icit=<Icit.EXPL: 'explicit'>, dom=SConst(keyword='Nat'), "
+        "cod=SConst(keyword='Nat')), body=SLam(name='x', "
         "mode=None, ann=None, icit=<Icit.EXPL: 'explicit'>, body=SSucc(arg=SVar(name='x'))))"
         ",), main=SApp(fn=SVar(name='f'), arg=SNum(value=2), icit=<Icit.EXPL: 'explicit'>))"
     )

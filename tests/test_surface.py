@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 import tt0.surface as sf
 from conftest import corpus_files
+from tt0.core import CONSTANTS
 from tt0.diagnostics import LexError, ParseError, SourceSpan
 from tt0.surface import (
     Icit,
@@ -239,12 +240,7 @@ def surface_terms(depth: int) -> st.SearchStrategy:
     modes = st.sampled_from([Mode.OMEGA, Mode.ZERO])
     leaves = st.one_of(
         names.map(lambda n: sf.SVar(DUMMY, n)),
-        st.just(sf.SZero(DUMMY)),
-        st.just(sf.SUniv(DUMMY)),
-        st.just(sf.SNatTy(DUMMY)),
-        st.just(sf.SBoolTy(DUMMY)),
-        st.just(sf.STrue(DUMMY)),
-        st.just(sf.SFalse(DUMMY)),
+        st.sampled_from(list(CONSTANTS)).map(lambda kw: sf.SConst(DUMMY, kw)),
         st.just(sf.SHole(DUMMY)),
         st.integers(0, 9).map(lambda k: sf.SNum(DUMMY, k)),
     )
