@@ -105,6 +105,20 @@ RECORDS = {
 
 MUTABLE = {"unify.MetaEntry", "unify.PartialRenaming", "elab.ElabState", "elab.ElabResult"}
 
+# The surface node of each base constant is an `SConst` whose keyword is the
+# constant's; it is pinned, as that record with the keyword fixed, under the
+# name of the node.
+CONSTANT_NODES = {
+    "surface.SUniv": "U",
+    "surface.SNatTy": "Nat",
+    "surface.SBoolTy": "Bool",
+    "surface.SZero": "zero",
+    "surface.STrue": "true",
+    "surface.SFalse": "false",
+}
+
+PINS = sorted([*RECORDS, *CONSTANT_NODES])
+
 
 def record_classes() -> dict[str, type]:
     out = {}
@@ -125,20 +139,36 @@ def spec(key: str) -> tuple[list[str], list[str], list[str]]:
     return fields, [f for f in marked if f in fields], shown
 
 
+def pinned(key: str) -> tuple[str, dict[str, str]]:
+    """The `RECORDS` key of a pin in `PINS`, and the field values it fixes."""
+    if key in CONSTANT_NODES:
+        return "surface.SConst", {"keyword": CONSTANT_NODES[key]}
+    return key, {}
+
+
 def test_every_record_class_is_listed():
     assert sorted(record_classes()) == sorted(RECORDS)
+    assert sorted(CONSTANT_NODES.values()) == sorted(co.CONSTANTS)
 
 
-@pytest.mark.parametrize("key", sorted(RECORDS))
+@pytest.mark.parametrize("key", PINS)
 def test_match_args_are_the_fields_in_order(key):
-    assert record_classes()[key].__match_args__ == tuple(spec(key)[0])
+    rec, fixed = pinned(key)
+    assert record_classes()[rec].__match_args__ == tuple(spec(rec)[0])
+    if fixed:
+        match sf.parse_term_text(fixed["keyword"]):
+            case sf.SConst(_, keyword):
+                assert keyword == fixed["keyword"]
+            case other:
+                pytest.fail(f"{fixed['keyword']} parsed to {other!r}")
 
 
-@pytest.mark.parametrize("key", sorted(RECORDS))
+@pytest.mark.parametrize("key", PINS)
 def test_eq_hash_and_repr_read_the_listed_fields(key):
+    key, fixed = pinned(key)
     cls = record_classes()[key]
     fields, compared, shown = spec(key)
-    values = [object() for _ in fields]
+    values = [fixed.get(f, object()) for f in fields]
     a, b = cls(*values), cls(*values)
     assert a == b and not a != b
     assert a != object()
@@ -154,11 +184,12 @@ def test_eq_hash_and_repr_read_the_listed_fields(key):
         assert hash(a) == hash(tuple(got[f] for f in compared))
 
 
-@pytest.mark.parametrize("key", sorted(RECORDS))
+@pytest.mark.parametrize("key", PINS)
 def test_frozen_records_refuse_assignment(key):
+    key, fixed = pinned(key)
     cls = record_classes()[key]
     fields = spec(key)[0]
-    a = cls(*[object() for _ in fields])
+    a = cls(*[fixed.get(f, object()) for f in fields])
     if key in MUTABLE:
         for f in fields:
             setattr(a, f, 1)
