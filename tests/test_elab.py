@@ -4,14 +4,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tt0 import cli
 from tt0 import core as co
 from tt0 import extract as ex
 from tt0 import surface as sf
 from tt0.core import Context, NatTy, evaluate, kernel_check, normal_form
-from tt0.diagnostics import ElabError, KernelError
+from tt0.diagnostics import ElabError, KernelError, UnifyError
 from tt0.elab import ElabState, check, check_erased, closed_main, elaborate_text, infer, zonk
 from tt0.surface import Icit, Mode, parse_term_text
-from tt0.unify import MetaStore
+from tt0.unify import MetaStore, fresh_meta, unify
 
 W, Z0 = Mode.OMEGA, Mode.ZERO
 EX, IM = Icit.EXPL, Icit.IMPL
@@ -209,6 +210,60 @@ let n : Nat = twice (\\k. succ k) (id zero);
         b = elaborate_text("let n : Nat = succ (succ (succ zero));")
         assert a.ok and b.ok
         assert a.decl("n").body == b.decl("n").body
+
+
+class TestNameResolution:
+    def test_local_shadows_top_level_name(self):
+        r = elaborate_text("let x : Bool = true; let f : Nat -> Nat = \\x. x;")
+        assert r.ok
+        assert r.decl("f").body == co.Lam("x", W, EX, co.Var(0))
+        ctx = Context().declare("x", co.BoolTy(), co.TrueTm()).bind("x", W, NatTy())
+        ix, entry = ctx.lookup("x")
+        assert (ix, entry.ty) == (0, NatTy())
+
+    def test_inner_local_shadows_outer_local(self):
+        r = elaborate_text("let f : Bool -> Nat -> Nat = \\x. \\x. x;")
+        assert r.ok
+        assert r.decl("f").body == co.Lam("x", W, EX, co.Lam("x", W, EX, co.Var(0)))
+        ctx = Context().bind("x", W, co.BoolTy()).bind("y", W, NatTy()).bind("x", W, NatTy())
+        assert ctx.lookup("x")[0] == 0
+        assert ctx.lookup("y")[0] == 1
+        assert ctx.lookup("z") is None
+
+    def test_top_level_name_found_under_locals(self):
+        ctx = Context().declare("a", NatTy(), co.Lit(3)).declare("b", co.BoolTy())
+        ctx = ctx.bind("x", W, NatTy()).define("y", W, NatTy(), co.Lit(1))
+        assert ctx.lookup("a")[0] == 3
+        assert ctx.lookup("b")[0] == 2
+        assert ctx.lookup("a")[1].ty == NatTy()
+        assert ctx.names == ("a", "b", "x", "y")
+
+    def test_declaration_after_a_meta_is_outside_its_scope(self):
+        store = MetaStore()
+        sig = Context().declare("a", NatTy())
+        m = fresh_meta(store, sig, NatTy())
+        sig = sig.declare("b", NatTy())
+        entry = store.lookup(0)
+        assert entry.sig.depth == 1 and entry.sig.names == ("a",)
+        assert entry.sig.lookup("b") is None
+        with pytest.raises(UnifyError, match="'b' is not in scope"):
+            unify(store, sig.depth, evaluate(sig.env, m), co.vvar(1), sig.names)
+        assert not entry.solved
+        unify(store, sig.depth, evaluate(sig.env, m), co.vvar(0), sig.names)
+        assert entry.solution_closed == co.Var(0)
+
+    def test_top_level_reference_under_nested_binders(self, capsys, tmp_path):
+        src = "let a : Nat = 3;\nlet f : Nat -> Bool -> Nat = \\x. \\b. a;\nmain = f 1 true;\n"
+        r = elaborate_text(src)
+        assert r.ok
+        f = r.decl("f")
+        assert f.body == co.Lam("x", W, EX, co.Lam("b", W, EX, co.Var(2)))
+        sig = Context().declare("a", NatTy(), co.Lit(3))
+        kernel_check(r.store, sig, f.body, f.ty_value)
+        path = tmp_path / "nested.tt0"
+        path.write_text(src)
+        assert cli.main(["elab", str(path)]) == 0
+        assert "\n  = λ x. λ b. a\n" in capsys.readouterr().out
 
 
 class TestSoundness:
