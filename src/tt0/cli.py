@@ -123,20 +123,16 @@ def _load(path: str) -> str:
     raise Diagnostic(f"cannot read {path}: {reason}")
 
 
-def _decl_names(result: ElabResult, upto: int) -> tuple[str, ...]:
-    return tuple(d.name for d in result.decls[:upto])
-
-
 def cmd_check(result: ElabResult, args: argparse.Namespace) -> int:
     rows = []
     for i, d in enumerate(result.decls):
-        ty = co.pp(d.ty, _decl_names(result, i))
+        ty = co.pp(d.ty, result.sig.prefix(i).names)
         rows.append({"name": d.name, "type": ty})
         if not args.json:
             print(f"ok {d.name} : {ty}")
     if result.main is not None:
         ty_t = co.quote(result.store, result.sig.depth, result.main[1])
-        ty = co.pp(ty_t, _decl_names(result, len(result.decls)))
+        ty = co.pp(ty_t, result.sig.names)
         rows.append({"name": "main", "type": ty})
         if not args.json:
             print(f"ok main : {ty}")
@@ -158,11 +154,11 @@ def cmd_elab(result: ElabResult, args: argparse.Namespace) -> int:
         print(_dumps(payload))
         return EXIT_OK
     for i, d in enumerate(result.decls):
-        names = _decl_names(result, i)
+        names = result.sig.prefix(i).names
         print(f"let {d.name} : {co.pp(d.ty, names)}")
         print(f"  = {co.pp(d.body, names)}")
     if result.main is not None:
-        print(f"main = {co.pp(result.main[0], _decl_names(result, len(result.decls)))}")
+        print(f"main = {co.pp(result.main[0], result.sig.names)}")
     return EXIT_OK
 
 

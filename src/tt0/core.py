@@ -213,16 +213,12 @@ def map_subterms(t: Term, f: Callable[[Term, int], Term], depth: int = 0) -> Ter
             return Sigma(name, mode, f(fst_ty, depth), f(snd_ty, inner))
         case Pair(mode, fst, snd):
             return Pair(mode, f(fst, depth), f(snd, depth))
-        case Fst(mode, pair):
-            return Fst(mode, f(pair, depth))
-        case Snd(mode, pair):
-            return Snd(mode, f(pair, depth))
+        case Fst(mode, pair) | Snd(mode, pair):
+            return type(t)(mode, f(pair, depth))
         case Succ(arg):
             return succ(f(arg, depth))
-        case NatElim(motive, zcase, scase, scrut):
-            return NatElim(*(f(u, depth) for u in (motive, zcase, scase, scrut)))
-        case BoolElim(motive, tcase, fcase, scrut):
-            return BoolElim(*(f(u, depth) for u in (motive, tcase, fcase, scrut)))
+        case NatElim(motive, a, b, scrut) | BoolElim(motive, a, b, scrut):
+            return type(t)(*(f(u, depth) for u in (motive, a, b, scrut)))
         case Let(name, ty, defn, body):
             return Let(name, f(ty, depth), f(defn, depth), f(body, inner))
     return t
@@ -515,7 +511,7 @@ def apply_spine(v: Value, spine: tuple[SpineItem, ...]) -> Value:
 
 def force(store: "MetaStore", v: Value) -> Value:
     """Unfold solved metavariables at the head of a flexible neutral."""
-    while isinstance(v, VNeutral) and isinstance(v.head, MetaH):
+    while is_flex(v):
         sol = store.lookup(v.head.mid).solution_value
         if sol is None:
             return v
@@ -574,20 +570,9 @@ def _quote_spine_item(store: "MetaStore", depth: int, t: Term, item: SpineItem) 
             return Fst(mode, t)
         case SSnd(mode):
             return Snd(mode, t)
-        case SNatElim(motive, zcase, scase):
-            return NatElim(
-                quote(store, depth, motive),
-                quote(store, depth, zcase),
-                quote(store, depth, scase),
-                t,
-            )
-        case SBoolElim(motive, tcase, fcase):
-            return BoolElim(
-                quote(store, depth, motive),
-                quote(store, depth, tcase),
-                quote(store, depth, fcase),
-                t,
-            )
+        case SNatElim(motive, a, b) | SBoolElim(motive, a, b):
+            elim = NatElim if type(item) is SNatElim else BoolElim
+            return elim(*(quote(store, depth, u) for u in (motive, a, b)), t)
     raise AssertionError(f"unhandled spine item {item!r}")
 
 
@@ -657,21 +642,15 @@ def _conv_spine_item(
     match a, b:
         case SApp(mode, _, arg), SApp(mode2, _, arg2):
             return mode is mode2 and conv(store, depth, arg, arg2)
-        case SFst(mode), SFst(mode2):
+        case (SFst(mode), SFst(mode2)) | (SSnd(mode), SSnd(mode2)):
             return mode is mode2
-        case SSnd(mode), SSnd(mode2):
-            return mode is mode2
-        case SNatElim(p, z, s), SNatElim(p2, z2, s2):
+        case (SNatElim(p, x, y), SNatElim(p2, x2, y2)) | (
+            SBoolElim(p, x, y), SBoolElim(p2, x2, y2)
+        ):
             return (
                 conv(store, depth, p, p2)
-                and conv(store, depth, z, z2)
-                and conv(store, depth, s, s2)
-            )
-        case SBoolElim(p, t, f), SBoolElim(p2, t2, f2):
-            return (
-                conv(store, depth, p, p2)
-                and conv(store, depth, t, t2)
-                and conv(store, depth, f, f2)
+                and conv(store, depth, x, x2)
+                and conv(store, depth, y, y2)
             )
     return False
 
@@ -687,62 +666,96 @@ class CtxEntry(Record):
     defined: bool  # let-bound or top-level definition, not a lambda binder
 
 
-class Context(Record):
-    """A typing context: entries, their evaluation environment, and the
-    erased flag that represents the presence of the erasure marker.  The
-    first `top` entries are the top-level declarations of the module."""
+class Signature:
+    """The append-only table of a module's top-level declarations: their
+    entries, their names and a dict from each name to its level.  Every
+    context of a module shares one table and sees a prefix of it.  Names
+    are unique: the parser refuses a duplicate declaration.  `names` is a
+    tuple, so a context that sees the whole table reads it without a copy."""
 
-    entries: tuple[CtxEntry, ...] = ()
+    __slots__ = ("entries", "names", "levels")
+
+    def __init__(self) -> None:
+        self.entries: list[CtxEntry] = []
+        self.names: tuple[str, ...] = ()
+        self.levels: dict[str, int] = {}
+
+
+# The signature of a context made without one.  It stays empty: the first
+# `declare` into such a context starts a table of its own.
+_NO_DECLS = Signature()
+
+
+class Context(Record):
+    """A typing context: the first `top` entries of a signature, the local
+    entries above them (binders and `let`s), the evaluation environment of
+    both, and the erased flag that represents the presence of the erasure
+    marker."""
+
+    sig: Signature = _NO_DECLS
+    local: tuple[CtxEntry, ...] = ()
     env: Env = ()
     flag: bool = False
-    top: int = 0
 
     @property
     def depth(self) -> int:
-        return len(self.entries)
+        return len(self.env)
+
+    @property
+    def top(self) -> int:
+        return len(self.env) - len(self.local)
 
     @property
     def names(self) -> tuple[str, ...]:
-        return tuple(e.name for e in self.entries)
+        return self.sig.names[: self.top] + tuple(e.name for e in self.local)
+
+    def entry(self, lvl: int) -> CtxEntry:
+        """The entry at de Bruijn level `lvl`."""
+        top = self.top
+        return self.sig.entries[lvl] if lvl < top else self.local[lvl - top]
 
     def bind(self, name: str, mode: Mode, ty: Value) -> Context:
         entry = CtxEntry(name, mode, ty, defined=False)
-        return Context(
-            self.entries + (entry,), self.env + (vvar(self.depth),), self.flag, self.top
-        )
+        env = self.env
+        return Context(self.sig, self.local + (entry,), env + (vvar(len(env)),), self.flag)
 
     def define(self, name: str, mode: Mode, ty: Value, value: Value | Thunk) -> Context:
         entry = CtxEntry(name, mode, ty, defined=True)
-        return Context(
-            self.entries + (entry,), self.env + (value,), self.flag, self.top
-        )
+        return Context(self.sig, self.local + (entry,), self.env + (value,), self.flag)
 
     def declare(
         self, name: str, ty: Value, value: Value | Thunk | None = None
     ) -> Context:
-        """Add a top-level declaration to a signature (a context of top-level
-        entries only); opaque when `value` is None."""
-        if value is None:
-            ctx = self.bind(name, Mode.OMEGA, ty)
-        else:
-            ctx = self.define(name, Mode.OMEGA, ty, value)
-        return Context(ctx.entries, ctx.env, ctx.flag, ctx.depth)
+        """Append a top-level declaration, opaque when `value` is None, to
+        the signature of a context that sees all of it and has no locals."""
+        sig = Signature() if self.sig is _NO_DECLS else self.sig
+        lvl = len(self.env)
+        if self.local or lvl != len(sig.entries):
+            raise InternalError("declaration added to a context inside the signature")
+        sig.entries.append(CtxEntry(name, Mode.OMEGA, ty, defined=value is not None))
+        sig.names += (name,)
+        sig.levels[name] = lvl
+        value = vvar(lvl) if value is None else value
+        return Context(sig, (), self.env + (value,), self.flag)
 
-    def signature(self) -> Context:
-        """The top-level prefix of this context, with this context's flag."""
-        top = self.top
-        return Context(self.entries[:top], self.env[:top], self.flag, top)
+    def prefix(self, k: int) -> Context:
+        """The first `k` top-level declarations, with this context's flag."""
+        return Context(self.sig, (), self.env[:k], self.flag)
 
     def erased(self) -> Context:
         if self.flag:
             return self
-        return Context(self.entries, self.env, True, self.top)
+        return Context(self.sig, self.local, self.env, True)
 
     def lookup(self, name: str) -> tuple[int, CtxEntry] | None:
         """Innermost entry with the given name, as (de Bruijn index, entry)."""
-        for ix, entry in enumerate(reversed(self.entries)):
+        for ix, entry in enumerate(reversed(self.local)):
             if entry.name == name:
                 return ix, entry
+        # A top-level name, if this context sees its declaration.
+        lvl = self.sig.levels.get(name, self.top)
+        if lvl < self.top:
+            return len(self.env) - 1 - lvl, self.sig.entries[lvl]
         return None
 
 
@@ -795,7 +808,7 @@ def kernel_infer(store: "MetaStore", ctx: Context, t: Term) -> Value:
         case Var(ix):
             if not 0 <= ix < ctx.depth:
                 raise InternalError(f"variable index {ix} out of scope at depth {ctx.depth}")
-            entry = ctx.entries[ctx.depth - 1 - ix]
+            entry = ctx.entry(ctx.depth - 1 - ix)
             if entry.mode is Mode.ZERO and not ctx.flag:
                 raise KernelError(
                     f"erased variable {entry.name!r} used at runtime"
@@ -813,17 +826,13 @@ def kernel_infer(store: "MetaStore", ctx: Context, t: Term) -> Value:
             arg_ctx = ctx.erased() if mode is Mode.ZERO else ctx
             kernel_check(store, arg_ctx, arg, fn_ty.dom)
             return fn_ty.cod.apply(Thunk(ctx.env, arg))
-        case Pi(name, mode, _, dom, cod):
-            _require_erased(ctx, "dependent function type")
+        case Pi(name, mode, _, dom, cod) | Sigma(name, mode, dom, cod):
+            _require_erased(
+                ctx, "dependent function type" if type(t) is Pi else "dependent pair type"
+            )
             kernel_check(store, ctx.erased(), dom, Univ())
             dom_v = evaluate(ctx.env, dom)
             kernel_check(store, ctx.bind(name, mode, dom_v).erased(), cod, Univ())
-            return Univ()
-        case Sigma(name, mode, fst_ty, snd_ty):
-            _require_erased(ctx, "dependent pair type")
-            kernel_check(store, ctx.erased(), fst_ty, Univ())
-            fst_v = evaluate(ctx.env, fst_ty)
-            kernel_check(store, ctx.bind(name, mode, fst_v).erased(), snd_ty, Univ())
             return Univ()
         case Constant():
             _, ty, code = _CONSTANT_ROWS[type(t)]
@@ -946,7 +955,9 @@ def _require_erased(ctx: Context, what: str) -> None:
 # Pretty-printing
 
 
-_SUB0 = "₀"
+def _mark(mode: Mode) -> str:
+    """The subscript on an erased binder, projection or pair."""
+    return "₀" if mode is Mode.ZERO else ""
 
 
 def _fresh(name: str, names: tuple[str, ...]) -> str:
@@ -980,52 +991,43 @@ def pp(t: Term, names: tuple[str, ...] = (), prec: int = 0) -> str:
             return _CONSTANT_ROWS[type(t)][0]
         case Succ(arg):
             return _wrap(f"succ {pp(arg, names, 3)}", prec, 2)
-        case Fst(mode, pair):
-            mark = _SUB0 if mode is Mode.ZERO else ""
-            return _wrap(f"fst{mark} {pp(pair, names, 3)}", prec, 2)
-        case Snd(mode, pair):
-            mark = _SUB0 if mode is Mode.ZERO else ""
-            return _wrap(f"snd{mark} {pp(pair, names, 3)}", prec, 2)
-        case NatElim(motive, z, s, n):
-            parts = " ".join(pp(u, names, 3) for u in (motive, z, s, n))
-            return _wrap(f"natElim {parts}", prec, 2)
-        case BoolElim(motive, a, b, c):
+        case Fst(mode, pair) | Snd(mode, pair):
+            word = "fst" if type(t) is Fst else "snd"
+            return _wrap(f"{word}{_mark(mode)} {pp(pair, names, 3)}", prec, 2)
+        case NatElim(motive, a, b, c) | BoolElim(motive, a, b, c):
+            word = "natElim" if type(t) is NatElim else "boolElim"
             parts = " ".join(pp(u, names, 3) for u in (motive, a, b, c))
-            return _wrap(f"boolElim {parts}", prec, 2)
+            return _wrap(f"{word} {parts}", prec, 2)
         case App(_, icit, fn, arg):
             if icit is Icit.IMPL:
                 return _wrap(f"{pp(fn, names, 2)} {{{pp(arg, names, 0)}}}", prec, 2)
             return _wrap(f"{pp(fn, names, 2)} {pp(arg, names, 3)}", prec, 2)
         case Lam(name, mode, icit, body):
             x = _fresh(name, names)
-            mark = _SUB0 if mode is Mode.ZERO else ""
             binder = f"{{{x}}}" if icit is Icit.IMPL else x
-            return _wrap(f"λ{mark} {binder}. {pp(body, names + (x,), 0)}", prec, 0)
+            return _wrap(f"λ{_mark(mode)} {binder}. {pp(body, names + (x,), 0)}", prec, 0)
         case Pi(name, mode, icit, dom, cod):
             x = _fresh(name, names)
-            mark = _SUB0 if mode is Mode.ZERO else ""
             if icit is Icit.EXPL and name == "_" and mode is Mode.OMEGA:
                 return _wrap(
                     f"{pp(dom, names, 1)} → {pp(cod, names + (x,), 0)}", prec, 0
                 )
             open_, close = ("{", "}") if icit is Icit.IMPL else ("(", ")")
             return _wrap(
-                f"Π{mark} {open_}{x} : {pp(dom, names, 0)}{close}. "
+                f"Π{_mark(mode)} {open_}{x} : {pp(dom, names, 0)}{close}. "
                 f"{pp(cod, names + (x,), 0)}",
                 prec,
                 0,
             )
         case Sigma(name, mode, fst_ty, snd_ty):
             x = _fresh(name, names)
-            mark = _SUB0 if mode is Mode.ZERO else ""
             if name == "_":
                 lhs = pp(fst_ty, names, 2)
             else:
                 lhs = f"({x} : {pp(fst_ty, names, 0)})"
-            return _wrap(f"{lhs} *{mark} {pp(snd_ty, names + (x,), 1)}", prec, 0)
+            return _wrap(f"{lhs} *{_mark(mode)} {pp(snd_ty, names + (x,), 1)}", prec, 0)
         case Pair(mode, fst, snd):
-            mark = _SUB0 if mode is Mode.ZERO else ""
-            return f"({pp(fst, names, 0)}, {pp(snd, names, 0)}){mark}"
+            return f"({pp(fst, names, 0)}, {pp(snd, names, 0)}){_mark(mode)}"
         case Let(name, ty, defn, body):
             x = _fresh(name, names)
             return _wrap(

@@ -94,63 +94,68 @@ class TLet(Target, uncompared=("name",)):
 # Extraction
 
 
-def runtime_index(modes: tuple[Mode, ...], level: int) -> int:
-    """Target index of the binder at `level`: the number of runtime binders
-    introduced after it."""
-    if modes[level] is not Mode.OMEGA:
-        raise InternalError("erased binder has no runtime index")
-    return sum(1 for m in modes[level + 1 :] if m is Mode.OMEGA)
-
-
 def extract_at(modes: tuple[Mode, ...], t: Term) -> Target:
+    """Extract `t` under binders of the given modes, oldest first."""
+    levels: list[int | None] = []
+    n = 0
+    for m in modes:
+        levels.append(n if m is Mode.OMEGA else None)
+        n += m is Mode.OMEGA
+    return _extract(levels, n, t)
+
+
+def _extract(levels: list[int | None], n: int, t: Term) -> Target:
+    """Extract `t` under binders whose runtime levels are `levels` (None for
+    an erased binder), `n` of them runtime: the target index of a variable
+    is the number of runtime binders after its own.  A binder is pushed on
+    `levels` while its scope is extracted, so `levels` is one list however
+    deep the binders nest."""
     match t:
         case co.Var(ix):
-            level = len(modes) - 1 - ix
-            if modes[level] is Mode.ZERO:
+            level = levels[len(levels) - 1 - ix]
+            if level is None:
                 raise InternalError("erased variable at a runtime position")
-            return TVar(runtime_index(modes, level))
+            return TVar(n - 1 - level)
         case co.Lam(name, Mode.OMEGA, _, body):
-            return TLam(name, extract_at(modes + (Mode.OMEGA,), body))
+            return TLam(name, _under(levels, n, True, body))
         case co.Lam(_, Mode.ZERO, _, body):
-            return extract_at(modes + (Mode.ZERO,), body)
+            return _under(levels, n, False, body)
         case co.App(Mode.OMEGA, _, fn, arg):
-            return TApp(extract_at(modes, fn), extract_at(modes, arg))
+            return TApp(_extract(levels, n, fn), _extract(levels, n, arg))
         case co.App(Mode.ZERO, _, fn, _):
-            return extract_at(modes, fn)
+            return _extract(levels, n, fn)
         case co.Pair(Mode.OMEGA, fst, snd):
-            return TPair(extract_at(modes, fst), extract_at(modes, snd))
+            return TPair(_extract(levels, n, fst), _extract(levels, n, snd))
         case co.Pair(Mode.ZERO, _, snd):
-            return extract_at(modes, snd)
+            return _extract(levels, n, snd)
         case co.Fst(Mode.OMEGA, pair):
-            return TFst(extract_at(modes, pair))
+            return TFst(_extract(levels, n, pair))
         case co.Snd(Mode.OMEGA, pair):
-            return TSnd(extract_at(modes, pair))
+            return TSnd(_extract(levels, n, pair))
         case co.Snd(Mode.ZERO, pair):
-            return extract_at(modes, pair)
-        case co.Lit(n):
-            return TLit(n)
+            return _extract(levels, n, pair)
+        case co.Lit(k):
+            return TLit(k)
         case co.Succ(arg):
-            return TSucc(extract_at(modes, arg))
+            return TSucc(_extract(levels, n, arg))
         case co.TrueTm():
             return TTrue()
         case co.FalseTm():
             return TFalse()
         case co.NatElim(_, zcase, scase, scrut):
             return TNatRec(
-                extract_at(modes, zcase),
-                extract_at(modes, scase),
-                extract_at(modes, scrut),
+                _extract(levels, n, zcase),
+                _extract(levels, n, scase),
+                _extract(levels, n, scrut),
             )
         case co.BoolElim(_, tcase, fcase, scrut):
             return TIf(
-                extract_at(modes, scrut),
-                extract_at(modes, tcase),
-                extract_at(modes, fcase),
+                _extract(levels, n, scrut),
+                _extract(levels, n, tcase),
+                _extract(levels, n, fcase),
             )
         case co.Let(name, _, defn, body):
-            return TLet(
-                name, extract_at(modes, defn), extract_at(modes + (Mode.OMEGA,), body)
-            )
+            return TLet(name, _extract(levels, n, defn), _under(levels, n, True, body))
         case co.Fst(Mode.ZERO, _):
             raise InternalError("erased first projection at a runtime position")
         case co.Constant() | co.Pi() | co.Sigma():
@@ -160,12 +165,20 @@ def extract_at(modes: tuple[Mode, ...], t: Term) -> Target:
     raise AssertionError(f"unhandled term {t!r}")
 
 
+def _under(levels: list[int | None], n: int, runtime: bool, body: Term) -> Target:
+    """Extract `body` under one more binder, runtime or erased."""
+    levels.append(n if runtime else None)
+    target = _extract(levels, n + runtime, body)
+    levels.pop()
+    return target
+
+
 def extract(ctx: Context, t: Term) -> Target:
     """Extract a kernel-checked runtime term.  The context must not carry
     the erasure marker: there is nothing to run in an erased context."""
     if ctx.flag:
         raise InternalError("cannot extract in a context under the erasure marker")
-    return extract_at(tuple(e.mode for e in ctx.entries), t)
+    return extract_at(tuple(ctx.entry(lvl).mode for lvl in range(ctx.depth)), t)
 
 
 # ---------------------------------------------------------------------------

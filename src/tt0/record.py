@@ -5,8 +5,9 @@ bases, with class attributes as defaults.  `__init_subclass__` reads the new
 fields once and gives the class `__match_args__` (every field name in order,
 the field list of generic readers) and an `__init__`, `==` and `hash`
 compiled for them.  `==` and `hash` skip the fields named by the class
-keyword `uncompared` (binder names, spans), `repr` those named by `unshown`.
-Records are frozen unless the class says `frozen=False`.
+keyword `uncompared` (binder names, spans), `repr` those named by `unshown`;
+a record without compared fields equals each record of its class and hashes
+its class.  Records are frozen unless the class says `frozen=False`.
 """
 
 from __future__ import annotations
@@ -35,12 +36,12 @@ class Record:
                 method.__qualname__ = f"{cls.__qualname__}.{name}"
                 setattr(cls, name, method)
 
-    # `==` and `hash` of a record without fields.
+    # `==` and `hash` of a record without compared fields: its class.
     def __eq__(self, other: object) -> bool:
         return True if other.__class__ is self.__class__ else NotImplemented
 
     def __hash__(self) -> int:
-        return hash(())
+        return hash(self.__class__)
 
     def __repr__(self) -> str:
         shown = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._shown)
@@ -70,8 +71,9 @@ def __hash__(self):
 
 
 def _compile(cls: type[Record]) -> dict[str, Any]:
-    """`__init__`, `__eq__` and `__hash__` for the fields of `cls`; `__init__`
-    sets each field past the frozen `__setattr__`."""
+    """`__init__` for the fields of `cls`, which sets each field past the
+    frozen `__setattr__`, and `__eq__` and `__hash__` for its compared
+    fields, if it has any."""
     fields = cls.__match_args__
     defaults = {f: getattr(cls, f) for f in fields if hasattr(cls, f)}
     mine = "".join(f"self.{f}, " for f in cls._compared)
@@ -83,4 +85,5 @@ def _compile(cls: type[Record]) -> dict[str, Any]:
     )
     namespace = {"_set": object.__setattr__, "_defaults": defaults}
     exec(source, namespace)
-    return {name: namespace[name] for name in ("__init__", "__eq__", "__hash__")}
+    methods = ("__init__", "__eq__", "__hash__") if cls._compared else ("__init__",)
+    return {name: namespace[name] for name in methods}

@@ -68,13 +68,14 @@ class SweepRow(Record):
 
 
 def sweep(result: ElabResult) -> list[SweepRow]:
-    """Run both translations over every declaration of an elaborated module."""
+    """Run both translations over every declaration of an elaborated module:
+    zeroing in the module's own signature, stripping in a stripped one."""
     rows: list[SweepRow] = []
-    sig = Context()
     stripped_sig = Context()
-    for d in result.decls:
+    for i, d in enumerate(result.decls):
         zero_ok = strip_ok = True
         detail = ""
+        sig = result.sig.prefix(i)
         try:
             check_zeroing(result.store, sig.erased(), d.ty, co.Univ())
             check_zeroing(result.store, sig, d.body, d.ty_value)
@@ -89,8 +90,7 @@ def sweep(result: ElabResult) -> list[SweepRow]:
             strip_ok = False
             detail = e.message
         rows.append(SweepRow(d.name, zero_ok, strip_ok, detail))
-        sig = sig.define(d.name, Mode.OMEGA, d.ty_value, d.body_thunk)
         s_ty_v = evaluate(stripped_sig.env, s_ty)
         s_body_th = co.definition(stripped_sig.env, s_body)
-        stripped_sig = stripped_sig.define(d.name, Mode.OMEGA, s_ty_v, s_body_th)
+        stripped_sig = stripped_sig.declare(d.name, s_ty_v, s_body_th)
     return rows

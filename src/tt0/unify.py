@@ -88,8 +88,7 @@ def capture_context(store: MetaStore, ctx: Context) -> tuple[CapturedEntry, ...]
     """Quote the local entries of a context, those above its top-level prefix.
     A local definition not yet computed is captured as its own term."""
     captured: list[CapturedEntry] = []
-    for lvl in range(ctx.top, ctx.depth):
-        entry = ctx.entries[lvl]
+    for lvl, entry in enumerate(ctx.local, ctx.top):
         ty = quote(store, lvl, entry.ty)
         defn = None
         if entry.defined:
@@ -120,7 +119,7 @@ def fresh_meta(
     return the term standing for it (the meta applied to the bound
     variables in scope)."""
     ty_term = quote(store, ctx.depth, ty)
-    sig = ctx.signature()
+    sig = ctx.prefix(ctx.top)
     entries = capture_context(store, ctx)
     closed = close_type(entries, ty_term)
     entry = MetaEntry(

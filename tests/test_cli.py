@@ -404,3 +404,22 @@ class TestPipelineCoherence:
         code, _, err = run(capsys, "check", str(path))
         assert code == 1
         assert "error:" in err
+
+    def test_module_of_500_declarations(self, capsys, tmp_path):
+        # One declaration per line, each using the one before it through the
+        # signature; 500 declarations in all.
+        names = ["id"] + [f"d_{i}" for i in range(2, 501)]
+        lines = ["let id : {A :0 U} -> A -> A = \\{A} x. x;", "let d_2 : Nat = 2;"]
+        lines += [f"let d_{i} : Nat = id (succ d_{i - 1});" for i in range(3, 501)]
+        path = tmp_path / "chain500.tt0"
+        path.write_text("\n".join(lines) + "\nmain = d_500;\n")
+        code, out, _ = run(capsys, "check", str(path), "--json")
+        assert code == 0
+        assert [row["name"] for row in json.loads(out)["checked"]] == names + ["main"]
+        code, out, _ = run(capsys, "run", str(path))
+        assert (code, out.splitlines()[-1]) == (0, "= 500")
+        code, out, _ = run(capsys, "meta", str(path), "--json")
+        meta = json.loads(out)
+        assert code == 0 and meta["ok"]
+        assert [d["name"] for d in meta["decls"]] == names
+        assert all(d["zeroing"] and d["stripping"] for d in meta["decls"])

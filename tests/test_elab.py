@@ -9,8 +9,8 @@ from tt0 import core as co
 from tt0 import extract as ex
 from tt0 import surface as sf
 from tt0.core import Context, NatTy, evaluate, kernel_check, normal_form
-from tt0.diagnostics import ElabError, KernelError, UnifyError
-from tt0.elab import ElabState, check, check_erased, closed_main, elaborate_text, infer, zonk
+from tt0.diagnostics import ElabError, InternalError, KernelError, UnifyError
+from tt0.elab import check, check_erased, closed_main, elaborate_text, infer, zonk
 from tt0.surface import Icit, Mode, parse_term_text
 from tt0.unify import MetaStore, fresh_meta, unify
 
@@ -22,51 +22,51 @@ def term(src: str):
     return parse_term_text(src)
 
 
-def vty(src: str, st_: ElabState | None = None, ctx: Context | None = None):
-    st_ = st_ or ElabState()
+def vty(src: str, store: MetaStore | None = None, ctx: Context | None = None):
+    store = MetaStore() if store is None else store
     ctx = ctx or Context()
-    t = check_erased(st_, ctx, term(src), co.Univ())
+    t = check_erased(store, ctx, term(src), co.Univ())
     return evaluate(ctx.env, t)
 
 
 class TestCheck:
     def test_lambda_against_runtime_function(self):
-        st_ = ElabState()
-        t = check(st_, Context(), term("\\x. x"), vty("Nat -> Nat", st_))
+        store = MetaStore()
+        t = check(store, Context(), term("\\x. x"), vty("Nat -> Nat", store))
         assert t == co.Lam("x", W, EX, co.Var(0))
 
     def test_identity_against_erased_implicit_pi(self):
-        st_ = ElabState()
-        t = check(st_, Context(), term("\\{A} x. x"), vty("{A :0 U} -> A -> A", st_))
+        store = MetaStore()
+        t = check(store, Context(), term("\\{A} x. x"), vty("{A :0 U} -> A -> A", store))
         assert t == co.Lam("A", Z0, IM, co.Lam("x", W, EX, co.Var(0)))
 
     def test_erased_variable_at_runtime_is_an_error(self):
-        st_ = ElabState()
+        store = MetaStore()
         ctx = Context().bind("x", Z0, NatTy())
         with pytest.raises(ElabError, match="erased variable"):
-            check(st_, ctx, term("x"), NatTy())
+            check(store, ctx, term("x"), NatTy())
 
     def test_check_erased_gives_access(self):
-        st_ = ElabState()
+        store = MetaStore()
         ctx = Context().bind("x", Z0, NatTy())
         assert ctx.flag is False
-        t = check_erased(st_, ctx, term("x"), NatTy())
+        t = check_erased(store, ctx, term("x"), NatTy())
         assert t == co.Var(0)
 
     def test_check_erased_lambda_against_erased_pi(self):
-        st_ = ElabState()
+        store = MetaStore()
         t = check_erased(
-            st_, Context(), term("\\x. x"), vty("(x :0 Nat) -> Nat", st_)
+            store, Context(), term("\\x. x"), vty("(x :0 Nat) -> Nat", store)
         )
         assert t == co.Lam("x", Z0, EX, co.Var(0))
 
     def test_check_erased_allows_elimination_of_erased_scrutinee(self):
-        st_ = ElabState()
+        store = MetaStore()
         ctx = Context().bind("n", Z0, NatTy())
         src = "natElim (\\k. Nat) zero (\\k ih. succ ih) n"
         with pytest.raises(ElabError):
-            check(st_, ctx, term(src), NatTy())
-        t = check_erased(st_, ctx, term(src), NatTy())
+            check(store, ctx, term(src), NatTy())
+        t = check_erased(store, ctx, term(src), NatTy())
         assert isinstance(t, co.NatElim)
 
 
@@ -102,22 +102,22 @@ let one : Nat = id zero;
         kernel_check(r.store, sig, body, NatTy())
 
     def test_erased_first_projection_rejected(self):
-        st_ = ElabState()
-        sig_ty = vty("(n :0 Nat) * Nat", st_)
+        store = MetaStore()
+        sig_ty = vty("(n :0 Nat) * Nat", store)
         ctx = Context().bind("p", W, sig_ty)
         with pytest.raises(ElabError, match="erased"):
-            infer(st_, ctx, term("fst p"))
-        t, ty = infer(st_, ctx.erased(), term("fst p"))
+            infer(store, ctx, term("fst p"))
+        t, ty = infer(store, ctx.erased(), term("fst p"))
         assert t == co.Fst(Z0, co.Var(0))
         assert ty == NatTy()
 
     def test_unbound_name(self):
         with pytest.raises(ElabError, match="unbound"):
-            infer(ElabState(), Context(), term("ghost"))
+            infer(MetaStore(), Context(), term("ghost"))
 
     def test_applying_non_function(self):
         with pytest.raises(ElabError, match="non-function"):
-            infer(ElabState(), Context(), term("zero zero"))
+            infer(MetaStore(), Context(), term("zero zero"))
 
 
 # The target constant each runtime constant of `core.CONSTANTS` runs to.
@@ -131,7 +131,7 @@ def test_base_constant_in_every_layer(keyword):
     assert parsed == sf.SConst(parsed.span, keyword)
     assert sf.pp_term(parsed) == keyword
     assert co.pp(const) == keyword
-    assert infer(ElabState(), Context().erased(), parsed) == (const, ty)
+    assert infer(MetaStore(), Context().erased(), parsed) == (const, ty)
     assert co.kernel_infer(MetaStore(), Context().erased(), const) == ty
     r = elaborate_text(f"main = {keyword};")
     if code is None:
@@ -252,6 +252,19 @@ class TestNameResolution:
         unify(store, sig.depth, evaluate(sig.env, m), co.vvar(0), sig.names)
         assert entry.solution_closed == co.Var(0)
 
+    def test_declare_needs_a_context_that_sees_the_whole_signature(self):
+        sig = Context().declare("a", NatTy())
+        longer = sig.declare("b", NatTy(), co.Lit(2))
+        with pytest.raises(InternalError, match="inside the signature"):
+            sig.declare("c", NatTy())  # sees `a` but not `b`
+        with pytest.raises(InternalError, match="inside the signature"):
+            longer.bind("x", W, NatTy()).declare("c", NatTy())
+        assert longer.declare("c", NatTy()).names == ("a", "b", "c")
+        assert longer.prefix(1).names == ("a",) and longer.prefix(1).lookup("b") is None
+        # Contexts made without a signature start tables of their own.
+        assert Context().declare("a", co.BoolTy()).lookup("a")[1].ty == co.BoolTy()
+        assert Context().names == () and Context().lookup("a") is None
+
     def test_top_level_reference_under_nested_binders(self, capsys, tmp_path):
         src = "let a : Nat = 3;\nlet f : Nat -> Bool -> Nat = \\x. \\b. a;\nmain = f 1 true;\n"
         r = elaborate_text(src)
@@ -368,19 +381,19 @@ class TestErasurePhaseSoundness:
     @settings(max_examples=60, deadline=None)
     @given(nat_term(3))
     def test_well_moded_terms_elaborate_under_both_flags(self, src):
-        st_ = ElabState()
-        t_runtime = check(st_, Context(), term(src), NatTy())
-        st2 = ElabState()
-        t_erased = check(st2, Context(flag=True), term(src), NatTy())
-        kernel_check(st_.store, Context(), t_runtime, NatTy())
-        kernel_check(st2.store, Context(flag=True), t_erased, NatTy())
+        store = MetaStore()
+        t_runtime = check(store, Context(), term(src), NatTy())
+        store2 = MetaStore()
+        t_erased = check(store2, Context(flag=True), term(src), NatTy())
+        kernel_check(store, Context(), t_runtime, NatTy())
+        kernel_check(store2, Context(flag=True), t_erased, NatTy())
 
     @settings(max_examples=60, deadline=None)
     @given(nat_term(3))
     def test_numeral_value_matches_direct_count(self, src):
-        st_ = ElabState()
-        t = check(st_, Context(), term(src), NatTy())
-        v = normal_form(st_.store, (), t)
+        store = MetaStore()
+        t = check(store, Context(), term(src), NatTy())
+        v = normal_form(store, (), t)
         assert isinstance(v, co.Lit)
 
     @settings(max_examples=100, deadline=None)
@@ -388,9 +401,9 @@ class TestErasurePhaseSoundness:
     def test_core_and_target_evaluation_agree(self, src):
         from tt0.extract import as_numeral, eval_target, extract
 
-        st_ = ElabState()
-        t = check(st_, Context(), term(src), NatTy())
-        kernel_check(st_.store, Context(), t, NatTy())
-        core_v = normal_form(st_.store, (), t)
+        store = MetaStore()
+        t = check(store, Context(), term(src), NatTy())
+        kernel_check(store, Context(), t, NatTy())
+        core_v = normal_form(store, (), t)
         assert isinstance(core_v, co.Lit)
         assert as_numeral(eval_target(extract(Context(), t))) == core_v.n

@@ -38,7 +38,6 @@ from tt0.extract import (
     extract,
     extract_at,
     pp_target,
-    runtime_index,
     target_from_json,
     target_to_json,
 )
@@ -82,12 +81,12 @@ class TestExtract:
 class TestRuntimeIndex:
     def test_runtime_binder_skips_erased(self):
         modes = (W, Z0, W)  # x, n, y  (oldest first)
-        assert runtime_index(modes, 2) == 0  # y
-        assert runtime_index(modes, 0) == 1  # x, with n skipped
+        assert extract_at(modes, co.Var(0)) == TVar(0)  # y
+        assert extract_at(modes, co.Var(2)) == TVar(1)  # x, with n skipped
 
     def test_erased_binder_has_no_index(self):
-        with pytest.raises(InternalError):
-            runtime_index((W, Z0, W), 1)
+        with pytest.raises(InternalError, match="erased variable"):
+            extract_at((W, Z0, W), co.Var(1))
 
     def test_var_through_mixed_binders(self):
         # \x. \0n. \y. x  ~>  \x. \y. x

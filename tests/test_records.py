@@ -78,12 +78,11 @@ RECORDS = {
     "core.SBoolElim": "motive tcase fcase",
     "core.VNeutral": "head spine",
     "core.CtxEntry": "name mode ty defined",
-    "core.Context": "entries env flag top",
+    "core.Context": "sig local env flag",
     "unify.CapturedEntry": "name mode ty defn",
     "unify.MetaEntry": "mid sig entries ty closed_ty closed_ty_value span"
     " solution_closed solution_body solution_value",
     "unify.PartialRenaming": "dom cod map allow_erased top",
-    "elab.ElabState": "store",
     "elab.DeclInfo": "name span ty body ty_value body_thunk",
     "elab.ElabResult": "decls main store sig errors",
     "translate.SweepRow": "name zeroing_ok stripping_ok detail",
@@ -103,7 +102,7 @@ RECORDS = {
     "extract.TLet": "name* defn body",
 }
 
-MUTABLE = {"unify.MetaEntry", "unify.PartialRenaming", "elab.ElabState", "elab.ElabResult"}
+MUTABLE = {"unify.MetaEntry", "unify.PartialRenaming", "elab.ElabResult"}
 
 # The surface node of each base constant is an `SConst` whose keyword is the
 # constant's; it is pinned, as that record with the keyword fixed, under the
@@ -180,8 +179,10 @@ def test_eq_hash_and_repr_read_the_listed_fields(key):
     if key in MUTABLE:
         with pytest.raises(TypeError):
             hash(a)
-    else:
+    elif compared:
         assert hash(a) == hash(tuple(got[f] for f in compared))
+    else:
+        assert hash(a) == hash(cls)
 
 
 @pytest.mark.parametrize("key", PINS)
@@ -201,6 +202,15 @@ def test_frozen_records_refuse_assignment(key):
     for f in fields:
         with pytest.raises(AttributeError):
             delattr(a, f)
+
+
+def test_records_without_fields_hash_apart():
+    constants = [
+        co.Univ(), co.NatTy(), co.BoolTy(), co.TrueTm(), co.FalseTm(), ex.TTrue(), ex.TFalse()
+    ]
+    assert len({hash(c) for c in constants}) == len(constants)
+    assert len(set(constants)) == len(constants)
+    assert hash(co.Univ()) == hash(co.Univ()) and co.Univ() in set(constants)
 
 
 def test_binder_names_and_spans_affect_neither_eq_nor_hash():
