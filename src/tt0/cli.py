@@ -126,7 +126,7 @@ def _load(path: str) -> str:
 def cmd_check(result: ElabResult, args: argparse.Namespace) -> int:
     rows = []
     for i, d in enumerate(result.decls):
-        ty = co.pp(d.ty, result.sig.prefix(i).names)
+        ty = co.pp(d.ty, result.sig.names[:i])
         rows.append({"name": d.name, "type": ty})
         if not args.json:
             print(f"ok {d.name} : {ty}")
@@ -154,7 +154,7 @@ def cmd_elab(result: ElabResult, args: argparse.Namespace) -> int:
         print(_dumps(payload))
         return EXIT_OK
     for i, d in enumerate(result.decls):
-        names = result.sig.prefix(i).names
+        names = result.sig.names[:i]
         print(f"let {d.name} : {co.pp(d.ty, names)}")
         print(f"  = {co.pp(d.body, names)}")
     if result.main is not None:
