@@ -673,8 +673,6 @@ class Signature:
     are unique: the parser refuses a duplicate declaration.  `names` is a
     tuple, so a context that sees the whole table reads it without a copy."""
 
-    __slots__ = ("entries", "names", "levels")
-
     def __init__(self) -> None:
         self.entries: list[CtxEntry] = []
         self.names: tuple[str, ...] = ()
@@ -711,8 +709,7 @@ class Context(Record):
 
     def entry(self, lvl: int) -> CtxEntry:
         """The entry at de Bruijn level `lvl`."""
-        top = self.top
-        return self.sig.entries[lvl] if lvl < top else self.local[lvl - top]
+        return self.sig.entries[lvl] if lvl < self.top else self.local[lvl - len(self.env)]
 
     def bind(self, name: str, mode: Mode, ty: Value) -> Context:
         entry = CtxEntry(name, mode, ty, defined=False)

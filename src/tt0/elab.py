@@ -436,10 +436,11 @@ def _prefix_refs(t: Term, depth: int) -> set[int]:
     return refs
 
 
-def _thin(t: Term, depth: int, rank: dict[int, int], new_depth: int) -> Term:
+def _thin(t: Term, depth: int, rank: dict[int, int]) -> Term:
     """Renumber prefix references of a term at `depth` after dropping the
-    prefix entries not in `rank` (rank maps kept levels to new levels), of
-    which `new_depth` lie below `depth`."""
+    prefix entries not in `rank` (kept level -> new level).  A kept `depth`
+    has as many kept levels below it as its rank; any other, all of them."""
+    new_depth = rank.get(depth, len(rank))
     if new_depth == depth:
         return t  # every entry below `depth` is kept where it was
 
@@ -464,11 +465,10 @@ def close_over_signature(result: ElabResult, t: Term, depth: int) -> Term:
             todo += _prefix_refs(d.ty, lvl) | _prefix_refs(d.body, lvl)
     kept = sorted(needed)
     rank = {lvl: i for i, lvl in enumerate(kept)}
-    closed = _thin(t, depth, rank, len(kept))
+    closed = _thin(t, depth, rank)
     for lvl in reversed(kept):
         d = result.decls[lvl]
-        ty, body = _thin(d.ty, lvl, rank, rank[lvl]), _thin(d.body, lvl, rank, rank[lvl])
-        closed = co.Let(d.name, ty, body, closed)
+        closed = co.Let(d.name, _thin(d.ty, lvl, rank), _thin(d.body, lvl, rank), closed)
     return closed
 
 

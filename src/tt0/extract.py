@@ -96,8 +96,7 @@ class TLet(Target, uncompared=("name",)):
 
 def extract_at(modes: tuple[Mode, ...], t: Term) -> Target:
     """Extract `t` under binders of the given modes, oldest first."""
-    levels: list[int | None] = []
-    n = 0
+    levels, n = [], 0
     for m in modes:
         levels.append(n if m is Mode.OMEGA else None)
         n += m is Mode.OMEGA
@@ -106,20 +105,17 @@ def extract_at(modes: tuple[Mode, ...], t: Term) -> Target:
 
 def _extract(levels: list[int | None], n: int, t: Term) -> Target:
     """Extract `t` under binders whose runtime levels are `levels` (None for
-    an erased binder), `n` of them runtime: the target index of a variable
-    is the number of runtime binders after its own.  A binder is pushed on
-    `levels` while its scope is extracted, so `levels` is one list however
-    deep the binders nest."""
+    an erased one), `n` of them runtime.  `_under` pushes a binder on the
+    list for the extraction of its scope, so one list serves every depth."""
     match t:
         case co.Var(ix):
             level = levels[len(levels) - 1 - ix]
             if level is None:
                 raise InternalError("erased variable at a runtime position")
             return TVar(n - 1 - level)
-        case co.Lam(name, Mode.OMEGA, _, body):
-            return TLam(name, _under(levels, n, True, body))
-        case co.Lam(_, Mode.ZERO, _, body):
-            return _under(levels, n, False, body)
+        case co.Lam(name, mode, _, body):
+            body_t = _under(levels, n, mode is Mode.OMEGA, body)
+            return TLam(name, body_t) if mode is Mode.OMEGA else body_t
         case co.App(Mode.OMEGA, _, fn, arg):
             return TApp(_extract(levels, n, fn), _extract(levels, n, arg))
         case co.App(Mode.ZERO, _, fn, _):
