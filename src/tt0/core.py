@@ -511,7 +511,7 @@ def apply_spine(v: Value, spine: tuple[SpineItem, ...]) -> Value:
 
 def force(store: "MetaStore", v: Value) -> Value:
     """Unfold solved metavariables at the head of a flexible neutral."""
-    while is_flex(v):
+    while isinstance(v, VNeutral) and isinstance(v.head, MetaH):
         sol = store.lookup(v.head.mid).solution_value
         if sol is None:
             return v
