@@ -183,19 +183,16 @@ class Let(Term, uncompared=("name",)):
 
 
 class Meta(Term):
-    mid: int
+    """A metavariable applied to the bound entries it captured.
 
-
-class InsertedMeta(Term):
-    """A metavariable applied to the bound variables of its creation context.
-
-    mask[i] is the binder mode of context entry i if that entry is bound,
-    None if it is let-defined; its length equals the binding depth at the
-    node's occurrence.
+    mask[i] is the mode of the meta's i-th captured entry, None for a
+    captured `let`; the mask covers the last len(mask) entries of the
+    context where the meta occurs.  An empty mask is a bare occurrence: the
+    solution closed over the signature.
     """
 
     mid: int
-    mask: tuple[Mode | None, ...]
+    mask: tuple[Mode | None, ...] = ()
 
 
 def map_subterms(t: Term, f: Callable[[Term, int], Term], depth: int = 0) -> Term:
@@ -424,11 +421,9 @@ def evaluate(env: Env, t: Term) -> Value:
             )
         case Let(_, _, defn, body):
             return evaluate(env + (definition(env, defn),), body)
-        case Meta(mid):
-            return VNeutral(MetaH(mid))
-        case InsertedMeta(mid, mask):
+        case Meta(mid, mask):
             v: Value = VNeutral(MetaH(mid))
-            for i, m in enumerate(mask):
+            for i, m in enumerate(mask, len(env) - len(mask)):
                 if m is not None:
                     v = vapp(v, m, Icit.EXPL, entry_value(env[i]))
             return v
@@ -765,7 +760,8 @@ class Context(Record):
 # of mode-0 applications, first components of mode-0 pairs) recurse with
 # the flag forced on.  Type codes themselves (U, Nat, Bool, Pi, Sigma) are
 # erased resources and demand the flag, as do mode-0 variables and mode-0
-# first projections.
+# first projections.  The kernel reads the meta store only at a meta, so
+# zonked output, which holds none, is checked with no store.
 
 
 # Eliminator motives bind a runtime variable: families over a runtime
@@ -800,7 +796,7 @@ def motive_app(motive: Value, scrut: Value) -> Value:
     return vapp(motive, Mode.OMEGA, Icit.EXPL, scrut)
 
 
-def kernel_infer(store: "MetaStore", ctx: Context, t: Term) -> Value:
+def kernel_infer(store: "MetaStore | None", ctx: Context, t: Term) -> Value:
     match t:
         case Var(ix):
             if not 0 <= ix < ctx.depth:
@@ -875,20 +871,21 @@ def kernel_infer(store: "MetaStore", ctx: Context, t: Term) -> Value:
             kernel_check(store, ctx, defn, ty_v)
             inner = ctx.define(name, Mode.OMEGA, ty_v, definition(ctx.env, defn))
             return kernel_infer(store, inner, body)
-        case Meta(mid):
-            return store.lookup(mid).closed_ty_value
-        case InsertedMeta(mid, mask):
-            if len(mask) != ctx.depth:
+        case Meta(mid, mask):
+            if store is None:
+                raise InternalError(f"metavariable ?{mid} reached the kernel without a store")
+            entry = store.lookup(mid)
+            if mask and entry.sig.depth + len(mask) != ctx.depth:
                 raise InternalError(
-                    f"inserted meta mask length {len(mask)} != depth {ctx.depth}"
+                    f"meta mask length {len(mask)} != depth {ctx.depth} - {entry.sig.depth}"
                 )
-            ty = store.lookup(mid).closed_ty_value
-            for i, m in enumerate(mask):
+            ty = entry.closed_ty_value
+            for i, m in enumerate(mask, ctx.depth - len(mask)):
                 if m is None:
                     continue
                 ty = force(store, ty)
                 if not isinstance(ty, VPi):
-                    raise InternalError("inserted meta over-applied")
+                    raise InternalError("meta over-applied")
                 ty = ty.cod.apply(ctx.env[i])
             return ty
         case Lam() | Pair():
@@ -896,7 +893,7 @@ def kernel_infer(store: "MetaStore", ctx: Context, t: Term) -> Value:
     raise AssertionError(f"unhandled term {t!r}")
 
 
-def kernel_check(store: "MetaStore", ctx: Context, t: Term, expected: Value) -> None:
+def kernel_check(store: "MetaStore | None", ctx: Context, t: Term, expected: Value) -> None:
     expected = force(store, expected)
     match t, expected:
         case Lam(name, mode, icit, body), VPi(_, pmode, picit, dom, cod):
@@ -973,14 +970,8 @@ def pp(t: Term, names: tuple[str, ...] = (), prec: int = 0) -> str:
             if 0 <= ix < len(names):
                 return names[len(names) - 1 - ix]
             return f"@{ix}"
-        case Meta(mid):
-            return f"?{mid}"
-        case InsertedMeta(mid, mask):
-            args = [
-                names[i] if i < len(names) else f"@lvl{i}"
-                for i, m in enumerate(mask)
-                if m is not None
-            ]
+        case Meta(mid, mask):
+            args = [pp(Var(len(mask) - 1 - i), names) for i, m in enumerate(mask) if m is not None]
             return f"?{mid}[{', '.join(args)}]" if args else f"?{mid}"
         case Lit(n):
             return succ_chain(n, prec, 2)
@@ -1060,7 +1051,7 @@ def _wrap(s: str, prec: int, at: int) -> str:
 JSON_TAGS: dict[type, str] = {
     Var: "Var", Lam: "Lam", App: "App", Pi: "Pi", Sigma: "Sigma", Pair: "Pair",
     Fst: "Fst", Snd: "Snd", Succ: "succ", NatElim: "natElim", BoolElim: "boolElim",
-    Let: "Let", Meta: "Meta", InsertedMeta: "InsertedMeta",
+    Let: "Let", Meta: "Meta",
     **{type(c): kw for kw, (c, _, _) in CONSTANTS.items()},
 }
 

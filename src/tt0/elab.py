@@ -292,29 +292,23 @@ def _require_erased(ctx: Context, span: SourceSpan, what: str) -> None:
 
 # ---------------------------------------------------------------------------
 # Zonking: substitute all solved metavariables into a term.  A solution body
-# is stored under exactly the signature and captured context of its meta,
-# and an inserted meta occurs at exactly that binding depth, so the solution
-# body can be spliced in verbatim.
+# is stored under exactly the signature and captured context of its meta.
+# A meta whose mask covers its whole capture occurs in that context, so the
+# solution body splices in verbatim; a bare occurrence of a meta that
+# captured entries stands for the closed solution.
 
 
 def zonk(store: MetaStore, t: Term) -> Term:
     def go(u: Term, _depth: int = 0) -> Term:
         match u:
-            case co.InsertedMeta(mid, _):
+            case co.Meta(mid, mask):
                 entry = store.lookup(mid)
                 if entry.solution_body is None:
                     return u
-                # The captured context coincides with the occurrence context,
-                # so the in-context solution splices in verbatim.
-                return go(entry.solution_body)
-            case co.Meta(mid):
-                entry = store.lookup(mid)
-                if entry.solution_closed is None:
-                    return u
-                if not entry.entries:
-                    return go(entry.solution_closed)
-                # A bare occurrence stands for the closed solution (applied by
-                # explicit spines around it); keep it inferable with a let.
+                if len(mask) == len(entry.entries):
+                    return go(entry.solution_body)
+                # The closed solution is applied by explicit spines around
+                # it; keep it inferable with a let.
                 return co.Let(
                     f"m{mid}", go(entry.closed_ty), go(entry.solution_closed), co.Var(0)
                 )
@@ -376,7 +370,8 @@ def elaborate_module(m: sf.Module) -> ElabResult:
     if errors:
         return ElabResult(decls, main, store, sig, errors)
 
-    # Zonk and re-check everything with the kernel.
+    # Zonk and re-check everything with the kernel, given no meta store:
+    # zonked terms hold no metas.
     zonked: list[DeclInfo] = []
     sig = Context()
     for d in decls:
@@ -385,8 +380,8 @@ def elaborate_module(m: sf.Module) -> ElabResult:
         ty_v = evaluate(sig.env, ty_t)
         body_th = definition(sig.env, body_t)
         try:
-            co.kernel_check(store, sig.erased(), ty_t, co.Univ())
-            co.kernel_check(store, sig, body_t, ty_v)
+            co.kernel_check(None, sig.erased(), ty_t, co.Univ())
+            co.kernel_check(None, sig, body_t, ty_v)
         except Diagnostic as e:
             raise InternalError(
                 f"kernel rejected elaborated declaration {d.name!r}: {e.message}"
@@ -398,7 +393,7 @@ def elaborate_module(m: sf.Module) -> ElabResult:
         main_ty_t = zonk(store, quote(store, sig.depth, main[1]))
         main_ty_v = evaluate(sig.env, main_ty_t)
         try:
-            co.kernel_check(store, sig, main_t, main_ty_v)
+            co.kernel_check(None, sig, main_t, main_ty_v)
         except Diagnostic as e:
             raise InternalError(
                 f"kernel rejected elaborated main expression: {e.message}"
@@ -428,7 +423,7 @@ def _prefix_refs(t: Term, depth: int) -> set[int]:
         match u:
             case co.Var(ix) if ix >= c:
                 refs.add(depth + c - 1 - ix)
-            case co.InsertedMeta() | co.Meta():
+            case co.Meta():
                 raise InternalError("metavariable in a zonked term")
         return co.map_subterms(u, go, c)
 

@@ -156,7 +156,7 @@ def _extract(levels: list[int | None], n: int, t: Term) -> Target:
             raise InternalError("erased first projection at a runtime position")
         case co.Constant() | co.Pi() | co.Sigma():
             raise InternalError("type code at a runtime position")
-        case co.Meta() | co.InsertedMeta():
+        case co.Meta():
             raise InternalError("metavariable in a term being extracted")
     raise AssertionError(f"unhandled term {t!r}")
 

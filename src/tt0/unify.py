@@ -3,14 +3,16 @@
 There is a single kind of metavariable (runtime).  Each meta captures the
 local part of its creation context (the binders and `let`s above the
 module's top-level declarations), including the erased flag; its type and
-solution live in the signature of the declarations before it.  A candidate
-solution is built in three steps: spine inversion gives a partial renaming,
-`quote` reads the right-hand side back, and one walk over the read-back term
-renames its variables.  The walk performs the occurs check, the scope check,
-and a mode check: a variable bound at mode 0, a type code or an erased first
-projection may appear at a runtime position of a solution only if the meta
-was created with the erased flag set.  Every committed solution is re-checked
-by the kernel before it is stored.
+solution live in the signature of the declarations before it.  Its term
+`Meta(mid, mask)` applies it to the captured binders; a meta read back by
+`quote` has an empty mask and stands for the solution closed over that
+signature.  A candidate solution is built in three steps: spine inversion
+gives a partial renaming, `quote` reads the right-hand side back, and one
+walk over the read-back term renames its variables.  The walk performs the
+occurs check, the scope check, and a mode check: a variable bound at mode 0,
+a type code or an erased first projection may appear at a runtime position
+of a solution only if the meta was created with the erased flag set.  Every
+committed solution is re-checked by the kernel before it is stored.
 """
 
 from __future__ import annotations
@@ -116,8 +118,8 @@ def fresh_meta(
     store: MetaStore, ctx: Context, ty: Value, span: SourceSpan | None = None
 ) -> Term:
     """Allocate a metavariable of the given type in the given context and
-    return the term standing for it (the meta applied to the bound
-    variables in scope)."""
+    return the term standing for it, masked over the local entries it
+    captures."""
     ty_term = quote(store, ctx.depth, ty)
     sig = ctx.prefix(ctx.top)
     entries = capture_context(store, ctx)
@@ -132,10 +134,7 @@ def fresh_meta(
         span=span,
     )
     store.fresh(entry)
-    if not entries:
-        return co.Meta(entry.mid)
-    mask = tuple(None if e.defn is not None else e.mode for e in entries)
-    return co.InsertedMeta(entry.mid, (None,) * sig.depth + mask)
+    return co.Meta(entry.mid, tuple(None if e.defn is not None else e.mode for e in entries))
 
 
 # ---------------------------------------------------------------------------
@@ -340,15 +339,11 @@ def solve(
         raise InternalError(f"?{mid} is already solved")
     pren, layout = invert(entry.entries, spine, store, depth, names, entry.sig.depth)
     pren.allow_erased = entry.flag
-    body = rename(store, mid, pren, rhs, names)
-
-    closed = body
-    for binder in reversed(layout):
-        if isinstance(binder, CapturedEntry):
-            closed = co.Let(binder.name, binder.ty, binder.defn, closed)
-        else:
-            bname, bmode = binder
-            closed = co.Lam(bname, bmode, Icit.EXPL, closed)
+    # The lambdas for the arguments beyond the capture give the solution
+    # under the captured context; the captured binders around it close it.
+    n = len(entry.entries)
+    body = _abstract(rename(store, mid, pren, rhs, names), layout[n:])
+    closed = _abstract(body, layout[:n])
 
     try:
         co.kernel_check(store, entry.sig, closed, entry.closed_ty_value)
@@ -358,22 +353,18 @@ def solve(
         ) from exc
 
     entry.solution_closed = closed
-    entry.solution_body = _strip_capture(closed, len(entry.entries))
+    entry.solution_body = body
     entry.solution_value = evaluate(entry.sig.env, closed)
 
 
-def _strip_capture(solution: Term, n: int) -> Term:
-    """Drop the n leading binders of a closed solution, yielding the
-    solution as a term under the meta's captured context."""
-    for _ in range(n):
-        match solution:
-            case co.Lam(_, _, _, body):
-                solution = body
-            case co.Let(_, _, _, body):
-                solution = body
-            case _:
-                raise InternalError("solution shallower than its captured context")
-    return solution
+def _abstract(t: Term, binders: list[tuple[str, Mode] | CapturedEntry]) -> Term:
+    """Wrap `t` in a let per captured definition and a lambda per other binder."""
+    for binder in reversed(binders):
+        if isinstance(binder, CapturedEntry):
+            t = co.Let(binder.name, binder.ty, binder.defn, t)
+        else:
+            t = co.Lam(*binder, Icit.EXPL, t)
+    return t
 
 
 # ---------------------------------------------------------------------------

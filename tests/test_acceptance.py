@@ -79,14 +79,15 @@ def test_acceptance_1_kernel_independence(corpus):
     for name, result in corpus.items():
         assert result.ok, name
         assert result.store.unsolved() == [], name
+        # The kernel re-checks the zonked output with no meta store.
         sig = Context()
         for d in result.decls:
-            kernel_check(result.store, sig.erased(), d.ty, co.Univ())
-            kernel_check(result.store, sig, d.body, d.ty_value)
+            kernel_check(None, sig.erased(), d.ty, co.Univ())
+            kernel_check(None, sig, d.body, d.ty_value)
             sig = sig.define(d.name, W, d.ty_value, d.body_value)
             checked += 1
         if result.main is not None:
-            kernel_check(result.store, sig, result.main[0], result.main[1])
+            kernel_check(None, sig, result.main[0], result.main[1])
     assert checked > 0
     _passed(1, "kernel independence")
 

@@ -249,7 +249,7 @@ class TestConstant:
             if co.Term not in (get_type_hints(cls)[f] for f in cls.__match_args__)
         }
         constants = set(co.Constant.__subclasses__())
-        assert constants and nullary == constants | {co.Var, co.Meta, co.InsertedMeta}
+        assert constants and nullary == constants | {co.Var, co.Meta}
 
 
 class TestConv:
@@ -397,14 +397,12 @@ class TestPrinting:
 
 class TestJson:
     def test_metas_encode_with_id_and_mask(self):
-        # No golden run reaches these formers: elaboration solves every meta.
+        # No golden run reaches this former: elaboration solves every meta.
         meta = co.Meta(3)
-        inserted = co.InsertedMeta(3, (None, Mode.ZERO))
+        masked = co.Meta(3, (None, Mode.ZERO))
         # Compare text, so that key order is pinned too.
-        assert co.to_json(meta) == '{"tag": "Meta", "id": 3}'
-        assert co.to_json(inserted) == (
-            '{"tag": "InsertedMeta", "id": 3, "mask": [null, "0"]}'
-        )
+        assert co.to_json(meta) == '{"tag": "Meta", "id": 3, "mask": []}'
+        assert co.to_json(masked) == '{"tag": "Meta", "id": 3, "mask": [null, "0"]}'
 
 
 class TestCorpusInvariants:

@@ -303,10 +303,10 @@ class TestJson:
             (co.Succ(co.Var(0)), f'{{"tag": "succ", "arg": {var}}}'),
             (TSucc(TVar(0)), f'{{"tag": "succ", "arg": {var}}}'),
             (
-                co.InsertedMeta(4, (None, Z0, W)),
-                '{"tag": "InsertedMeta", "id": 4, "mask": [null, "0", "w"]}',
+                co.Meta(4, (None, Z0, W)),
+                '{"tag": "Meta", "id": 4, "mask": [null, "0", "w"]}',
             ),
-            (co.InsertedMeta(0, ()), '{"tag": "InsertedMeta", "id": 0, "mask": []}'),
+            (co.Meta(0), '{"tag": "Meta", "id": 0, "mask": []}'),
         ]
         for t, text in cases:
             assert co.to_json(t) == text

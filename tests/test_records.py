@@ -61,8 +61,7 @@ RECORDS = {
     "core.FalseTm": "",
     "core.BoolElim": "motive tcase fcase scrut",
     "core.Let": "name* ty defn body",
-    "core.Meta": "mid",
-    "core.InsertedMeta": "mid mask",
+    "core.Meta": "mid mask",
     "core.Closure": "env body",
     "core.VLam": "name* mode icit clos",
     "core.VPi": "name* mode icit dom cod",
@@ -236,10 +235,10 @@ def test_repr_of_core_value_target_and_surface_nodes():
         "Lam(name='x', mode=<Mode.ZERO: '0'>, icit=<Icit.IMPL: 'implicit'>, body=App("
         "mode=<Mode.OMEGA: 'w'>, icit=<Icit.EXPL: 'explicit'>, fn=Var(ix=0), arg=Lit(n=2)))"
     )
-    pi = co.Pi("A", Mode.ZERO, Icit.EXPL, co.Univ(), co.InsertedMeta(1, (None, Mode.OMEGA)))
+    pi = co.Pi("A", Mode.ZERO, Icit.EXPL, co.Univ(), co.Meta(1, (None, Mode.OMEGA)))
     assert repr(pi) == (
         "Pi(name='A', mode=<Mode.ZERO: '0'>, icit=<Icit.EXPL: 'explicit'>, dom=Univ(), "
-        "cod=InsertedMeta(mid=1, mask=(None, <Mode.OMEGA: 'w'>)))"
+        "cod=Meta(mid=1, mask=(None, <Mode.OMEGA: 'w'>)))"
     )
     spine = (co.SApp(Mode.OMEGA, Icit.EXPL, co.TrueTm()), co.SFst(Mode.ZERO))
     assert repr(co.VNeutral(co.VarH(0), spine)) == (

@@ -36,7 +36,7 @@ class TestFreshMeta:
         store = MetaStore()
         ctx = Context().bind("x", W, NatTy())
         t = fresh_meta(store, ctx, NatTy())
-        assert t == co.InsertedMeta(0, (W,))
+        assert t == co.Meta(0, (W,))
 
     def test_capture_records_mode_and_flag(self):
         store = MetaStore()
@@ -50,7 +50,33 @@ class TestFreshMeta:
         store = MetaStore()
         ctx = Context().define("d", W, NatTy(), Lit(0)).bind("x", W, NatTy())
         t = fresh_meta(store, ctx, NatTy())
-        assert t == co.InsertedMeta(0, (None, W))
+        assert t == co.Meta(0, (None, W))
+
+    def test_mask_covers_only_the_captured_entries(self):
+        # Below two top-level declarations the mask is the one binder's, and
+        # the meta is applied to that binder only.
+        store = MetaStore()
+        sig = Context().declare("a", NatTy(), Lit(0)).declare("b", NatTy())
+        ctx = sig.bind("x", W, NatTy())
+        t = fresh_meta(store, ctx, NatTy())
+        assert t == co.Meta(0, (W,))
+        assert evaluate(ctx.env, t) == co.VNeutral(co.MetaH(0), (co.SApp(W, EX, co.vvar(2)),))
+        kernel_check(store, ctx, t, NatTy())
+
+    def test_kernel_refuses_a_mask_that_disagrees_with_the_depth(self):
+        store = MetaStore()
+        ctx = Context().declare("a", NatTy()).bind("x", W, NatTy())
+        t = fresh_meta(store, ctx, NatTy())
+        for at, u in ((ctx.bind("y", W, NatTy()), t), (ctx, co.Meta(0, (W, W)))):
+            with pytest.raises(InternalError, match="mask length"):
+                kernel_check(store, at, u, NatTy())
+
+    def test_kernel_without_a_store_refuses_a_meta(self):
+        store = MetaStore()
+        t = fresh_meta(store, Context(), NatTy())
+        kernel_check(store, Context(), t, NatTy())
+        with pytest.raises(InternalError, match="without a store"):
+            kernel_check(None, Context(), t, NatTy())
 
 
 class TestUnify:
@@ -384,7 +410,7 @@ class TestSolutionSoundness:
 ID = "let id : {A :0 U} -> A -> A = \\{A} x. x;\n"
 
 
-LEAVES = (co.Constant, co.Var, co.Meta, co.InsertedMeta)
+LEAVES = (co.Constant, co.Var, co.Meta)
 
 
 def subterms(t: co.Term) -> list[co.Term]:
