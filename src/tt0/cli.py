@@ -4,16 +4,15 @@ verify the mode translations over `.tt0` files."""
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
-from json.encoder import encode_basestring_ascii as _quote
 
 from . import core as co
 from . import extract as ex
 from . import translate
 from .diagnostics import Diagnostic, InternalError
 from .elab import ElabResult, closed_definition, closed_main, elaborate_text
+from .jsontext import to_json
 
 JSON_VERSION = 1
 
@@ -61,33 +60,6 @@ def build_parser() -> argparse.ArgumentParser:
 _PARSER = build_parser()
 
 
-class _Text(str):
-    """Output text, as opposed to a string value still to be encoded."""
-
-
-def _dumps(obj: object) -> str:
-    """`json.dumps(obj)` for the JSON values the CLI prints, without
-    recursion.  A term arrives as `_Text` from `core.to_json` and is copied
-    as it is, so only the shallow envelope around it is walked here."""
-    out: list[str] = []
-    todo: list[object] = [obj]
-    while todo:
-        o = todo.pop()
-        if isinstance(o, _Text):
-            out.append(o)
-        elif isinstance(o, (dict, list)):
-            opener, closer = ("{", "}") if isinstance(o, dict) else ("[", "]")
-            items = o.items() if isinstance(o, dict) else ((None, v) for v in o)
-            todo.append(_Text(closer))
-            for i, (key, value) in reversed(list(enumerate(items))):
-                key_text = "" if key is None else _quote(key) + ": "
-                todo += [value, _Text((", " if i else "") + key_text)]
-            todo.append(_Text(opener))
-        else:
-            out.append(_quote(o) if isinstance(o, str) else json.dumps(o))
-    return "".join(out)
-
-
 class _Reporter:
     def __init__(self, source: str | None, use_json: bool, color: bool):
         self.source = source
@@ -100,7 +72,7 @@ class _Reporter:
                 "version": JSON_VERSION,
                 "diagnostics": [d.to_json() for d in diags],
             }
-            print(_dumps(payload), file=sys.stderr)
+            print(to_json(payload), file=sys.stderr)
             return
         for d in diags:
             text = d.render(self.source)
@@ -137,21 +109,17 @@ def cmd_check(result: ElabResult, args: argparse.Namespace) -> int:
         if not args.json:
             print(f"ok main : {ty}")
     if args.json:
-        print(_dumps({"version": JSON_VERSION, "checked": rows}))
+        print(to_json({"version": JSON_VERSION, "checked": rows}))
     return EXIT_OK
 
 
 def cmd_elab(result: ElabResult, args: argparse.Namespace) -> int:
     if args.json:
-        decls = [
-            {"name": d.name, "type": _Text(co.to_json(d.ty)),
-             "body": _Text(co.to_json(d.body))}
-            for d in result.decls
-        ]
+        decls = [{"name": d.name, "type": d.ty, "body": d.body} for d in result.decls]
         payload: dict = {"version": JSON_VERSION, "decls": decls}
         if result.main is not None:
-            payload["main"] = _Text(co.to_json(result.main[0]))
-        print(_dumps(payload))
+            payload["main"] = result.main[0]
+        print(to_json(payload))
         return EXIT_OK
     for i, d in enumerate(result.decls):
         names = result.sig.names[:i]
@@ -173,7 +141,7 @@ def cmd_nf(result: ElabResult, args: argparse.Namespace) -> int:
     closed = _named_closed(result, args.name)
     nf = co.normal_form(result.store, (), closed)
     if args.json:
-        print(_dumps({"version": JSON_VERSION, "nf": _Text(co.to_json(nf))}))
+        print(to_json({"version": JSON_VERSION, "nf": nf}))
     else:
         print(co.pp(nf))
     return EXIT_OK
@@ -188,8 +156,7 @@ def cmd_extract(result: ElabResult, args: argparse.Namespace) -> int:
         closed = _named_closed(result, args.name)
     target = ex.extract(co.Context(), closed)
     if args.json:
-        target_text = _Text(ex.target_to_json(target))
-        print(_dumps({"version": JSON_VERSION, "target": target_text}))
+        print(to_json({"version": JSON_VERSION, "target": target}))
     else:
         print(ex.pp_target(target))
     return EXIT_OK
@@ -219,10 +186,10 @@ def cmd_run(result: ElabResult, args: argparse.Namespace) -> int:
         return EXIT_FUEL
     k = ex.as_numeral(nf)
     if args.json:
-        payload = {"version": JSON_VERSION, "result": _Text(ex.target_to_json(nf))}
+        payload = {"version": JSON_VERSION, "result": nf}
         if k is not None:
             payload["numeral"] = k
-        print(_dumps(payload))
+        print(to_json(payload))
     else:
         print(ex.pp_target(nf))
         if k is not None:
@@ -246,7 +213,7 @@ def cmd_meta(result: ElabResult, args: argparse.Namespace) -> int:
             ],
             "ok": ok,
         }
-        print(_dumps(payload))
+        print(to_json(payload))
         return EXIT_OK if ok else EXIT_DIAGNOSTICS
     width = max((len(r.name) for r in rows), default=4)
     print(f"{'decl'.ljust(width)}  zeroing  stripping")

@@ -17,8 +17,6 @@ exactly when the flag is set.
 from __future__ import annotations
 
 import enum
-from functools import cache
-from json.encoder import encode_basestring_ascii as _quote
 from typing import TYPE_CHECKING, Callable
 
 from .diagnostics import InternalError, KernelError
@@ -1039,63 +1037,3 @@ def succ_chain(n: int, prec: int, at: int) -> str:
 
 def _wrap(s: str, prec: int, at: int) -> str:
     return f"({s})" if prec > at else s
-
-
-# ---------------------------------------------------------------------------
-# Structural JSON encoding
-
-
-# The JSON tag of each syntax class; extract.py adds the target classes.  A
-# constant's tag is its keyword, and a literal is written as nested `succ`
-# objects around `zero`.
-JSON_TAGS: dict[type, str] = {
-    Var: "Var", Lam: "Lam", App: "App", Pi: "Pi", Sigma: "Sigma", Pair: "Pair",
-    Fst: "Fst", Snd: "Snd", Succ: "succ", NatElim: "natElim", BoolElim: "boolElim",
-    Let: "Let", Meta: "Meta",
-    **{type(c): kw for kw, (c, _, _) in CONSTANTS.items()},
-}
-
-# JSON keys that differ from the field names.
-_JSON_KEYS = {
-    "fst_ty": "fst", "snd_ty": "snd", "icit": "implicit", "mid": "id", "els": "else"
-}
-
-
-# The JSON text of the fields that are neither subterms nor JSON scalars.
-_FIELD_CODECS: dict[str, Callable[..., str]] = {
-    "mode": lambda m: f'"{m.value}"',
-    "icit": lambda i: "true" if i is Icit.IMPL else "false",
-    "mask": lambda ms: "[%s]" % ", ".join("null" if m is None else f'"{m.value}"' for m in ms),
-}
-
-
-@cache
-def _json_fields(cls: type) -> tuple[tuple[str, str], ...]:
-    """(field name, JSON key) of each field of a syntax class, in order."""
-    return tuple((f, _JSON_KEYS.get(f, f)) for f in cls.__match_args__)
-
-
-def to_json(t: object) -> str:
-    """The JSON text of a core term or an extracted target term, as
-    `json.dumps` writes it, written on an explicit stack of subterms and
-    text pieces, so its depth is bounded by memory.  A literal is one string
-    repetition, with no Python step per `succ`."""
-    out: list[str] = []
-    todo: list[object] = [t]
-    while todo:
-        t = todo.pop()
-        if type(t) is str:
-            out.append(t)
-        elif (tag := JSON_TAGS[type(t)]) == "zero":
-            out.append('{"tag": "succ", "arg": ' * t.n + '{"tag": "zero"}' + "}" * t.n)
-        else:
-            out.append(f'{{"tag": "{tag}"')
-            todo.append("}")
-            for name, k in reversed(_json_fields(type(t))):
-                v = getattr(t, name)
-                if name in _FIELD_CODECS:
-                    v = _FIELD_CODECS[name](v)
-                elif type(v) not in JSON_TAGS:
-                    v = _quote(v) if type(v) is str else str(v)
-                todo += [v, f', "{k}": ']
-    return "".join(out)

@@ -11,6 +11,7 @@ internal error, not a user-facing one.
 from __future__ import annotations
 
 from . import core as co
+from . import jsontext
 from .core import Context, Mode, Term, _fresh, _wrap
 from .diagnostics import Diagnostic, InternalError
 from .record import Record
@@ -465,22 +466,20 @@ def pp_target(t: Target, names: tuple[str, ...] = (), prec: int = 0) -> str:
     raise AssertionError(f"unhandled target term {t!r}")
 
 
-co.JSON_TAGS.update({
+jsontext.TAGS.update({
     TVar: "Var", TLam: "Lam", TApp: "App", TPair: "Pair", TFst: "Fst", TSnd: "Snd",
     TLit: "zero", TSucc: "succ", TNatRec: "natrec", TTrue: "true", TFalse: "false",
     TIf: "if", TLet: "let",
 })
 
-target_to_json = co.to_json
-
 
 def target_from_json(d: dict) -> Target:
     """The target term of the JSON object `json.loads` reads from the text
-    `target_to_json` wrote, built without recursion.  `succ` of a literal
+    `jsontext.to_json` wrote, built without recursion.  `succ` of a literal
     folds to a literal."""
     classes = {
-        tag: (c, [k for _, k in co._json_fields(c)])
-        for c, tag in co.JSON_TAGS.items()
+        tag: (c, [k for _, k in jsontext.fields(c)])
+        for c, tag in jsontext.TAGS.items()
         if issubclass(c, Target)
     }
     order, todo = [], [d]

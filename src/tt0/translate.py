@@ -20,10 +20,9 @@ from .core import Context, Mode, Term, Value, evaluate
 from .diagnostics import Diagnostic, InternalError
 from .elab import ElabResult
 from .record import Record
-from .unify import MetaStore
 
 
-def check_zeroing(store: MetaStore | None, ctx: Context, t: Term, ty: Value) -> None:
+def check_zeroing(ctx: Context, t: Term, ty: Value) -> None:
     """Re-check a term in the zeroed context, as an erased judgment.
 
     Under the flag representation zeroing is the identity on syntax, and
@@ -32,7 +31,7 @@ def check_zeroing(store: MetaStore | None, ctx: Context, t: Term, ty: Value) -> 
     rather than a user error.
     """
     try:
-        co.kernel_check(store, ctx.erased(), t, ty)
+        co.kernel_check(None, ctx.erased(), t, ty)
     except Diagnostic as e:
         raise InternalError(f"zeroed judgment failed to re-check: {e.message}") from e
 
@@ -49,15 +48,13 @@ def strip_modes(t: Term) -> Term:
     return go(t)
 
 
-def recheck_stripped(
-    store: MetaStore | None, stripped_sig: Context, t: Term, ty: Term
-) -> None:
+def recheck_stripped(stripped_sig: Context, t: Term, ty: Term) -> None:
     """Check the stripped term against the stripped type in the all-omega,
     flag-set configuration (plain MLTT)."""
     try:
         ty_v = evaluate(stripped_sig.env, ty)
-        co.kernel_check(store, stripped_sig.erased(), ty, co.Univ())
-        co.kernel_check(store, stripped_sig.erased(), t, ty_v)
+        co.kernel_check(None, stripped_sig.erased(), ty, co.Univ())
+        co.kernel_check(None, stripped_sig.erased(), t, ty_v)
     except Diagnostic as e:
         raise InternalError(f"stripped judgment failed to re-check: {e.message}") from e
 
@@ -79,15 +76,15 @@ def sweep(result: ElabResult) -> list[SweepRow]:
         detail = ""
         sig = result.sig.prefix(i)
         try:
-            check_zeroing(None, sig.erased(), d.ty, co.Univ())
-            check_zeroing(None, sig, d.body, d.ty_value)
+            check_zeroing(sig.erased(), d.ty, co.Univ())
+            check_zeroing(sig, d.body, d.ty_value)
         except InternalError as e:
             zero_ok = False
             detail = e.message
         s_ty = strip_modes(d.ty)
         s_body = strip_modes(d.body)
         try:
-            recheck_stripped(None, stripped_sig, s_body, s_ty)
+            recheck_stripped(stripped_sig, s_body, s_ty)
         except InternalError as e:
             strip_ok = False
             detail = e.message

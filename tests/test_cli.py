@@ -12,9 +12,12 @@ from hypothesis import strategies as st
 
 from conftest import BAD_CORPUS, CORPUS, REPO, corpus_files
 from tt0 import cli
+from tt0 import core as co
 from tt0.cli import main
+from tt0.core import Mode
 from tt0.diagnostics import Diagnostic, SourceSpan
-from tt0.extract import target_from_json
+from tt0.extract import Target, TLit, TVar, target_from_json
+from tt0.jsontext import to_json
 
 
 def run(capsys, *argv: str) -> tuple[int, str, str]:
@@ -187,17 +190,35 @@ class TestCheck:
             assert err == f"internal error: {message}\n"
 
 
+TERMS = [
+    co.Lit(3), co.Meta(4, (None, Mode.ZERO, Mode.OMEGA)), TLit(2), TVar(0),
+    co.Succ(co.Var(0)),
+]
+
 json_values = st.recursive(
-    st.none() | st.booleans() | st.integers() | st.text(),
+    st.none() | st.booleans() | st.integers() | st.text() | st.sampled_from(TERMS),
     lambda inner: st.lists(inner) | st.dictionaries(st.text(), inner),
 )
 
 
+def _terms_as_objects(value: object) -> object:
+    """The value with each term replaced by the object its JSON text reads as."""
+    if isinstance(value, list):
+        return [_terms_as_objects(v) for v in value]
+    if isinstance(value, dict):
+        return {k: _terms_as_objects(v) for k, v in value.items()}
+    if isinstance(value, (co.Term, Target)):
+        return json.loads(to_json(value))
+    return value
+
+
 class TestJsonWriter:
+    # The envelopes the CLI prints hold terms, so the one writer is checked
+    # on JSON values with terms among their leaves.
     @settings(max_examples=50, deadline=None)
     @given(json_values)
     def test_writes_what_json_dumps_writes(self, value):
-        assert cli._dumps(value) == json.dumps(value)
+        assert to_json(value) == json.dumps(_terms_as_objects(value))
 
 
 class TestUsage:

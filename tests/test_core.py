@@ -30,6 +30,7 @@ from tt0.core import (
 )
 from tt0.diagnostics import KernelError
 from tt0.elab import elaborate_text
+from tt0.jsontext import TAGS, to_json
 from tt0.surface import Icit, Mode
 from tt0.unify import MetaStore, fresh_meta, unify
 
@@ -241,7 +242,7 @@ class TestConstant:
 
     def test_the_formers_without_subterms_are_the_constants_and_the_leaves(self):
         # So a new nullary former is a Constant and gets no value copy.
-        terms = [cls for cls in co.JSON_TAGS if issubclass(cls, co.Term)]
+        terms = [cls for cls in TAGS if issubclass(cls, co.Term)]
         assert any(cls.__match_args__ for cls in terms)
         nullary = {
             cls
@@ -392,7 +393,7 @@ class TestPrinting:
         assert co.pp(app(Var(0), Lit(1)), ("f",)) == "f (succ zero)"
         assert co.pp(Succ(Var(0)), ("x",)) == "succ x"
         two = {"tag": "succ", "arg": {"tag": "succ", "arg": {"tag": "zero"}}}
-        assert json.loads(co.to_json(Lit(2))) == two
+        assert json.loads(to_json(Lit(2))) == two
 
 
 class TestJson:
@@ -401,8 +402,8 @@ class TestJson:
         meta = co.Meta(3)
         masked = co.Meta(3, (None, Mode.ZERO))
         # Compare text, so that key order is pinned too.
-        assert co.to_json(meta) == '{"tag": "Meta", "id": 3, "mask": []}'
-        assert co.to_json(masked) == '{"tag": "Meta", "id": 3, "mask": [null, "0"]}'
+        assert to_json(meta) == '{"tag": "Meta", "id": 3, "mask": []}'
+        assert to_json(masked) == '{"tag": "Meta", "id": 3, "mask": [null, "0"]}'
 
 
 class TestCorpusInvariants:

@@ -39,8 +39,8 @@ from tt0.extract import (
     extract_at,
     pp_target,
     target_from_json,
-    target_to_json,
 )
+from tt0.jsontext import TAGS, to_json
 from tt0.surface import Icit, Mode
 
 W, Z0 = Mode.OMEGA, Mode.ZERO
@@ -254,7 +254,7 @@ class TestJson:
             if result.main is None:
                 continue
             t = extract(Context(), closed_main(result))
-            assert target_from_json(json.loads(target_to_json(t))) == t
+            assert target_from_json(json.loads(to_json(t))) == t
 
 
     def test_every_target_former_round_trips(self):
@@ -264,10 +264,10 @@ class TestJson:
             TNatRec(TLit(0), TVar(0), TVar(1)), TTrue(), TFalse(),
             TIf(TVar(0), TTrue(), TFalse()), TLet("y", TLit(1), TVar(0)),
         ]
-        concrete = {c for c in co.JSON_TAGS if issubclass(c, Target)}
+        concrete = {c for c in TAGS if issubclass(c, Target)}
         assert {type(t) for t in formers} == concrete == set(Target.__subclasses__())
         for t in formers:
-            assert target_from_json(json.loads(target_to_json(t))) == t
+            assert target_from_json(json.loads(to_json(t))) == t
 
     def test_text_is_what_json_dumps_writes_on_corpus_terms(self, corpus):
         # The writer's spacing, key order and escaping are those of
@@ -283,7 +283,7 @@ class TestJson:
                 terms += [result.main[0], target, eval_target(target)]
         assert len(terms) > 200
         for t in terms:
-            text = co.to_json(t)
+            text = to_json(t)
             assert text == json.dumps(json.loads(text)), t
 
     def test_text_of_edge_cases(self):
@@ -309,7 +309,7 @@ class TestJson:
             (co.Meta(0), '{"tag": "Meta", "id": 0, "mask": []}'),
         ]
         for t, text in cases:
-            assert co.to_json(t) == text
+            assert to_json(t) == text
             assert json.dumps(json.loads(text)) == text
 
 
@@ -396,5 +396,5 @@ class TestPrinting:
     def test_literal_prints_and_encodes_as_successor_chain(self):
         assert pp_target(TApp(TVar(0), TLit(2)), ("f",)) == "f (succ (succ zero))"
         two = {"tag": "succ", "arg": {"tag": "succ", "arg": {"tag": "zero"}}}
-        assert json.loads(target_to_json(TLit(2))) == two
+        assert json.loads(to_json(TLit(2))) == two
         assert target_from_json(two) == TLit(2)

@@ -80,8 +80,9 @@ def test_json_codec_at_default_recursion_limit():
     script = textwrap.dedent(
         """
         import sys
-        from tt0.core import Succ, Var, to_json
-        from tt0.extract import target_from_json, target_to_json
+        from tt0.core import Succ, Var
+        from tt0.extract import target_from_json
+        from tt0.jsontext import to_json
 
         assert sys.getrecursionlimit() == 1000, sys.getrecursionlimit()
         n = 100_000
@@ -93,7 +94,7 @@ def test_json_codec_at_default_recursion_limit():
         d = {"tag": "Var", "ix": 0}
         for _ in range(n):
             d = {"tag": "Lam", "name": "x", "body": d}
-        text = target_to_json(target_from_json(d))
+        text = to_json(target_from_json(d))
         assert text == '{"tag": "Lam", "name": "x", "body": ' * n + var + "}" * n
         print("ok")
         """

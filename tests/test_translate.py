@@ -15,30 +15,27 @@ EX = Icit.EXPL
 
 class TestCheckZeroing:
     def test_type_over_runtime_context(self):
-        store = MetaStore()
         ctx = Context().bind("x", W, NatTy())
-        check_zeroing(store, ctx.erased(), co.NatTy(), co.Univ())
+        check_zeroing(ctx.erased(), co.NatTy(), co.Univ())
 
     def test_erased_judgment_transports(self):
-        store = MetaStore()
         ctx = Context().bind("x", W, NatTy()).erased()
-        check_zeroing(store, ctx, co.Var(0), NatTy())
+        check_zeroing(ctx, co.Var(0), NatTy())
 
     def test_erased_entry_passes_only_because_of_the_flag(self):
         # Zeroing makes every entry mode 0 under the flag; the kernel reads
         # an entry's mode only without the flag, so the flag alone decides.
-        store = MetaStore()
         ctx = Context().bind("z", Z0, NatTy())
-        check_zeroing(store, ctx, co.Var(0), NatTy())
+        check_zeroing(ctx, co.Var(0), NatTy())
         with pytest.raises(KernelError, match="erased variable 'z' used at runtime"):
-            co.kernel_check(store, ctx, co.Var(0), NatTy())
+            co.kernel_check(None, ctx, co.Var(0), NatTy())
 
     def test_corpus_sweep(self, corpus):
         for result in corpus.values():
             sig = Context()
             for d in result.decls:
-                check_zeroing(result.store, sig.erased(), d.ty, co.Univ())
-                check_zeroing(result.store, sig, d.body, d.ty_value)
+                check_zeroing(sig.erased(), d.ty, co.Univ())
+                check_zeroing(sig, d.body, d.ty_value)
                 sig = sig.define(d.name, W, d.ty_value, d.body_value)
 
 
@@ -73,16 +70,14 @@ class TestStripModes:
 
 class TestRecheckStripped:
     def test_identity_with_erased_type_argument(self):
-        store = MetaStore()
         ty = co.Pi("A", Z0, Icit.IMPL, co.Univ(), co.Pi("x", W, EX, co.Var(0), co.Var(1)))
         body = co.Lam("A", Z0, Icit.IMPL, co.Lam("x", W, EX, co.Var(0)))
-        recheck_stripped(store, Context(), strip_modes(body), strip_modes(ty))
+        recheck_stripped(Context(), strip_modes(body), strip_modes(ty))
 
     def test_erased_pair(self):
-        store = MetaStore()
         ty = co.Sigma("n", Z0, co.NatTy(), co.NatTy())
         body = co.Pair(Z0, co.Lit(0), co.Lit(0))
-        recheck_stripped(store, Context(), strip_modes(body), strip_modes(ty))
+        recheck_stripped(Context(), strip_modes(body), strip_modes(ty))
 
     def test_corpus_sweep(self, corpus):
         for name, result in corpus.items():
