@@ -63,4 +63,3 @@ def test_the_kernel_imports_nothing_above_it():
 
 def test_the_kernel_imports_no_json_module():
     assert not {module for module, other in kernel_closure().items() if "json" in other}
-
