@@ -9,7 +9,7 @@ gone.
 
 from .diagnostics import Diagnostic, SourceSpan
 from .elab import ElabResult, elaborate_module, elaborate_text
-from .surface import Icit, Mode, Module, parse_module, parse_module_text, tokenize
+from .surface import Icit, Mode, Module, parse_module_text, tokenize
 
 __version__ = "0.1.0"
 
@@ -23,7 +23,6 @@ __all__ = [
     "__version__",
     "elaborate_module",
     "elaborate_text",
-    "parse_module",
     "parse_module_text",
     "tokenize",
 ]

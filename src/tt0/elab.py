@@ -13,14 +13,14 @@ from __future__ import annotations
 from . import core as co
 from . import surface as sf
 from .core import Context, Icit, Mode, Term, Thunk, Value, definition, evaluate, force, quote
-from .diagnostics import Diagnostic, ElabError, InternalError, SourceSpan, UnifyError
+from .diagnostics import Diagnostic, ElabError, InternalError, Span, UnifyError
 from .record import Record
 from .unify import MetaStore, fresh_meta, unify
 
 
 class DeclInfo(Record):
     name: str
-    span: SourceSpan
+    span: Span
     ty: Term  # zonked, at the depth of the preceding declarations
     body: Term  # zonked, same depth
     ty_value: Value
@@ -53,9 +53,7 @@ class ElabResult(Record, frozen=False):
 # Helpers
 
 
-def _unify_types(
-    store: MetaStore, ctx: Context, span: SourceSpan, got: Value, expected: Value
-) -> None:
+def _unify_types(store: MetaStore, ctx: Context, span: Span, got: Value, expected: Value) -> None:
     try:
         unify(store, ctx.depth, got, expected, ctx.names)
     except UnifyError as e:
@@ -67,7 +65,7 @@ def _unify_types(
 
 
 def insert_implicits(
-    store: MetaStore, ctx: Context, term: Term, ty: Value, span: SourceSpan
+    store: MetaStore, ctx: Context, term: Term, ty: Value, span: Span
 ) -> tuple[Term, Value]:
     """Apply a term to fresh metavariables while its type is an implicit Pi."""
     ty = force(store, ty)
@@ -283,11 +281,9 @@ def infer(store: MetaStore, ctx: Context, t: sf.Surface) -> tuple[Term, Value]:
     raise AssertionError(f"unhandled surface term {t!r}")
 
 
-def _require_erased(ctx: Context, span: SourceSpan, what: str) -> None:
+def _require_erased(ctx: Context, span: Span, what: str) -> None:
     if not ctx.flag:
-        raise ElabError(
-            f"{what} is a type code and can only appear in erased positions", span
-        )
+        raise ElabError(f"{what} is a type code and can only appear in erased positions", span)
 
 
 # ---------------------------------------------------------------------------
@@ -368,6 +364,9 @@ def elaborate_module(m: sf.Module) -> ElabResult:
             errors.append(ElabError(msg, entry.span))
 
     if errors:
+        for e in errors:  # raised with the offsets of their nodes
+            if type(e.span) is tuple:
+                e.span = m.source.span(*e.span)
         return ElabResult(decls, main, store, sig, errors)
 
     # Zonk and re-check everything with the kernel, given no meta store:

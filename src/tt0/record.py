@@ -60,6 +60,7 @@ class Record:
 
 _METHODS = """\
 def __init__(self, {params}):
+    d = self.__dict__
 {stores}
 def __eq__(self, other):
     if other.__class__ is self.__class__:
@@ -71,19 +72,19 @@ def __hash__(self):
 
 
 def _compile(cls: type[Record]) -> dict[str, Any]:
-    """`__init__` for the fields of `cls`, which sets each field past the
-    frozen `__setattr__`, and `__eq__` and `__hash__` for its compared
-    fields, if it has any."""
+    """`__init__` for the fields of `cls`, which stores each field in the
+    instance's `__dict__`, past the frozen `__setattr__`, and `__eq__` and
+    `__hash__` for its compared fields, if it has any."""
     fields = cls.__match_args__
     defaults = {f: getattr(cls, f) for f in fields if hasattr(cls, f)}
     mine = "".join(f"self.{f}, " for f in cls._compared)
     source = _METHODS.format(
         params=", ".join(f"{f}=_defaults[{f!r}]" if f in defaults else f for f in fields),
-        stores="\n".join(f"    _set(self, {f!r}, {f})" for f in fields),
+        stores="\n".join(f"    d[{f!r}] = {f}" for f in fields),
         mine=mine,
         theirs=mine.replace("self.", "other."),
     )
-    namespace = {"_set": object.__setattr__, "_defaults": defaults}
+    namespace = {"_defaults": defaults}
     exec(source, namespace)
     methods = ("__init__", "__eq__", "__hash__") if cls._compared else ("__init__",)
     return {name: namespace[name] for name in methods}

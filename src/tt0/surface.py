@@ -11,7 +11,7 @@ import re
 from typing import Callable, TypeVar
 
 from .core import CONSTANTS, Icit, Mode, _wrap  # Icit and Mode are re-exported
-from .diagnostics import LexError, ParseError, SourceSpan
+from .diagnostics import LexError, ParseError, Source, Span
 from .record import Record
 
 
@@ -22,14 +22,15 @@ from .record import Record
 class Token(Record):
     kind: str  # keyword, punctuation symbol, "ident", "number", "eof"
     text: str
-    span: SourceSpan
+    start: int  # offsets of the text in the source, as in a `Span`
+    end: int
     value: int | None = None  # set for number tokens
 
 
 # White space and `--` comments are the unnamed alternatives; `bad` is any
 # other character.  Classes are ASCII, so `λ` is illegal.
 _TOKEN = re.compile(
-    r"(?P<newline>\n)|[ \t\r]+|--[^\n]*"
+    r"[ \t\r\n]+|--[^\n]*"
     r"|(?P<number>[0-9]+)"
     r"|(?P<word>[A-Za-z][A-Za-z0-9_']*)"
     r"|(?P<punct>:0(?![0-9])|->|[(){}\\.:*,;=_])"
@@ -39,46 +40,40 @@ _TOKEN = re.compile(
 
 def tokenize(source: str, filename: str = "<input>") -> list[Token]:
     """Split source text into tokens, ending with an `eof` token at the end
-    of the input.  Lines and columns count from 1; a tab or a carriage return
-    is one column.  Raises LexError on an illegal character or a number
+    of the input.  Raises LexError on an illegal character or a number
     literal too long to convert."""
     toks: list[Token] = []
-    line, line_start = 1, 0
     for m in _TOKEN.finditer(source):
         kind = m.lastgroup
         if kind is None:
             continue
-        if kind == "newline":
-            line, line_start = line + 1, m.end()
-            continue
         text = m.group()
-        col = m.start() - line_start + 1
-        where = SourceSpan(filename, line, col, line, col + len(text) - 1)
+        start, end = m.span()
         if kind == "number":
             try:
                 value = int(text)
             except ValueError:  # past Python's limit on int() of a string
                 message = f"number literal too long ({len(text)} digits)"
-                raise LexError(message, where) from None
-            toks.append(Token("number", text, where, value))
+                raise LexError(message, Source(source, filename).span(start, end)) from None
+            toks.append(Token("number", text, start, end, value))
         elif kind == "bad":
-            raise LexError(f"illegal character {text!r}", where)
+            raise LexError(f"illegal character {text!r}", Source(source, filename).span(start, end))
         elif kind == "word" and text not in KEYWORDS:
-            toks.append(Token("ident", text, where))
+            toks.append(Token("ident", text, start, end))
         else:
-            toks.append(Token(text, text, where))
-    col = len(source) - line_start + 1
-    toks.append(Token("eof", "", SourceSpan(filename, line, col, line, col)))
+            toks.append(Token(text, text, start, end))
+    toks.append(Token("eof", "", len(source), len(source)))
     return toks
 
 
 # ---------------------------------------------------------------------------
-# Surface AST.  Spans never participate in equality: two parses of the same
-# text are `==` even if whitespace differs.
+# Surface AST.  A node's span runs from the start of its first token to the
+# end of its last.  Spans never participate in equality: two parses of the
+# same text are `==` even if whitespace differs.
 
 
 class Surface(Record, uncompared=("span",), unshown=("span",)):
-    span: SourceSpan
+    span: Span
 
 
 class SVar(Surface):
@@ -165,14 +160,14 @@ class SHole(Surface):
 
 
 class Decl(Record, uncompared=("span",), unshown=("span",)):
-    span: SourceSpan
+    span: Span
     name: str = ""
     ty: Surface | None = None
     body: Surface | None = None
 
 
-class Module(Record, uncompared=("span",), unshown=("span",)):
-    span: SourceSpan
+class Module(Record, uncompared=("source",), unshown=("source",)):
+    source: Source  # locates the spans of the module's nodes
     decls: tuple[Decl, ...] = ()
     main: Surface | None = None
 
@@ -195,28 +190,35 @@ _ATOM_STARTERS = frozenset({"ident", "number", "(", "_", *CONSTANTS, *_PREFIXES}
 
 
 class _Parser:
-    def __init__(self, tokens: list[Token]):
+    def __init__(self, tokens: list[Token], source: Source):
         self.toks = tokens
+        self.source = source
         self.pos = 0
 
-    def peek(self, k: int = 0) -> Token:
-        return self.toks[min(self.pos + k, len(self.toks) - 1)]
+    # Every token is checked before it is consumed, and only a whole term
+    # consumes `eof`, so `pos` stays on the list without a bounds guard.
+    def peek(self) -> Token:
+        return self.toks[self.pos]
 
     def next(self) -> Token:
-        t = self.peek()
+        t = self.toks[self.pos]
         self.pos += 1
         return t
+
+    def error(self, message: str, t: Token, expected: tuple[str, ...] = ()) -> ParseError:
+        if expected:
+            message = f"{message} (expected {', '.join(expected)})"
+        return ParseError(message, self.source.span(t.start, t.end))
 
     def expect(self, kind: str) -> Token:
         t = self.peek()
         if t.kind != kind:
-            raise ParseError(f"unexpected {describe(t)}", t.span, expected=(kind,))
+            raise self.error(f"unexpected {describe(t)}", t, (kind,))
         return self.next()
 
     # -- module -------------------------------------------------------------
 
     def module(self) -> Module:
-        start = self.peek().span
         decls: list[Decl] = []
         names: set[str] = set()
         main: Surface | None = None
@@ -231,16 +233,11 @@ class _Parser:
                 self.expect(";")
                 trailing = self.peek()
                 if trailing.kind != "eof":
-                    raise ParseError(
-                        f"unexpected {describe(trailing)} after main expression",
-                        trailing.span,
-                        expected=("eof",),
-                    )
+                    message = f"unexpected {describe(trailing)} after main expression"
+                    raise self.error(message, trailing, ("eof",))
                 break
             if t.kind != "let":
-                raise ParseError(
-                    f"unexpected {describe(t)}", t.span, expected=("let", "main")
-                )
+                raise self.error(f"unexpected {describe(t)}", t, ("let", "main"))
             self.next()
             name = self.binder_name()
             self.expect(":")
@@ -249,19 +246,16 @@ class _Parser:
             body = self.term()
             end = self.expect(";")
             if name.text in names:
-                raise ParseError(f"duplicate declaration {name.text!r}", name.span)
+                raise self.error(f"duplicate declaration {name.text!r}", name)
             names.add(name.text)
-            decls.append(
-                Decl(name.span.merge(end.span), name.text, ty, body)
-            )
-        end_span = self.peek().span
-        return Module(start.merge(end_span), tuple(decls), main)
+            decls.append(Decl((name.start, end.end), name.text, ty, body))
+        return Module(self.source, tuple(decls), main)
 
     def binder_name(self) -> Token:
         t = self.peek()
         if t.kind in ("ident", "_"):
             return self.next()
-        raise ParseError(f"unexpected {describe(t)}", t.span, expected=("identifier",))
+        raise self.error(f"unexpected {describe(t)}", t, ("identifier",))
 
     # -- terms --------------------------------------------------------------
 
@@ -274,16 +268,16 @@ class _Parser:
         return self.fun()
 
     def lam(self) -> Surface:
-        start = self.expect("\\").span
+        start = self.expect("\\").start
         binders: list[tuple[Token, Mode | None, Surface | None, Icit]] = []
         while self.peek().kind != ".":
             binders.append(self.lam_binder())
         if not binders:
-            raise ParseError("lambda needs at least one binder", self.peek().span)
+            raise self.error("lambda needs at least one binder", self.peek())
         self.expect(".")
         body = self.term()
         for name, mode, ann, icit in reversed(binders):
-            body = SLam(start.merge(body.span), name.text, mode, ann, icit, body)
+            body = SLam((start, body.span[1]), name.text, mode, ann, icit, body)
         return body
 
     def lam_binder(self) -> tuple[Token, Mode | None, Surface | None, Icit]:
@@ -301,21 +295,14 @@ class _Parser:
                 mode = Mode.ZERO if self.next().kind == ":0" else Mode.OMEGA
                 ann = self.term()
             elif icit is Icit.EXPL:
-                raise ParseError(
-                    "parenthesised lambda binder needs a type annotation",
-                    self.peek().span,
-                    expected=(":", ":0"),
-                )
+                message = "parenthesised lambda binder needs a type annotation"
+                raise self.error(message, self.peek(), (":", ":0"))
             self.expect(close)
             return name, mode, ann, icit
-        raise ParseError(
-            f"unexpected {describe(t)} in lambda binder",
-            t.span,
-            expected=("identifier", "(", "{"),
-        )
+        raise self.error(f"unexpected {describe(t)} in lambda binder", t, ("identifier", "(", "{"))
 
     def let_in(self) -> Surface:
-        start = self.expect("let").span
+        start = self.expect("let").start
         name = self.binder_name()
         self.expect(":")
         ty = self.term()
@@ -323,14 +310,14 @@ class _Parser:
         defn = self.term()
         self.expect("in")
         body = self.term()
-        return SLet(start.merge(body.span), name.text, ty, defn, body)
+        return SLet((start, body.span[1]), name.text, ty, defn, body)
 
     def binder_group_ahead(self) -> bool:
         # `( x :` / `( x :0` / `{ x :` ... opens a Pi or Sigma binder.
-        return self.peek().kind in ("(", "{") and self.peek(1).kind in (
-            "ident",
-            "_",
-        ) and self.peek(2).kind in (":", ":0")
+        toks, i = self.toks, self.pos
+        if toks[i].kind not in ("(", "{") or toks[i + 1].kind not in ("ident", "_"):
+            return False
+        return toks[i + 2].kind in (":", ":0")
 
     def fun(self) -> Surface:
         if self.binder_group_ahead():
@@ -339,7 +326,7 @@ class _Parser:
         if self.peek().kind == "->":
             self.next()
             cod = self.fun()
-            return SPi(lhs.span.merge(cod.span), "_", Mode.OMEGA, Icit.EXPL, lhs, cod)
+            return SPi((lhs.span[0], cod.span[1]), "_", Mode.OMEGA, Icit.EXPL, lhs, cod)
         return lhs
 
     def binder_form(self) -> Surface:
@@ -354,28 +341,25 @@ class _Parser:
         if t.kind == "->":
             self.next()
             cod = self.fun()
-            return SPi(opener.span.merge(cod.span), name.text, mode, icit, dom, cod)
+            return SPi((opener.start, cod.span[1]), name.text, mode, icit, dom, cod)
         if t.kind == "*" and icit is Icit.EXPL:
             self.next()
             snd = self.sigma_component()
-            sig = SSigma(opener.span.merge(snd.span), name.text, mode, dom, snd)
+            sig = SSigma((opener.start, snd.span[1]), name.text, mode, dom, snd)
             if self.peek().kind == "->":
                 self.next()
                 cod = self.fun()
-                return SPi(sig.span.merge(cod.span), "_", Mode.OMEGA, Icit.EXPL, sig, cod)
+                return SPi((opener.start, cod.span[1]), "_", Mode.OMEGA, Icit.EXPL, sig, cod)
             return sig
-        raise ParseError(
-            f"unexpected {describe(t)} after binder",
-            t.span,
-            expected=("->",) if icit is Icit.IMPL else ("->", "*"),
-        )
+        expected = ("->",) if icit is Icit.IMPL else ("->", "*")
+        raise self.error(f"unexpected {describe(t)} after binder", t, expected)
 
     def sigma(self) -> Surface:
         lhs = self.app()
         if self.peek().kind == "*":
             self.next()
             snd = self.sigma_component()
-            return SSigma(lhs.span.merge(snd.span), "_", Mode.OMEGA, lhs, snd)
+            return SSigma((lhs.span[0], snd.span[1]), "_", Mode.OMEGA, lhs, snd)
         return lhs
 
     def sigma_component(self) -> Surface:
@@ -394,10 +378,10 @@ class _Parser:
                 self.next()
                 arg = self.term()
                 end = self.expect("}")
-                head = SApp(head.span.merge(end.span), head, arg, Icit.IMPL)
+                head = SApp((head.span[0], end.end), head, arg, Icit.IMPL)
             elif t.kind in _ATOM_STARTERS:
                 arg = self.atom()
-                head = SApp(head.span.merge(arg.span), head, arg, Icit.EXPL)
+                head = SApp((head.span[0], arg.span[1]), head, arg, Icit.EXPL)
             else:
                 break
         return head
@@ -406,10 +390,10 @@ class _Parser:
         t = self.peek()
         if t.kind in CONSTANTS:
             self.next()
-            return SConst(t.span, t.kind)
+            return SConst((t.start, t.end), t.kind)
         if t.kind == "_":
             self.next()
-            return SHole(t.span)
+            return SHole((t.start, t.end))
         if t.kind in _PREFIXES:
             self.next()
             cls = _PREFIXES[t.kind]
@@ -419,14 +403,14 @@ class _Parser:
             args: list[Surface] = []
             while len(args) < arity:
                 args.append(self.atom())
-            return cls(t.span.merge(args[-1].span), *args)
+            return cls((t.start, args[-1].span[1]), *args)
         if t.kind == "ident":
             self.next()
-            return SVar(t.span, t.text)
+            return SVar((t.start, t.end), t.text)
         if t.kind == "number":
             self.next()
             assert t.value is not None
-            return SNum(t.span, t.value)
+            return SNum((t.start, t.end), t.value)
         if t.kind == "(":
             self.next()
             inner = self.term()
@@ -434,10 +418,10 @@ class _Parser:
                 self.next()
                 snd = self.term()
                 end = self.expect(")")
-                return SPair(t.span.merge(end.span), inner, snd)
+                return SPair((t.start, end.end), inner, snd)
             self.expect(")")
             return inner
-        raise ParseError(f"unexpected {describe(t)}", t.span, expected=("term",))
+        raise self.error(f"unexpected {describe(t)}", t, ("term",))
 
 
 def describe(t: Token) -> str:
@@ -447,24 +431,20 @@ def describe(t: Token) -> str:
 _T = TypeVar("_T")
 
 
-def _parse(tokens: list[Token], start: Callable[[_Parser], _T]) -> _T:
+def _parse(source: str, filename: str, start: Callable[[_Parser], _T]) -> _T:
     # The parser recurses at least once per nesting level, so the
-    # recursion limit bounds how deep a term may nest: about 16 000
-    # `succ (…)` levels under the limit of 100 000 that `tt0.cli.main`
-    # sets.  Deeper input is reported where the parser stood.
-    p = _Parser(tokens)
+    # recursion limit bounds how deep a term may nest: 16 664 `succ (…)`
+    # levels under the limit of 100 000 that `tt0.cli.main` sets (Python
+    # 3.11).  Deeper input is reported where the parser stood.
+    p = _Parser(tokenize(source, filename), Source(source, filename))
     try:
         return start(p)
     except RecursionError:
-        raise ParseError("term nested too deeply", p.peek().span) from None
-
-
-def parse_module(tokens: list[Token]) -> Module:
-    return _parse(tokens, _Parser.module)
+        raise p.error("term nested too deeply", p.peek()) from None
 
 
 def parse_module_text(source: str, filename: str = "<input>") -> Module:
-    return parse_module(tokenize(source, filename))
+    return _parse(source, filename, _Parser.module)
 
 
 def parse_term_text(source: str, filename: str = "<input>") -> Surface:
@@ -473,7 +453,7 @@ def parse_term_text(source: str, filename: str = "<input>") -> Surface:
         p.expect("eof")
         return t
 
-    return _parse(tokenize(source, filename), whole_term)
+    return _parse(source, filename, whole_term)
 
 
 # ---------------------------------------------------------------------------

@@ -30,7 +30,7 @@ from .core import (
     quote,
     vvar,
 )
-from .diagnostics import Diagnostic, InternalError, SourceSpan, UnifyError
+from .diagnostics import Diagnostic, InternalError, Span, UnifyError
 from .record import Record
 
 
@@ -48,7 +48,7 @@ class MetaEntry(Record, frozen=False):
     ty: Term  # codomain, under the signature and the captured entries
     closed_ty: Term  # under the signature
     closed_ty_value: Value
-    span: SourceSpan | None = None
+    span: Span | None = None
     solution_closed: Term | None = None  # lambda/let closure over the capture
     solution_body: Term | None = None  # same, under the captured entries
     solution_value: Value | None = None
@@ -114,9 +114,7 @@ def close_type(entries: tuple[CapturedEntry, ...], ty: Term) -> Term:
     return ty
 
 
-def fresh_meta(
-    store: MetaStore, ctx: Context, ty: Value, span: SourceSpan | None = None
-) -> Term:
+def fresh_meta(store: MetaStore, ctx: Context, ty: Value, span: Span | None = None) -> Term:
     """Allocate a metavariable of the given type in the given context and
     return the term standing for it, masked over the local entries it
     captures."""

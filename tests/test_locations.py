@@ -46,7 +46,7 @@ def node_locations(path: str) -> list[list]:
     out: list[list] = []
 
     def walk(node) -> None:
-        out.append([type(node).__name__, *where(node.span)])
+        out.append([type(node).__name__, *where(module.source.span(*node.span))])
         for f in node.__match_args__:
             child = getattr(node, f)
             if isinstance(child, Surface):

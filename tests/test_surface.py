@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 import tt0.surface as sf
 from conftest import corpus_files
 from tt0.core import CONSTANTS
-from tt0.diagnostics import LexError, ParseError, SourceSpan
+from tt0.diagnostics import LexError, ParseError, Source
 from tt0.surface import (
     Icit,
     Mode,
@@ -53,8 +53,8 @@ class TestTokenize:
 
     def test_spans_are_one_based(self):
         toks = tokenize("let x")
-        assert (toks[0].span.start_line, toks[0].span.start_col) == (1, 1)
-        assert (toks[1].span.start_line, toks[1].span.start_col) == (1, 5)
+        where = Source("let x").position
+        assert [where(t.start) for t in toks] == [(1, 1), (1, 5), (1, 6)]
 
     def test_arrow_not_split(self):
         assert kinds("a->b") == ["ident", "->", "ident", "eof"]
@@ -83,9 +83,8 @@ class TestTokenize:
 
     def test_tab_and_carriage_return_are_one_column(self):
         toks = tokenize("\tx\r y")
-        assert [(t.span.start_col, t.span.end_col) for t in toks] == [
-            (2, 2), (5, 5), (6, 6),
-        ]
+        spans = [Source("\tx\r y").span(t.start, t.end) for t in toks]
+        assert [(s.start_col, s.end_col) for s in spans] == [(2, 2), (5, 5), (6, 6)]
         with pytest.raises(LexError, match="illegal character 'λ'") as e:
             tokenize("a\t\rλ")
         span = e.value.span
@@ -111,11 +110,44 @@ class TestTokenize:
         assert toks[-1].kind == "eof"
         previous = (1, 0)
         for t in toks[:-1]:
-            s = t.span
+            assert source[t.start : t.end] == t.text
+            s = Source(source).span(t.start, t.end)
             assert s.start_line == s.end_line
             assert lines[s.start_line - 1][s.start_col - 1 : s.end_col] == t.text
             assert (s.start_line, s.start_col) > previous
             previous = (s.end_line, s.end_col)
+
+    @given(pieces=st.lists(st.sampled_from([*TOKEN_ALPHABET, "λ"]), max_size=40))
+    @settings(max_examples=300, deadline=None)
+    def test_lines_and_columns_count_the_newlines_before(self, pieces):
+        source = "".join(pieces)
+
+        def naive(offset: int) -> tuple[int, int]:
+            before = source[:offset]
+            return before.count("\n") + 1, offset - before.rfind("\n")
+
+        try:
+            toks = tokenize(source, "f.tt0")
+        except LexError as e:
+            # The first `λ` outside a comment; a comment runs from the first
+            # `--` of its line.
+            offset, line_start = None, 0
+            for line in source.split("\n"):
+                code = line.split("--")[0]
+                if "λ" in code:
+                    offset = line_start + code.index("λ")
+                    break
+                line_start += len(line) + 1
+            assert offset is not None
+            s = e.span
+            assert (s.file, s.start_line, s.start_col) == ("f.tt0", *naive(offset))
+            assert (s.end_line, s.end_col) == (s.start_line, s.start_col)
+            return
+        where = Source(source, "f.tt0")
+        for t in toks:
+            s = where.span(t.start, t.end)
+            assert (s.start_line, s.start_col) == naive(t.start)
+            assert (s.end_line, s.end_col) == naive(max(t.start, t.end - 1))
 
 
 class TestParse:
@@ -232,7 +264,7 @@ class TestRoundTrip:
         assert parse_term_text(pp_term(t)) == t
 
 
-DUMMY = SourceSpan("<gen>", 1, 1, 1, 1)
+DUMMY = (0, 0)
 
 
 def surface_terms(depth: int) -> st.SearchStrategy:
