@@ -6,6 +6,8 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from collections.abc import Iterable, Iterator
+from itertools import chain
 
 from . import core as co
 from . import extract as ex
@@ -60,25 +62,27 @@ def build_parser() -> argparse.ArgumentParser:
 _PARSER = build_parser()
 
 
-class _Reporter:
-    def __init__(self, source: str | None, use_json: bool, color: bool):
-        self.source = source
-        self.use_json = use_json
-        self.color = color
+# What a command returns: its exit code, the keys of its JSON envelope that
+# follow "version", and its text lines.  The lines are lazy and `main` reads
+# them only without `--json`: a term's text can cost far more than its JSON
+# (a numeral's `succ` chain), and the term printers recurse.
+Output = tuple[int, dict, Iterable[str]]
 
-    def emit(self, diags: list[Diagnostic]) -> None:
-        if self.use_json:
-            payload = {
-                "version": JSON_VERSION,
-                "diagnostics": [d.to_json() for d in diags],
-            }
-            print(to_json(payload), file=sys.stderr)
-            return
-        for d in diags:
-            text = d.render(self.source)
-            if self.color:
-                text = text.replace("error:", "\x1b[31merror:\x1b[0m", 1)
-            print(text, file=sys.stderr)
+
+class _UsageError(Exception):
+    """A usage error found after the arguments were parsed."""
+
+
+def _report(diags: list[Diagnostic], source: str | None, use_json: bool, color: bool) -> None:
+    if use_json:
+        diagnostics = [d.to_json() for d in diags]
+        print(to_json({"version": JSON_VERSION, "diagnostics": diagnostics}), file=sys.stderr)
+        return
+    for d in diags:
+        text = d.render(source)
+        if color:
+            text = text.replace("error:", "\x1b[31merror:\x1b[0m", 1)
+        print(text, file=sys.stderr)
 
 
 def _load(path: str) -> str:
@@ -95,133 +99,73 @@ def _load(path: str) -> str:
     raise Diagnostic(f"cannot read {path}: {reason}")
 
 
-def cmd_check(result: ElabResult, args: argparse.Namespace) -> int:
-    rows = []
-    for i, d in enumerate(result.decls):
-        ty = co.pp(d.ty, result.sig.names[:i])
-        rows.append({"name": d.name, "type": ty})
-        if not args.json:
-            print(f"ok {d.name} : {ty}")
+def cmd_check(result: ElabResult, args: argparse.Namespace) -> Output:
+    rows = [
+        {"name": d.name, "type": co.pp(d.ty, result.sig.names[:i])}
+        for i, d in enumerate(result.decls)
+    ]
     if result.main is not None:
-        ty_t = co.quote(result.store, result.sig.depth, result.main[1])
-        ty = co.pp(ty_t, result.sig.names)
-        rows.append({"name": "main", "type": ty})
-        if not args.json:
-            print(f"ok main : {ty}")
-    if args.json:
-        print(to_json({"version": JSON_VERSION, "checked": rows}))
-    return EXIT_OK
+        ty = co.quote(result.store, result.sig.depth, result.main[1])
+        rows.append({"name": "main", "type": co.pp(ty, result.sig.names)})
+    return EXIT_OK, {"checked": rows}, (f"ok {r['name']} : {r['type']}" for r in rows)
 
 
-def cmd_elab(result: ElabResult, args: argparse.Namespace) -> int:
-    if args.json:
-        decls = [{"name": d.name, "type": d.ty, "body": d.body} for d in result.decls]
-        payload: dict = {"version": JSON_VERSION, "decls": decls}
+def cmd_elab(result: ElabResult, args: argparse.Namespace) -> Output:
+    payload: dict = {
+        "decls": [{"name": d.name, "type": d.ty, "body": d.body} for d in result.decls]
+    }
+    if result.main is not None:
+        payload["main"] = result.main[0]
+
+    def text() -> Iterator[str]:
+        for i, d in enumerate(result.decls):
+            names = result.sig.names[:i]
+            yield f"let {d.name} : {co.pp(d.ty, names)}"
+            yield f"  = {co.pp(d.body, names)}"
         if result.main is not None:
-            payload["main"] = result.main[0]
-        print(to_json(payload))
-        return EXIT_OK
-    for i, d in enumerate(result.decls):
-        names = result.sig.names[:i]
-        print(f"let {d.name} : {co.pp(d.ty, names)}")
-        print(f"  = {co.pp(d.body, names)}")
-    if result.main is not None:
-        print(f"main = {co.pp(result.main[0], result.sig.names)}")
-    return EXIT_OK
+            yield f"main = {co.pp(result.main[0], result.sig.names)}"
+
+    return EXIT_OK, payload, text()
 
 
-def _named_closed(result: ElabResult, name: str) -> co.Term:
-    try:
-        return closed_definition(result, name)
-    except KeyError:
-        raise Diagnostic(f"no declaration named {name!r}") from None
+def cmd_nf(result: ElabResult, args: argparse.Namespace) -> Output:
+    nf = co.normal_form(result.store, (), closed_definition(result, args.name))
+    return EXIT_OK, {"nf": nf}, map(co.pp, [nf])
 
 
-def cmd_nf(result: ElabResult, args: argparse.Namespace) -> int:
-    closed = _named_closed(result, args.name)
-    nf = co.normal_form(result.store, (), closed)
-    if args.json:
-        print(to_json({"version": JSON_VERSION, "nf": nf}))
-    else:
-        print(co.pp(nf))
-    return EXIT_OK
-
-
-def cmd_extract(result: ElabResult, args: argparse.Namespace) -> int:
-    if args.main:
-        if result.main is None:
-            raise Diagnostic("module has no main expression")
-        closed = closed_main(result)
-    else:
-        closed = _named_closed(result, args.name)
+def cmd_extract(result: ElabResult, args: argparse.Namespace) -> Output:
+    closed = closed_main(result) if args.main else closed_definition(result, args.name)
     target = ex.extract(co.Context(), closed)
-    if args.json:
-        print(to_json({"version": JSON_VERSION, "target": target}))
-    else:
-        print(ex.pp_target(target))
-    return EXIT_OK
+    return EXIT_OK, {"target": target}, map(ex.pp_target, [target])
 
 
-def cmd_run(result: ElabResult, args: argparse.Namespace) -> int:
-    if result.main is None:
-        raise Diagnostic("module has no main expression")
-    closed = closed_main(result)
-    target = ex.extract(co.Context(), closed)
-    fuel: int | None
-    if args.fuel is not None:
-        fuel = args.fuel
-    else:
+def cmd_run(result: ElabResult, args: argparse.Namespace) -> Output:
+    target = ex.extract(co.Context(), closed_main(result))
+    fuel = args.fuel
+    if fuel is None:
         raw = os.environ.get("TT0_FUEL", str(ex.DEFAULT_FUEL))
         try:
             fuel = int(raw)
         except ValueError:
-            print(f"tt0: invalid TT0_FUEL value {raw!r}", file=sys.stderr)
-            return EXIT_USAGE
-    if fuel == 0:
-        fuel = None  # unbounded; may not terminate
-    try:
-        nf = ex.eval_target(target, fuel)
-    except ex.FuelExhausted as e:
-        _Reporter(None, args.json, False).emit([e])
-        return EXIT_FUEL
+            raise _UsageError(f"invalid TT0_FUEL value {raw!r}") from None
+    nf = ex.eval_target(target, fuel or None)  # 0 is unbounded; may not terminate
     k = ex.as_numeral(nf)
-    if args.json:
-        payload = {"version": JSON_VERSION, "result": nf}
-        if k is not None:
-            payload["numeral"] = k
-        print(to_json(payload))
-    else:
-        print(ex.pp_target(nf))
-        if k is not None:
-            print(f"= {k}")
-    return EXIT_OK
+    if k is None:
+        return EXIT_OK, {"result": nf}, map(ex.pp_target, [nf])
+    return EXIT_OK, {"result": nf, "numeral": k}, chain(map(ex.pp_target, [nf]), [f"= {k}"])
 
 
-def cmd_meta(result: ElabResult, args: argparse.Namespace) -> int:
+def cmd_meta(result: ElabResult, args: argparse.Namespace) -> Output:
     rows = translate.sweep(result)
     ok = all(r.zeroing_ok and r.stripping_ok for r in rows)
-    if args.json:
-        payload = {
-            "version": JSON_VERSION,
-            "decls": [
-                {
-                    "name": r.name,
-                    "zeroing": r.zeroing_ok,
-                    "stripping": r.stripping_ok,
-                }
-                for r in rows
-            ],
-            "ok": ok,
-        }
-        print(to_json(payload))
-        return EXIT_OK if ok else EXIT_DIAGNOSTICS
+    decls = [{"name": r.name, "zeroing": r.zeroing_ok, "stripping": r.stripping_ok} for r in rows]
     width = max((len(r.name) for r in rows), default=4)
-    print(f"{'decl'.ljust(width)}  zeroing  stripping")
+    lines = [f"{'decl'.ljust(width)}  zeroing  stripping"]
     for r in rows:
         z = "ok" if r.zeroing_ok else "FAIL"
         s = "ok" if r.stripping_ok else "FAIL"
-        print(f"{r.name.ljust(width)}  {z.ljust(7)}  {s}")
-    return EXIT_OK if ok else EXIT_DIAGNOSTICS
+        lines.append(f"{r.name.ljust(width)}  {z.ljust(7)}  {s}")
+    return EXIT_OK if ok else EXIT_DIAGNOSTICS, {"decls": decls, "ok": ok}, lines
 
 
 _COMMANDS = {
@@ -240,17 +184,26 @@ def main(argv: list[str] | None = None) -> int:
         args = _PARSER.parse_args(argv)
     except SystemExit as e:
         return EXIT_USAGE if e.code not in (0, None) else EXIT_OK
-    rep = _Reporter(None, args.json, not args.no_color and sys.stderr.isatty())
+    source = None
     try:
-        rep.source = _load(args.file)
-        result = elaborate_text(rep.source, args.file)
-        if not result.ok:
-            rep.emit(result.errors)
-            return EXIT_DIAGNOSTICS
-        return _COMMANDS[args.command](result, args)
+        source = _load(args.file)
+        result = elaborate_text(source, args.file)
+        if result.ok:
+            code, payload, lines = _COMMANDS[args.command](result, args)
+            if args.json:
+                print(to_json({"version": JSON_VERSION, **payload}))
+            else:
+                for line in lines:
+                    print(line)
+            return code
+        diags, code = result.errors, EXIT_DIAGNOSTICS
+    except ex.FuelExhausted as e:
+        diags, code = [e], EXIT_FUEL
     except Diagnostic as e:
-        rep.emit([e])
-        return EXIT_DIAGNOSTICS
+        diags, code = [e], EXIT_DIAGNOSTICS
+    except _UsageError as e:
+        print(f"tt0: {e}", file=sys.stderr)
+        return EXIT_USAGE
     except BrokenPipeError:
         # The reader closed stdout (`tt0 run … | head`): end quietly, with
         # stdout on the null device so that the flush at exit cannot fail.
@@ -259,8 +212,9 @@ def main(argv: list[str] | None = None) -> int:
         os.close(null)
         return EXIT_OK
     except Exception as e:  # noqa: BLE001 - no traceback past the driver
-        rep.emit([InternalError(f"{args.command}: {type(e).__name__}: {e}")])
-        return EXIT_DIAGNOSTICS
+        diags, code = [InternalError(f"{args.command}: {type(e).__name__}: {e}")], EXIT_DIAGNOSTICS
+    _report(diags, source, args.json, not args.no_color and sys.stderr.isatty())
+    return code
 
 
 if __name__ == "__main__":

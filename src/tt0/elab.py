@@ -469,11 +469,11 @@ def close_over_signature(result: ElabResult, t: Term, depth: int) -> Term:
 def closed_definition(result: ElabResult, name: str) -> Term:
     lvl = next((i for i, d in enumerate(result.decls) if d.name == name), None)
     if lvl is None:
-        raise KeyError(name)
+        raise Diagnostic(f"no declaration named {name!r}")
     return close_over_signature(result, result.decls[lvl].body, lvl)
 
 
 def closed_main(result: ElabResult) -> Term:
     if result.main is None:
-        raise KeyError("module has no main expression")
+        raise Diagnostic("module has no main expression")
     return close_over_signature(result, result.main[0], len(result.decls))

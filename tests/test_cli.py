@@ -173,6 +173,21 @@ class TestCheck:
         assert excerpt == "  let x : Nat = y;"
         assert excerpt[len(caret) - 1] == "y" and caret.strip() == "^"
 
+    def test_error_is_red_on_a_terminal_only(self, capsys, monkeypatch):
+        monkeypatch.setattr(sys.stderr, "isatty", lambda: True)
+        bad = str(BAD_CORPUS / "bad_mode.tt0")
+        code, _, err = run(capsys, "check", bad)
+        assert code == 1
+        assert err.startswith(f"{bad}:2:")
+        assert ": \x1b[31merror:\x1b[0m erased variable" in err
+        for flag in ("--no-color", "--json"):
+            code, _, err = run(capsys, "check", bad, flag)
+            assert code == 1 and "error" in err and "\x1b" not in err
+        # Fuel exhaustion is reported like every other diagnostic.
+        code, _, err = run(capsys, "run", str(CORPUS / "mult.tt0"), "--fuel", "2")
+        assert code == 3
+        assert err.startswith("\x1b[31merror:\x1b[0m fuel exhausted while reducing ")
+
     @pytest.mark.parametrize("use_json", [False, True])
     def test_unexpected_exception_is_internal_error(self, capsys, monkeypatch, use_json):
         def broken(result, args):
@@ -231,6 +246,13 @@ class TestUsage:
     def test_extract_requires_target(self, capsys):
         assert run(capsys, "extract", str(CORPUS / "plus.tt0"))[0] == 2
 
+    @pytest.mark.parametrize("argv", [["--help"], ["run", "--help"]], ids=" ".join)
+    def test_help_is_printed_on_stdout(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 0
+        assert out.startswith(f"usage: {' '.join(['tt0', *argv[:-1]])} ")
+        assert err == ""
+
 
 class TestRun:
     def test_identity_main(self, capsys):
@@ -273,9 +295,8 @@ class TestRun:
     def test_no_main_is_diagnostic(self, capsys, tmp_path):
         f = tmp_path / "nomain.tt0"
         f.write_text("let x : Nat = zero;\n")
-        code, _, err = run(capsys, "run", str(f))
-        assert code == 1
-        assert "no main" in err
+        for argv in (["run", str(f)], ["extract", str(f), "--main"]):
+            assert run(capsys, *argv) == (1, "", "error: module has no main expression\n")
 
     def test_invalid_fuel_env_is_usage_error(self, capsys, monkeypatch):
         monkeypatch.setenv("TT0_FUEL", "plenty")
@@ -361,11 +382,9 @@ class TestExtract:
         target_from_json(payload["target"])
 
     def test_unknown_definition(self, capsys):
-        code, _, err = run(
-            capsys, "extract", str(CORPUS / "plus.tt0"), "--def", "ghost"
-        )
-        assert code == 1
-        assert "no declaration" in err
+        for command in ("extract", "nf"):
+            code, out, err = run(capsys, command, str(CORPUS / "plus.tt0"), "--def", "ghost")
+            assert (code, out, err) == (1, "", "error: no declaration named 'ghost'\n")
 
 
 class TestNf:

@@ -1,4 +1,5 @@
-"""tt0 needs nothing beyond the Python standard library (README)."""
+"""tt0 needs nothing beyond the Python standard library (README), and only
+its driver writes output."""
 
 from __future__ import annotations
 
@@ -32,6 +33,32 @@ def test_every_module_imports_only_the_standard_library():
         if name not in sys.stdlib_module_names
     }
     assert not outside
+
+
+STREAMS = {"stdout", "stderr"}
+
+
+def output_writes(path) -> list[str]:
+    """Where a module calls `print` or names `sys.stdout` or `sys.stderr`."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
+            if node.func.id == "print":
+                found.append(f"{path.name}:{node.lineno}: print")
+        elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+            if node.value.id == "sys" and node.attr in STREAMS:
+                found.append(f"{path.name}:{node.lineno}: sys.{node.attr}")
+        elif isinstance(node, ast.ImportFrom) and node.module == "sys":
+            if STREAMS & {alias.name for alias in node.names}:
+                found.append(f"{path.name}:{node.lineno}: from sys import")
+    return found
+
+
+def test_only_the_driver_writes_output():
+    # Each command returns its result, and `cli.main` writes it once.
+    writes = {path.name: output_writes(path) for path in MODULES}
+    assert writes.pop("cli.py")
+    assert not [w for ws in writes.values() for w in ws]
 
 
 def test_importing_the_cli_does_not_import_dataclasses():
