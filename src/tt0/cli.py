@@ -7,6 +7,7 @@ import argparse
 import os
 import sys
 from collections.abc import Iterable, Iterator
+from contextlib import suppress
 from itertools import chain
 
 from . import core as co
@@ -202,7 +203,8 @@ def main(argv: list[str] | None = None) -> int:
     except Diagnostic as e:
         diags, code = [e], EXIT_DIAGNOSTICS
     except _UsageError as e:
-        print(f"tt0: {e}", file=sys.stderr)
+        with suppress(BrokenPipeError):  # the reader closed stderr
+            print(f"tt0: {e}", file=sys.stderr)
         return EXIT_USAGE
     except BrokenPipeError:
         # The reader closed stdout (`tt0 run … | head`): end quietly, with
@@ -213,7 +215,8 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_OK
     except Exception as e:  # noqa: BLE001 - no traceback past the driver
         diags, code = [InternalError(f"{args.command}: {type(e).__name__}: {e}")], EXIT_DIAGNOSTICS
-    _report(diags, source, args.json, not args.no_color and sys.stderr.isatty())
+    with suppress(BrokenPipeError):  # the reader closed stderr
+        _report(diags, source, args.json, not args.no_color and sys.stderr.isatty())
     return code
 
 

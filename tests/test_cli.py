@@ -356,6 +356,24 @@ class TestRun:
         assert proc.wait() == 0
         assert err == b""
 
+    def test_closed_stderr_keeps_the_exit_code(self):
+        # The reader of stderr is gone before the diagnostic is written.
+        for argv, fuel, code in [
+            (["check", str(BAD_CORPUS / "bad_mode.tt0")], "100", 1),
+            (["run", str(CORPUS / "mult.tt0")], "2", 3),
+            (["run", str(CORPUS / "mult.tt0")], "plenty", 2),
+        ]:
+            read_end, write_end = os.pipe()
+            os.close(read_end)
+            proc = subprocess.Popen(
+                [sys.executable, "-m", "tt0", *argv],
+                stdout=subprocess.DEVNULL,
+                stderr=write_end,
+                env={**os.environ, "PYTHONPATH": str(REPO / "src"), "TT0_FUEL": fuel},
+            )
+            os.close(write_end)
+            assert proc.wait(timeout=60) == code
+
 
 class TestExtract:
     def test_erased_pair_definition(self, capsys):
