@@ -1,5 +1,5 @@
 """tt0 needs nothing beyond the Python standard library (README), and only
-its driver writes output."""
+`tt0.cli` writes output."""
 
 from __future__ import annotations
 
