@@ -295,6 +295,42 @@ def nat_fn_ty():
     return co.VPi("x", W, EX, NatTy(), co.Closure((), NatTy()))
 
 
+# For each eliminator: well-typed parts (motive, two cases, scrutinee),
+# an ill-typed replacement for each part, the kernel's message when that
+# part is the first ill-typed one, and the type of the well-typed term.
+# The `boolElim` motive is Nat at true and Bool at false, so that an
+# ill-typed case names the case.
+KERNEL_ELIMS = {
+    NatElim: (
+        (lam(co.BoolTy()), co.FalseTm(), lam(lam(Var(0))), Lit(0)),
+        (Lit(0), Lit(0), co.TrueTm(), co.TrueTm()),
+        (
+            "type mismatch: expected Π (n : Nat). U, got Nat",
+            "type mismatch: expected Bool, got Nat",
+            "type mismatch: expected Π (k : Nat). Π (ih : Bool). Bool, got Bool",
+            "type mismatch: expected Nat, got Bool",
+        ),
+        co.BoolTy(),
+    ),
+    co.BoolElim: (
+        (
+            lam(co.BoolElim(lam(co.Univ()), NatTy(), co.BoolTy(), Var(0))),
+            Lit(0),
+            co.TrueTm(),
+            co.TrueTm(),
+        ),
+        (Lit(0), co.TrueTm(), Lit(0), lam(Var(0))),
+        (
+            "type mismatch: expected Π (b : Bool). U, got Nat",
+            "type mismatch: expected Nat, got Bool",
+            "type mismatch: expected Bool, got Nat",
+            "lambda checked against a non-function type Bool",
+        ),
+        NatTy(),
+    ),
+}
+
+
 class TestKernel:
     def test_erased_variable_rejected_at_runtime(self):
         ctx = Context().bind("x", Z0, NatTy())
@@ -384,6 +420,46 @@ class TestKernel:
         with pytest.raises(KernelError, match="mode"):
             kernel_check(store, Context(), co.Pair(W, Lit(0), Lit(0)), sig0)
         kernel_check(store, Context(), co.Pair(Z0, Lit(0), Lit(0)), sig0)
+
+    @pytest.mark.parametrize(
+        "t, message",
+        [
+            (co.Fst(W, Lit(0)), "first projection of a non-pair"),
+            (co.Snd(W, Lit(0)), "second projection of a non-pair"),
+        ],
+    )
+    def test_projection_of_a_non_pair(self, t, message):
+        with pytest.raises(KernelError) as e:
+            kernel_infer(None, Context(), t)
+        assert e.value.message == message
+
+    @pytest.mark.parametrize("elim, i", [(e, i) for e in KERNEL_ELIMS for i in range(4)])
+    def test_eliminator_parts_checked_in_order(self, elim, i):
+        # Parts 0..i-1 are well typed and parts i.. are not: the message
+        # names part i, so it also pins the order of the checks.
+        good, bad, messages, result = KERNEL_ELIMS[elim]
+        t = elim(*good[:i], *bad[i:])
+        with pytest.raises(KernelError) as e:
+            kernel_infer(None, Context(), t)
+        assert e.value.message == messages[i]
+        assert kernel_infer(None, Context(), elim(*good)) == result
+
+    @pytest.mark.parametrize("infer", [True, False])
+    @pytest.mark.parametrize(
+        "ty, defn, message",
+        [
+            (Lit(0), co.TrueTm(), "type mismatch: expected U, got Nat"),
+            (NatTy(), co.TrueTm(), "type mismatch: expected Nat, got Bool"),
+        ],
+    )
+    def test_ill_typed_let(self, infer, ty, defn, message):
+        t = co.Let("x", ty, defn, Var(0))
+        with pytest.raises(KernelError) as e:
+            if infer:
+                kernel_infer(None, Context(), t)
+            else:
+                kernel_check(None, Context(), t, NatTy())
+        assert e.value.message == message
 
 
 class TestPrinting:

@@ -146,6 +146,67 @@ def test_base_constant_in_every_layer(keyword):
         co.kernel_infer(MetaStore(), Context(), const)
 
 
+MISMATCH = "type mismatch: expected {}, got {} (terms have different head constructors)"
+
+# For each eliminator: well-typed parts (motive, two cases, scrutinee), an
+# ill-typed replacement for each part, and the types of the mismatch when
+# that part is the first ill-typed one.  The `boolElim` motive is Nat at
+# true and Bool at false, so that an ill-typed case names the case.
+ELAB_ELIMS = {
+    "natElim": (
+        ("(\\k. Bool)", "false", "(\\k ih. ih)", "zero"),
+        ("zero", "zero", "true", "true"),
+        (
+            ("Π (n : Nat). U", "Nat"),
+            ("Bool", "Nat"),
+            ("Π (k : Nat). Π (ih : Bool). Bool", "Bool"),
+            ("Nat", "Bool"),
+        ),
+    ),
+    "boolElim": (
+        ("(\\b. boolElim (\\c. U) Nat Bool b)", "zero", "true", "true"),
+        ("zero", "true", "zero", "zero"),
+        (("Π (b : Bool). U", "Nat"), ("Nat", "Bool"), ("Bool", "Nat"), ("Bool", "Nat")),
+    ),
+}
+
+
+def located_errors(src: str) -> list[tuple[str, int, int]]:
+    """The message, first column and last column of each error of `src`."""
+    return [(e.message, e.span.start_col, e.span.end_col) for e in elaborate_text(src).errors]
+
+
+@pytest.mark.parametrize("keyword, i", [(k, i) for k in ELAB_ELIMS for i in range(4)])
+def test_eliminator_parts_checked_in_order(keyword, i):
+    # Parts 0..i-1 are well typed and parts i.. are not: the error is at
+    # part i, so it also pins the order of the checks.
+    good, bad, types = ELAB_ELIMS[keyword]
+    head = f"main = {keyword} " + "".join(f"{p} " for p in good[:i])
+    src = head + " ".join(bad[i:]) + ";"
+    col = len(head) + 1
+    assert located_errors(src) == [(MISMATCH.format(*types[i]), col, col + len(bad[i]) - 1)]
+    assert elaborate_text(f"main = {keyword} {' '.join(good)};").ok
+
+
+@pytest.mark.parametrize("word, arg, ty", [("fst", "zero", "Nat"), ("snd", "true", "Bool")])
+def test_projection_of_a_non_pair(word, arg, ty):
+    src = f"main = {word} {arg};"
+    assert located_errors(src) == [(f"projecting from a non-pair of type {ty}", 8, 15)]
+
+
+@pytest.mark.parametrize("head", ["let f : Nat = ", "main = "])
+@pytest.mark.parametrize(
+    "ann, bad, types", [("zero", "zero", ("U", "Nat")), ("Nat", "true", ("Nat", "Bool"))]
+)
+def test_ill_typed_let(head, ann, bad, types):
+    # A declaration's body is checked and `main` is inferred.  The
+    # definition `true` is ill typed too, so an ill-typed annotation shows
+    # that it is checked first.
+    src = f"{head}let x : {ann} = true in x;"
+    col = src.index(f" {bad} ") + 2
+    assert located_errors(src) == [(MISMATCH.format(*types), col, col + len(bad) - 1)]
+
+
 class TestModules:
     def test_identity_module_clean(self):
         r = elaborate_text("let id : {A :0 U} -> A -> A = \\{A} x. x;")

@@ -1,10 +1,13 @@
 """The kernel's module stands apart from the elaborator and the output
 formats: `tt0.core` and the tt0 modules it imports import nothing above
-them (ROADMAP item 11, acceptance criterion 1)."""
+them (ROADMAP item 11, acceptance criterion 1).  It also stays below the
+size at which compiling it costs more memory."""
 
 from __future__ import annotations
 
 import ast
+import io
+import tokenize
 
 from conftest import REPO
 
@@ -63,3 +66,21 @@ def test_the_kernel_imports_nothing_above_it():
 
 def test_the_kernel_imports_no_json_module():
     assert not {module for module, other in kernel_closure().items() if "json" in other}
+
+
+# CPython's parser doubles its token array past this many tokens, and
+# compiling the module then peaks about 0.5 MB higher.
+COMPILE_STEP_TOKENS = 8192
+
+
+def parser_tokens(module: str) -> int:
+    """The tokens of a tt0 module the parser reads: all but comments, the
+    newlines that end no statement, and the encoding marker."""
+    text = (SRC / f"{module}.py").read_text(encoding="utf-8")
+    skipped = {tokenize.COMMENT, tokenize.NL, tokenize.ENCODING}
+    tokens = tokenize.generate_tokens(io.StringIO(text).readline)
+    return sum(1 for tok in tokens if tok.type not in skipped)
+
+
+def test_the_kernel_module_compiles_below_the_token_step():
+    assert parser_tokens("core") < COMPILE_STEP_TOKENS
