@@ -160,7 +160,7 @@ def cmd_meta(result: ElabResult, args: argparse.Namespace) -> Output:
     rows = translate.sweep(result)
     ok = all(r.zeroing_ok and r.stripping_ok for r in rows)
     decls = [{"name": r.name, "zeroing": r.zeroing_ok, "stripping": r.stripping_ok} for r in rows]
-    width = max((len(r.name) for r in rows), default=4)
+    width = max([len("decl"), *(len(r.name) for r in rows)])
     lines = [f"{'decl'.ljust(width)}  zeroing  stripping"]
     for r in rows:
         z = "ok" if r.zeroing_ok else "FAIL"

@@ -419,6 +419,18 @@ class TestMeta:
         assert "zeroing" in lines[0] and "stripping" in lines[0]
         assert all("ok" in line for line in lines[1:])
 
+    def test_columns_line_up_under_short_names(self, capsys, tmp_path):
+        path = tmp_path / "short.tt0"
+        path.write_text("let a : Nat = zero;\nlet b : Bool = true;\n")
+        code, out, _ = run(capsys, "meta", str(path))
+        assert code == 0
+        header, *rows = out.splitlines()
+        assert header == "decl  zeroing  stripping"
+        assert rows == ["a     ok       ok", "b     ok       ok"]
+        for row in rows:
+            assert row.index("ok") == header.index("zeroing")
+            assert row.rindex("ok") == header.index("stripping")
+
     def test_json_shape(self, capsys):
         code, out, _ = run(capsys, "meta", str(CORPUS / "mult.tt0"), "--json")
         assert code == 0
