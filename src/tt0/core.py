@@ -5,8 +5,10 @@ subterms (U, Nat, Bool, a literal, true, false) is a `Constant`: one class
 that is both a term and its own value.  The table `CONSTANTS` names each
 base constant once, with its keyword, its type and whether it is a type
 code; the parser, printers, elaborator, kernel and unifier all read it.
-Eliminations (App/Pair/Fst/Snd) record the mode of the Pi/Sigma they
-interact with; the extraction pass consumes those annotations.
+The table `ELIMINATORS` states the typing rule of `natElim` and `boolElim`
+once, for the elaborator and the kernel.  Eliminations (App/Pair/Fst/Snd)
+record the mode of the Pi/Sigma they interact with; the extraction pass
+consumes those annotations.
 
 The erasure marker is represented by one boolean flag on the context: a
 judgment checked with the flag set is an erased judgment, and erased
@@ -403,19 +405,10 @@ def evaluate(env: Env, t: Term) -> Value:
             return t
         case Succ(arg):
             return vsucc(evaluate(env, arg))
-        case NatElim(motive, zcase, scase, scrut):
-            return vnatelim(
-                evaluate(env, motive),
-                evaluate(env, zcase),
-                evaluate(env, scase),
-                evaluate(env, scrut),
-            )
-        case BoolElim(motive, tcase, fcase, scrut):
-            return vboolelim(
-                evaluate(env, motive),
-                evaluate(env, tcase),
-                evaluate(env, fcase),
-                evaluate(env, scrut),
+        case NatElim(motive, a, b, scrut) | BoolElim(motive, a, b, scrut):
+            elim = vnatelim if type(t) is NatElim else vboolelim
+            return elim(
+                evaluate(env, motive), evaluate(env, a), evaluate(env, b), evaluate(env, scrut)
             )
         case Let(_, _, defn, body):
             return evaluate(env + (definition(env, defn),), body)
@@ -495,10 +488,8 @@ def apply_spine(v: Value, spine: tuple[SpineItem, ...]) -> Value:
                 v = vfst(mode, v)
             case SSnd(mode):
                 v = vsnd(mode, v)
-            case SNatElim(motive, zcase, scase):
-                v = vnatelim(motive, zcase, scase, v)
-            case SBoolElim(motive, tcase, fcase):
-                v = vboolelim(motive, tcase, fcase, v)
+            case SNatElim(motive, a, b) | SBoolElim(motive, a, b):
+                v = (vnatelim if type(item) is SNatElim else vboolelim)(motive, a, b, v)
     return v
 
 
@@ -762,13 +753,6 @@ class Context(Record):
 # zonked output, which holds none, is checked with no store.
 
 
-# Eliminator motives bind a runtime variable: families over a runtime
-# domain and over an erased one are interchangeable (the binder is only
-# ever used inside types), and the runtime choice keeps mode stripping
-# syntax-preserving.
-NAT_MOTIVE_TY = VPi("n", Mode.OMEGA, Icit.EXPL, NatTy(), Closure((), Univ()))
-BOOL_MOTIVE_TY = VPi("b", Mode.OMEGA, Icit.EXPL, BoolTy(), Closure((), Univ()))
-
 # Type of the successor case, Pi (k : Nat). P k -> P (succ k), evaluated in
 # an environment holding the motive value.
 _NAT_SUCC_CASE_TY = Pi(
@@ -786,12 +770,27 @@ _NAT_SUCC_CASE_TY = Pi(
 )
 
 
-def nat_succ_case_type(motive: Value) -> Value:
-    return evaluate((motive,), _NAT_SUCC_CASE_TY)
-
-
 def motive_app(motive: Value, scrut: Value) -> Value:
     return vapp(motive, Mode.OMEGA, Icit.EXPL, scrut)
+
+
+# The eliminators by class: the motive's type, the scrutinee's type, and
+# the types of the two cases given the motive's value.  A motive binds a
+# runtime variable: families over a runtime domain and over an erased one
+# are interchangeable (the binder is only ever used inside types), and the
+# runtime choice keeps mode stripping syntax-preserving.
+ELIMINATORS: dict[type, tuple[Value, Constant, Callable[[Value], tuple[Value, Value]]]] = {
+    NatElim: (
+        VPi("n", Mode.OMEGA, Icit.EXPL, NatTy(), Closure((), Univ())),
+        NatTy(),
+        lambda p: (motive_app(p, Lit(0)), evaluate((p,), _NAT_SUCC_CASE_TY)),
+    ),
+    BoolElim: (
+        VPi("b", Mode.OMEGA, Icit.EXPL, BoolTy(), Closure((), Univ())),
+        BoolTy(),
+        lambda p: (motive_app(p, TrueTm()), motive_app(p, FalseTm())),
+    ),
+}
 
 
 def kernel_infer(store: "MetaStore | None", ctx: Context, t: Term) -> Value:
@@ -833,42 +832,29 @@ def kernel_infer(store: "MetaStore | None", ctx: Context, t: Term) -> Value:
         case Succ(arg):
             kernel_check(store, ctx, arg, NatTy())
             return NatTy()
-        case NatElim(motive, zcase, scase, scrut):
-            kernel_check(store, ctx.erased(), motive, NAT_MOTIVE_TY)
+        case NatElim(motive, a, b, scrut) | BoolElim(motive, a, b, scrut):
+            motive_ty, scrut_ty, case_tys = ELIMINATORS[type(t)]
+            kernel_check(store, ctx.erased(), motive, motive_ty)
             motive_v = evaluate(ctx.env, motive)
-            kernel_check(store, ctx, zcase, motive_app(motive_v, Lit(0)))
-            kernel_check(store, ctx, scase, nat_succ_case_type(motive_v))
-            kernel_check(store, ctx, scrut, NatTy())
+            a_ty, b_ty = case_tys(motive_v)
+            kernel_check(store, ctx, a, a_ty)
+            kernel_check(store, ctx, b, b_ty)
+            kernel_check(store, ctx, scrut, scrut_ty)
             return motive_app(motive_v, evaluate(ctx.env, scrut))
-        case BoolElim(motive, tcase, fcase, scrut):
-            kernel_check(store, ctx.erased(), motive, BOOL_MOTIVE_TY)
-            motive_v = evaluate(ctx.env, motive)
-            kernel_check(store, ctx, tcase, motive_app(motive_v, TrueTm()))
-            kernel_check(store, ctx, fcase, motive_app(motive_v, FalseTm()))
-            kernel_check(store, ctx, scrut, BoolTy())
-            return motive_app(motive_v, evaluate(ctx.env, scrut))
-        case Fst(mode, pair):
+        case Fst(mode, pair) | Snd(mode, pair):
             pair_ty = force(store, kernel_infer(store, ctx, pair))
+            first = type(t) is Fst
             if not isinstance(pair_ty, VSigma):
-                raise KernelError("first projection of a non-pair")
+                raise KernelError(f"{'first' if first else 'second'} projection of a non-pair")
             if pair_ty.mode is not mode:
                 raise KernelError("projection mode does not match pair type")
+            if not first:
+                return pair_ty.snd_ty.apply(Thunk(ctx.env, Fst(mode, pair)))
             if mode is Mode.ZERO and not ctx.flag:
                 raise KernelError("erased first projection used at runtime")
             return pair_ty.fst_ty
-        case Snd(mode, pair):
-            pair_ty = force(store, kernel_infer(store, ctx, pair))
-            if not isinstance(pair_ty, VSigma):
-                raise KernelError("second projection of a non-pair")
-            if pair_ty.mode is not mode:
-                raise KernelError("projection mode does not match pair type")
-            return pair_ty.snd_ty.apply(Thunk(ctx.env, Fst(mode, pair)))
-        case Let(name, ty, defn, body):
-            kernel_check(store, ctx.erased(), ty, Univ())
-            ty_v = evaluate(ctx.env, ty)
-            kernel_check(store, ctx, defn, ty_v)
-            inner = ctx.define(name, Mode.OMEGA, ty_v, definition(ctx.env, defn))
-            return kernel_infer(store, inner, body)
+        case Let():
+            return kernel_infer(store, _let_body_ctx(store, ctx, t), t.body)
         case Meta(mid, mask):
             if store is None:
                 raise InternalError(f"metavariable ?{mid} reached the kernel without a store")
@@ -921,13 +907,8 @@ def kernel_check(store: "MetaStore | None", ctx: Context, t: Term, expected: Val
                 f"pair checked against a non-pair type "
                 f"{pp(quote(store, ctx.depth, expected), ctx.names)}"
             )
-        case Let(name, ty, defn, body), _:
-            kernel_check(store, ctx.erased(), ty, Univ())
-            ty_v = evaluate(ctx.env, ty)
-            kernel_check(store, ctx, defn, ty_v)
-            inner = ctx.define(name, Mode.OMEGA, ty_v, definition(ctx.env, defn))
-            kernel_check(store, inner, body, expected)
-            return
+        case Let(), _:
+            kernel_check(store, _let_body_ctx(store, ctx, t), t.body, expected)
         case _:
             got = kernel_infer(store, ctx, t)
             if not conv(store, ctx.depth, got, expected):
@@ -936,6 +917,14 @@ def kernel_check(store: "MetaStore | None", ctx: Context, t: Term, expected: Val
                     f"{pp(quote(store, ctx.depth, expected), ctx.names)}, got "
                     f"{pp(quote(store, ctx.depth, got), ctx.names)}"
                 )
+
+
+def _let_body_ctx(store: "MetaStore | None", ctx: Context, t: Let) -> Context:
+    """Check a `let`'s annotation and definition; the context of its body."""
+    kernel_check(store, ctx.erased(), t.ty, Univ())
+    ty_v = evaluate(ctx.env, t.ty)
+    kernel_check(store, ctx, t.defn, ty_v)
+    return ctx.define(t.name, Mode.OMEGA, ty_v, definition(ctx.env, t.defn))
 
 
 def _require_erased(ctx: Context, what: str) -> None:

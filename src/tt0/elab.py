@@ -117,13 +117,9 @@ def check(store: MetaStore, ctx: Context, t: sf.Surface, expected: Value) -> Ter
             fst_t = check(store, fst_ctx, fst, fst_ty)
             snd_t = check(store, ctx, snd, snd_ty.apply(Thunk(ctx.env, fst_t)))
             return co.Pair(mode, fst_t, snd_t)
-        case sf.SLet(name=name, ty=ty, defn=defn, body=body), _:
-            ty_t = check_type(store, ctx, ty)
-            ty_v = evaluate(ctx.env, ty_t)
-            defn_t = check(store, ctx, defn, ty_v)
-            inner = ctx.define(name, Mode.OMEGA, ty_v, definition(ctx.env, defn_t))
-            body_t = check(store, inner, body, expected)
-            return co.Let(name, ty_t, defn_t, body_t)
+        case sf.SLet(), _:
+            ty_t, defn_t, inner = _let(store, ctx, t)
+            return co.Let(t.name, ty_t, defn_t, check(store, inner, t.body, expected))
         case sf.SHole(), _:
             return fresh_meta(store, ctx, expected, t.span)
         case _:
@@ -131,6 +127,15 @@ def check(store: MetaStore, ctx: Context, t: sf.Surface, expected: Value) -> Ter
             term, ty = insert_implicits(store, ctx, term, ty, t.span)
             _unify_types(store, ctx, t.span, ty, expected)
             return term
+
+
+def _let(store: MetaStore, ctx: Context, t: sf.SLet) -> tuple[Term, Term, Context]:
+    """Elaborate a `let`'s annotation and definition: both terms, and the
+    context of its body."""
+    ty_t = check_type(store, ctx, t.ty)
+    ty_v = evaluate(ctx.env, ty_t)
+    defn_t = check(store, ctx, t.defn, ty_v)
+    return ty_t, defn_t, ctx.define(t.name, Mode.OMEGA, ty_v, definition(ctx.env, defn_t))
 
 
 # ---------------------------------------------------------------------------
@@ -220,34 +225,27 @@ def infer(store: MetaStore, ctx: Context, t: sf.Surface) -> tuple[Term, Value]:
                 "cannot infer a type for a pair; annotate the enclosing binding",
                 t.span,
             )
-        case sf.SFst(arg=arg):
+        case sf.SFst(arg=arg) | sf.SSnd(arg=arg):
             pair_t, pair_ty = infer(store, ctx, arg)
             pair_ty = force(store, pair_ty)
             if not isinstance(pair_ty, co.VSigma):
                 got = co.pp(quote(store, ctx.depth, pair_ty), ctx.names)
                 raise ElabError(f"projecting from a non-pair of type {got}", t.span)
-            if pair_ty.mode is Mode.ZERO and not ctx.flag:
+            mode = pair_ty.mode
+            if type(t) is sf.SSnd:
+                fst_v = Thunk(ctx.env, co.Fst(mode, pair_t))
+                return co.Snd(mode, pair_t), pair_ty.snd_ty.apply(fst_v)
+            if mode is Mode.ZERO and not ctx.flag:
                 raise ElabError(
                     "the first component of this pair is erased and cannot be "
                     "projected at runtime",
                     t.span,
                 )
-            return co.Fst(pair_ty.mode, pair_t), pair_ty.fst_ty
-        case sf.SSnd(arg=arg):
-            pair_t, pair_ty = infer(store, ctx, arg)
-            pair_ty = force(store, pair_ty)
-            if not isinstance(pair_ty, co.VSigma):
-                got = co.pp(quote(store, ctx.depth, pair_ty), ctx.names)
-                raise ElabError(f"projecting from a non-pair of type {got}", t.span)
-            fst_v = Thunk(ctx.env, co.Fst(pair_ty.mode, pair_t))
-            return co.Snd(pair_ty.mode, pair_t), pair_ty.snd_ty.apply(fst_v)
-        case sf.SLet(name=name, ty=ty, defn=defn, body=body):
-            ty_t = check_type(store, ctx, ty)
-            ty_v = evaluate(ctx.env, ty_t)
-            defn_t = check(store, ctx, defn, ty_v)
-            inner = ctx.define(name, Mode.OMEGA, ty_v, definition(ctx.env, defn_t))
-            body_t, body_ty = infer(store, inner, body)
-            return co.Let(name, ty_t, defn_t, body_t), body_ty
+            return co.Fst(mode, pair_t), pair_ty.fst_ty
+        case sf.SLet():
+            ty_t, defn_t, inner = _let(store, ctx, t)
+            body_t, body_ty = infer(store, inner, t.body)
+            return co.Let(t.name, ty_t, defn_t, body_t), body_ty
         case sf.SConst(keyword=kw):
             const, ty, code = co.CONSTANTS[kw]
             if code is not None:
@@ -258,22 +256,17 @@ def infer(store: MetaStore, ctx: Context, t: sf.Surface) -> tuple[Term, Value]:
         case sf.SSucc(arg=arg):
             arg_t = check(store, ctx, arg, co.NatTy())
             return co.succ(arg_t), co.NatTy()
-        case sf.SNatElim(motive=motive, zcase=zcase, scase=scase, scrut=scrut):
-            motive_t = check_erased(store, ctx, motive, co.NAT_MOTIVE_TY)
+        case sf.SNatElim(_, motive, a, b, scrut) | sf.SBoolElim(_, motive, a, b, scrut):
+            elim = co.NatElim if type(t) is sf.SNatElim else co.BoolElim
+            motive_ty, scrut_ty, case_tys = co.ELIMINATORS[elim]
+            motive_t = check_erased(store, ctx, motive, motive_ty)
             motive_v = evaluate(ctx.env, motive_t)
-            zcase_t = check(store, ctx, zcase, co.motive_app(motive_v, co.Lit(0)))
-            scase_t = check(store, ctx, scase, co.nat_succ_case_type(motive_v))
-            scrut_t = check(store, ctx, scrut, co.NatTy())
+            a_ty, b_ty = case_tys(motive_v)
+            a_t = check(store, ctx, a, a_ty)
+            b_t = check(store, ctx, b, b_ty)
+            scrut_t = check(store, ctx, scrut, scrut_ty)
             res = co.motive_app(motive_v, evaluate(ctx.env, scrut_t))
-            return co.NatElim(motive_t, zcase_t, scase_t, scrut_t), res
-        case sf.SBoolElim(motive=motive, tcase=tcase, fcase=fcase, scrut=scrut):
-            motive_t = check_erased(store, ctx, motive, co.BOOL_MOTIVE_TY)
-            motive_v = evaluate(ctx.env, motive_t)
-            tcase_t = check(store, ctx, tcase, co.motive_app(motive_v, co.TrueTm()))
-            fcase_t = check(store, ctx, fcase, co.motive_app(motive_v, co.FalseTm()))
-            scrut_t = check(store, ctx, scrut, co.BoolTy())
-            res = co.motive_app(motive_v, evaluate(ctx.env, scrut_t))
-            return co.BoolElim(motive_t, tcase_t, fcase_t, scrut_t), res
+            return elim(motive_t, a_t, b_t, scrut_t), res
         case sf.SHole():
             ty_m = fresh_meta(store, ctx.erased(), co.Univ(), t.span)
             ty_v = evaluate(ctx.env, ty_m)

@@ -139,18 +139,9 @@ def _extract(levels: list[int | None], n: int, t: Term) -> Target:
             return TTrue()
         case co.FalseTm():
             return TFalse()
-        case co.NatElim(_, zcase, scase, scrut):
-            return TNatRec(
-                _extract(levels, n, zcase),
-                _extract(levels, n, scase),
-                _extract(levels, n, scrut),
-            )
-        case co.BoolElim(_, tcase, fcase, scrut):
-            return TIf(
-                _extract(levels, n, scrut),
-                _extract(levels, n, tcase),
-                _extract(levels, n, fcase),
-            )
+        case co.NatElim(_, a, b, scrut) | co.BoolElim(_, a, b, scrut):
+            a, b, scrut = _extract(levels, n, a), _extract(levels, n, b), _extract(levels, n, scrut)
+            return TNatRec(a, b, scrut) if type(t) is co.NatElim else TIf(scrut, a, b)
         case co.Let(name, _, defn, body):
             return TLet(name, _extract(levels, n, defn), _under(levels, n, True, body))
         case co.Fst(Mode.ZERO, _):

@@ -286,16 +286,9 @@ def rename(
             case co.Pair(mode, fst, snd):
                 fst = go(fst, k, runtime and mode is not Mode.ZERO)
                 return co.Pair(mode, fst, go(snd, k, runtime))
-            case co.NatElim(motive, zcase, scase, scrut):
+            case co.NatElim(motive, a, b, scrut) | co.BoolElim(motive, a, b, scrut):
                 scrut = go(scrut, k, runtime)
-                return co.NatElim(
-                    go(motive, k, False), go(zcase, k, runtime), go(scase, k, runtime), scrut
-                )
-            case co.BoolElim(motive, tcase, fcase, scrut):
-                scrut = go(scrut, k, runtime)
-                return co.BoolElim(
-                    go(motive, k, False), go(tcase, k, runtime), go(fcase, k, runtime), scrut
-                )
+                return type(t)(go(motive, k, False), go(a, k, runtime), go(b, k, runtime), scrut)
         renamed = co.map_subterms(t, lambda u, k_: go(u, k_, runtime), k)
         if isinstance(t, co.Fst) and t.mode is Mode.ZERO and guard:
             raise refuse("use an erased first projection")
@@ -505,20 +498,15 @@ def _unify_spines(
                 if mode is not mode2:
                     raise UnifyError("spine", "application modes differ")
                 unify(store, depth, arg, arg2, names)
-            case co.SFst(mode), co.SFst(mode2):
+            case (co.SFst(mode), co.SFst(mode2)) | (co.SSnd(mode), co.SSnd(mode2)):
                 if mode is not mode2:
                     raise UnifyError("spine", "projection modes differ")
-            case co.SSnd(mode), co.SSnd(mode2):
-                if mode is not mode2:
-                    raise UnifyError("spine", "projection modes differ")
-            case co.SNatElim(p, z, s), co.SNatElim(p2, z2, s2_):
+            case (co.SNatElim(p, x, y), co.SNatElim(p2, x2, y2)) | (
+                co.SBoolElim(p, x, y), co.SBoolElim(p2, x2, y2)
+            ):
                 unify(store, depth, p, p2, names)
-                unify(store, depth, z, z2, names)
-                unify(store, depth, s, s2_, names)
-            case co.SBoolElim(p, t, f), co.SBoolElim(p2, t2, f2):
-                unify(store, depth, p, p2, names)
-                unify(store, depth, t, t2, names)
-                unify(store, depth, f, f2, names)
+                unify(store, depth, x, x2, names)
+                unify(store, depth, y, y2, names)
             case _:
                 raise UnifyError("spine", "eliminations applied to the same head differ")
 
