@@ -13,6 +13,17 @@ REPO = Path(__file__).resolve().parent.parent
 CORPUS = REPO / "corpus"
 BAD_CORPUS = CORPUS / "bad"
 
+# Modules in which a solved meta that captured local binders occurs in a
+# read-back type.  `tests/elab_pins.json` pins their `tt0 elab` output.
+# They stay out of `corpus/`, which the benchmark runs.
+PINNED_MODULES = {
+    "lambda_head": "let f : Nat -> Nat = \\y. (\\x. x) y;\n",
+    "lambda_head_under_let": (
+        "let g : Nat -> Nat -> Nat = \\a b. let c : Nat = a in (\\x. x) c;\n"
+    ),
+    "hole_under_two_binders": "let h : Nat -> Nat -> Nat = \\a b. (\\(x : _). x) b;\n",
+}
+
 
 def corpus_files() -> list[Path]:
     return sorted(CORPUS.glob("*.tt0"))
