@@ -280,30 +280,31 @@ def _require_erased(ctx: Context, span: Span, what: str) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Zonking: substitute all solved metavariables into a term.  A solution body
-# is stored under exactly the signature and captured context of its meta.
-# A meta whose mask covers its whole capture occurs in that context, so the
-# solution body splices in verbatim; a bare occurrence of a meta that
-# captured entries stands for the closed solution.
+# Zonking: replace the solved metas of a term at `depth`.  A meta whose mask
+# covers its whole capture occurs under the entries its solution body was made
+# in, so the body splices in verbatim.  A bare meta that captured entries was
+# read back by `quote` at the head of an application spine; the spine's normal
+# form, over the term's own variables, applies the closed solution to it.
 
 
-def zonk(store: MetaStore, t: Term) -> Term:
-    def go(u: Term, _depth: int = 0) -> Term:
-        match u:
-            case co.Meta(mid, mask):
-                entry = store.lookup(mid)
-                if entry.solution_body is None:
-                    return u
-                if len(mask) == len(entry.entries):
-                    return go(entry.solution_body)
-                # The closed solution is applied by explicit spines around
-                # it; keep it inferable with a let.
-                return co.Let(
-                    f"m{mid}", go(entry.closed_ty), go(entry.solution_closed), co.Var(0)
-                )
-        return co.map_subterms(u, go)
+def zonk(store: MetaStore, t: Term, depth: int) -> Term:
+    def go(u: Term, d: int) -> Term:
+        spine: list[co.App] = []
+        head = u
+        while type(head) is co.App:
+            spine.append(head)
+            head = head.fn
+        if type(head) is not co.Meta or (entry := store.lookup(head.mid)).solution_body is None:
+            head = co.map_subterms(head, go, d)
+        elif len(head.mask) == len(entry.entries):
+            head = go(entry.solution_body, d)
+        else:
+            return co.normal_form(store, tuple(map(co.vvar, range(d))), u)
+        for app in reversed(spine):
+            head = co.App(app.mode, app.icit, head, go(app.arg, d))
+        return head
 
-    return go(t)
+    return go(t, depth)
 
 
 # ---------------------------------------------------------------------------
@@ -367,8 +368,8 @@ def elaborate_module(m: sf.Module) -> ElabResult:
     zonked: list[DeclInfo] = []
     sig = Context()
     for d in decls:
-        ty_t = zonk(store, d.ty)
-        body_t = zonk(store, d.body)
+        ty_t = zonk(store, d.ty, sig.depth)
+        body_t = zonk(store, d.body, sig.depth)
         ty_v = evaluate(sig.env, ty_t)
         body_th = definition(sig.env, body_t)
         try:
@@ -381,8 +382,8 @@ def elaborate_module(m: sf.Module) -> ElabResult:
         zonked.append(DeclInfo(d.name, d.span, ty_t, body_t, ty_v, body_th))
         sig = sig.declare(d.name, ty_v, body_th)
     if main is not None:
-        main_t = zonk(store, main[0])
-        main_ty_t = zonk(store, quote(store, sig.depth, main[1]))
+        main_t = zonk(store, main[0], sig.depth)
+        main_ty_t = zonk(store, quote(store, sig.depth, main[1]), sig.depth)
         main_ty_v = evaluate(sig.env, main_ty_t)
         try:
             co.kernel_check(None, sig, main_t, main_ty_v)

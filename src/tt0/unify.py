@@ -46,11 +46,10 @@ class MetaEntry(Record, frozen=False):
     sig: Context  # the top-level prefix of the creation context, with its flag
     entries: tuple[CapturedEntry, ...]  # the local entries above that prefix
     ty: Term  # codomain, under the signature and the captured entries
-    closed_ty: Term  # under the signature
-    closed_ty_value: Value
+    closed_ty_value: Value  # the type closed over the capture (Pi/Let), in the signature
     span: Span | None = None
     solution_closed: Term | None = None  # lambda/let closure over the capture
-    solution_body: Term | None = None  # same, under the captured entries
+    solution_body: Term | None = None  # same, under the captured entries; zonk splices it
     solution_value: Value | None = None
 
     @property
@@ -121,14 +120,12 @@ def fresh_meta(store: MetaStore, ctx: Context, ty: Value, span: Span | None = No
     ty_term = quote(store, ctx.depth, ty)
     sig = ctx.prefix(ctx.top)
     entries = capture_context(store, ctx)
-    closed = close_type(entries, ty_term)
     entry = MetaEntry(
         mid=len(store),
         sig=sig,
         entries=entries,
         ty=ty_term,
-        closed_ty=closed,
-        closed_ty_value=evaluate(sig.env, closed),
+        closed_ty_value=evaluate(sig.env, close_type(entries, ty_term)),
         span=span,
     )
     store.fresh(entry)

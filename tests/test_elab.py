@@ -1,14 +1,17 @@
 from __future__ import annotations
 
+import re
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import PINNED_MODULES
 from tt0 import cli
 from tt0 import core as co
 from tt0 import extract as ex
 from tt0 import surface as sf
-from tt0.core import Context, NatTy, evaluate, kernel_check, normal_form
+from tt0.core import Context, NatTy, evaluate, kernel_check, normal_form, quote
 from tt0.diagnostics import ElabError, InternalError, KernelError, UnifyError
 from tt0.elab import check, check_erased, closed_main, elaborate_text, infer, zonk
 from tt0.surface import Icit, Mode, parse_term_text
@@ -355,22 +358,28 @@ class TestSoundness:
 
     def test_no_metas_left_in_zonked_terms(self, corpus):
         def no_metas(t: co.Term) -> int:
-            """The number of proper subterms of `t`, all free of metas."""
+            """The number of proper subterms of `t`, all free of metas and of
+            `let m<digits>` wrappers around a solution."""
             assert not isinstance(t, co.Meta)
+            assert not (isinstance(t, co.Let) and re.fullmatch(r"m\d+", t.name)), co.pp(t)
             children = [getattr(t, f) for f in t.__match_args__]
             return sum(1 + no_metas(v) for v in children if isinstance(v, co.Term))
 
+        pinned = [elaborate_text(src) for src in PINNED_MODULES.values()]
         visited = 0
-        for result in corpus.values():
+        for result in [*corpus.values(), *pinned]:
+            assert result.ok
             for d in result.decls:
                 visited += no_metas(d.ty) + no_metas(d.body)
+            if result.main is not None:
+                visited += no_metas(result.main[0])
         assert visited > 0
 
     def test_zonk_is_identity_on_meta_free_terms(self):
         r = elaborate_text("let f : Nat -> Nat = \\x. succ x;")
         assert r.ok
         store = MetaStore()
-        assert zonk(store, r.decl("f").body) == r.decl("f").body
+        assert zonk(store, r.decl("f").body, 0) == r.decl("f").body
 
     def test_closing_drops_unused_declarations(self):
         from tt0.elab import closed_definition
@@ -404,9 +413,22 @@ let d : Nat -> Nat = \\x. succ c;
         fv = evaluate(ctx.env, f)
         unify(store, ctx.depth, fv, co.VSucc(bv), ctx.names)
         unify(store, ctx.depth, bv, co.vvar(0), ctx.names)
-        zonked = zonk(store, f)
+        zonked = zonk(store, f, ctx.depth)
         kernel_check(store, ctx, zonked, NatTy())
         assert normal_form(store, ctx.env, zonked) == co.Succ(co.Var(0))
+
+    def test_zonk_applies_a_bare_solution_to_its_spine(self):
+        # ?m := λ y. Nat under one binder; `quote` reads ?m back bare, applied
+        # to the binder, and zonk reduces that application to the solution.
+        store = MetaStore()
+        ctx = Context().bind("y", W, NatTy())
+        m = fresh_meta(store, ctx.erased(), co.Univ())
+        unify(store, ctx.depth, evaluate(ctx.env, m), NatTy(), ctx.names)
+        bare = co.App(W, EX, co.Meta(m.mid), co.Var(0))
+        assert quote(store, ctx.depth, evaluate(ctx.env, m)) == NatTy()
+        zonked = zonk(store, bare, ctx.depth)
+        assert zonked == NatTy()
+        kernel_check(None, ctx.erased(), zonked, co.Univ())
 
 
 # A generator of closed, well-typed Nat-valued surface programs.  Used to

@@ -78,7 +78,7 @@ RECORDS = {
     "core.CtxEntry": "name mode ty defined",
     "core.Context": "sig local env flag",
     "unify.CapturedEntry": "name mode ty defn",
-    "unify.MetaEntry": "mid sig entries ty closed_ty closed_ty_value span"
+    "unify.MetaEntry": "mid sig entries ty closed_ty_value span"
     " solution_closed solution_body solution_value",
     "unify.PartialRenaming": "dom cod map allow_erased top",
     "elab.DeclInfo": "name span ty body ty_value body_thunk",

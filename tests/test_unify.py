@@ -443,7 +443,7 @@ class TestTopLevelSignature:
             )
             assert not any(
                 isinstance(u, co.Let) and u.name in top_names
-                for u in subterms(entry.closed_ty)
+                for u in subterms(entry.ty)
             )
         # Solutions are zonked into the bodies, which are not leaves.
         below = [u for d in r.decls for u in subterms(d.body)]
