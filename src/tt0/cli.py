@@ -142,13 +142,15 @@ def cmd_extract(result: ElabResult, args: argparse.Namespace) -> Output:
 
 def cmd_run(result: ElabResult, args: argparse.Namespace) -> Output:
     target = ex.extract(co.Context(), closed_main(result))
-    fuel = args.fuel
+    fuel, source = args.fuel, "--fuel"
     if fuel is None:
-        raw = os.environ.get("TT0_FUEL", str(ex.DEFAULT_FUEL))
+        raw, source = os.environ.get("TT0_FUEL", str(ex.DEFAULT_FUEL)), "TT0_FUEL"
         try:
             fuel = int(raw)
         except ValueError:
             raise _UsageError(f"invalid TT0_FUEL value {raw!r}") from None
+    if fuel < 0:
+        raise _UsageError(f"{source} cannot be negative: {fuel}")
     nf = ex.eval_target(target, fuel or None)  # 0 is unbounded; may not terminate
     k = ex.as_numeral(nf)
     if k is None:

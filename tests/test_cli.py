@@ -303,6 +303,18 @@ class TestRun:
         assert code == 2
         assert "TT0_FUEL" in err
 
+    def test_negative_fuel_flag_is_usage_error(self, capsys, monkeypatch):
+        monkeypatch.delenv("TT0_FUEL", raising=False)
+        code, out, err = run(capsys, "run", str(CORPUS / "plus.tt0"), "--fuel", "-1")
+        assert (code, out) == (2, "")
+        assert err == "tt0: --fuel cannot be negative: -1\n"
+
+    def test_negative_fuel_env_is_usage_error(self, capsys, monkeypatch):
+        monkeypatch.setenv("TT0_FUEL", "-5")
+        code, out, err = run(capsys, "run", str(CORPUS / "plus.tt0"))
+        assert (code, out) == (2, "")
+        assert err == "tt0: TT0_FUEL cannot be negative: -5\n"
+
     def test_fuel_zero_means_unbounded(self, capsys):
         code, out, _ = run(capsys, "run", str(CORPUS / "mult.tt0"), "--fuel", "0")
         assert code == 0
