@@ -281,10 +281,9 @@ def _require_erased(ctx: Context, span: Span, what: str) -> None:
 
 # ---------------------------------------------------------------------------
 # Zonking: replace the solved metas of a term at `depth`.  A meta whose mask
-# covers its whole capture occurs under the entries its solution body was made
-# in, so the body splices in verbatim.  A bare meta that captured entries was
-# read back by `quote` at the head of an application spine; the spine's normal
-# form, over the term's own variables, applies the closed solution to it.
+# covers its capture occurs where its solution body was made, so the body
+# splices in verbatim.  A bare meta that captured entries heads a spine that
+# `quote` read back; the spine's normal form applies the closed solution to it.
 
 
 def zonk(store: MetaStore, t: Term, depth: int) -> Term:
@@ -300,7 +299,8 @@ def zonk(store: MetaStore, t: Term, depth: int) -> Term:
             head = go(entry.solution_body, d)
         else:
             return co.normal_form(store, tuple(map(co.vvar, range(d))), u)
-        for app in reversed(spine):
+        while spine:
+            app = spine.pop()
             head = co.App(app.mode, app.icit, head, go(app.arg, d))
         return head
 
