@@ -210,6 +210,57 @@ def test_ill_typed_let(head, ann, bad, types):
     assert located_errors(src) == [(MISMATCH.format(*types), col, col + len(bad) - 1)]
 
 
+OUTSIDE = "at a runtime position, but the metavariable lives outside the erased fragment"
+
+
+@pytest.mark.parametrize(
+    "src, message, col",
+    [
+        (
+            "let g : Nat -> Nat = \\a. _ a;",
+            "type mismatch: expected Nat, got ?3 a a "
+            "(non-linear spine: variable 'a' occurs twice)",
+            26,
+        ),
+        (
+            "let g : Nat -> Nat = \\a. (\\(h : _). h a) (\\z. succ z);",
+            "type mismatch: expected Π (x : ?1 a h). ?2 a h x, got ?0 a "
+            "(variable 'h' is not in scope for the solution of ?0)",
+            37,
+        ),
+        (
+            "let f : (x :0 U) -> (y :0 U) -> x -> y = \\x y a. a;",
+            "type mismatch: expected y, got x (variables 'x' and 'y' differ)",
+            50,
+        ),
+        (
+            "let use : {n : Nat} -> (F :0 Nat -> U) -> (p :0 F n) -> Nat = \\{n} F p. n;\n"
+            "let f : (F :0 Nat -> U) -> (z :0 Nat) -> (p :0 F z) -> Nat = \\F z p. use F p;",
+            "type mismatch: expected F (?0 F z p), got F z "
+            f"(solution would use erased variable 'z' {OUTSIDE})",
+            76,
+        ),
+    ],
+)
+def test_unifier_messages_name_context_variables(src, message, col):
+    # Each unifier message that names a variable reads the name from the
+    # context of the failed unification.
+    [(got, start, _)] = located_errors(src)
+    assert (got, start) == (message, col)
+
+
+def test_solution_binder_named_by_the_binder_unify_entered(tmp_path, capsys):
+    # `?m F` against `λ z. succ z` goes under the lambda, so `?m F z = succ
+    # z` and inversion names the solution's binder after the one entered.
+    path = tmp_path / "pin.tt0"
+    path.write_text("let pin : {F :0 ((Nat -> Nat) -> U)} -> F (\\z. succ z) -> F _ = \\y. y;\n")
+    assert cli.main(["elab", str(path)]) == 0
+    assert capsys.readouterr().out == (
+        "let pin : Π₀ {F : (Nat → Nat) → U}. F (λ z. succ z) → F (λ z. succ z)\n"
+        "  = λ₀ {F}. λ y. y\n"
+    )
+
+
 class TestModules:
     def test_identity_module_clean(self):
         r = elaborate_text("let id : {A :0 U} -> A -> A = \\{A} x. x;")

@@ -270,6 +270,11 @@ class TestRenameRefusals:
         got = refusal(MetaStore(), Context(), fn_ty, rhs)
         assert got == ("mode", f"solution would use erased variable #0 {OUTSIDE}")
 
+    def test_erased_variable_of_the_context_is_named(self):
+        ctx = Context().bind("z", Z0, NatTy())
+        got = refusal(MetaStore(), ctx, NatTy(), VSucc(co.vvar(0)))
+        assert got == ("mode", f"solution would use erased variable 'z' {OUTSIDE}")
+
     def test_erased_variable_inside_motive_is_accepted(self):
         # ?m A c n = natElim (\k. A) c (\k ih. ih) n, with A :0 U.
         store = MetaStore()
