@@ -101,13 +101,11 @@ def _load(path: str) -> str:
 
 
 def cmd_check(result: ElabResult, args: argparse.Namespace) -> Output:
-    rows = [
-        {"name": d.name, "type": co.pp(d.ty, result.sig.names[:i])}
-        for i, d in enumerate(result.decls)
-    ]
+    names = result.sig.names
+    rows = [{"name": d.name, "type": co.pp(d.ty, names[:i])} for i, d in enumerate(result.decls)]
     if result.main is not None:
         ty = co.quote(result.store, result.sig.depth, result.main[1])
-        rows.append({"name": "main", "type": co.pp(ty, result.sig.names)})
+        rows.append({"name": "main", "type": co.pp(ty, names)})
     return EXIT_OK, {"checked": rows}, (f"ok {r['name']} : {r['type']}" for r in rows)
 
 
@@ -119,12 +117,12 @@ def cmd_elab(result: ElabResult, args: argparse.Namespace) -> Output:
         payload["main"] = result.main[0]
 
     def text() -> Iterator[str]:
+        names = result.sig.names
         for i, d in enumerate(result.decls):
-            names = result.sig.names[:i]
-            yield f"let {d.name} : {co.pp(d.ty, names)}"
-            yield f"  = {co.pp(d.body, names)}"
+            yield f"let {d.name} : {co.pp(d.ty, names[:i])}"
+            yield f"  = {co.pp(d.body, names[:i])}"
         if result.main is not None:
-            yield f"main = {co.pp(result.main[0], result.sig.names)}"
+            yield f"main = {co.pp(result.main[0], names)}"
 
     return EXIT_OK, payload, text()
 

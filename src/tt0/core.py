@@ -369,8 +369,16 @@ class VNeutral(Value):
     spine: tuple[SpineItem, ...] = ()
 
 
+# The neutral of each level, shared: values are immutable.
+_VARS: list[VNeutral] = []
+
+
 def vvar(lvl: int) -> VNeutral:
-    return VNeutral(VarH(lvl))
+    try:
+        return _VARS[lvl]
+    except IndexError:
+        _VARS.extend(VNeutral(VarH(k)) for k in range(len(_VARS), lvl + 1))
+        return _VARS[lvl]
 
 
 def is_flex(v: Value) -> bool:
@@ -652,14 +660,12 @@ class CtxEntry(Record):
 
 class Signature:
     """The append-only table of a module's top-level declarations: their
-    entries, their names and a dict from each name to its level.  Every
-    context of a module shares one table and sees a prefix of it.  Names
-    are unique: the parser refuses a duplicate declaration.  `names` is a
-    tuple, so a context that sees the whole table reads it without a copy."""
+    entries and a dict from each name to its level.  Every context of a
+    module shares one table and sees a prefix of it.  Names are unique: the
+    parser refuses a duplicate declaration."""
 
     def __init__(self) -> None:
         self.entries: list[CtxEntry] = []
-        self.names: tuple[str, ...] = ()
         self.levels: dict[str, int] = {}
 
 
@@ -689,20 +695,28 @@ class Context(Record):
 
     @property
     def names(self) -> tuple[str, ...]:
-        return self.sig.names[: self.top] + tuple(e.name for e in self.local)
+        """The name of every entry, oldest first, built for a message."""
+        return tuple(e.name for e in (*self.sig.entries[: self.top], *self.local))
+
+    def show(self, store: MetaStore | None, v: Value) -> str:
+        """A value at this depth as text, for a message."""
+        return pp(quote(store, self.depth, v), self.names)
 
     def entry(self, lvl: int) -> CtxEntry:
         """The entry at de Bruijn level `lvl`."""
         return self.sig.entries[lvl] if lvl < self.top else self.local[lvl - len(self.env)]
 
+    def name(self, lvl: int) -> str:
+        return self.entry(lvl).name
+
     def bind(self, name: str, mode: Mode, ty: Value) -> Context:
-        entry = CtxEntry(name, mode, ty, defined=False)
         env = self.env
-        return Context(self.sig, self.local + (entry,), env + (vvar(len(env)),), self.flag)
+        local = self.local + (CtxEntry(name, mode, ty, False),)
+        return Context(self.sig, local, env + (vvar(len(env)),), self.flag)
 
     def define(self, name: str, mode: Mode, ty: Value, value: Value | Thunk) -> Context:
-        entry = CtxEntry(name, mode, ty, defined=True)
-        return Context(self.sig, self.local + (entry,), self.env + (value,), self.flag)
+        local = self.local + (CtxEntry(name, mode, ty, True),)
+        return Context(self.sig, local, self.env + (value,), self.flag)
 
     def declare(
         self, name: str, ty: Value, value: Value | Thunk | None = None
@@ -713,8 +727,7 @@ class Context(Record):
         lvl = len(self.env)
         if self.local or lvl != len(sig.entries):
             raise InternalError("declaration added to a context inside the signature")
-        sig.entries.append(CtxEntry(name, Mode.OMEGA, ty, defined=value is not None))
-        sig.names += (name,)
+        sig.entries.append(CtxEntry(name, Mode.OMEGA, ty, value is not None))
         sig.levels[name] = lvl
         value = vvar(lvl) if value is None else value
         return Context(sig, (), self.env + (value,), self.flag)
@@ -891,10 +904,8 @@ def kernel_check(store: "MetaStore | None", ctx: Context, t: Term, expected: Val
             kernel_check(store, inner, body, cod.apply(vvar(ctx.depth)))
             return
         case Lam(), _:
-            raise KernelError(
-                f"lambda checked against a non-function type "
-                f"{pp(quote(store, ctx.depth, expected), ctx.names)}"
-            )
+            what = ctx.show(store, expected)
+            raise KernelError(f"lambda checked against a non-function type {what}")
         case Pair(mode, fst, snd), VSigma(_, smode, fst_ty, snd_ty):
             if mode is not smode:
                 raise KernelError("pair mode does not match pair type mode")
@@ -903,20 +914,14 @@ def kernel_check(store: "MetaStore | None", ctx: Context, t: Term, expected: Val
             kernel_check(store, ctx, snd, snd_ty.apply(Thunk(ctx.env, fst)))
             return
         case Pair(), _:
-            raise KernelError(
-                f"pair checked against a non-pair type "
-                f"{pp(quote(store, ctx.depth, expected), ctx.names)}"
-            )
+            raise KernelError(f"pair checked against a non-pair type {ctx.show(store, expected)}")
         case Let(), _:
             kernel_check(store, _let_body_ctx(store, ctx, t), t.body, expected)
         case _:
             got = kernel_infer(store, ctx, t)
             if not conv(store, ctx.depth, got, expected):
-                raise KernelError(
-                    "type mismatch: expected "
-                    f"{pp(quote(store, ctx.depth, expected), ctx.names)}, got "
-                    f"{pp(quote(store, ctx.depth, got), ctx.names)}"
-                )
+                exp_s, got_s = ctx.show(store, expected), ctx.show(store, got)
+                raise KernelError(f"type mismatch: expected {exp_s}, got {got_s}")
 
 
 def _let_body_ctx(store: "MetaStore | None", ctx: Context, t: Let) -> Context:

@@ -55,13 +55,10 @@ class ElabResult(Record, frozen=False):
 
 def _unify_types(store: MetaStore, ctx: Context, span: Span, got: Value, expected: Value) -> None:
     try:
-        unify(store, ctx.depth, got, expected, ctx.names)
+        unify(store, ctx.depth, got, expected, ctx.name)
     except UnifyError as e:
-        exp_s = co.pp(quote(store, ctx.depth, expected), ctx.names)
-        got_s = co.pp(quote(store, ctx.depth, got), ctx.names)
-        raise ElabError(
-            f"type mismatch: expected {exp_s}, got {got_s} ({e.message})", span
-        ) from e
+        exp_s, got_s = ctx.show(store, expected), ctx.show(store, got)
+        raise ElabError(f"type mismatch: expected {exp_s}, got {got_s} ({e.message})", span) from e
 
 
 def insert_implicits(
@@ -179,7 +176,7 @@ def infer(store: MetaStore, ctx: Context, t: sf.Surface) -> tuple[Term, Value]:
                     _unify_types(store, ctx, fn.span, fn_ty, pi)
                     fn_ty = pi
                 else:
-                    got = co.pp(quote(store, ctx.depth, fn_ty), ctx.names)
+                    got = ctx.show(store, fn_ty)
                     raise ElabError(f"applying a non-function of type {got}", fn.span)
             if fn_ty.icit is not icit:
                 if icit is Icit.IMPL:
@@ -229,7 +226,7 @@ def infer(store: MetaStore, ctx: Context, t: sf.Surface) -> tuple[Term, Value]:
             pair_t, pair_ty = infer(store, ctx, arg)
             pair_ty = force(store, pair_ty)
             if not isinstance(pair_ty, co.VSigma):
-                got = co.pp(quote(store, ctx.depth, pair_ty), ctx.names)
+                got = ctx.show(store, pair_ty)
                 raise ElabError(f"projecting from a non-pair of type {got}", t.span)
             mode = pair_ty.mode
             if type(t) is sf.SSnd:

@@ -17,6 +17,8 @@ committed solution is re-checked by the kernel before it is stored.
 
 from __future__ import annotations
 
+from typing import Callable
+
 from . import core as co
 from .core import (
     Context,
@@ -132,6 +134,15 @@ def fresh_meta(store: MetaStore, ctx: Context, ty: Value, span: Span | None = No
     return co.Meta(entry.mid, tuple(None if e.defn is not None else e.mode for e in entries))
 
 
+# The name of a level of the unification context, read only for a message
+# or a solution's binder; None where the caller gave no names.
+NameOf = Callable[[int], "str | None"]
+
+
+def _unnamed(lvl: int) -> str | None:
+    return None
+
+
 # ---------------------------------------------------------------------------
 # Spine inversion
 
@@ -152,7 +163,7 @@ def invert(
     spine: tuple[co.SpineItem, ...],
     store: MetaStore,
     cod_depth: int,
-    names: tuple[str, ...] = (),
+    name_of: NameOf = _unnamed,
     top: int = 0,
 ) -> tuple[PartialRenaming, list[tuple[str, Mode] | CapturedEntry]]:
     """Check the pattern condition on a meta's spine and build the renaming.
@@ -161,7 +172,8 @@ def invert(
     which sits under the meta's signature of `top` entries: one lambda per
     bound captured entry (paired positionally with a spine argument), one
     let per defined entry, and one lambda per spine argument beyond the
-    capture.
+    capture.  An argument beyond the capture names its lambda after its
+    variable, through `name_of`.
     """
     if not all(isinstance(item, co.SApp) for item in spine):
         raise UnifyError(
@@ -186,13 +198,11 @@ def invert(
         name, mode, item = slot
         lvl = _spine_var(store, item)
         if lvl in ren:
-            raise UnifyError(
-                "non-linear",
-                f"non-linear spine: variable {_name_at(names, lvl)} occurs twice",
-            )
+            what = _name_at(name_of, lvl)
+            raise UnifyError("non-linear", f"non-linear spine: variable {what} occurs twice")
         ren[lvl] = (dom, mode)
         if name is None:
-            name = names[lvl] if 0 <= lvl < len(names) else f"x{lvl}"
+            name = name_of(lvl) or f"x{lvl}"
         layout.append((name, mode))
     return PartialRenaming(dom=top + len(slots), cod=cod_depth, map=ren, top=top), layout
 
@@ -206,10 +216,9 @@ def _spine_var(store: MetaStore, item: co.SApp) -> int:
     )
 
 
-def _name_at(names: tuple[str, ...], lvl: int) -> str:
-    if 0 <= lvl < len(names) and names[lvl] != "_":
-        return f"'{names[lvl]}'"
-    return f"#{lvl}"
+def _name_at(name_of: NameOf, lvl: int) -> str:
+    name = name_of(lvl)
+    return f"#{lvl}" if name in (None, "_") else f"'{name}'"
 
 
 # ---------------------------------------------------------------------------
@@ -217,11 +226,7 @@ def _name_at(names: tuple[str, ...], lvl: int) -> str:
 
 
 def rename(
-    store: MetaStore,
-    mid: int,
-    pren: PartialRenaming,
-    rhs: Value,
-    names: tuple[str, ...] = (),
+    store: MetaStore, mid: int, pren: PartialRenaming, rhs: Value, name_of: NameOf = _unnamed
 ) -> Term:
     """Read `rhs` back and rename it through the partial renaming, refusing
     occurrences of the meta being solved, out-of-scope variables, and erased
@@ -250,14 +255,13 @@ def rename(
                     # An opaque name left by a failed top-level declaration.
                     found = (lvl, Mode.OMEGA)
                 if found is None:
-                    raise UnifyError(
-                        "scope",
-                        f"variable {_name_at(names, lvl)} is not in scope for "
-                        f"the solution of ?{mid}",
-                    )
+                    what = f"variable {_name_at(name_of, lvl)} is not in scope"
+                    raise UnifyError("scope", f"{what} for the solution of ?{mid}")
                 dlvl, mode = found
                 if mode is Mode.ZERO and guard:
-                    raise refuse(f"use erased variable {_name_at(names, lvl)}")
+                    # A binder of `rhs` itself has no name in the context.
+                    named = name_of if lvl < pren.cod else _unnamed
+                    raise refuse(f"use erased variable {_name_at(named, lvl)}")
                 return co.Var(pren.dom + k - 1 - dlvl)
             case co.Meta(m):
                 if m == mid:
@@ -319,18 +323,18 @@ def solve(
     mid: int,
     spine: tuple[co.SpineItem, ...],
     rhs: Value,
-    names: tuple[str, ...] = (),
+    name_of: NameOf = _unnamed,
 ) -> None:
     """Solve `?mid spine = rhs`, committing only a kernel-checked solution."""
     entry = store.lookup(mid)
     if entry.solved:
         raise InternalError(f"?{mid} is already solved")
-    pren, layout = invert(entry.entries, spine, store, depth, names, entry.sig.depth)
+    pren, layout = invert(entry.entries, spine, store, depth, name_of, entry.sig.depth)
     pren.allow_erased = entry.flag
     # The lambdas for the arguments beyond the capture give the solution
     # under the captured context; the captured binders around it close it.
     n = len(entry.entries)
-    body = _abstract(rename(store, mid, pren, rhs, names), layout[n:])
+    body = _abstract(rename(store, mid, pren, rhs, name_of), layout[n:])
     closed = _abstract(body, layout[:n])
 
     try:
@@ -359,41 +363,20 @@ def _abstract(t: Term, binders: list[tuple[str, Mode] | CapturedEntry]) -> Term:
 # Unification
 
 
-def unify(
-    store: MetaStore,
-    depth: int,
-    a: Value,
-    b: Value,
-    names: tuple[str, ...] = (),
-) -> None:
+def unify(store: MetaStore, depth: int, a: Value, b: Value, name_of: NameOf = _unnamed) -> None:
+    """Unify two values at `depth`; `name_of` names a level for a message."""
     a = force(store, a)
     b = force(store, b)
     match a, b:
-        case co.VLam(_, mode, _, clos), co.VLam(_, mode2, _, clos2):
-            if mode is not mode2:
+        case (co.VLam(), _) | (_, co.VLam()):
+            # Both sides applied to a fresh variable, under the first lambda's
+            # binder (eta for a side that is not a lambda).
+            lam = a if type(a) is co.VLam else b
+            if type(b) is co.VLam and b.mode is not lam.mode:
                 raise UnifyError("mismatch", "lambda modes differ")
             x = vvar(depth)
-            unify(store, depth + 1, clos.apply(x), clos2.apply(x), names + (a.name,))
-            return
-        case co.VLam(name, mode, icit, clos), _:
-            x = vvar(depth)
-            unify(
-                store,
-                depth + 1,
-                clos.apply(x),
-                co.vapp(b, mode, icit, x),
-                names + (name,),
-            )
-            return
-        case _, co.VLam(name, mode, icit, clos):
-            x = vvar(depth)
-            unify(
-                store,
-                depth + 1,
-                co.vapp(a, mode, icit, x),
-                clos.apply(x),
-                names + (name,),
-            )
+            a, b = co.vapp(a, lam.mode, lam.icit, x), co.vapp(b, lam.mode, lam.icit, x)
+            unify(store, depth + 1, a, b, _under(name_of, depth, lam.name))
             return
         case co.VPi(name, mode, icit, dom, cod), co.VPi(_, mode2, icit2, dom2, cod2):
             if mode is not mode2:
@@ -404,9 +387,9 @@ def unify(
                 )
             if icit is not icit2:
                 raise UnifyError("mismatch", "function type implicitness differs")
-            unify(store, depth, dom, dom2, names)
+            unify(store, depth, dom, dom2, name_of)
             x = vvar(depth)
-            unify(store, depth + 1, cod.apply(x), cod2.apply(x), names + (name,))
+            unify(store, depth + 1, cod.apply(x), cod2.apply(x), _under(name_of, depth, name))
             return
         case co.VSigma(name, mode, fst, snd), co.VSigma(_, mode2, fst2, snd2):
             if mode is not mode2:
@@ -415,15 +398,15 @@ def unify(
                     f"pair type modes differ (*{_mode_mark(mode)} vs "
                     f"*{_mode_mark(mode2)})",
                 )
-            unify(store, depth, fst, fst2, names)
+            unify(store, depth, fst, fst2, name_of)
             x = vvar(depth)
-            unify(store, depth + 1, snd.apply(x), snd2.apply(x), names + (name,))
+            unify(store, depth + 1, snd.apply(x), snd2.apply(x), _under(name_of, depth, name))
             return
         case co.VPair(mode, fst, snd), co.VPair(mode2, fst2, snd2):
             if mode is not mode2:
                 raise UnifyError("mismatch", "pair modes differ")
-            unify(store, depth, fst, fst2, names)
-            unify(store, depth, snd, snd2, names)
+            unify(store, depth, fst, fst2, name_of)
+            unify(store, depth, snd, snd2, name_of)
             return
         case co.Constant(), co.Constant():
             if a != b:
@@ -433,46 +416,43 @@ def unify(
             # succ x against succ y, or against a literal k > 0 as k - 1.
             x, y = co.vpred(a), co.vpred(b)
             if x is not None and y is not None:
-                unify(store, depth, x, y, names)
+                unify(store, depth, x, y, name_of)
                 return
         case VNeutral(co.MetaH(m1), s1), VNeutral(co.MetaH(m2), s2):
             if m1 == m2:
-                _unify_spines(store, depth, s1, s2, names)
+                _unify_spines(store, depth, s1, s2, name_of)
                 return
             # Solve one side only if it is a pattern; otherwise try the other.
             try:
-                solve(store, depth, m1, s1, b, names)
+                solve(store, depth, m1, s1, b, name_of)
                 return
             except UnifyError as first:
                 if first.reason not in ("non-pattern", "non-linear", "scope"):
                     raise
-                solve(store, depth, m2, s2, a, names)
+                solve(store, depth, m2, s2, a, name_of)
                 return
         case VNeutral(co.MetaH(m1), s1), _:
-            solve(store, depth, m1, s1, b, names)
+            solve(store, depth, m1, s1, b, name_of)
             return
         case _, VNeutral(co.MetaH(m2), s2):
-            solve(store, depth, m2, s2, a, names)
+            solve(store, depth, m2, s2, a, name_of)
             return
         # Pair eta against a rigid neutral comes after meta solving so that a
         # flexible head is solved directly rather than eta-split into a
         # non-pattern projection spine.
         case co.VPair(mode, fst, snd), _:
-            unify(store, depth, fst, co.vfst(mode, b), names)
-            unify(store, depth, snd, co.vsnd(mode, b), names)
+            unify(store, depth, fst, co.vfst(mode, b), name_of)
+            unify(store, depth, snd, co.vsnd(mode, b), name_of)
             return
         case _, co.VPair(mode, fst, snd):
-            unify(store, depth, co.vfst(mode, a), fst, names)
-            unify(store, depth, co.vsnd(mode, a), snd, names)
+            unify(store, depth, co.vfst(mode, a), fst, name_of)
+            unify(store, depth, co.vsnd(mode, a), snd, name_of)
             return
         case VNeutral(h1, s1), VNeutral(h2, s2):
             if h1 != h2:
-                raise UnifyError(
-                    "mismatch",
-                    f"variables {_name_at(names, h1.lvl)} and "
-                    f"{_name_at(names, h2.lvl)} differ",
-                )
-            _unify_spines(store, depth, s1, s2, names)
+                x, y = _name_at(name_of, h1.lvl), _name_at(name_of, h2.lvl)
+                raise UnifyError("mismatch", f"variables {x} and {y} differ")
+            _unify_spines(store, depth, s1, s2, name_of)
             return
     raise UnifyError("mismatch", _HEADS_DIFFER)
 
@@ -480,12 +460,17 @@ def unify(
 _HEADS_DIFFER = "terms have different head constructors"
 
 
+def _under(name_of: NameOf, lvl: int, name: str) -> NameOf:
+    """`name_of` with `name` for the binder at `lvl` that unification entered."""
+    return lambda k: name if k == lvl else name_of(k)
+
+
 def _unify_spines(
     store: MetaStore,
     depth: int,
     s1: tuple[co.SpineItem, ...],
     s2: tuple[co.SpineItem, ...],
-    names: tuple[str, ...],
+    name_of: NameOf,
 ) -> None:
     if len(s1) != len(s2):
         raise UnifyError("spine", "eliminations applied to the same head differ")
@@ -494,16 +479,16 @@ def _unify_spines(
             case co.SApp(mode, _, arg), co.SApp(mode2, _, arg2):
                 if mode is not mode2:
                     raise UnifyError("spine", "application modes differ")
-                unify(store, depth, arg, arg2, names)
+                unify(store, depth, arg, arg2, name_of)
             case (co.SFst(mode), co.SFst(mode2)) | (co.SSnd(mode), co.SSnd(mode2)):
                 if mode is not mode2:
                     raise UnifyError("spine", "projection modes differ")
             case (co.SNatElim(p, x, y), co.SNatElim(p2, x2, y2)) | (
                 co.SBoolElim(p, x, y), co.SBoolElim(p2, x2, y2)
             ):
-                unify(store, depth, p, p2, names)
-                unify(store, depth, x, x2, names)
-                unify(store, depth, y, y2, names)
+                unify(store, depth, p, p2, name_of)
+                unify(store, depth, x, x2, name_of)
+                unify(store, depth, y, y2, name_of)
             case _:
                 raise UnifyError("spine", "eliminations applied to the same head differ")
 

@@ -210,10 +210,10 @@ def test_acceptance_7_unification_regressions(corpus):
     x = co.vvar(0)
     nonlinear = co.evaluate((x, x), m)
     with pytest.raises(UnifyError) as e1:
-        invert(entries, nonlinear.spine, store, ctx.depth, ctx.names)
+        invert(entries, nonlinear.spine, store, ctx.depth, ctx.name)
     assert e1.value.reason == "non-linear"
     with pytest.raises(UnifyError) as e2:
-        invert(entries, (co.SFst(W),), store, ctx.depth, ctx.names)
+        invert(entries, (co.SFst(W),), store, ctx.depth, ctx.name)
     assert e2.value.reason == "non-pattern"
     with pytest.raises(UnifyError) as e3:
         solve(store, ctx.depth, 0, co.evaluate((x, co.Lit(0)), m).spine, x)
@@ -259,5 +259,5 @@ def test_unify_success_implies_conv(corpus):
     m = fresh_meta(store, ctx, NatTy())
     mv = co.evaluate(ctx.env, m)
     rhs = co.VSucc(co.vvar(0))
-    unify(store, ctx.depth, mv, rhs, ctx.names)
+    unify(store, ctx.depth, mv, rhs, ctx.name)
     assert co.conv(store, ctx.depth, co.force(store, mv), rhs)

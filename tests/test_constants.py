@@ -63,10 +63,10 @@ def test_conv_and_unify_on_each_pair(a: str, b: str, cell: str):
     va, vb = VALUES[a], VALUES[b]
     assert conv(MetaStore(), 1, va, vb) is (cell == "=")
     if cell == "=":
-        unify(MetaStore(), 1, va, vb, ("x",))
+        unify(MetaStore(), 1, va, vb, ("x",).__getitem__)
     else:
         with pytest.raises(UnifyError) as e:
-            unify(MetaStore(), 1, va, vb, ("x",))
+            unify(MetaStore(), 1, va, vb, ("x",).__getitem__)
         assert (e.value.reason, e.value.message) == HEADS_DIFFER
 
 

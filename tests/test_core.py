@@ -203,7 +203,7 @@ class TestForce:
         m = fresh_meta(store, ctx, NatTy())  # ?m applied to x
         mv = evaluate(ctx.env, m)
         # Solve ?m := \x. x by unifying against the bound variable.
-        unify(store, ctx.depth, mv, co.vvar(0), ctx.names)
+        unify(store, ctx.depth, mv, co.vvar(0), ctx.name)
         replayed = force(store, evaluate((Lit(1),), m))
         assert replayed == Lit(1)
 

@@ -6,11 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import PINNED_MODULES
+from conftest import PINNED_MODULES, corpus_files
 from tt0 import cli
 from tt0 import core as co
 from tt0 import extract as ex
 from tt0 import surface as sf
+from tt0 import translate
 from tt0.core import Context, NatTy, evaluate, kernel_check, normal_form
 from tt0.diagnostics import ElabError, InternalError, KernelError, UnifyError
 from tt0.elab import check, check_erased, closed_main, elaborate_text, infer, zonk
@@ -362,9 +363,9 @@ class TestNameResolution:
         assert entry.sig.depth == 1 and entry.sig.names == ("a",)
         assert entry.sig.lookup("b") is None
         with pytest.raises(UnifyError, match="'b' is not in scope"):
-            unify(store, sig.depth, evaluate(sig.env, m), co.vvar(1), sig.names)
+            unify(store, sig.depth, evaluate(sig.env, m), co.vvar(1), sig.name)
         assert not entry.solved
-        unify(store, sig.depth, evaluate(sig.env, m), co.vvar(0), sig.names)
+        unify(store, sig.depth, evaluate(sig.env, m), co.vvar(0), sig.name)
         assert entry.solution_closed == co.Var(0)
 
     def test_declare_needs_a_context_that_sees_the_whole_signature(self):
@@ -392,6 +393,35 @@ class TestNameResolution:
         path.write_text(src)
         assert cli.main(["elab", str(path)]) == 0
         assert "\n  = λ x. λ b. a\n" in capsys.readouterr().out
+
+
+
+class TestNamesOnDemand:
+    """Names are built for a message or for output, never on the way to a
+    result: the hot path does not slide back to building them."""
+
+    def test_no_names_built_for_good_modules(self, monkeypatch, capsys):
+        calls = []
+        names = Context.names
+        monkeypatch.setattr(Context, "names", property(lambda c: calls.append(1) or names.fget(c)))
+        for path in corpus_files():
+            result = elaborate_text(path.read_text(), str(path))  # with the kernel's re-check
+            assert all(r.zeroing_ok and r.stripping_ok for r in translate.sweep(result))
+            if result.main is not None:
+                ex.eval_target(ex.extract(Context(), closed_main(result)))
+            for command in ("meta", "run"):
+                cli.main([command, str(path), "--json"])
+            assert calls == [], path.name
+            # `check` prints each type, with the names built once.
+            cli.main(["check", str(path), "--json"])
+            assert len(calls) == 1, path.name
+            calls.clear()
+        capsys.readouterr()
+
+    def test_one_neutral_per_level(self):
+        assert all(co.vvar(k) is co.vvar(k) for k in range(50))
+        assert co.vvar(7) == co.VNeutral(co.VarH(7))
+        assert Context().bind("x", W, NatTy()).env[0] is co.vvar(0)
 
 
 class TestSoundness:
@@ -462,8 +492,8 @@ let d : Nat -> Nat = \\x. succ c;
         f = fresh_meta(store, ctx, NatTy())
         bv = evaluate(ctx.env, b)
         fv = evaluate(ctx.env, f)
-        unify(store, ctx.depth, fv, co.VSucc(bv), ctx.names)
-        unify(store, ctx.depth, bv, co.vvar(0), ctx.names)
+        unify(store, ctx.depth, fv, co.VSucc(bv), ctx.name)
+        unify(store, ctx.depth, bv, co.vvar(0), ctx.name)
         zonked = zonk(store, f, ctx.depth)
         kernel_check(store, ctx, zonked, NatTy())
         assert normal_form(store, ctx.env, zonked) == co.Succ(co.Var(0))
@@ -474,7 +504,7 @@ let d : Nat -> Nat = \\x. succ c;
         store = MetaStore()
         ctx = Context().bind("y", W, NatTy())
         m = fresh_meta(store, ctx.erased(), co.Univ())
-        unify(store, ctx.depth, evaluate(ctx.env, m), NatTy(), ctx.names)
+        unify(store, ctx.depth, evaluate(ctx.env, m), NatTy(), ctx.name)
         bare = co.App(W, EX, co.Meta(m.mid), co.Var(0))
         zonked = zonk(store, bare, ctx.depth)
         assert zonked == NatTy()

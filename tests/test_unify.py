@@ -97,7 +97,7 @@ class TestUnify:
         ctx = Context().bind("x", W, NatTy()).bind("y", W, NatTy())
         mv = flex(store, ctx, sig_ty)
         rhs = co.VPair(W, co.vvar(0), co.vvar(1))
-        unify(store, ctx.depth, mv, rhs, ctx.names)
+        unify(store, ctx.depth, mv, rhs, ctx.name)
         entry = store.lookup(0)
         assert entry.solution_closed == co.Lam(
             "x", W, EX, co.Lam("y", W, EX, co.Pair(W, co.Var(1), co.Var(0)))
@@ -110,7 +110,7 @@ class TestUnify:
         ctx = Context().bind("x", W, NatTy())
         mv = flex(store, ctx, NatTy())
         rhs = VSucc(co.vvar(0))
-        unify(store, ctx.depth, mv, rhs, ctx.names)
+        unify(store, ctx.depth, mv, rhs, ctx.name)
         assert conv(store, ctx.depth, force(store, mv), rhs)
 
     def test_succ_of_meta_against_literal_solves_predecessor(self):
@@ -135,7 +135,7 @@ class TestUnify:
         ctx = Context().bind("x", W, NatTy())
         m1 = flex(store, ctx, NatTy())
         m2 = flex(store, ctx, NatTy())
-        unify(store, ctx.depth, m1, m2, ctx.names)
+        unify(store, ctx.depth, m1, m2, ctx.name)
         assert store.lookup(0).solved or store.lookup(1).solved
 
     def test_spine_mismatch_same_meta(self):
@@ -145,7 +145,7 @@ class TestUnify:
         v1 = evaluate((co.vvar(0), co.vvar(1)), m)
         v2 = evaluate((co.vvar(1), co.vvar(0)), m)
         with pytest.raises(UnifyError, match="variables"):
-            unify(store, ctx.depth, v1, v2, ctx.names)
+            unify(store, ctx.depth, v1, v2, ctx.name)
 
 
 def spine_of(v: co.Value) -> tuple[co.SpineItem, ...]:
@@ -163,7 +163,7 @@ class TestInvert:
     def test_distinct_variables(self):
         v = evaluate(self.ctx.env, self.meta)
         pren, layout = invert(
-            self.entries, spine_of(v), self.store, self.ctx.depth, self.ctx.names
+            self.entries, spine_of(v), self.store, self.ctx.depth, self.ctx.name
         )
         assert pren.map == {0: (0, W), 1: (1, W)}
         assert len(layout) == 2
@@ -199,7 +199,7 @@ class TestRename:
         fresh_meta(store, Context(), NatTy())
         pren = PartialRenaming(dom=0, cod=1, map={})
         with pytest.raises(UnifyError, match="scope"):
-            rename(store, 0, pren, co.vvar(0), names=("y",))
+            rename(store, 0, pren, co.vvar(0), name_of=("y",).__getitem__)
 
     def test_mode_check_blocks_erased_variable_at_runtime(self):
         # Meta captured outside the erased fragment must not use z :0 Nat
@@ -211,7 +211,7 @@ class TestRename:
         assert entry.flag is False
         spine = spine_of(evaluate(ctx.env, m))
         with pytest.raises(UnifyError) as e:
-            solve(store, ctx.depth, 0, spine, VSucc(co.vvar(0)), ctx.names)
+            solve(store, ctx.depth, 0, spine, VSucc(co.vvar(0)), ctx.name)
         assert e.value.reason == "mode"
         assert "'z'" in e.value.message
 
@@ -220,7 +220,7 @@ class TestRename:
         ctx = Context().bind("z", Z0, NatTy()).erased()
         m = fresh_meta(store, ctx, NatTy())
         spine = spine_of(evaluate(ctx.env, m))
-        solve(store, ctx.depth, 0, spine, VSucc(co.vvar(0)), ctx.names)
+        solve(store, ctx.depth, 0, spine, VSucc(co.vvar(0)), ctx.name)
         assert store.lookup(0).solution_closed == co.Lam(
             "z", Z0, EX, co.Succ(co.Var(0))
         )
@@ -234,7 +234,7 @@ class TestRename:
         m = fresh_meta(store, ctx, NatTy())
         spine = spine_of(evaluate(ctx.env, m))
         rhs = co.vapp(co.vvar(0), Z0, EX, co.vvar(1))  # f z, argument erased
-        solve(store, ctx.depth, 0, spine, rhs, ctx.names)
+        solve(store, ctx.depth, 0, spine, rhs, ctx.name)
         assert store.lookup(0).solved
 
 
@@ -247,7 +247,7 @@ def refusal(store: MetaStore, ctx: Context, ty: co.Value, rhs: co.Value) -> tupl
     m = fresh_meta(store, ctx, ty)
     spine = spine_of(evaluate(ctx.env, m))
     with pytest.raises(UnifyError) as e:
-        solve(store, ctx.depth, 0, spine, rhs, ctx.names)
+        solve(store, ctx.depth, 0, spine, rhs, ctx.name)
     return e.value.reason, e.value.message
 
 
@@ -292,7 +292,7 @@ class TestRenameRefusals:
             co.Var(0),
         )
         spine = spine_of(evaluate(ctx.env, m))
-        solve(store, ctx.depth, 0, spine, evaluate(ctx.env, body), ctx.names)
+        solve(store, ctx.depth, 0, spine, evaluate(ctx.env, body), ctx.name)
         assert store.lookup(0).solution_body == body
 
     def test_occurs_check_inside_spine_argument(self):
@@ -304,7 +304,7 @@ class TestRenameRefusals:
         mv = evaluate(ctx.env, m)
         rhs = co.vapp(co.vvar(0), W, EX, mv)
         with pytest.raises(UnifyError) as e:
-            solve(store, ctx.depth, 0, spine_of(mv), rhs, ctx.names)
+            solve(store, ctx.depth, 0, spine_of(mv), rhs, ctx.name)
         assert (e.value.reason, e.value.message) == (
             "occurs",
             "occurs check: ?0 appears in its own solution",
@@ -319,7 +319,7 @@ class TestRenameRefusals:
         spine = spine_of(evaluate((co.vvar(1),), m))
         rhs = co.vapp(co.vvar(0), W, EX, co.vvar(1))
         with pytest.raises(UnifyError) as e:
-            solve(store, ctx.depth, 0, spine, rhs, ctx.names)
+            solve(store, ctx.depth, 0, spine, rhs, ctx.name)
         assert (e.value.reason, e.value.message) == (
             "scope",
             "variable 'g' is not in scope for the solution of ?0",
@@ -331,7 +331,7 @@ class TestSolve:
         store = MetaStore()
         ctx = Context().bind("x", W, NatTy())
         m = fresh_meta(store, ctx, NatTy())
-        solve(store, 1, 0, spine_of(evaluate(ctx.env, m)), VSucc(co.vvar(0)), ("x",))
+        solve(store, 1, 0, spine_of(evaluate(ctx.env, m)), VSucc(co.vvar(0)), ("x",).__getitem__)
         assert store.lookup(0).solution_closed == co.Lam(
             "x", W, EX, co.Succ(co.Var(0))
         )
@@ -350,7 +350,7 @@ class TestSolve:
         m = fresh_meta(store, Context().bind("x", W, NatTy()), NatTy())
         v = evaluate((co.vvar(0),), m)
         with pytest.raises(UnifyError, match="scope.*y|y.*scope"):
-            solve(store, ctx.depth, 0, spine_of(v), co.vvar(1), ctx.names)
+            solve(store, ctx.depth, 0, spine_of(v), co.vvar(1), ctx.name)
 
     def test_kernel_refusal_of_solution_is_internal_error(self, monkeypatch):
         def refuse(*args):
@@ -390,7 +390,7 @@ class TestSolve:
         fn_ty = evaluate((), co.Pi("a", W, EX, co.NatTy(), co.NatTy()))
         m = fresh_meta(store, Context(), fn_ty)
         mv = co.vapp(evaluate((), m), W, EX, co.vvar(0))
-        unify(store, 1, mv, VSucc(co.vvar(0)), ("x",))
+        unify(store, 1, mv, VSucc(co.vvar(0)), ("x",).__getitem__)
         entry = store.lookup(0)
         assert entry.solution_closed == co.Lam("x", W, EX, co.Succ(co.Var(0)))
         kernel_check(store, Context(), entry.solution_closed, entry.closed_ty_value)
@@ -500,7 +500,7 @@ class TestRenameAgainstQuote:
         # walk a traceback of a hundred thousand frames.
         overflowed = False
         try:
-            solve(store, ctx.depth, 0, spine_of(evaluate(ctx.env, m)), rhs, ctx.names)
+            solve(store, ctx.depth, 0, spine_of(evaluate(ctx.env, m)), rhs, ctx.name)
         except RecursionError:
             overflowed = True
         assert not overflowed, "solving a 40 000-deep succ chain overflowed the stack"
