@@ -183,8 +183,20 @@ def as_numeral(t: Target) -> int | None:
 
 def alpha_eq(a: Target, b: Target) -> bool:
     """Alpha equivalence: structural equality of the de Bruijn trees (binder
-    names do not compare)."""
-    return a == b
+    names do not compare), on an explicit stack, so that how deep a tree
+    may be is bounded by memory."""
+    todo = [(a, b)]
+    while todo:
+        a, b = todo.pop()
+        if a.__class__ is not b.__class__:
+            return False
+        for f in a._compared:
+            x, y = getattr(a, f), getattr(b, f)
+            if isinstance(x, Target):
+                todo.append((x, y))
+            elif x != y:
+                return False
+    return True
 
 
 # ---------------------------------------------------------------------------

@@ -247,6 +247,39 @@ class TestAlphaEq:
         lt = TLet("x", TLit(0), TSucc(TVar(0)))
         assert not alpha_eq(lt, TLit(1))
 
+    def test_deep_chains_at_the_default_recursion_limit(self):
+        # Record `==` recurses in C, one level per node: two 10 000-deep
+        # chains overflow the default limit.  The comparison loops.
+        def chain(bottom: Target) -> Target:
+            for _ in range(100_000):
+                bottom = TSucc(bottom)
+            return bottom
+
+        pairs = [
+            (chain(TVar(0)), chain(TVar(0)), True),
+            (chain(TVar(0)), chain(TVar(1)), False),
+            (chain(TVar(0)), chain(TLit(0)), False),
+            (chain(TLam("x", TVar(0))), chain(TLam("y", TVar(0))), True),
+            (chain(TLet("x", TLit(1), TVar(0))), chain(TLet("y", TLit(1), TVar(0))), True),
+        ]
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(1000)
+        try:
+            answers = [alpha_eq(a, b) for a, b, _ in pairs]
+        finally:
+            sys.setrecursionlimit(limit)
+        assert answers == [expected for _, _, expected in pairs]
+
+    def test_agrees_with_record_equality_on_the_corpus(self, corpus):
+        targets = [
+            extract(Context(), closed_main(r)) for r in corpus.values() if r.main is not None
+        ]
+        targets += [eval_target(t) for t in targets]
+        assert len(targets) > 50
+        for a in targets:
+            for b in targets:
+                assert alpha_eq(a, b) == (a == b)
+
 
 class TestJson:
     def test_round_trip_on_corpus_extractions(self, corpus):
