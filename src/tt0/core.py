@@ -695,10 +695,10 @@ class Context(Record):
 
     @property
     def names(self) -> tuple[str, ...]:
-        """The name of every entry, oldest first, built for a message."""
+        """The name of every entry, oldest first, built for a message or output."""
         return tuple(e.name for e in (*self.sig.entries[: self.top], *self.local))
 
-    def show(self, store: MetaStore | None, v: Value) -> str:
+    def show(self, store: "MetaStore | None", v: Value) -> str:
         """A value at this depth as text, for a message."""
         return pp(quote(store, self.depth, v), self.names)
 
