@@ -462,6 +462,164 @@ class TestKernel:
         assert e.value.message == message
 
 
+IM = Icit.IMPL
+PI0 = Pi("x", Z0, EX, NatTy(), NatTy())
+PIW = Pi("x", W, EX, NatTy(), NatTy())
+SIGMA0 = co.Sigma("n", Z0, NatTy(), NatTy())
+SIGMAW = co.Sigma("n", W, NatTy(), NatTy())
+
+
+def bound(*entries: tuple[str, Mode, co.Term]) -> Context:
+    """A context of binders, each type a closed term evaluated at the empty
+    environment."""
+    ctx = Context()
+    for name, mode, ty in entries:
+        ctx = ctx.bind(name, mode, evaluate((), ty))
+    return ctx
+
+
+# Every `KernelError` message of `kernel_check`, `kernel_infer` and
+# `_require_erased`, word for word: (context, term, expected type or None
+# to infer, message).
+KERNEL_MESSAGES = [
+    (bound(("x", Z0, NatTy())), Var(0), None, "erased variable 'x' used at runtime"),
+    (bound(("x", Z0, NatTy())), Var(0), NatTy(), "erased variable 'x' used at runtime"),
+    (bound(("n", W, NatTy())), app(Var(0), Lit(0)), None, "application of a non-function"),
+    (
+        bound(("f", W, PI0)),
+        app(Var(0), Lit(0)),
+        None,
+        "application annotation ω/explicit does not match function type 0/explicit",
+    ),
+    (
+        bound(("f", W, PIW)),
+        App(W, IM, Var(0), Lit(0)),
+        None,
+        "application annotation ω/implicit does not match function type ω/explicit",
+    ),
+    (
+        Context(),
+        PIW,
+        None,
+        "dependent function type is a type code and cannot be used at runtime",
+    ),
+    (
+        Context(),
+        SIGMAW,
+        co.Univ(),
+        "dependent pair type is a type code and cannot be used at runtime",
+    ),
+    (Context(), co.Univ(), None, "the universe is a type code and cannot be used at runtime"),
+    (Context(), NatTy(), co.Univ(), "the Nat type is a type code and cannot be used at runtime"),
+    (Context(), co.BoolTy(), None, "the Bool type is a type code and cannot be used at runtime"),
+    (Context(), co.Fst(W, Lit(0)), None, "first projection of a non-pair"),
+    (Context(), co.Snd(W, Lit(0)), None, "second projection of a non-pair"),
+    (
+        bound(("p", W, SIGMAW)),
+        co.Snd(Z0, Var(0)),
+        None,
+        "projection mode does not match pair type",
+    ),
+    (
+        bound(("p", W, SIGMAW)),
+        co.Fst(Z0, Var(0)),
+        NatTy(),
+        "projection mode does not match pair type",
+    ),
+    (
+        bound(("p", W, SIGMA0)),
+        co.Fst(Z0, Var(0)),
+        None,
+        "erased first projection used at runtime",
+    ),
+    (Context(), lam(Var(0)), None, "cannot infer a type for an unannotated introduction"),
+    (
+        Context(),
+        co.Pair(W, Lit(0), Lit(0)),
+        None,
+        "cannot infer a type for an unannotated introduction",
+    ),
+    (
+        Context(),
+        Lam("x", W, EX, Lit(0)),
+        PI0,
+        "lambda mode ω does not match function type mode 0",
+    ),
+    (
+        Context(),
+        Lam("x", Z0, EX, Lit(0)),
+        PIW,
+        "lambda mode 0 does not match function type mode ω",
+    ),
+    (
+        Context(),
+        Lam("x", W, IM, Lit(0)),
+        PIW,
+        "lambda implicitness does not match function type",
+    ),
+    (Context(), lam(Var(0)), NatTy(), "lambda checked against a non-function type Nat"),
+    (
+        Context(),
+        co.Pair(W, Lit(0), Lit(0)),
+        SIGMA0,
+        "pair mode does not match pair type mode",
+    ),
+    (
+        Context(),
+        co.Pair(W, Lit(0), Lit(0)),
+        PIW,
+        "pair checked against a non-pair type Π (x : Nat). Nat",
+    ),
+    (Context(), Lit(0), co.BoolTy(), "type mismatch: expected Bool, got Nat"),
+    (
+        bound(("A", Z0, co.Univ())).bind("a", W, co.vvar(0)),
+        Var(0),
+        NatTy(),
+        "type mismatch: expected Nat, got A",
+    ),
+]
+
+
+@pytest.mark.parametrize("make_store", [lambda: None, MetaStore], ids=["no store", "store"])
+@pytest.mark.parametrize("ctx, t, expected, message", KERNEL_MESSAGES)
+def test_kernel_message(make_store, ctx, t, expected, message):
+    with pytest.raises(KernelError) as e:
+        if expected is None:
+            kernel_infer(make_store(), ctx, t)
+        else:
+            kernel_check(make_store(), ctx, t, evaluate((), expected))
+    assert e.value.message == message
+
+
+# The other constant of each declaration type that the test below uses.
+OTHER_TYPE = {NatTy(): co.BoolTy(), co.BoolTy(): NatTy()}
+
+
+def test_kernel_mismatch_on_corpus_bodies(corpus):
+    # A body of type Nat or Bool checked against the other type, or U,
+    # fails with both types named, however the body is built.
+    checked = 0
+    for result in corpus.values():
+        for i, d in enumerate(result.decls):
+            if d.ty not in OTHER_TYPE:
+                continue
+            for wrong in (OTHER_TYPE[d.ty], co.Univ()):
+                with pytest.raises(KernelError) as e:
+                    kernel_check(None, result.sig.prefix(i), d.body, wrong)
+                assert e.value.message == (
+                    f"type mismatch: expected {co.pp(wrong)}, got {co.pp(d.ty)}"
+                )
+            checked += 1
+    assert checked > 20
+
+
+def test_conv_without_store_separates_constants():
+    for a in CONSTANTS:
+        for b in CONSTANTS:
+            assert conv(None, 0, a, b) == (a == b)
+    assert not conv(None, 0, Lit(3), Lit(4))
+
+
 class TestPrinting:
     def test_literal_prints_as_successor_chain(self):
         assert co.pp(Lit(0)) == "zero"
