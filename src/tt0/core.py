@@ -392,9 +392,11 @@ def is_flex(v: Value) -> bool:
 
 
 def evaluate(env: Env, t: Term) -> Value:
+    if type(t) is Var:
+        return entry_value(env[len(env) - 1 - t.ix])
+    if type(t) in _CONSTANT_ROWS:
+        return t
     match t:
-        case Var(ix):
-            return entry_value(env[len(env) - 1 - ix])
         case Lam(name, mode, icit, body):
             return VLam(name, mode, icit, Closure(env, body))
         case App(mode, icit, fn, arg):
@@ -409,8 +411,6 @@ def evaluate(env: Env, t: Term) -> Value:
             return vfst(mode, evaluate(env, pair))
         case Snd(mode, pair):
             return vsnd(mode, evaluate(env, pair))
-        case Constant():
-            return t
         case Succ(arg):
             return vsucc(evaluate(env, arg))
         case NatElim(motive, a, b, scrut) | BoolElim(motive, a, b, scrut):
@@ -503,7 +503,7 @@ def apply_spine(v: Value, spine: tuple[SpineItem, ...]) -> Value:
 
 def force(store: "MetaStore", v: Value) -> Value:
     """Unfold solved metavariables at the head of a flexible neutral."""
-    while isinstance(v, VNeutral) and isinstance(v.head, MetaH):
+    while type(v) is VNeutral and type(v.head) is MetaH:
         sol = store.lookup(v.head.mid).solution_value
         if sol is None:
             return v
@@ -576,9 +576,13 @@ def normal_form(store: "MetaStore", env: Env, t: Term) -> Term:
 # Conversion checking (rigid only; metavariable solving lives in unify)
 
 
-def conv(store: "MetaStore", depth: int, a: Value, b: Value) -> bool:
-    a = force(store, a)
-    b = force(store, b)
+def conv(store: "MetaStore | None", depth: int, a: Value, b: Value) -> bool:
+    if a is b:
+        return True
+    if store is not None:
+        a, b = force(store, a), force(store, b)
+    if isinstance(a, Constant) and isinstance(b, Constant):
+        return a == b
     match a, b:
         case VLam(_, mode, _, clos), VLam(_, mode2, _, clos2):
             if mode is not mode2:
@@ -613,8 +617,6 @@ def conv(store: "MetaStore", depth: int, a: Value, b: Value) -> bool:
                 return False
             x = vvar(depth)
             return conv(store, depth + 1, snd_ty.apply(x), snd2.apply(x))
-        case Constant(), Constant():
-            return a == b
         case VSucc() | Lit(), VSucc() | Lit():
             # succ x against succ y, or against a literal k > 0 as k - 1.
             x, y = vpred(a), vpred(b)
@@ -762,8 +764,8 @@ class Context(Record):
 # of mode-0 applications, first components of mode-0 pairs) recurse with
 # the flag forced on.  Type codes themselves (U, Nat, Bool, Pi, Sigma) are
 # erased resources and demand the flag, as do mode-0 variables and mode-0
-# first projections.  The kernel reads the meta store only at a meta, so
-# zonked output, which holds none, is checked with no store.
+# first projections.  The kernel reads the meta store only at a meta, and
+# forces a type only when given a store: zonked output is checked with none.
 
 
 # Type of the successor case, Pi (k : Nat). P k -> P (succ k), evaluated in
@@ -807,19 +809,26 @@ ELIMINATORS: dict[type, tuple[Value, Constant, Callable[[Value], tuple[Value, Va
 
 
 def kernel_infer(store: "MetaStore | None", ctx: Context, t: Term) -> Value:
+    if type(t) in _CONSTANT_ROWS:
+        _, ty, code = _CONSTANT_ROWS[type(t)]
+        if code is not None:
+            _require_erased(ctx, code)
+        return ty
     match t:
         case Var(ix):
-            if not 0 <= ix < ctx.depth:
+            if not 0 <= ix < len(ctx.env):
                 raise InternalError(f"variable index {ix} out of scope at depth {ctx.depth}")
-            entry = ctx.entry(ctx.depth - 1 - ix)
+            entry = ctx.entry(len(ctx.env) - 1 - ix)
             if entry.mode is Mode.ZERO and not ctx.flag:
                 raise KernelError(
                     f"erased variable {entry.name!r} used at runtime"
                 )
             return entry.ty
         case App(mode, icit, fn, arg):
-            fn_ty = force(store, kernel_infer(store, ctx, fn))
-            if not isinstance(fn_ty, VPi):
+            fn_ty = kernel_infer(store, ctx, fn)
+            if store is not None:
+                fn_ty = force(store, fn_ty)
+            if type(fn_ty) is not VPi:
                 raise KernelError("application of a non-function")
             if fn_ty.mode is not mode or fn_ty.icit is not icit:
                 raise KernelError(
@@ -837,11 +846,6 @@ def kernel_infer(store: "MetaStore | None", ctx: Context, t: Term) -> Value:
             dom_v = evaluate(ctx.env, dom)
             kernel_check(store, ctx.bind(name, mode, dom_v).erased(), cod, Univ())
             return Univ()
-        case Constant():
-            _, ty, code = _CONSTANT_ROWS[type(t)]
-            if code is not None:
-                _require_erased(ctx, code)
-            return ty
         case Succ(arg):
             kernel_check(store, ctx, arg, NatTy())
             return NatTy()
@@ -855,9 +859,11 @@ def kernel_infer(store: "MetaStore | None", ctx: Context, t: Term) -> Value:
             kernel_check(store, ctx, scrut, scrut_ty)
             return motive_app(motive_v, evaluate(ctx.env, scrut))
         case Fst(mode, pair) | Snd(mode, pair):
-            pair_ty = force(store, kernel_infer(store, ctx, pair))
+            pair_ty = kernel_infer(store, ctx, pair)
+            if store is not None:
+                pair_ty = force(store, pair_ty)
             first = type(t) is Fst
-            if not isinstance(pair_ty, VSigma):
+            if type(pair_ty) is not VSigma:
                 raise KernelError(f"{'first' if first else 'second'} projection of a non-pair")
             if pair_ty.mode is not mode:
                 raise KernelError("projection mode does not match pair type")
@@ -891,37 +897,35 @@ def kernel_infer(store: "MetaStore | None", ctx: Context, t: Term) -> Value:
 
 
 def kernel_check(store: "MetaStore | None", ctx: Context, t: Term, expected: Value) -> None:
-    expected = force(store, expected)
-    match t, expected:
-        case Lam(name, mode, icit, body), VPi(_, pmode, picit, dom, cod):
-            if mode is not pmode:
-                raise KernelError(
-                    f"lambda mode {mode} does not match function type mode {pmode}"
-                )
-            if icit is not picit:
-                raise KernelError("lambda implicitness does not match function type")
-            inner = ctx.bind(name, mode, dom)
-            kernel_check(store, inner, body, cod.apply(vvar(ctx.depth)))
-            return
-        case Lam(), _:
+    if store is not None:
+        expected = force(store, expected)
+    if type(t) is Lam:
+        if type(expected) is not VPi:
             what = ctx.show(store, expected)
             raise KernelError(f"lambda checked against a non-function type {what}")
-        case Pair(mode, fst, snd), VSigma(_, smode, fst_ty, snd_ty):
-            if mode is not smode:
-                raise KernelError("pair mode does not match pair type mode")
-            fst_ctx = ctx.erased() if mode is Mode.ZERO else ctx
-            kernel_check(store, fst_ctx, fst, fst_ty)
-            kernel_check(store, ctx, snd, snd_ty.apply(Thunk(ctx.env, fst)))
-            return
-        case Pair(), _:
+        if t.mode is not expected.mode:
+            raise KernelError(
+                f"lambda mode {t.mode} does not match function type mode {expected.mode}"
+            )
+        if t.icit is not expected.icit:
+            raise KernelError("lambda implicitness does not match function type")
+        inner = ctx.bind(t.name, t.mode, expected.dom)
+        kernel_check(store, inner, t.body, expected.cod.apply(vvar(len(ctx.env))))
+    elif type(t) is Pair:
+        if type(expected) is not VSigma:
             raise KernelError(f"pair checked against a non-pair type {ctx.show(store, expected)}")
-        case Let(), _:
-            kernel_check(store, _let_body_ctx(store, ctx, t), t.body, expected)
-        case _:
-            got = kernel_infer(store, ctx, t)
-            if not conv(store, ctx.depth, got, expected):
-                exp_s, got_s = ctx.show(store, expected), ctx.show(store, got)
-                raise KernelError(f"type mismatch: expected {exp_s}, got {got_s}")
+        if t.mode is not expected.mode:
+            raise KernelError("pair mode does not match pair type mode")
+        fst_ctx = ctx.erased() if t.mode is Mode.ZERO else ctx
+        kernel_check(store, fst_ctx, t.fst, expected.fst_ty)
+        kernel_check(store, ctx, t.snd, expected.snd_ty.apply(Thunk(ctx.env, t.fst)))
+    elif type(t) is Let:
+        kernel_check(store, _let_body_ctx(store, ctx, t), t.body, expected)
+    else:
+        got = kernel_infer(store, ctx, t)
+        if got is not expected and not conv(store, len(ctx.env), got, expected):
+            exp_s, got_s = ctx.show(store, expected), ctx.show(store, got)
+            raise KernelError(f"type mismatch: expected {exp_s}, got {got_s}")
 
 
 def _let_body_ctx(store: "MetaStore | None", ctx: Context, t: Let) -> Context:
