@@ -36,13 +36,18 @@ def check_zeroing(ctx: Context, t: Term, ty: Value) -> None:
 
 
 def strip_modes(t: Term) -> Term:
-    """Rewrite every mode annotation in a term to omega."""
+    """Rewrite every mode annotation in a term to omega, copying only the
+    nodes on a path to an erased mode."""
 
-    def go(u: Term, _depth: int = 0) -> Term:
+    def go(u: Term) -> Term:
         if isinstance(u, co.Meta):
             raise InternalError("metavariable in a term being mode-stripped")
-        u = co.map_subterms(u, go)
-        return u.replace(mode=Mode.OMEGA) if getattr(u, "mode", None) is Mode.ZERO else u
+        changes = {"mode": Mode.OMEGA} if getattr(u, "mode", None) is Mode.ZERO else {}
+        for f in u.__match_args__:
+            c = getattr(u, f)
+            if isinstance(c, Term) and (s := go(c)) is not c:
+                changes[f] = s
+        return u.replace(**changes) if changes else u
 
     return go(t)
 

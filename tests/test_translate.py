@@ -54,10 +54,29 @@ class TestStripModes:
         assert strip_modes(co.Lit(0)) == co.Lit(0)
 
     def test_idempotent_on_corpus(self, corpus):
+        # A stripped term holds no erased mode, so stripping it again
+        # returns it without a copy.
         for result in corpus.values():
             for d in result.decls:
                 once = strip_modes(d.body)
-                assert strip_modes(once) == once
+                assert strip_modes(once) is once
+
+    def test_only_paths_to_erased_modes_are_copied(self):
+        runtime = co.Lam("y", W, EX, co.App(W, EX, co.Var(1), co.Succ(co.Var(0))))
+        assert strip_modes(runtime) is runtime
+        erased = co.Pair(W, runtime, co.Lam("z", Z0, EX, co.Var(0)))
+        stripped = strip_modes(erased)
+        assert stripped.fst is runtime and stripped.snd == co.Lam("z", W, EX, co.Var(0))
+
+    def test_agrees_with_a_full_rebuild_on_corpus(self, corpus):
+        def rebuild(u: co.Term, _depth: int = 0) -> co.Term:
+            u = co.map_subterms(u, rebuild)
+            return u.replace(mode=W) if getattr(u, "mode", None) is Z0 else u
+
+        for result in corpus.values():
+            for d in result.decls:
+                for t in (d.ty, d.body):
+                    assert strip_modes(t) == rebuild(t), d.name
 
     def test_not_injective_but_conv_distinguishes(self):
         # The two function types collapse to the same stripped term while
