@@ -250,6 +250,122 @@ def test_unifier_messages_name_context_variables(src, message, col):
     assert (got, start) == (message, col)
 
 
+@pytest.mark.parametrize(
+    "src, message, line, cols",
+    [
+        ("main = \\{x}. x;", "cannot infer a type for an implicit lambda", 1, (8, 14)),
+        (
+            "let f : Nat -> Nat = \\x. x;\nmain = f {zero};",
+            "unexpected implicit argument to an explicit function",
+            2,
+            (8, 15),
+        ),
+        ("main = zero zero;", "applying a non-function of type Nat", 1, (8, 11)),
+        (
+            "main = (zero, zero);",
+            "cannot infer a type for a pair; annotate the enclosing binding",
+            1,
+            (8, 19),
+        ),
+        (
+            "let f : (F :0 U -> U) -> F ((x :0 Nat) -> Nat) -> F (Nat -> Nat) = \\F y. y;",
+            "type mismatch: expected F (Nat → Nat), got F (Π₀ (x : Nat). Nat) "
+            "(function type modes differ (Π₀ vs Πω))",
+            1,
+            (74, 74),
+        ),
+        (
+            "let f : (F :0 U -> U) -> F (Nat -> Nat) -> F ({x : Nat} -> Nat) = \\F y. y;",
+            "type mismatch: expected F (Π {x : Nat}. Nat), got F (Nat → Nat) "
+            "(function type implicitness differs)",
+            1,
+            (73, 73),
+        ),
+        (
+            "let f : (F :0 U -> U) -> F ((x :0 Nat) * Nat) -> F (Nat * Nat) = \\F y. y;",
+            "type mismatch: expected F (Nat * Nat), got F ((x : Nat) *₀ Nat) "
+            "(pair type modes differ (*₀ vs *ω))",
+            1,
+            (72, 72),
+        ),
+        (
+            "let f : (h :0 (A :0 U) -> A) -> (x : h U) -> h (U -> U) Nat = \\h x. x;",
+            "type mismatch: expected h (U → U) Nat, got h U "
+            "(eliminations applied to the same head differ)",
+            1,
+            (69, 69),
+        ),
+    ],
+)
+def test_elaborator_message_and_location(src, message, line, cols):
+    [e] = elaborate_text(src).errors
+    assert (e.message, e.span.start_line, (e.span.start_col, e.span.end_col)) == (
+        message,
+        line,
+        cols,
+    )
+
+
+def test_explicit_application_of_an_implicit_function_inserts_the_argument():
+    # `insert_implicits` strips every leading implicit Pi before an explicit
+    # argument is checked, so "expected an implicit argument" is not reached.
+    r = elaborate_text("let f : {A :0 U} -> A -> A = \\{A} x. x;\nmain = f zero;")
+    assert r.ok
+    assert r.main[0] == co.App(W, EX, co.App(Z0, IM, co.Var(0), NatTy()), co.Lit(0))
+
+
+_H = co.Var(0)  # `h`, the only entry below `x`
+
+
+@pytest.mark.parametrize(
+    "got, expected, shown, reason",
+    [
+        (
+            co.App(W, EX, _H, co.Lam("y", Z0, EX, co.Lit(0))),
+            co.App(W, EX, _H, co.Lam("y", W, EX, co.Lit(0))),
+            ("h (λ y. zero)", "h (λ₀ y. zero)"),
+            "lambda modes differ",
+        ),
+        (
+            co.App(W, EX, _H, co.Pair(Z0, co.Lit(0), co.Lit(0))),
+            co.App(W, EX, _H, co.Pair(W, co.Lit(0), co.Lit(0))),
+            ("h (zero, zero)", "h (zero, zero)₀"),
+            "pair modes differ",
+        ),
+        (
+            co.App(Z0, EX, _H, co.Lit(0)),
+            co.App(W, EX, _H, co.Lit(0)),
+            ("h zero", "h zero"),
+            "application modes differ",
+        ),
+        (
+            co.Fst(Z0, _H),
+            co.Fst(W, _H),
+            ("fst h", "fst₀ h"),
+            "projection modes differ",
+        ),
+        (
+            co.App(W, EX, _H, co.Lit(0)),
+            co.Fst(W, _H),
+            ("fst h", "h zero"),
+            "eliminations applied to the same head differ",
+        ),
+    ],
+)
+def test_unifier_reason_reaches_the_mismatch_message(got, expected, shown, reason):
+    # Neutral types with the same head `h`, ill-typed where no source
+    # program can build them, checked through the elaborator's `check`.
+    ctx = Context().bind("h", Z0, co.Univ())
+    x = ctx.bind("x", W, evaluate(ctx.env, got))
+    t = term("x")
+    with pytest.raises(ElabError) as e:
+        check(MetaStore(), x, t, evaluate(ctx.env, expected))
+    assert (e.value.message, e.value.span) == (
+        f"type mismatch: expected {shown[0]}, got {shown[1]} ({reason})",
+        t.span,
+    )
+
+
 def test_solution_binder_named_by_the_binder_unify_entered(tmp_path, capsys):
     # `?m F` against `λ z. succ z` goes under the lambda, so `?m F z = succ
     # z` and inversion names the solution's binder after the one entered.
