@@ -19,6 +19,7 @@ exactly when the flag is set.
 from __future__ import annotations
 
 import enum
+import operator
 from typing import TYPE_CHECKING, Callable
 
 from .diagnostics import InternalError, KernelError
@@ -197,27 +198,38 @@ class Meta(Term):
 
 def map_subterms(t: Term, f: Callable[[Term, int], Term], depth: int = 0) -> Term:
     """Rebuild `t` with `f(child, depth + k)` in place of each immediate
-    subterm, where `k` is the number of binders `t` puts around that child."""
+    subterm, where `k` is the number of binders `t` puts around that child;
+    `t` itself when every child comes back as it was (`is`)."""
     inner = depth + 1
     match t:
         case Lam(name, mode, icit, body):
-            return Lam(name, mode, icit, f(body, inner))
+            b = f(body, inner)
+            return t if b is body else Lam(name, mode, icit, b)
         case App(mode, icit, fn, arg):
-            return App(mode, icit, f(fn, depth), f(arg, depth))
+            g, a = f(fn, depth), f(arg, depth)
+            return t if g is fn and a is arg else App(mode, icit, g, a)
         case Pi(name, mode, icit, dom, cod):
-            return Pi(name, mode, icit, f(dom, depth), f(cod, inner))
+            a, b = f(dom, depth), f(cod, inner)
+            return t if a is dom and b is cod else Pi(name, mode, icit, a, b)
         case Sigma(name, mode, fst_ty, snd_ty):
-            return Sigma(name, mode, f(fst_ty, depth), f(snd_ty, inner))
+            a, b = f(fst_ty, depth), f(snd_ty, inner)
+            return t if a is fst_ty and b is snd_ty else Sigma(name, mode, a, b)
         case Pair(mode, fst, snd):
-            return Pair(mode, f(fst, depth), f(snd, depth))
+            a, b = f(fst, depth), f(snd, depth)
+            return t if a is fst and b is snd else Pair(mode, a, b)
         case Fst(mode, pair) | Snd(mode, pair):
-            return type(t)(mode, f(pair, depth))
+            a = f(pair, depth)
+            return t if a is pair else type(t)(mode, a)
         case Succ(arg):
-            return succ(f(arg, depth))
+            a = f(arg, depth)
+            return t if a is arg else succ(a)
         case NatElim(motive, a, b, scrut) | BoolElim(motive, a, b, scrut):
-            return type(t)(*(f(u, depth) for u in (motive, a, b, scrut)))
+            old = (motive, a, b, scrut)
+            new = tuple(f(u, depth) for u in old)
+            return t if all(map(operator.is_, new, old)) else type(t)(*new)
         case Let(name, ty, defn, body):
-            return Let(name, f(ty, depth), f(defn, depth), f(body, inner))
+            a, b, c = f(ty, depth), f(defn, depth), f(body, inner)
+            return t if a is ty and b is defn and c is body else Let(name, a, b, c)
     return t
 
 

@@ -89,8 +89,8 @@ def check_type(store: MetaStore, ctx: Context, t: sf.Surface) -> Term:
 
 def check(store: MetaStore, ctx: Context, t: sf.Surface, expected: Value) -> Term:
     expected = force(store, expected)
-    match t, expected:
-        case sf.SLam(), co.VPi() if t.icit is expected.icit:
+    if type(expected) is co.VPi:
+        if type(t) is sf.SLam and t.icit is expected.icit:
             if t.mode is not None and t.mode is not expected.mode:
                 raise ElabError(
                     f"lambda binder mode {t.mode} does not match function type "
@@ -103,27 +103,26 @@ def check(store: MetaStore, ctx: Context, t: sf.Surface, expected: Value) -> Ter
             inner = ctx.bind(t.name, expected.mode, expected.dom)
             body = check(store, inner, t.body, expected.cod.apply(co.vvar(ctx.depth)))
             return co.Lam(t.name, expected.mode, expected.icit, body)
-        case _, co.VPi(name, mode, Icit.IMPL, dom, cod):
+        if expected.icit is Icit.IMPL:
             # Insert an implicit lambda around anything that is not itself an
             # implicit lambda.
-            inner = ctx.bind(name, mode, dom)
-            body = check(store, inner, t, cod.apply(co.vvar(ctx.depth)))
-            return co.Lam(name, mode, Icit.IMPL, body)
-        case sf.SPair(fst=fst, snd=snd), co.VSigma(_, mode, fst_ty, snd_ty):
-            fst_ctx = ctx.erased() if mode is Mode.ZERO else ctx
-            fst_t = check(store, fst_ctx, fst, fst_ty)
-            snd_t = check(store, ctx, snd, snd_ty.apply(Thunk(ctx.env, fst_t)))
-            return co.Pair(mode, fst_t, snd_t)
-        case sf.SLet(), _:
-            ty_t, defn_t, inner = _let(store, ctx, t)
-            return co.Let(t.name, ty_t, defn_t, check(store, inner, t.body, expected))
-        case sf.SHole(), _:
-            return fresh_meta(store, ctx, expected, t.span)
-        case _:
-            term, ty = infer(store, ctx, t)
-            term, ty = insert_implicits(store, ctx, term, ty, t.span)
-            _unify_types(store, ctx, t.span, ty, expected)
-            return term
+            inner = ctx.bind(expected.name, expected.mode, expected.dom)
+            body = check(store, inner, t, expected.cod.apply(co.vvar(ctx.depth)))
+            return co.Lam(expected.name, expected.mode, Icit.IMPL, body)
+    elif type(t) is sf.SPair and type(expected) is co.VSigma:
+        mode = expected.mode
+        fst_t = check(store, ctx.erased() if mode is Mode.ZERO else ctx, t.fst, expected.fst_ty)
+        snd_t = check(store, ctx, t.snd, expected.snd_ty.apply(Thunk(ctx.env, fst_t)))
+        return co.Pair(mode, fst_t, snd_t)
+    if type(t) is sf.SLet:
+        ty_t, defn_t, inner = _let(store, ctx, t)
+        return co.Let(t.name, ty_t, defn_t, check(store, inner, t.body, expected))
+    if type(t) is sf.SHole:
+        return fresh_meta(store, ctx, expected, t.span)
+    term, ty = infer(store, ctx, t)
+    term, ty = insert_implicits(store, ctx, term, ty, t.span)
+    _unify_types(store, ctx, t.span, ty, expected)
+    return term
 
 
 def _let(store: MetaStore, ctx: Context, t: sf.SLet) -> tuple[Term, Term, Context]:
@@ -140,56 +139,60 @@ def _let(store: MetaStore, ctx: Context, t: sf.SLet) -> tuple[Term, Term, Contex
 
 
 def infer(store: MetaStore, ctx: Context, t: sf.Surface) -> tuple[Term, Value]:
-    match t:
-        case sf.SVar(name=name):
-            found = ctx.lookup(name)
-            if found is None:
-                raise ElabError(f"unbound name {name!r}", t.span)
-            ix, entry = found
-            if entry.mode is Mode.ZERO and not ctx.flag:
-                raise ElabError(
-                    f"erased variable {name!r} used at runtime", t.span
-                )
-            return co.Var(ix), entry.ty
-        case sf.SApp(fn=fn, arg=arg, icit=icit):
-            fn_t, fn_ty = infer(store, ctx, fn)
-            if isinstance(fn_t, co.Lam):
-                # A literal lambda at an application head carries no domain
-                # annotation the kernel could re-infer; bind it with an
-                # annotated let instead.
-                ann = quote(store, ctx.depth, fn_ty)
-                fn_t = co.Let("f", ann, fn_t, co.Var(0))
-            if icit is Icit.EXPL:
-                fn_t, fn_ty = insert_implicits(store, ctx, fn_t, fn_ty, fn.span)
-            fn_ty = force(store, fn_ty)
-            if not isinstance(fn_ty, co.VPi):
-                # A metavariable can still become a function type.
-                if co.is_flex(fn_ty):
-                    dom_m = fresh_meta(store, ctx.erased(), co.Univ(), fn.span)
-                    dom_v = evaluate(ctx.env, dom_m)
-                    cod_ctx = ctx.bind("x", Mode.OMEGA, dom_v).erased()
-                    cod_m = fresh_meta(store, cod_ctx, co.Univ(), fn.span)
-                    pi = co.VPi(
-                        "x", Mode.OMEGA, icit, dom_v,
-                        co.Closure(ctx.env, cod_m),
-                    )
-                    _unify_types(store, ctx, fn.span, fn_ty, pi)
-                    fn_ty = pi
-                else:
-                    got = ctx.show(store, fn_ty)
-                    raise ElabError(f"applying a non-function of type {got}", fn.span)
-            if fn_ty.icit is not icit:
-                if icit is Icit.IMPL:
-                    raise ElabError(
-                        "unexpected implicit argument to an explicit function", t.span
-                    )
-                raise ElabError("expected an implicit argument", t.span)
-            if fn_ty.mode is Mode.ZERO:
-                arg_t = check_erased(store, ctx, arg, fn_ty.dom)
+    kind = type(t)
+    if kind is sf.SConst:
+        const, ty, code = co.CONSTANTS[t.keyword]
+        if code is not None:
+            _require_erased(ctx, t.span, code)
+        return const, ty
+    if kind is sf.SVar:
+        found = ctx.lookup(t.name)
+        if found is None:
+            raise ElabError(f"unbound name {t.name!r}", t.span)
+        ix, entry = found
+        if entry.mode is Mode.ZERO and not ctx.flag:
+            raise ElabError(f"erased variable {t.name!r} used at runtime", t.span)
+        return co.Var(ix), entry.ty
+    if kind is sf.SPi:
+        _require_erased(ctx, t.span, "a function type")
+        dom_t = check_type(store, ctx, t.dom)
+        inner = ctx.bind(t.name, t.mode, evaluate(ctx.env, dom_t))
+        return co.Pi(t.name, t.mode, t.icit, dom_t, check_type(store, inner, t.cod)), co.Univ()
+    if kind is sf.SApp:
+        fn, icit = t.fn, t.icit
+        fn_t, fn_ty = infer(store, ctx, fn)
+        if type(fn_t) is co.Lam:
+            # A literal lambda at an application head carries no domain
+            # annotation the kernel could re-infer; bind it with an
+            # annotated let instead.
+            ann = quote(store, ctx.depth, fn_ty)
+            fn_t = co.Let("f", ann, fn_t, co.Var(0))
+        if icit is Icit.EXPL:
+            fn_t, fn_ty = insert_implicits(store, ctx, fn_t, fn_ty, fn.span)
+        fn_ty = force(store, fn_ty)
+        if type(fn_ty) is not co.VPi:
+            # A metavariable can still become a function type.
+            if co.is_flex(fn_ty):
+                dom_m = fresh_meta(store, ctx.erased(), co.Univ(), fn.span)
+                dom_v = evaluate(ctx.env, dom_m)
+                cod_ctx = ctx.bind("x", Mode.OMEGA, dom_v).erased()
+                cod_m = fresh_meta(store, cod_ctx, co.Univ(), fn.span)
+                pi = co.VPi("x", Mode.OMEGA, icit, dom_v, co.Closure(ctx.env, cod_m))
+                _unify_types(store, ctx, fn.span, fn_ty, pi)
+                fn_ty = pi
             else:
-                arg_t = check(store, ctx, arg, fn_ty.dom)
-            res_ty = fn_ty.cod.apply(Thunk(ctx.env, arg_t))
-            return co.App(fn_ty.mode, icit, fn_t, arg_t), res_ty
+                got = ctx.show(store, fn_ty)
+                raise ElabError(f"applying a non-function of type {got}", fn.span)
+        if fn_ty.icit is not icit:
+            if icit is Icit.IMPL:
+                raise ElabError("unexpected implicit argument to an explicit function", t.span)
+            raise ElabError("expected an implicit argument", t.span)
+        arg_ctx = ctx.erased() if fn_ty.mode is Mode.ZERO else ctx
+        arg_t = check(store, arg_ctx, t.arg, fn_ty.dom)
+        return co.App(fn_ty.mode, icit, fn_t, arg_t), fn_ty.cod.apply(Thunk(ctx.env, arg_t))
+    if kind is sf.SNum:
+        return co.Lit(t.value), co.NatTy()
+    match t:
         case sf.SLam(name=name, mode=mode, ann=ann, icit=icit, body=body):
             if icit is Icit.IMPL:
                 raise ElabError("cannot infer a type for an implicit lambda", t.span)
@@ -205,12 +208,6 @@ def infer(store: MetaStore, ctx: Context, t: sf.Surface) -> tuple[Term, Value]:
             cod_t = quote(store, ctx.depth + 1, body_ty)
             pi_ty = co.VPi(name, lam_mode, icit, dom_v, co.Closure(ctx.env, cod_t))
             return co.Lam(name, lam_mode, icit, body_t), pi_ty
-        case sf.SPi(name=name, mode=mode, icit=icit, dom=dom, cod=cod):
-            _require_erased(ctx, t.span, "a function type")
-            dom_t = check_type(store, ctx, dom)
-            inner = ctx.bind(name, mode, evaluate(ctx.env, dom_t))
-            cod_t = check_type(store, inner, cod)
-            return co.Pi(name, mode, icit, dom_t, cod_t), co.Univ()
         case sf.SSigma(name=name, mode=mode, fst_ty=fst_ty, snd_ty=snd_ty):
             _require_erased(ctx, t.span, "a pair type")
             fst_t = check_type(store, ctx, fst_ty)
@@ -218,10 +215,8 @@ def infer(store: MetaStore, ctx: Context, t: sf.Surface) -> tuple[Term, Value]:
             snd_t = check_type(store, inner, snd_ty)
             return co.Sigma(name, mode, fst_t, snd_t), co.Univ()
         case sf.SPair():
-            raise ElabError(
-                "cannot infer a type for a pair; annotate the enclosing binding",
-                t.span,
-            )
+            msg = "cannot infer a type for a pair; annotate the enclosing binding"
+            raise ElabError(msg, t.span)
         case sf.SFst(arg=arg) | sf.SSnd(arg=arg):
             pair_t, pair_ty = infer(store, ctx, arg)
             pair_ty = force(store, pair_ty)
@@ -243,13 +238,6 @@ def infer(store: MetaStore, ctx: Context, t: sf.Surface) -> tuple[Term, Value]:
             ty_t, defn_t, inner = _let(store, ctx, t)
             body_t, body_ty = infer(store, inner, t.body)
             return co.Let(t.name, ty_t, defn_t, body_t), body_ty
-        case sf.SConst(keyword=kw):
-            const, ty, code = co.CONSTANTS[kw]
-            if code is not None:
-                _require_erased(ctx, t.span, code)
-            return const, ty
-        case sf.SNum(value=v):
-            return co.Lit(v), co.NatTy()
         case sf.SSucc(arg=arg):
             arg_t = check(store, ctx, arg, co.NatTy())
             return co.succ(arg_t), co.NatTy()
@@ -298,7 +286,9 @@ def zonk(store: MetaStore, t: Term, depth: int) -> Term:
             return co.normal_form(store, tuple(map(co.vvar, range(d))), u)
         while spine:
             app = spine.pop()
-            head = co.App(app.mode, app.icit, head, go(app.arg, d))
+            arg = go(app.arg, d)
+            kept = head is app.fn and arg is app.arg
+            head = app if kept else co.App(app.mode, app.icit, head, arg)
         return head
 
     return go(t, depth)

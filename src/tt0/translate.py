@@ -39,17 +39,13 @@ def strip_modes(t: Term) -> Term:
     """Rewrite every mode annotation in a term to omega, copying only the
     nodes on a path to an erased mode."""
 
-    def go(u: Term) -> Term:
+    def go(u: Term, _: int) -> Term:
         if isinstance(u, co.Meta):
             raise InternalError("metavariable in a term being mode-stripped")
-        changes = {"mode": Mode.OMEGA} if getattr(u, "mode", None) is Mode.ZERO else {}
-        for f in u.__match_args__:
-            c = getattr(u, f)
-            if isinstance(c, Term) and (s := go(c)) is not c:
-                changes[f] = s
-        return u.replace(**changes) if changes else u
+        u = co.map_subterms(u, go)
+        return u.replace(mode=Mode.OMEGA) if getattr(u, "mode", None) is Mode.ZERO else u
 
-    return go(t)
+    return go(t, 0)
 
 
 def recheck_stripped(stripped_sig: Context, t: Term, ty: Term) -> Value:

@@ -365,8 +365,13 @@ def _abstract(t: Term, binders: list[tuple[str, Mode] | CapturedEntry]) -> Term:
 
 def unify(store: MetaStore, depth: int, a: Value, b: Value, name_of: NameOf = _unnamed) -> None:
     """Unify two values at `depth`; `name_of` names a level for a message."""
-    a = force(store, a)
-    b = force(store, b)
+    if a is b:
+        return
+    a, b = force(store, a), force(store, b)
+    if isinstance(a, co.Constant) and isinstance(b, co.Constant):
+        if a != b:
+            raise UnifyError("mismatch", _HEADS_DIFFER)
+        return
     match a, b:
         case (co.VLam(), _) | (_, co.VLam()):
             # Both sides applied to a fresh variable, under the first lambda's
@@ -407,10 +412,6 @@ def unify(store: MetaStore, depth: int, a: Value, b: Value, name_of: NameOf = _u
                 raise UnifyError("mismatch", "pair modes differ")
             unify(store, depth, fst, fst2, name_of)
             unify(store, depth, snd, snd2, name_of)
-            return
-        case co.Constant(), co.Constant():
-            if a != b:
-                raise UnifyError("mismatch", _HEADS_DIFFER)
             return
         case co.VSucc() | co.Lit(), co.VSucc() | co.Lit():
             # succ x against succ y, or against a literal k > 0 as k - 1.

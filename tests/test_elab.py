@@ -627,6 +627,109 @@ let d : Nat -> Nat = \\x. succ c;
         kernel_check(None, ctx.erased(), zonked, co.Univ())
 
 
+def subterms(t: co.Term):
+    """Every node of `t`, once per occurrence, iteratively."""
+    todo = [t]
+    while todo:
+        u = todo.pop()
+        yield u
+        todo.extend(v for v in vars(u).values() if isinstance(v, co.Term))
+
+
+# The child of each binding former that its binder scopes over.
+BINDER_FIELDS = {co.Lam: "body", co.Pi: "cod", co.Sigma: "snd_ty", co.Let: "body"}
+
+
+def rebuild(t: co.Term, f, depth: int) -> co.Term:
+    """`t` with `f(child, depth + k)` for each child, as a new node unless
+    `t` has no children."""
+    fields = t.__match_args__
+    if not any(isinstance(getattr(t, k), co.Term) for k in fields):
+        return t
+    args = [
+        f(v, depth + (BINDER_FIELDS.get(type(t)) == k)) if isinstance(v, co.Term) else v
+        for k, v in ((k, getattr(t, k)) for k in fields)
+    ]
+    return co.succ(*args) if type(t) is co.Succ else type(t)(*args)
+
+
+def reference_zonk(store: MetaStore, t: co.Term, depth: int) -> co.Term:
+    """`zonk` as a full rebuild: a new node for every node with children."""
+
+    def go(u: co.Term, d: int) -> co.Term:
+        spine = []
+        while type(u) is co.App:
+            spine.append(u)
+            u = u.fn
+        entry = store.lookup(u.mid) if type(u) is co.Meta else None
+        if entry is None or entry.solution_body is None:
+            head = rebuild(u, go, d)
+        elif len(u.mask) == len(entry.entries):
+            head = go(entry.solution_body, d)
+        else:
+            return co.normal_form(store, tuple(map(co.vvar, range(d))), spine[0] if spine else u)
+        for app in reversed(spine):
+            head = co.App(app.mode, app.icit, head, go(app.arg, d))
+        return head
+
+    return go(t, depth)
+
+
+def zonked_terms(result):
+    """Each zonked type, body and main of a module, with its depth."""
+    for i, d in enumerate(result.decls):
+        yield i, d.ty
+        yield i, d.body
+    if result.main is not None:
+        yield len(result.decls), result.main[0]
+
+
+class TestSharing:
+    def test_meta_free_corpus_terms_come_back_as_they_are(self, corpus):
+        seen = 0
+        for result in corpus.values():
+            for depth, t in zonked_terms(result):
+                assert zonk(result.store, t, depth) is t
+                for u in subterms(t):
+                    assert co.map_subterms(u, lambda v, _: v) is u
+                    seen += 1
+        assert seen > 900
+
+    def test_zonk_copies_only_the_paths_to_metas(self, monkeypatch):
+        # Every zonk of elaborating the corpus equals the full rebuild, and
+        # the nodes it allocates (those of its output that are neither
+        # nodes of its input nor of a solution) are no more than the nodes
+        # of its input with a meta at or below them.
+        calls = []
+
+        def recording(store, t, depth):
+            out = zonk(store, t, depth)
+            calls.append((store, t, depth, out))
+            return out
+
+        monkeypatch.setattr("tt0.elab.zonk", recording)
+        for path in corpus_files():
+            assert elaborate_text(path.read_text(), str(path)).ok
+        allocated = holding = 0
+        for store, t, depth, out in calls:
+            assert out == reference_zonk(store, t, depth)
+            solutions = [e.solution_body for e in store if e.solution_body is not None]
+            shared = {id(u) for s in [t, *solutions] for u in subterms(s)}
+            allocated += len({id(u) for u in subterms(out)} - shared)
+            metas: dict[int, bool] = {}
+
+            def has_meta(u: co.Term) -> bool:
+                if id(u) not in metas:
+                    kids = [v for v in vars(u).values() if isinstance(v, co.Term)]
+                    metas[id(u)] = type(u) is co.Meta or any(map(has_meta, kids))
+                return metas[id(u)]
+
+            has_meta(t)
+            holding += sum(metas.values())
+        assert len(calls) > 200
+        assert 0 < allocated <= holding
+
+
 # A generator of closed, well-typed Nat-valued surface programs.  Used to
 # check that elaboration succeeds under both flags and that the two
 # evaluators (core NbE and the extracted target) agree.
