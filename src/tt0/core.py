@@ -19,7 +19,6 @@ exactly when the flag is set.
 from __future__ import annotations
 
 import enum
-import operator
 from typing import TYPE_CHECKING, Callable
 
 from .diagnostics import InternalError, KernelError
@@ -226,7 +225,7 @@ def map_subterms(t: Term, f: Callable[[Term, int], Term], depth: int = 0) -> Ter
         case NatElim(motive, a, b, scrut) | BoolElim(motive, a, b, scrut):
             old = (motive, a, b, scrut)
             new = tuple(f(u, depth) for u in old)
-            return t if all(map(operator.is_, new, old)) else type(t)(*new)
+            return t if all(x is y for x, y in zip(new, old)) else type(t)(*new)
         case Let(name, ty, defn, body):
             a, b, c = f(ty, depth), f(defn, depth), f(body, inner)
             return t if a is ty and b is defn and c is body else Let(name, a, b, c)

@@ -111,7 +111,8 @@ def check(store: MetaStore, ctx: Context, t: sf.Surface, expected: Value) -> Ter
             return co.Lam(expected.name, expected.mode, Icit.IMPL, body)
     elif type(t) is sf.SPair and type(expected) is co.VSigma:
         mode = expected.mode
-        fst_t = check(store, ctx.erased() if mode is Mode.ZERO else ctx, t.fst, expected.fst_ty)
+        fst_ctx = ctx.erased() if mode is Mode.ZERO else ctx
+        fst_t = check(store, fst_ctx, t.fst, expected.fst_ty)
         snd_t = check(store, ctx, t.snd, expected.snd_ty.apply(Thunk(ctx.env, fst_t)))
         return co.Pair(mode, fst_t, snd_t)
     if type(t) is sf.SLet:
@@ -183,10 +184,9 @@ def infer(store: MetaStore, ctx: Context, t: sf.Surface) -> tuple[Term, Value]:
             else:
                 got = ctx.show(store, fn_ty)
                 raise ElabError(f"applying a non-function of type {got}", fn.span)
+        # Only an implicit argument can mismatch: explicit ones follow `insert_implicits`.
         if fn_ty.icit is not icit:
-            if icit is Icit.IMPL:
-                raise ElabError("unexpected implicit argument to an explicit function", t.span)
-            raise ElabError("expected an implicit argument", t.span)
+            raise ElabError("unexpected implicit argument to an explicit function", t.span)
         arg_ctx = ctx.erased() if fn_ty.mode is Mode.ZERO else ctx
         arg_t = check(store, arg_ctx, t.arg, fn_ty.dom)
         return co.App(fn_ty.mode, icit, fn_t, arg_t), fn_ty.cod.apply(Thunk(ctx.env, arg_t))
@@ -215,8 +215,10 @@ def infer(store: MetaStore, ctx: Context, t: sf.Surface) -> tuple[Term, Value]:
             snd_t = check_type(store, inner, snd_ty)
             return co.Sigma(name, mode, fst_t, snd_t), co.Univ()
         case sf.SPair():
-            msg = "cannot infer a type for a pair; annotate the enclosing binding"
-            raise ElabError(msg, t.span)
+            raise ElabError(
+                "cannot infer a type for a pair; annotate the enclosing binding",
+                t.span,
+            )
         case sf.SFst(arg=arg) | sf.SSnd(arg=arg):
             pair_t, pair_ty = infer(store, ctx, arg)
             pair_ty = force(store, pair_ty)
@@ -400,11 +402,10 @@ def _prefix_refs(t: Term, depth: int) -> set[int]:
     refs: set[int] = set()
 
     def go(u: Term, c: int) -> Term:
-        match u:
-            case co.Var(ix) if ix >= c:
-                refs.add(depth + c - 1 - ix)
-            case co.Meta():
-                raise InternalError("metavariable in a zonked term")
+        if type(u) is co.Var and u.ix >= c:
+            refs.add(depth + c - 1 - u.ix)
+        elif type(u) is co.Meta:
+            raise InternalError("metavariable in a zonked term")
         return co.map_subterms(u, go, c)
 
     go(t, 0)
@@ -420,8 +421,9 @@ def _thin(t: Term, depth: int, rank: dict[int, int]) -> Term:
         return t  # every entry below `depth` is kept where it was
 
     def go(u: Term, c: int) -> Term:
-        if isinstance(u, co.Var) and u.ix >= c:
-            return co.Var(new_depth + c - 1 - rank[depth + c - 1 - u.ix])
+        if type(u) is co.Var and u.ix >= c:
+            ix = new_depth + c - 1 - rank[depth + c - 1 - u.ix]
+            return u if ix == u.ix else co.Var(ix)
         return co.map_subterms(u, go, c)
 
     return go(t, 0)

@@ -308,7 +308,8 @@ def test_elaborator_message_and_location(src, message, line, cols):
 
 def test_explicit_application_of_an_implicit_function_inserts_the_argument():
     # `insert_implicits` strips every leading implicit Pi before an explicit
-    # argument is checked, so "expected an implicit argument" is not reached.
+    # argument is checked, so an explicit argument never meets an implicit
+    # function type and only an implicit argument can mismatch.
     r = elaborate_text("let f : {A :0 U} -> A -> A = \\{A} x. x;\nmain = f zero;")
     assert r.ok
     assert r.main[0] == co.App(W, EX, co.App(Z0, IM, co.Var(0), NatTy()), co.Lit(0))
@@ -596,6 +597,14 @@ let d : Nat -> Nat = \\x. succ c;
         kernel_check(r.store, Context(), closed, r.decl("d").ty_value)
         applied = co.App(W, Icit.EXPL, closed, co.Lit(0))
         assert normal_form(r.store, (), applied) == co.Lit(3)
+
+    def test_closing_shares_what_thinning_leaves_unchanged(self):
+        src = "let a : Nat = 1;\nlet b : Nat = 2;\nlet c : Nat = succ a;\nmain = succ c;"
+        r = elaborate_text(src)
+        closed = closed_main(r)  # let a = 1 in let c = succ a in succ c
+        # Dropping `b` renumbers `a` in `c`; `c` in main keeps its index.
+        assert closed.body.defn == co.Succ(co.Var(0)) != r.decl("c").body
+        assert closed.body.body is r.main[0]
 
     def test_zonk_of_nested_meta_solutions(self):
         # ?f x = succ (?b x) is solved before ?b; the bare ?b inside ?f's
