@@ -199,6 +199,8 @@ def map_subterms(t: Term, f: Callable[[Term, int], Term], depth: int = 0) -> Ter
     """Rebuild `t` with `f(child, depth + k)` in place of each immediate
     subterm, where `k` is the number of binders `t` puts around that child;
     `t` itself when every child comes back as it was (`is`)."""
+    if type(t) is Var or type(t) in _CONSTANT_ROWS:
+        return t
     inner = depth + 1
     match t:
         case Lam(name, mode, icit, body):

@@ -140,13 +140,12 @@ def _let(store: MetaStore, ctx: Context, t: sf.SLet) -> tuple[Term, Term, Contex
 
 
 def infer(store: MetaStore, ctx: Context, t: sf.Surface) -> tuple[Term, Value]:
-    kind = type(t)
-    if kind is sf.SConst:
+    if type(t) is sf.SConst:
         const, ty, code = co.CONSTANTS[t.keyword]
         if code is not None:
             _require_erased(ctx, t.span, code)
         return const, ty
-    if kind is sf.SVar:
+    if type(t) is sf.SVar:
         found = ctx.lookup(t.name)
         if found is None:
             raise ElabError(f"unbound name {t.name!r}", t.span)
@@ -154,12 +153,12 @@ def infer(store: MetaStore, ctx: Context, t: sf.Surface) -> tuple[Term, Value]:
         if entry.mode is Mode.ZERO and not ctx.flag:
             raise ElabError(f"erased variable {t.name!r} used at runtime", t.span)
         return co.Var(ix), entry.ty
-    if kind is sf.SPi:
+    if type(t) is sf.SPi:
         _require_erased(ctx, t.span, "a function type")
         dom_t = check_type(store, ctx, t.dom)
         inner = ctx.bind(t.name, t.mode, evaluate(ctx.env, dom_t))
         return co.Pi(t.name, t.mode, t.icit, dom_t, check_type(store, inner, t.cod)), co.Univ()
-    if kind is sf.SApp:
+    if type(t) is sf.SApp:
         fn, icit = t.fn, t.icit
         fn_t, fn_ty = infer(store, ctx, fn)
         if type(fn_t) is co.Lam:
@@ -172,25 +171,24 @@ def infer(store: MetaStore, ctx: Context, t: sf.Surface) -> tuple[Term, Value]:
             fn_t, fn_ty = insert_implicits(store, ctx, fn_t, fn_ty, fn.span)
         fn_ty = force(store, fn_ty)
         if type(fn_ty) is not co.VPi:
-            # A metavariable can still become a function type.
-            if co.is_flex(fn_ty):
-                dom_m = fresh_meta(store, ctx.erased(), co.Univ(), fn.span)
-                dom_v = evaluate(ctx.env, dom_m)
-                cod_ctx = ctx.bind("x", Mode.OMEGA, dom_v).erased()
-                cod_m = fresh_meta(store, cod_ctx, co.Univ(), fn.span)
-                pi = co.VPi("x", Mode.OMEGA, icit, dom_v, co.Closure(ctx.env, cod_m))
-                _unify_types(store, ctx, fn.span, fn_ty, pi)
-                fn_ty = pi
-            else:
+            if not co.is_flex(fn_ty):
                 got = ctx.show(store, fn_ty)
                 raise ElabError(f"applying a non-function of type {got}", fn.span)
+            # A metavariable can still become a function type.
+            dom_m = fresh_meta(store, ctx.erased(), co.Univ(), fn.span)
+            dom_v = evaluate(ctx.env, dom_m)
+            cod_ctx = ctx.bind("x", Mode.OMEGA, dom_v).erased()
+            cod_m = fresh_meta(store, cod_ctx, co.Univ(), fn.span)
+            pi = co.VPi("x", Mode.OMEGA, icit, dom_v, co.Closure(ctx.env, cod_m))
+            _unify_types(store, ctx, fn.span, fn_ty, pi)
+            fn_ty = pi
         # Only an implicit argument can mismatch: explicit ones follow `insert_implicits`.
         if fn_ty.icit is not icit:
             raise ElabError("unexpected implicit argument to an explicit function", t.span)
         arg_ctx = ctx.erased() if fn_ty.mode is Mode.ZERO else ctx
         arg_t = check(store, arg_ctx, t.arg, fn_ty.dom)
         return co.App(fn_ty.mode, icit, fn_t, arg_t), fn_ty.cod.apply(Thunk(ctx.env, arg_t))
-    if kind is sf.SNum:
+    if type(t) is sf.SNum:
         return co.Lit(t.value), co.NatTy()
     match t:
         case sf.SLam(name=name, mode=mode, ann=ann, icit=icit, body=body):
