@@ -290,6 +290,60 @@ class TestConv:
         eta = co.VPair(W, co.vfst(W, p), co.vsnd(W, p))
         assert conv(store, 1, eta, p)
 
+    def test_eta_for_functions_in_both_orientations(self):
+        f, g = co.vvar(0), co.vvar(1)
+        eta = VLam("x", W, EX, co.Closure((f,), app(Var(1), Var(0))))
+        assert conv(None, 2, eta, f) and conv(None, 2, f, eta)
+        assert not conv(None, 2, eta, g) and not conv(None, 2, g, eta)
+        # The neutral is applied at the lambda's mode.
+        eta0 = VLam("x", Z0, EX, co.Closure((f,), app(Var(1), Var(0))))
+        assert not conv(None, 2, eta0, f) and not conv(None, 2, f, eta0)
+
+    def test_lambda_modes_distinguished(self):
+        lam0 = evaluate((), lam(Var(0), Z0))
+        lamw = evaluate((), lam(Var(0), W))
+        assert not conv(None, 0, lam0, lamw) and not conv(None, 0, lamw, lam0)
+
+    def test_lambda_implicitness_is_not_compared(self):
+        impl = evaluate((), Lam("x", W, Icit.IMPL, Var(0)))
+        expl = evaluate((), lam(Var(0)))
+        assert conv(None, 0, impl, expl) and conv(None, 0, expl, impl)
+
+    def test_eta_for_pairs_in_both_orientations(self):
+        p, q = co.vvar(0), co.vvar(1)
+        for mode in (W, Z0):
+            eta = co.VPair(mode, co.vfst(mode, p), co.vsnd(mode, p))
+            assert conv(None, 2, eta, p) and conv(None, 2, p, eta)
+            assert not conv(None, 2, eta, q) and not conv(None, 2, q, eta)
+        # The neutral is projected at the pair's mode.
+        eta0 = co.VPair(Z0, co.vfst(W, p), co.vsnd(W, p))
+        assert not conv(None, 2, eta0, p) and not conv(None, 2, p, eta0)
+
+    def test_pi_implicitness_distinguished(self):
+        impl = evaluate((), Pi("x", W, Icit.IMPL, NatTy(), NatTy()))
+        expl = evaluate((), Pi("x", W, EX, NatTy(), NatTy()))
+        assert not conv(None, 0, impl, expl) and not conv(None, 0, expl, impl)
+
+    def test_sigma_modes_distinguished(self):
+        sig0 = evaluate((), co.Sigma("x", Z0, NatTy(), NatTy()))
+        sigw = evaluate((), co.Sigma("x", W, NatTy(), NatTy()))
+        assert not conv(None, 0, sig0, sigw) and not conv(None, 0, sigw, sig0)
+        assert conv(None, 0, sig0, evaluate((), co.Sigma("y", Z0, NatTy(), NatTy())))
+
+    def test_pi_against_sigma(self):
+        pi = evaluate((), Pi("x", W, EX, NatTy(), NatTy()))
+        sigma = evaluate((), co.Sigma("x", W, NatTy(), NatTy()))
+        assert not conv(None, 0, pi, sigma) and not conv(None, 0, sigma, pi)
+
+    def test_binder_congruence_compares_domain_and_codomain(self):
+        for former in (lambda a, b: Pi("x", W, EX, a, b), lambda a, b: co.Sigma("x", W, a, b)):
+            base = evaluate((), former(NatTy(), Var(0)))
+            other_dom = evaluate((), former(co.BoolTy(), Var(0)))
+            other_cod = evaluate((), former(NatTy(), NatTy()))
+            assert conv(None, 0, base, evaluate((), former(NatTy(), Var(0))))
+            assert not conv(None, 0, base, other_dom) and not conv(None, 0, other_dom, base)
+            assert not conv(None, 0, base, other_cod) and not conv(None, 0, other_cod, base)
+
 
 def nat_fn_ty():
     return co.VPi("x", W, EX, NatTy(), co.Closure((), NatTy()))

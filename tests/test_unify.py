@@ -138,6 +138,28 @@ class TestUnify:
         unify(store, ctx.depth, m1, m2, ctx.name)
         assert store.lookup(0).solved or store.lookup(1).solved
 
+    def test_eta_for_pairs_against_a_rigid_neutral(self):
+        p, q = co.vvar(0), co.vvar(1)
+        eta = co.VPair(W, co.vfst(W, p), co.vsnd(W, p))
+        unify(MetaStore(), 2, eta, p)
+        unify(MetaStore(), 2, p, eta)
+        for a, b, message in ((eta, q, "#0 and #1"), (q, eta, "#1 and #0")):
+            with pytest.raises(UnifyError, match=f"variables {message} differ"):
+                unify(MetaStore(), 2, a, b)
+        # The neutral is projected at the pair's mode.
+        eta0 = co.VPair(Z0, co.vfst(W, p), co.vsnd(W, p))
+        for a, b in ((eta0, p), (p, eta0)):
+            with pytest.raises(UnifyError, match="projection modes differ"):
+                unify(MetaStore(), 2, a, b)
+
+    def test_eta_for_pairs_solves_a_meta_inside_a_component(self):
+        store = MetaStore()
+        ctx = Context().bind("p", W, co.VSigma("a", W, NatTy(), co.Closure((), NatTy())))
+        m = flex(store, ctx, NatTy())
+        pair = co.VPair(W, co.vfst(W, co.vvar(0)), m)
+        unify(store, ctx.depth, co.vvar(0), pair, ctx.name)
+        assert conv(store, ctx.depth, force(store, m), co.vsnd(W, co.vvar(0)))
+
     def test_spine_mismatch_same_meta(self):
         store = MetaStore()
         ctx = Context().bind("x", W, NatTy()).bind("y", W, NatTy())
@@ -167,6 +189,19 @@ class TestInvert:
         )
         assert pren.map == {0: (0, W), 1: (1, W)}
         assert len(layout) == 2
+
+    def test_captured_let_and_an_argument_beyond_the_capture(self):
+        store = MetaStore()
+        ctx = Context().define("d", W, NatTy(), Lit(0)).bind("x", W, NatTy())
+        m = fresh_meta(store, ctx, NatTy())
+        assert m == co.Meta(0, (None, W))
+        outer = ctx.bind("z", W, NatTy())
+        v = co.vapp(evaluate(ctx.env, m), W, EX, co.vvar(2))
+        pren, layout = invert(store.lookup(0).entries, spine_of(v), store, outer.depth, outer.name)
+        # The let takes level 0 of the solution, x level 1 and z level 2.
+        assert pren.dom == 3
+        assert pren.map == {1: (1, W), 2: (2, W)}
+        assert layout[-1] == ("z", W)
 
     def test_non_linear(self):
         x = co.vvar(0)
@@ -509,3 +544,28 @@ class TestRenameAgainstQuote:
             assert isinstance(body, co.Succ)
             body = body.arg
         assert body == co.Var(0)
+
+
+class TestAgreementWithConv:
+    def test_conv_and_unify_agree_on_corpus_values_of_one_type(self, corpus):
+        # Meta-free values of one type, at the module's depth: the types of
+        # a module's declarations (all in U), and its Nat-valued bodies.
+        # Both orders of every pair.  (Two pairs of different modes are
+        # never values of one type: `conv` compares them by eta, while
+        # `unify` reports that the pair modes differ.)
+        outcomes = []
+        for result in corpus.values():
+            depth = result.sig.depth
+            types = [d.ty_value for d in result.decls]
+            nats = [d.body_value for d in result.decls if d.ty_value == NatTy()]
+            for values in (types, nats):
+                for a in values:
+                    for b in values:
+                        try:
+                            unify(MetaStore(), depth, a, b)
+                            unified = True
+                        except UnifyError:
+                            unified = False
+                        assert conv(None, depth, a, b) is unified, (a, b)
+                        outcomes.append(unified)
+        assert outcomes.count(False) > 100 and outcomes.count(True) > 100
