@@ -420,10 +420,8 @@ def evaluate(env: Env, t: Term) -> Value:
             return VSigma(name, mode, evaluate(env, fst_ty), Closure(env, snd_ty))
         case Pair(mode, fst, snd):
             return VPair(mode, evaluate(env, fst), evaluate(env, snd))
-        case Fst(mode, pair):
-            return vfst(mode, evaluate(env, pair))
-        case Snd(mode, pair):
-            return vsnd(mode, evaluate(env, pair))
+        case Fst(mode, pair) | Snd(mode, pair):
+            return (vfst if type(t) is Fst else vsnd)(mode, evaluate(env, pair))
         case Succ(arg):
             return vsucc(evaluate(env, arg))
         case NatElim(motive, a, b, scrut) | BoolElim(motive, a, b, scrut):
@@ -505,10 +503,8 @@ def apply_spine(v: Value, spine: tuple[SpineItem, ...]) -> Value:
         match item:
             case SApp(mode, icit, arg):
                 v = vapp(v, mode, icit, arg)
-            case SFst(mode):
-                v = vfst(mode, v)
-            case SSnd(mode):
-                v = vsnd(mode, v)
+            case SFst(mode) | SSnd(mode):
+                v = (vfst if type(item) is SFst else vsnd)(mode, v)
             case SNatElim(motive, a, b) | SBoolElim(motive, a, b):
                 v = (vnatelim if type(item) is SNatElim else vboolelim)(motive, a, b, v)
     return v
@@ -571,10 +567,8 @@ def _quote_spine_item(store: "MetaStore", depth: int, t: Term, item: SpineItem) 
     match item:
         case SApp(mode, icit, arg):
             return App(mode, icit, t, quote(store, depth, arg))
-        case SFst(mode):
-            return Fst(mode, t)
-        case SSnd(mode):
-            return Snd(mode, t)
+        case SFst(mode) | SSnd(mode):
+            return (Fst if type(item) is SFst else Snd)(mode, t)
         case SNatElim(motive, a, b) | SBoolElim(motive, a, b):
             elim = NatElim if type(item) is SNatElim else BoolElim
             return elim(*(quote(store, depth, u) for u in (motive, a, b)), t)
@@ -597,39 +591,29 @@ def conv(store: "MetaStore | None", depth: int, a: Value, b: Value) -> bool:
     if isinstance(a, Constant) and isinstance(b, Constant):
         return a == b
     match a, b:
-        case VLam(_, mode, _, clos), VLam(_, mode2, _, clos2):
-            if mode is not mode2:
+        case (VLam(_, mode, icit, _), _) | (_, VLam(_, mode, icit, _)):
+            # Both sides applied to a fresh variable as the first lambda
+            # binds it (eta for a side that is not a lambda).
+            if type(b) is VLam and b.mode is not mode:
                 return False
             x = vvar(depth)
-            return conv(store, depth + 1, clos.apply(x), clos2.apply(x))
-        case VLam(_, mode, icit, clos), _:
-            x = vvar(depth)
-            return conv(store, depth + 1, clos.apply(x), vapp(b, mode, icit, x))
-        case _, VLam(_, mode, icit, clos):
-            x = vvar(depth)
-            return conv(store, depth + 1, vapp(a, mode, icit, x), clos.apply(x))
-        case VPair(mode, fst, snd), _:
-            return conv(store, depth, fst, vfst(mode, b)) and conv(
-                store, depth, snd, vsnd(mode, b)
+            return conv(store, depth + 1, vapp(a, mode, icit, x), vapp(b, mode, icit, x))
+        case (VPair(mode, _, _), _) | (_, VPair(mode, _, _)):
+            # Both sides projected at the first pair's mode (eta for a side
+            # that is not a pair).
+            return conv(store, depth, vfst(mode, a), vfst(mode, b)) and conv(
+                store, depth, vsnd(mode, a), vsnd(mode, b)
             )
-        case _, VPair(mode, fst, snd):
-            return conv(store, depth, vfst(mode, a), fst) and conv(
-                store, depth, vsnd(mode, a), snd
+        case (VPi(_, mode, _, dom, cod), VPi(_, mode2, _, dom2, cod2)) | (
+            VSigma(_, mode, dom, cod), VSigma(_, mode2, dom2, cod2)
+        ):
+            # Only a function type has an implicitness to compare.
+            if mode is not mode2 or type(a) is VPi and a.icit is not b.icit:
+                return False
+            x = vvar(depth)
+            return conv(store, depth, dom, dom2) and conv(
+                store, depth + 1, cod.apply(x), cod2.apply(x)
             )
-        case VPi(_, mode, icit, dom, cod), VPi(_, mode2, icit2, dom2, cod2):
-            if mode is not mode2 or icit is not icit2:
-                return False
-            if not conv(store, depth, dom, dom2):
-                return False
-            x = vvar(depth)
-            return conv(store, depth + 1, cod.apply(x), cod2.apply(x))
-        case VSigma(_, mode, fst_ty, snd_ty), VSigma(_, mode2, fst2, snd2):
-            if mode is not mode2:
-                return False
-            if not conv(store, depth, fst_ty, fst2):
-                return False
-            x = vvar(depth)
-            return conv(store, depth + 1, snd_ty.apply(x), snd2.apply(x))
         case VSucc() | Lit(), VSucc() | Lit():
             # succ x against succ y, or against a literal k > 0 as k - 1.
             x, y = vpred(a), vpred(b)

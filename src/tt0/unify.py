@@ -104,15 +104,18 @@ def capture_context(store: MetaStore, ctx: Context) -> tuple[CapturedEntry, ...]
     return tuple(captured)
 
 
-def close_type(entries: tuple[CapturedEntry, ...], ty: Term) -> Term:
-    """Abstract a type over a captured context: Pi for binders, Let for
-    definitions."""
+def close(entries: tuple[CapturedEntry, ...], t: Term, solution: bool = False) -> Term:
+    """Close a term over a captured context: a let for each definition, and
+    for each binder a Pi around a meta's type or a lambda around its
+    solution."""
     for e in reversed(entries):
-        if e.defn is None:
-            ty = co.Pi(e.name, e.mode, Icit.EXPL, e.ty, ty)
+        if e.defn is not None:
+            t = co.Let(e.name, e.ty, e.defn, t)
+        elif solution:
+            t = co.Lam(e.name, e.mode, Icit.EXPL, t)
         else:
-            ty = co.Let(e.name, e.ty, e.defn, ty)
-    return ty
+            t = co.Pi(e.name, e.mode, Icit.EXPL, e.ty, t)
+    return t
 
 
 def fresh_meta(store: MetaStore, ctx: Context, ty: Value, span: Span | None = None) -> Term:
@@ -127,7 +130,7 @@ def fresh_meta(store: MetaStore, ctx: Context, ty: Value, span: Span | None = No
         sig=sig,
         entries=entries,
         ty=ty_term,
-        closed_ty_value=evaluate(sig.env, close_type(entries, ty_term)),
+        closed_ty_value=evaluate(sig.env, close(entries, ty_term)),
         span=span,
     )
     store.fresh(entry)
@@ -165,15 +168,14 @@ def invert(
     cod_depth: int,
     name_of: NameOf = _unnamed,
     top: int = 0,
-) -> tuple[PartialRenaming, list[tuple[str, Mode] | CapturedEntry]]:
+) -> tuple[PartialRenaming, list[tuple[str, Mode]]]:
     """Check the pattern condition on a meta's spine and build the renaming.
 
-    Returns the renaming together with the binder layout of the solution,
-    which sits under the meta's signature of `top` entries: one lambda per
-    bound captured entry (paired positionally with a spine argument), one
-    let per defined entry, and one lambda per spine argument beyond the
-    capture.  An argument beyond the capture names its lambda after its
-    variable, through `name_of`.
+    The solution sits under the meta's signature of `top` entries and its
+    captured entries, each bound one paired positionally with a spine
+    argument.  Returns the renaming together with the binders beyond the
+    capture: one lambda per further argument, named after its variable
+    through `name_of`.
     """
     if not all(isinstance(item, co.SApp) for item in spine):
         raise UnifyError(
@@ -181,30 +183,23 @@ def invert(
             "non-pattern spine: a projection or eliminator is applied to a "
             "metavariable",
         )
-    if len(spine) < sum(1 for e in entries if e.defn is None):
-        raise UnifyError("non-pattern", "non-pattern spine: metavariable under-applied")
-
     # Each bound captured entry takes the next spine argument, with the
-    # entry's name and mode; the arguments beyond the capture follow.
-    args = iter(spine)
-    slots = [e if e.defn is not None else (e.name, e.mode, next(args)) for e in entries]
-    slots += [(None, item.mode, item) for item in args]
+    # entry's level and mode; the arguments beyond the capture follow.
+    slots = [(dom, e.mode) for dom, e in enumerate(entries, top) if e.defn is None]
+    if len(spine) < len(slots):
+        raise UnifyError("non-pattern", "non-pattern spine: metavariable under-applied")
+    beyond = spine[len(slots) :]
+    first = top + len(entries)  # the level of the first binder beyond the capture
+    slots += [(dom, item.mode) for dom, item in enumerate(beyond, first)]
     ren: dict[int, tuple[int, Mode]] = {}
-    layout: list[tuple[str, Mode] | CapturedEntry] = []
-    for dom, slot in enumerate(slots, top):
-        if isinstance(slot, CapturedEntry):
-            layout.append(slot)
-            continue
-        name, mode, item = slot
+    for slot, item in zip(slots, spine):
         lvl = _spine_var(store, item)
         if lvl in ren:
             what = _name_at(name_of, lvl)
             raise UnifyError("non-linear", f"non-linear spine: variable {what} occurs twice")
-        ren[lvl] = (dom, mode)
-        if name is None:
-            name = name_of(lvl) or f"x{lvl}"
-        layout.append((name, mode))
-    return PartialRenaming(dom=top + len(slots), cod=cod_depth, map=ren, top=top), layout
+        ren[lvl] = slot
+    binders = [(name_of(k) or f"x{k}", mode) for k, (dom, mode) in ren.items() if dom >= first]
+    return PartialRenaming(dom=first + len(beyond), cod=cod_depth, map=ren, top=top), binders
 
 
 def _spine_var(store: MetaStore, item: co.SApp) -> int:
@@ -329,13 +324,15 @@ def solve(
     entry = store.lookup(mid)
     if entry.solved:
         raise InternalError(f"?{mid} is already solved")
-    pren, layout = invert(entry.entries, spine, store, depth, name_of, entry.sig.depth)
+    pren, binders = invert(entry.entries, spine, store, depth, name_of, entry.sig.depth)
     pren.allow_erased = entry.flag
     # The lambdas for the arguments beyond the capture give the solution
-    # under the captured context; the captured binders around it close it.
-    n = len(entry.entries)
-    body = _abstract(rename(store, mid, pren, rhs, name_of), layout[n:])
-    closed = _abstract(body, layout[:n])
+    # under the captured context; closing it over the capture gives it in
+    # the signature.
+    body = rename(store, mid, pren, rhs, name_of)
+    for name, mode in reversed(binders):
+        body = co.Lam(name, mode, Icit.EXPL, body)
+    closed = close(entry.entries, body, solution=True)
 
     try:
         co.kernel_check(store, entry.sig, closed, entry.closed_ty_value)
@@ -347,16 +344,6 @@ def solve(
     entry.solution_closed = closed
     entry.solution_body = body
     entry.solution_value = evaluate(entry.sig.env, closed)
-
-
-def _abstract(t: Term, binders: list[tuple[str, Mode] | CapturedEntry]) -> Term:
-    """Wrap `t` in a let per captured definition and a lambda per other binder."""
-    for binder in reversed(binders):
-        if isinstance(binder, CapturedEntry):
-            t = co.Let(binder.name, binder.ty, binder.defn, t)
-        else:
-            t = co.Lam(*binder, Icit.EXPL, t)
-    return t
 
 
 # ---------------------------------------------------------------------------
@@ -373,45 +360,32 @@ def unify(store: MetaStore, depth: int, a: Value, b: Value, name_of: NameOf = _u
             raise UnifyError("mismatch", _HEADS_DIFFER)
         return
     match a, b:
-        case (co.VLam(), _) | (_, co.VLam()):
+        case (co.VLam(name, mode, icit, _), _) | (_, co.VLam(name, mode, icit, _)):
             # Both sides applied to a fresh variable, under the first lambda's
             # binder (eta for a side that is not a lambda).
-            lam = a if type(a) is co.VLam else b
-            if type(b) is co.VLam and b.mode is not lam.mode:
+            if type(b) is co.VLam and b.mode is not mode:
                 raise UnifyError("mismatch", "lambda modes differ")
             x = vvar(depth)
-            a, b = co.vapp(a, lam.mode, lam.icit, x), co.vapp(b, lam.mode, lam.icit, x)
-            unify(store, depth + 1, a, b, _under(name_of, depth, lam.name))
+            a, b = co.vapp(a, mode, icit, x), co.vapp(b, mode, icit, x)
+            unify(store, depth + 1, a, b, _under(name_of, depth, name))
             return
-        case co.VPi(name, mode, icit, dom, cod), co.VPi(_, mode2, icit2, dom2, cod2):
+        case (co.VPi(name, mode, _, dom, cod), co.VPi(_, mode2, _, dom2, cod2)) | (
+            co.VSigma(name, mode, dom, cod), co.VSigma(_, mode2, dom2, cod2)
+        ):
+            # Only a function type has an implicitness to compare.
+            pi = type(a) is co.VPi
+            what, mark = ("function", "Π") if pi else ("pair", "*")
             if mode is not mode2:
                 raise UnifyError(
                     "mismatch",
-                    f"function type modes differ (Π{_mode_mark(mode)} vs "
-                    f"Π{_mode_mark(mode2)})",
+                    f"{what} type modes differ ({mark}{_mode_mark(mode)} vs "
+                    f"{mark}{_mode_mark(mode2)})",
                 )
-            if icit is not icit2:
+            if pi and a.icit is not b.icit:
                 raise UnifyError("mismatch", "function type implicitness differs")
             unify(store, depth, dom, dom2, name_of)
             x = vvar(depth)
             unify(store, depth + 1, cod.apply(x), cod2.apply(x), _under(name_of, depth, name))
-            return
-        case co.VSigma(name, mode, fst, snd), co.VSigma(_, mode2, fst2, snd2):
-            if mode is not mode2:
-                raise UnifyError(
-                    "mismatch",
-                    f"pair type modes differ (*{_mode_mark(mode)} vs "
-                    f"*{_mode_mark(mode2)})",
-                )
-            unify(store, depth, fst, fst2, name_of)
-            x = vvar(depth)
-            unify(store, depth + 1, snd.apply(x), snd2.apply(x), _under(name_of, depth, name))
-            return
-        case co.VPair(mode, fst, snd), co.VPair(mode2, fst2, snd2):
-            if mode is not mode2:
-                raise UnifyError("mismatch", "pair modes differ")
-            unify(store, depth, fst, fst2, name_of)
-            unify(store, depth, snd, snd2, name_of)
             return
         case co.VSucc() | co.Lit(), co.VSucc() | co.Lit():
             # succ x against succ y, or against a literal k > 0 as k - 1.
@@ -438,16 +412,15 @@ def unify(store: MetaStore, depth: int, a: Value, b: Value, name_of: NameOf = _u
         case _, VNeutral(co.MetaH(m2), s2):
             solve(store, depth, m2, s2, a, name_of)
             return
-        # Pair eta against a rigid neutral comes after meta solving so that a
-        # flexible head is solved directly rather than eta-split into a
-        # non-pattern projection spine.
-        case co.VPair(mode, fst, snd), _:
-            unify(store, depth, fst, co.vfst(mode, b), name_of)
-            unify(store, depth, snd, co.vsnd(mode, b), name_of)
-            return
-        case _, co.VPair(mode, fst, snd):
-            unify(store, depth, co.vfst(mode, a), fst, name_of)
-            unify(store, depth, co.vsnd(mode, a), snd, name_of)
+        case (co.VPair(mode, _, _), _) | (_, co.VPair(mode, _, _)):
+            # Both sides projected at the first pair's mode (eta for a side
+            # that is not a pair).  After meta solving, so that a flexible
+            # head is solved directly rather than eta-split into a
+            # non-pattern projection spine.
+            if type(b) is co.VPair and b.mode is not mode:
+                raise UnifyError("mismatch", "pair modes differ")
+            unify(store, depth, co.vfst(mode, a), co.vfst(mode, b), name_of)
+            unify(store, depth, co.vsnd(mode, a), co.vsnd(mode, b), name_of)
             return
         case VNeutral(h1, s1), VNeutral(h2, s2):
             if h1 != h2:

@@ -184,11 +184,11 @@ class TestInvert:
 
     def test_distinct_variables(self):
         v = evaluate(self.ctx.env, self.meta)
-        pren, layout = invert(
+        pren, binders = invert(
             self.entries, spine_of(v), self.store, self.ctx.depth, self.ctx.name
         )
         assert pren.map == {0: (0, W), 1: (1, W)}
-        assert len(layout) == 2
+        assert binders == []  # none beyond the capture
 
     def test_captured_let_and_an_argument_beyond_the_capture(self):
         store = MetaStore()
