@@ -125,10 +125,8 @@ def _extract(levels: list[int | None], n: int, t: Term) -> Target:
             return TPair(_extract(levels, n, fst), _extract(levels, n, snd))
         case co.Pair(Mode.ZERO, _, snd):
             return _extract(levels, n, snd)
-        case co.Fst(Mode.OMEGA, pair):
-            return TFst(_extract(levels, n, pair))
-        case co.Snd(Mode.OMEGA, pair):
-            return TSnd(_extract(levels, n, pair))
+        case co.Fst(Mode.OMEGA, pair) | co.Snd(Mode.OMEGA, pair):
+            return (TFst if type(t) is co.Fst else TSnd)(_extract(levels, n, pair))
         case co.Snd(Mode.ZERO, pair):
             return _extract(levels, n, pair)
         case co.Lit(k):
@@ -446,12 +444,9 @@ def pp_target(t: Target, names: tuple[str, ...] = (), prec: int = 0) -> str:
             )
         case TPair(fst, snd):
             return f"({pp_target(fst, names, 0)}, {pp_target(snd, names, 0)})"
-        case TFst(arg):
-            return _wrap(f"fst {pp_target(arg, names, 2)}", prec, 1)
-        case TSnd(arg):
-            return _wrap(f"snd {pp_target(arg, names, 2)}", prec, 1)
-        case TSucc(arg):
-            return _wrap(f"succ {pp_target(arg, names, 2)}", prec, 1)
+        case TFst(arg) | TSnd(arg) | TSucc(arg):
+            word = {TFst: "fst", TSnd: "snd", TSucc: "succ"}[type(t)]
+            return _wrap(f"{word} {pp_target(arg, names, 2)}", prec, 1)
         case TNatRec(z, s, n):
             parts = " ".join(pp_target(u, names, 2) for u in (z, s, n))
             return _wrap(f"natrec {parts}", prec, 1)

@@ -65,7 +65,6 @@ class SweepRow(Record):
     name: str
     zeroing_ok: bool
     stripping_ok: bool
-    detail: str = ""
 
 
 def sweep(result: ElabResult) -> list[SweepRow]:
@@ -77,21 +76,18 @@ def sweep(result: ElabResult) -> list[SweepRow]:
     stripped_sig = Context()
     for i, d in enumerate(result.decls):
         zero_ok = strip_ok = True
-        detail = ""
         try:
             check_zeroing(result.sig.prefix(i), d.body, d.ty_value)
-        except InternalError as e:
+        except InternalError:
             zero_ok = False
-            detail = e.message
         s_ty = strip_modes(d.ty)
         s_body = strip_modes(d.body)
         try:
             s_ty_v = recheck_stripped(stripped_sig, s_body, s_ty)
-        except InternalError as e:
+        except InternalError:
             strip_ok = False
-            detail = e.message
             s_ty_v = evaluate(stripped_sig.env, s_ty)
-        rows.append(SweepRow(d.name, zero_ok, strip_ok, detail))
+        rows.append(SweepRow(d.name, zero_ok, strip_ok))
         s_body_th = co.definition(stripped_sig.env, s_body)
         stripped_sig = stripped_sig.declare(d.name, s_ty_v, s_body_th)
     return rows

@@ -83,7 +83,7 @@ RECORDS = {
     "unify.PartialRenaming": "dom cod map allow_erased top",
     "elab.DeclInfo": "name span ty body ty_value body_thunk",
     "elab.ElabResult": "decls main store sig errors",
-    "translate.SweepRow": "name zeroing_ok stripping_ok detail",
+    "translate.SweepRow": "name zeroing_ok stripping_ok",
     "extract.Target": "",
     "extract.TVar": "ix",
     "extract.TLam": "name* body",
