@@ -44,6 +44,21 @@ class TestCheck:
         assert code == 1
         assert "unsolved metavariable" in err
 
+    def test_masked_meta_in_a_closed_solution_is_reported_unsolved(self, capsys, tmp_path):
+        # The hole under `let c` is captured by the domain meta of the head
+        # lambda as `c`'s own term, so the kernel meets it masked while it
+        # re-checks that meta's closed solution.
+        f = tmp_path / "masked.tt0"
+        f.write_text(
+            "let g : Nat -> Nat = \\a. let c : Nat = _ in "
+            "let d : Nat = succ a in (\\(x : _). x) d;\n"
+        )
+        code, _, err = run(capsys, "check", str(f))
+        assert code == 1
+        assert err.splitlines()[0] == (
+            f"{f}:1:40: error: unsolved metavariable ?0 : Nat in context (a : Nat)"
+        )
+
     def test_parse_error_has_location(self, capsys):
         code, _, err = run(capsys, "check", str(BAD_CORPUS / "bad_parse.tt0"))
         assert code == 1

@@ -427,6 +427,21 @@ class TestKernel:
             with pytest.raises(KernelError, match="type mismatch"):
                 kernel_check(store, ctx, Var(0), in_f(Lit(k)))
 
+    def test_meta_whose_capture_holds_a_let(self):
+        # ?m : F (succ a) in (c := 1, a : Nat) under the signature F, with
+        # mask (let, ω): its type is read where it occurs.
+        store = MetaStore()
+        fam = evaluate((), Pi("k", W, EX, NatTy(), co.Univ()))
+        ctx = Context().declare("F", fam).define("c", W, NatTy(), Lit(1))
+        ctx = ctx.bind("a", W, NatTy())
+        ty = co.vapp(co.vvar(0), W, EX, co.vsucc(co.vvar(2)))
+        m = fresh_meta(store, ctx, ty)
+        assert m == co.Meta(0, (None, W))
+        kernel_check(store, ctx, m, ty)
+        with pytest.raises(KernelError) as err:
+            kernel_check(store, ctx, m, co.BoolTy())
+        assert err.value.message == "type mismatch: expected Bool, got F (succ a)"
+
     def test_type_code_rejected_at_runtime(self):
         with pytest.raises(KernelError, match="type code"):
             kernel_infer(MetaStore(), Context(), NatTy())
