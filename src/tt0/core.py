@@ -394,10 +394,6 @@ def vvar(lvl: int) -> VNeutral:
         return _VARS[lvl]
 
 
-def is_flex(v: Value) -> bool:
-    return isinstance(v, VNeutral) and isinstance(v.head, MetaH)
-
-
 # ---------------------------------------------------------------------------
 # Evaluation.  Pure in the meta store: unsolved and solved metas alike
 # evaluate to flexible neutrals; `force` consults the store.  Call-by-need
@@ -875,19 +871,13 @@ def kernel_infer(store: "MetaStore | None", ctx: Context, t: Term) -> Value:
             if store is None:
                 raise InternalError(f"metavariable ?{mid} reached the kernel without a store")
             entry = store.lookup(mid)
-            if mask and entry.sig.depth + len(mask) != ctx.depth:
+            if not mask:
+                return entry.closed_ty_value
+            if entry.sig.depth + len(mask) != ctx.depth:
                 raise InternalError(
                     f"meta mask length {len(mask)} != depth {ctx.depth} - {entry.sig.depth}"
                 )
-            ty = entry.closed_ty_value
-            for i, m in enumerate(mask, ctx.depth - len(mask)):
-                if m is None:
-                    continue
-                ty = force(store, ty)
-                if not isinstance(ty, VPi):
-                    raise InternalError("meta over-applied")
-                ty = ty.cod.apply(ctx.env[i])
-            return ty
+            return evaluate(ctx.env, entry.ty)  # the capture is the context's tail
         case Lam() | Pair():
             raise KernelError("cannot infer a type for an unannotated introduction")
     raise AssertionError(f"unhandled term {t!r}")

@@ -171,7 +171,7 @@ def infer(store: MetaStore, ctx: Context, t: sf.Surface) -> tuple[Term, Value]:
             fn_t, fn_ty = insert_implicits(store, ctx, fn_t, fn_ty, fn.span)
         fn_ty = force(store, fn_ty)
         if type(fn_ty) is not co.VPi:
-            if not co.is_flex(fn_ty):
+            if type(fn_ty) is not co.VNeutral or type(fn_ty.head) is not co.MetaH:
                 got = ctx.show(store, fn_ty)
                 raise ElabError(f"applying a non-function of type {got}", fn.span)
             # A metavariable can still become a function type.
@@ -350,37 +350,32 @@ def elaborate_module(m: sf.Module) -> ElabResult:
                 e.span = m.source.span(*e.span)
         return ElabResult(decls, main, store, sig, errors)
 
-    # Zonk and re-check everything with the kernel, given no meta store:
-    # zonked terms hold no metas.
     zonked: list[DeclInfo] = []
     sig = Context()
     for d in decls:
-        ty_t = zonk(store, d.ty, sig.depth)
-        body_t = zonk(store, d.body, sig.depth)
-        ty_v = evaluate(sig.env, ty_t)
+        ty_t, body_t, ty_v = _recheck(store, sig, d.ty, d.body, f"declaration {d.name!r}")
         body_th = definition(sig.env, body_t)
-        try:
-            co.kernel_check(None, sig.erased(), ty_t, co.Univ())
-            co.kernel_check(None, sig, body_t, ty_v)
-        except Diagnostic as e:
-            raise InternalError(
-                f"kernel rejected elaborated declaration {d.name!r}: {e.message}"
-            ) from e
         zonked.append(DeclInfo(d.name, d.span, ty_t, body_t, ty_v, body_th))
         sig = sig.declare(d.name, ty_v, body_th)
     if main is not None:
-        main_t = zonk(store, main[0], sig.depth)
-        main_ty_t = zonk(store, quote(store, sig.depth, main[1]), sig.depth)
-        main_ty_v = evaluate(sig.env, main_ty_t)
-        try:
-            co.kernel_check(None, sig, main_t, main_ty_v)
-        except Diagnostic as e:
-            raise InternalError(
-                f"kernel rejected elaborated main expression: {e.message}"
-            ) from e
-        main = (main_t, main_ty_v)
+        ty_t = quote(store, sig.depth, main[1])
+        main = _recheck(store, sig, ty_t, main[0], "main expression")[1:]
 
     return ElabResult(zonked, main, store, sig, errors)
+
+
+def _recheck(
+    store: MetaStore, sig: Context, ty_t: Term, t: Term, what: str
+) -> tuple[Term, Term, Value]:
+    """Zonk a definition's type and term in `sig`, and re-check both with no meta store."""
+    ty_t, t = zonk(store, ty_t, sig.depth), zonk(store, t, sig.depth)
+    ty_v = evaluate(sig.env, ty_t)
+    try:
+        co.kernel_check(None, sig.erased(), ty_t, co.Univ())
+        co.kernel_check(None, sig, t, ty_v)
+    except Diagnostic as e:
+        raise InternalError(f"kernel rejected elaborated {what}: {e.message}") from e
+    return ty_t, t, ty_v
 
 
 def elaborate_text(source: str, filename: str = "<input>") -> ElabResult:

@@ -63,27 +63,17 @@ class MetaEntry(Record, frozen=False):
         return self.solution_closed is not None
 
 
-class MetaStore:
-    """The mutable store of metavariables owned by one elaboration session."""
+class MetaStore(list[MetaEntry]):
+    """The metavariables of one elaboration session, each at the index of its id."""
 
-    def __init__(self) -> None:
-        self._entries: list[MetaEntry] = []
-
-    def lookup(self, mid: int) -> MetaEntry:
-        return self._entries[mid]
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def __iter__(self):
-        return iter(self._entries)
+    lookup = list.__getitem__
 
     def unsolved(self) -> list[MetaEntry]:
-        return [e for e in self._entries if not e.solved]
+        return [e for e in self if not e.solved]
 
     def fresh(self, entry: MetaEntry) -> MetaEntry:
-        assert entry.mid == len(self._entries)
-        self._entries.append(entry)
+        assert entry.mid == len(self)
+        self.append(entry)
         return entry
 
 
