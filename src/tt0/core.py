@@ -19,6 +19,7 @@ exactly when the flag is set.
 from __future__ import annotations
 
 import enum
+import itertools
 from typing import TYPE_CHECKING, Callable
 
 from .diagnostics import InternalError, KernelError
@@ -464,19 +465,22 @@ def vsnd(mode: Mode, v: Value) -> Value:
 
 
 def vnatelim(motive: Value, zcase: Value, scase: Value, scrut: Value) -> Value:
+    # The scrutinee is successors of a base, and a literal k is k successors
+    # of zero: the step case applies from the base upwards, in one loop.
+    chain: list[Value] = []  # the predecessor under each successor, outermost first
+    while type(scrut) is VSucc:
+        chain.append(scrut.arg)
+        scrut = scrut.arg
     match scrut:
         case Lit(k):
-            # The step case from the base upwards, as the VSucc case below
-            # would apply it to a chain of k successors.
-            ih = zcase
-            for i in range(k):
-                ih = _nat_step(scase, Lit(i), ih)
-            return ih
-        case VSucc(pred):
-            return _nat_step(scase, pred, vnatelim(motive, zcase, scase, pred))
+            ih, below = zcase, map(Lit, range(k))
         case VNeutral(head, spine):
-            return VNeutral(head, spine + (SNatElim(motive, zcase, scase),))
-    raise InternalError(f"natural-number elimination of {scrut!r}")
+            ih, below = VNeutral(head, spine + (SNatElim(motive, zcase, scase),)), ()
+        case _:
+            raise InternalError(f"natural-number elimination of {scrut!r}")
+    for pred in itertools.chain(below, reversed(chain)):
+        ih = _nat_step(scase, pred, ih)
+    return ih
 
 
 def _nat_step(scase: Value, pred: Value, ih: Value) -> Value:
@@ -544,9 +548,15 @@ def quote(store: "MetaStore", depth: int, v: Value) -> Term:
             return Pair(mode, quote(store, depth, fst), quote(store, depth, snd))
         case Constant():
             return v
-        case VSucc(arg):
-            # The argument may be a meta solved to a literal.
-            return succ(quote(store, depth, arg))
+        case VSucc():
+            # Counted in a loop; the base may be a meta solved to a literal.
+            k = 0
+            while type(v) is VSucc:
+                v, k = force(store, v.arg), k + 1
+            t = quote(store, depth, v)
+            for _ in range(k):
+                t = succ(t)
+            return t
         case VNeutral(head, spine):
             t: Term
             if isinstance(head, VarH):
@@ -960,8 +970,11 @@ def pp(t: Term, names: tuple[str, ...] = (), prec: int = 0) -> str:
             return succ_chain(n, prec, 2)
         case Constant():
             return _CONSTANT_ROWS[type(t)][0]
-        case Succ(arg):
-            return _wrap(f"succ {pp(arg, names, 3)}", prec, 2)
+        case Succ():
+            k = 0
+            while type(t) is Succ:
+                t, k = t.arg, k + 1
+            return succ_chain(k, prec, 2, pp(t, names, 3))
         case Fst(mode, pair) | Snd(mode, pair):
             word = "fst" if type(t) is Fst else "snd"
             return _wrap(f"{word}{_mark(mode)} {pp(pair, names, 3)}", prec, 2)
@@ -1010,13 +1023,13 @@ def pp(t: Term, names: tuple[str, ...] = (), prec: int = 0) -> str:
     raise AssertionError(f"unhandled term {t!r}")
 
 
-def succ_chain(n: int, prec: int, at: int) -> str:
-    """The text `succ (succ (... zero))` of the numeral n, built without
-    recursion: `succ u` binds at precedence `at`, so it is parenthesised as
-    an argument and where `prec` is above `at`."""
+def succ_chain(n: int, prec: int, at: int, base: str = "zero") -> str:
+    """The text `succ (succ (... base))` of n successors of `base` (an atom),
+    built without recursion: `succ u` binds at precedence `at`, so it is
+    parenthesised as an argument and where `prec` is above `at`."""
     if n == 0:
-        return "zero"
-    text = "succ " + "(succ " * (n - 1) + "zero" + ")" * (n - 1)
+        return base
+    text = "succ " + "(succ " * (n - 1) + base + ")" * (n - 1)
     return _wrap(text, prec, at)
 
 

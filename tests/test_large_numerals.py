@@ -159,3 +159,51 @@ def test_chains_of_definitions_at_default_recursion_limit():
     proc = python("-c", script, decls, nested)
     assert proc.returncode == 0, proc.stderr[-2000:]
     assert proc.stdout.splitlines() == ["Lit(n=2000)", "Lit(n=300)"]
+
+
+def test_normal_form_of_a_long_successor_chain_over_a_variable(tmp_path):
+    # 150 000 successors of a neutral, built, eliminated, read back and
+    # printed in loops.  The four commands run side by side.
+    n = 150_000
+    f = tmp_path / "nf.tt0"
+    f.write_text(
+        PLUS
+        + f"let f : Nat -> Nat = \\x. plus {n} x;\n"
+        + f"let g : Nat -> Nat = \\x. natElim (\\k. Nat) zero (\\k ih. succ ih) (plus {n} x);\n"
+    )
+    x_json = '{"tag": "Var", "ix": 0}'
+
+    def lam_json(name: str, body: str) -> str:
+        return f'{{"tag": "Lam", "name": "{name}", "mode": "w", "implicit": false, "body": {body}}}'
+
+    nat_json, succ_x_json = '{"tag": "Nat"}', f'{{"tag": "succ", "arg": {x_json}}}'
+    elim_json = (
+        f'{{"tag": "natElim", "motive": {lam_json("k", nat_json)}, '
+        f'"zcase": {{"tag": "zero"}}, "scase": {lam_json("k", lam_json("ih", succ_x_json))}, '
+        f'"scrut": {x_json}}}'
+    )
+    bases = {
+        "f": ("x", x_json),
+        "g": ("(natElim (λ k. Nat) zero (λ k. λ ih. succ ih) x)", elim_json),
+    }
+    env = {**os.environ, "PYTHONPATH": str(REPO / "src")}
+    procs = {
+        (name, flags): subprocess.Popen(
+            [sys.executable, "-m", "tt0", "nf", str(f), "--def", name, *flags],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            text=True,
+            env=env,
+        )
+        for name in bases
+        for flags in ((), ("--json",))
+    }
+    for (name, flags), proc in procs.items():
+        out, err = proc.communicate(timeout=300)
+        assert proc.returncode == 0, err[-2000:]
+        base, base_json = bases[name]
+        if flags:
+            chain = '{"tag": "succ", "arg": ' * n + base_json + "}" * n
+            assert out == f'{{"version": 1, "nf": {lam_json("x", chain)}}}\n'
+        else:
+            assert out == "λ x. succ " + "(succ " * (n - 1) + base + ")" * (n - 1) + "\n"
