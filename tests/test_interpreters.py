@@ -1,12 +1,14 @@
 """Every declared interpreter prints what the tier-1 interpreter prints.
 
-For each of `python3.10` … `python3.13` found on `PATH`, one child process
-runs `check`, `elab`, `meta` and `run`, each with `--json`, over every
-corpus file, good and bad, and reports each command's stdout, stderr and
-exit code.  They must be identical to those of the same child run under
-the interpreter running the tests.  An interpreter that is absent, or
-whose `-c pass` fails (a pyenv shim for a version not selected), is
-skipped.
+For each of `python3.10` … `python3.13`, one child process runs `check`,
+`elab`, `meta` and `run`, each with `--json`, over every corpus file, good
+and bad, and reports each command's stdout, stderr and exit code.  They
+must be identical to those of the same child run under the interpreter
+running the tests.  An interpreter is the `python3.X` on `PATH` when its
+`-c pass` succeeds; otherwise the first that starts of the installed
+`3.X.*/bin/python3.X` beside the running interpreter's prefix, as pyenv
+lays out its versions (its shim for a version not selected does not
+start).  A version with no interpreter that starts is skipped.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ import os
 import shutil
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -55,6 +58,15 @@ def run_child(python: str) -> list:
     return json.loads(proc.stdout)
 
 
+def interpreter(version: str) -> str | None:
+    """The first interpreter of a version that starts: on `PATH`, then installed."""
+    installed = Path(sys.base_prefix).parent.glob(f"{version}.*/bin/python{version}")
+    for python in (shutil.which(f"python{version}"), *sorted(installed)):
+        if python and subprocess.run([python, "-c", "pass"], capture_output=True).returncode == 0:
+            return str(python)
+    return None
+
+
 @pytest.fixture(scope="module")
 def reference() -> list:
     return run_child(sys.executable)
@@ -62,11 +74,9 @@ def reference() -> list:
 
 @pytest.mark.parametrize("version", VERSIONS)
 def test_corpus_output_matches_the_tier1_interpreter(version, reference):
-    python = shutil.which(f"python{version}")
+    python = interpreter(version)
     if python is None:
-        pytest.skip(f"python{version} is not on PATH")
-    if subprocess.run([python, "-c", "pass"], capture_output=True).returncode != 0:
-        pytest.skip(f"python{version} does not start")
+        pytest.skip(f"no python{version} starts")
     results = run_child(python)
     assert len(results) == len(reference) == len(COMMANDS) * len(FILES)
     for got, want in zip(results, reference):
