@@ -263,3 +263,66 @@ def test_repr_of_core_value_target_and_surface_nodes():
         ",), main=SApp(fn=SVar(name='f'), arg=SNum(value=2), icit=<Icit.EXPL: 'explicit'>))"
     )
     assert repr(sf.tokenize("12")[0]) == "Token(kind='number', text='12', start=0, end=2, value=12)"
+
+
+@pytest.mark.parametrize("key", sorted(RECORDS))
+def test_init_signature_lists_the_fields_with_their_defaults(key):
+    cls = record_classes()[key]
+    fields = spec(key)[0]
+    if not fields:
+        assert cls.__init__ is object.__init__
+        return
+    params = list(inspect.signature(cls.__init__).parameters.values())
+    assert [p.name for p in params] == ["self", *fields]
+    assert {p.kind for p in params} == {inspect.Parameter.POSITIONAL_OR_KEYWORD}
+    defaults = {p.name: p.default for p in params if p.default is not p.empty}
+    assert defaults == {f: getattr(cls, f) for f in fields if hasattr(cls, f)}
+    assert list(defaults) == fields[len(fields) - len(defaults) :]
+
+
+def test_defaults_are_the_class_attributes():
+    assert str(inspect.signature(sf.Token.__init__)) == (
+        "(self, kind, text, start, end, value=None)"
+    )
+    assert str(inspect.signature(sf.SPi.__init__)).startswith("(self, span, name='_', mode=")
+
+
+def test_constructor_errors_name_the_class():
+    with pytest.raises(TypeError) as info:
+        co.App(1)
+    assert str(info.value) == (
+        "App.__init__() missing 3 required positional arguments: 'icit', 'fn', and 'arg'"
+    )
+    with pytest.raises(TypeError) as info:
+        co.Var(0, 1)
+    assert str(info.value) == "Var.__init__() takes 2 positional arguments but 3 were given"
+    with pytest.raises(TypeError) as info:
+        co.Var(ix=0, lvl=1)
+    assert str(info.value) == "Var.__init__() got an unexpected keyword argument 'lvl'"
+
+
+def test_keyword_construction_and_replace():
+    tok = sf.Token(kind="number", end=2, text="12", start=0)
+    assert tok == sf.Token("number", "12", 0, 2) and tok.value is None
+    assert tok.replace(value=12) == sf.Token("number", "12", 0, 2, 12)
+    assert tok.value is None
+    app = co.App(Mode.OMEGA, Icit.EXPL, co.Var(0), co.Lit(1))
+    assert app.replace(arg=co.Lit(2)) == co.App(Mode.OMEGA, Icit.EXPL, co.Var(0), co.Lit(2))
+    assert vars(app) == {"mode": Mode.OMEGA, "icit": Icit.EXPL, "fn": co.Var(0), "arg": co.Lit(1)}
+    from tt0.unify import MetaEntry
+
+    entry = MetaEntry(mid=3, sig=None, entries=(), ty=co.NatTy(), closed_ty_value=co.NatTy())
+    assert (entry.mid, entry.span, entry.solution_value) == (3, None, None)
+    solved = entry.replace(solution_value=co.Lit(1))
+    assert solved.solution_value == co.Lit(1) and entry.solution_value is None
+
+
+def test_every_class_has_code_of_its_own():
+    """The inline caches of attribute loads live in the code object."""
+    for method in ("__init__", "__eq__", "__hash__"):
+        codes = [
+            vars(cls)[method].__code__
+            for cls in record_classes().values()
+            if getattr(vars(cls).get(method), "__code__", None)
+        ]
+        assert len({id(c) for c in codes}) == len(codes), method
