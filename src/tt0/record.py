@@ -3,15 +3,20 @@
 A subclass of `Record` declares its fields as annotations after those of its
 bases, with class attributes as defaults.  `__init_subclass__` reads the new
 fields once and gives the class `__match_args__` (every field name in order,
-the field list of generic readers) and an `__init__`, `==` and `hash`
-compiled for them.  `==` and `hash` skip the fields named by the class
-keyword `uncompared` (binder names, spans), `repr` those named by `unshown`;
-a record without compared fields equals each record of its class and hashes
-its class.  Records are frozen unless the class says `frozen=False`.
+the field list of generic readers) and an `__init__`, `==` and `hash` for
+them: a template compiled once per field count, its placeholders `_0`, `_1`,
+… renamed to the fields, so no field may be named like one, nor `self`,
+`other` or `d`.  `==` and `hash` skip the fields named by the class keyword
+`uncompared` (binder names, spans), `repr` those named by `unshown`; a record
+without compared fields equals each record of its class and hashes its class.
+Records are frozen unless the class says `frozen=False`.
 """
 
 from __future__ import annotations
 
+from functools import cache
+from itertools import dropwhile
+from types import CodeType, FunctionType
 from typing import Any
 
 
@@ -28,13 +33,20 @@ class Record:
         own = tuple(f for f in vars(cls).get("__annotations__", ()) if f not in cls.__match_args__)
         if not own:
             return
+        for f in own:
+            if f in ("self", "other", "d") or f[0] == "_" and f[1:].isdecimal():
+                raise TypeError(f"field {f!r} of {cls.__qualname__}: its methods use the name")
         cls.__match_args__ += own
         cls._compared += tuple(f for f in own if f not in uncompared)
         cls._shown += tuple(f for f in own if f not in unshown)
-        for name, method in _compile(cls).items():
+        fields = cls.__match_args__
+        # the defaults of the first field that has one and of every later field
+        defaults = tuple(getattr(cls, f) for f in dropwhile(lambda f: not hasattr(cls, f), fields))
+        methods = [("__init__", fields, defaults)]
+        methods += [(name, cls._compared, ()) for name in ("__eq__", "__hash__") if cls._compared]
+        for name, fields, defaults in methods:
             if name not in vars(cls):  # a mutable record keeps `__hash__ = None`
-                method.__qualname__ = f"{cls.__qualname__}.{name}"
-                setattr(cls, name, method)
+                setattr(cls, name, _method(cls, name, fields, defaults))
 
     # `==` and `hash` of a record without compared fields: its class.
     def __eq__(self, other: object) -> bool:
@@ -71,20 +83,28 @@ def __hash__(self):
 """
 
 
-def _compile(cls: type[Record]) -> dict[str, Any]:
-    """`__init__` for the fields of `cls`, which stores each field in the
-    instance's `__dict__`, past the frozen `__setattr__`, and `__eq__` and
-    `__hash__` for its compared fields, if it has any."""
-    fields = cls.__match_args__
-    defaults = {f: getattr(cls, f) for f in fields if hasattr(cls, f)}
-    mine = "".join(f"self.{f}, " for f in cls._compared)
-    source = _METHODS.format(
-        params=", ".join(f"{f}=_defaults[{f!r}]" if f in defaults else f for f in fields),
-        stores="\n".join(f"    d[{f!r}] = {f}" for f in fields),
-        mine=mine,
-        theirs=mine.replace("self.", "other."),
-    )
-    namespace = {"_defaults": defaults}
-    exec(source, namespace)
-    methods = ("__init__", "__eq__", "__hash__") if cls._compared else ("__init__",)
-    return {name: namespace[name] for name in methods}
+@cache
+def _compile(n: int) -> dict[str, CodeType]:
+    """The code of the methods for `n` fields named `_0`, `_1`, …, compiled
+    once per field count."""
+    names = [f"_{i}" for i in range(n)]
+    mine = "".join(f"self.{f}, " for f in names)
+    stores = "\n".join(f"    d[{f!r}] = {f}" for f in names)
+    params, theirs = ", ".join(names), mine.replace("self.", "other.")
+    namespace: dict[str, Any] = {}
+    exec(_METHODS.format(params=params, stores=stores, mine=mine, theirs=theirs), namespace)
+    return {name: namespace[name].__code__ for name in ("__init__", "__eq__", "__hash__")}
+
+
+def _method(cls: type, name: str, fields: tuple[str, ...], defaults: tuple) -> FunctionType:
+    """The method `name` of `cls` for `fields`: the template for their count
+    with each placeholder renamed to its field.  The code object is the
+    class's own, so the inline caches in it serve that class alone."""
+    code, to = _compile(len(fields))[name], {f"_{i}": f for i, f in enumerate(fields)}
+    renamed = {k: tuple(to.get(x, x) for x in getattr(code, k)) for k in _RENAMED}
+    method = FunctionType(code.replace(**renamed), globals(), name, defaults)
+    method.__qualname__ = f"{cls.__qualname__}.{name}"
+    return method
+
+
+_RENAMED = ("co_varnames", "co_names", "co_consts")

@@ -3,6 +3,7 @@
 
 from __future__ import annotations
 
+import builtins
 import importlib
 import inspect
 
@@ -11,6 +12,7 @@ import pytest
 from tt0 import core as co
 from tt0 import extract as ex
 from tt0 import surface as sf
+from tt0.record import Record
 from tt0.surface import Icit, Mode
 
 MODULES = ["diagnostics", "surface", "core", "unify", "elab", "translate", "extract"]
@@ -326,3 +328,27 @@ def test_every_class_has_code_of_its_own():
             if getattr(vars(cls).get(method), "__code__", None)
         ]
         assert len({id(c) for c in codes}) == len(codes), method
+
+
+def test_a_record_class_with_a_field_count_seen_before_compiles_nothing(monkeypatch):
+    calls = []
+    with monkeypatch.context() as m:
+        for name in ("exec", "compile"):
+            real = getattr(builtins, name)
+            m.setattr(builtins, name, lambda *a, real=real, **k: calls.append(a) or real(*a, **k))
+
+        class P(Record, uncompared=("b",)):
+            a: int
+            b: int = 2
+
+    assert calls == []
+    assert P(1) == P(1, 3) != P(2) and hash(P(1)) == hash((1,))
+    assert vars(P(b=4, a=1)) == {"a": 1, "b": 4}
+    assert str(inspect.signature(P.__init__)) == "(self, a, b=2)"
+    assert P.__init__.__qualname__.endswith("<locals>.P.__init__")
+
+
+@pytest.mark.parametrize("name", ["self", "other", "d", "_0", "_1", "_12"])
+def test_a_field_named_like_a_local_of_the_methods_is_refused(name):
+    with pytest.raises(TypeError, match=repr(name)):
+        type("P", (Record,), {"__annotations__": {"c": "int", name: "int"}})
