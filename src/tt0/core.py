@@ -341,6 +341,17 @@ def vpred(v: Value) -> Value | None:
     return None
 
 
+def strip_succs(store: "MetaStore | None", a: Value, b: Value) -> tuple[Value, Value] | None:
+    """`a` and `b` past the successors they share, forced at each step when
+    a store is given, in a loop; None when they share none."""
+    rest = None
+    while (x := vpred(a)) is not None and (y := vpred(b)) is not None:
+        a, b = rest = (x, y) if store is None else (force(store, x), force(store, y))
+        if a is b or VSucc not in (type(a), type(b)):
+            break
+    return rest
+
+
 class VarH(Record):
     lvl: int
 
@@ -622,8 +633,8 @@ def conv(store: "MetaStore | None", depth: int, a: Value, b: Value) -> bool:
             )
         case VSucc() | Lit(), VSucc() | Lit():
             # succ x against succ y, or against a literal k > 0 as k - 1.
-            x, y = vpred(a), vpred(b)
-            return x is not None and y is not None and conv(store, depth, x, y)
+            rest = strip_succs(store, a, b)
+            return rest is not None and conv(store, depth, *rest)
         case VNeutral(h1, s1), VNeutral(h2, s2):
             if h1 != h2 or len(s1) != len(s2):
                 return False

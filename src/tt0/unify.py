@@ -379,9 +379,9 @@ def unify(store: MetaStore, depth: int, a: Value, b: Value, name_of: NameOf = _u
             return
         case co.VSucc() | co.Lit(), co.VSucc() | co.Lit():
             # succ x against succ y, or against a literal k > 0 as k - 1.
-            x, y = co.vpred(a), co.vpred(b)
-            if x is not None and y is not None:
-                unify(store, depth, x, y, name_of)
+            rest = co.strip_succs(store, a, b)
+            if rest is not None:
+                unify(store, depth, *rest, name_of)
                 return
         case VNeutral(co.MetaH(m1), s1), VNeutral(co.MetaH(m2), s2):
             if m1 == m2:

@@ -207,3 +207,51 @@ def test_normal_form_of_a_long_successor_chain_over_a_variable(tmp_path):
             assert out == f'{{"version": 1, "nf": {lam_json("x", chain)}}}\n'
         else:
             assert out == "λ x. succ " + "(succ " * (n - 1) + base + ")" * (n - 1) + "\n"
+
+
+def test_conversion_of_long_successor_chains_over_a_variable(tmp_path):
+    # `conv` and `unify` strip the successors two chains share in a loop.
+    # The CLI checks 150 000 of them under its own stack limit; the library
+    # compares 5 000, equal and one apart, at the default limit.
+    n = 150_000
+    f = tmp_path / "conv.tt0"
+    ty = "(F :0 Nat -> U) -> (x : Nat) -> F (plus {} x) -> F (plus {} x)"
+    f.write_text(PLUS + f"let f : {ty.format(n, n)} = \\F x y. y;\n")
+    env = {**os.environ, "PYTHONPATH": str(REPO / "src")}
+    cli = subprocess.Popen(
+        [sys.executable, "-m", "tt0", "check", str(f)],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        text=True,
+        env=env,
+    )
+    script = textwrap.dedent(
+        """
+        import sys
+        from tt0.elab import elaborate_text
+
+        assert sys.getrecursionlimit() == 1000, sys.getrecursionlimit()
+        for source in sys.argv[1:]:
+            print([e.message for e in elaborate_text(source).errors])
+        """
+    )
+    m = 5000
+    library = python(
+        "-c", script, *(PLUS + f"let f : {ty.format(m, k)} = \\F x y. y;\n" for k in (m, m + 1))
+    )
+    assert library.returncode == 0, library.stderr[-2000:]
+
+    def chain(k: int) -> str:
+        return "F " + "(succ " * k + "x" + ")" * k
+
+    mismatch = f"type mismatch: expected {chain(m + 1)}, got {chain(m)}"
+    assert library.stdout.splitlines() == [
+        "[]", repr([mismatch + " (terms have different head constructors)"])
+    ]
+    out, err = cli.communicate(timeout=300)
+    assert cli.returncode == 0, err[-2000:]
+    lit = "(succ " * n + "zero" + ")" * n
+    assert out.splitlines() == [
+        "ok plus : Nat → Nat → Nat",
+        f"ok f : Π₀ (F : Nat → U). Π (x : Nat). F (plus {lit} x) → F (plus {lit} x)",
+    ]
