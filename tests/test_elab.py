@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import PINNED_MODULES, corpus_files
+from surface_printer import pp_term
 from tt0 import cli
 from tt0 import core as co
 from tt0 import extract as ex
@@ -133,7 +134,7 @@ def test_base_constant_in_every_layer(keyword):
     const, ty, code = co.CONSTANTS[keyword]
     parsed = term(keyword)
     assert parsed == sf.SConst(parsed.span, keyword)
-    assert sf.pp_term(parsed) == keyword
+    assert pp_term(parsed) == keyword
     assert co.pp(const) == keyword
     assert infer(MetaStore(), Context().erased(), parsed) == (const, ty)
     assert co.kernel_infer(MetaStore(), Context().erased(), const) == ty

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 import tt0.surface as sf
 from conftest import corpus_files
+from surface_printer import pp_module, pp_term
 from tt0.core import CONSTANTS
 from tt0.diagnostics import LexError, ParseError, Source
 from tt0.surface import (
@@ -15,8 +16,6 @@ from tt0.surface import (
     SSigma,
     parse_module_text,
     parse_term_text,
-    pp_module,
-    pp_term,
     tokenize,
 )
 
