@@ -342,8 +342,10 @@ def vpred(v: Value) -> Value | None:
 
 
 def strip_succs(store: "MetaStore | None", a: Value, b: Value) -> tuple[Value, Value] | None:
-    """`a` and `b` past the successors they share, forced at each step when
-    a store is given, in a loop; None when they share none."""
+    """`a` and `b` past the successors they share, each step forced when a
+    store is given; None when they share none.  It stops at identical values
+    and at two literals, which compare at once.  One loop: the length of a
+    chain costs no stack."""
     rest = None
     while (x := vpred(a)) is not None and (y := vpred(b)) is not None:
         a, b = rest = (x, y) if store is None else (force(store, x), force(store, y))

@@ -44,9 +44,9 @@ class Record:
         defaults = tuple(getattr(cls, f) for f in dropwhile(lambda f: not hasattr(cls, f), fields))
         methods = [("__init__", fields, defaults)]
         methods += [(name, cls._compared, ()) for name in ("__eq__", "__hash__") if cls._compared]
-        for name, fields, defaults in methods:
+        for name, names, values in methods:
             if name not in vars(cls):  # a mutable record keeps `__hash__ = None`
-                setattr(cls, name, _method(cls, name, fields, defaults))
+                setattr(cls, name, _method(cls, name, names, values))
 
     # `==` and `hash` of a record without compared fields: its class.
     def __eq__(self, other: object) -> bool:
@@ -102,7 +102,7 @@ def _method(cls: type, name: str, fields: tuple[str, ...], defaults: tuple) -> F
     class's own, so the inline caches in it serve that class alone."""
     code, to = _compile(len(fields))[name], {f"_{i}": f for i, f in enumerate(fields)}
     renamed = {k: tuple(to.get(x, x) for x in getattr(code, k)) for k in _RENAMED}
-    method = FunctionType(code.replace(**renamed), globals(), name, defaults)
+    method = FunctionType(code.replace(**renamed), globals(), name, defaults or None)
     method.__qualname__ = f"{cls.__qualname__}.{name}"
     return method
 
