@@ -14,6 +14,7 @@ from tt0 import extract as ex
 from tt0 import surface as sf
 from tt0.record import Record
 from tt0.surface import Icit, Mode
+from tt0.unify import MetaEntry
 
 MODULES = ["diagnostics", "surface", "core", "unify", "elab", "translate", "extract"]
 
@@ -311,8 +312,6 @@ def test_keyword_construction_and_replace():
     app = co.App(Mode.OMEGA, Icit.EXPL, co.Var(0), co.Lit(1))
     assert app.replace(arg=co.Lit(2)) == co.App(Mode.OMEGA, Icit.EXPL, co.Var(0), co.Lit(2))
     assert vars(app) == {"mode": Mode.OMEGA, "icit": Icit.EXPL, "fn": co.Var(0), "arg": co.Lit(1)}
-    from tt0.unify import MetaEntry
-
     entry = MetaEntry(mid=3, sig=None, entries=(), ty=co.NatTy(), closed_ty_value=co.NatTy())
     assert (entry.mid, entry.span, entry.solution_value) == (3, None, None)
     solved = entry.replace(solution_value=co.Lit(1))
