@@ -91,8 +91,8 @@ def _load(path: str) -> str:
     tokenizer sees what the library sees; an unreadable or non-UTF-8 file
     is a diagnostic."""
     try:
-        with open(path, encoding="utf-8", newline="") as f:
-            return f.read()
+        with open(path, "rb", buffering=0) as f:
+            return f.read().decode("utf-8")
     except OSError as e:
         reason = e.strerror
     except UnicodeDecodeError as e:

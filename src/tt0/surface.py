@@ -3,11 +3,16 @@
 Binders carry an erasure mode: `(x : A) -> B` is a runtime function,
 `(x :0 A) -> B` an erased-domain one, `{x : A} -> B` / `{x :0 A} -> B` the
 implicit variants, and `(x :0 A) * B` an erased-first-component pair type.
+
+`tokenize` splits a source into parallel lists of token kinds, texts and
+offset pairs, and the parser reads them by index.  Indexing or iterating
+the sequence it returns builds `Token` records.
 """
 
 from __future__ import annotations
 
 import re
+from collections.abc import Sequence
 from typing import Callable, TypeVar
 
 from .core import CONSTANTS, Icit, Mode  # Icit and Mode are re-exported
@@ -27,43 +32,70 @@ class Token(Record):
     value: int | None = None  # set for number tokens
 
 
-# White space and `--` comments are the unnamed alternatives; `bad` is any
-# other character.  Classes are ASCII, so `λ` is illegal.
+class Tokens(Sequence[Token]):
+    """The tokens of a source, `eof` last: token `i` has kind `kinds[i]`,
+    text `texts[i]` and offsets `spans[i]`; `values` maps the index of each
+    number token to its value."""
+
+    def __init__(self, kinds: list[str], texts: list[str], spans: list[Span], values: dict):
+        self.kinds, self.texts, self.spans, self.values = kinds, texts, spans, values
+
+    def __len__(self) -> int:
+        return len(self.kinds)
+
+    def __getitem__(self, i):  # an index gives a Token, a slice a list of them
+        if isinstance(i, slice):
+            return [self[j] for j in range(len(self))[i]]
+        kind = self.kinds[i]
+        return Token(kind, self.texts[i], *self.spans[i], self.values.get(i % len(self)))
+
+
+# Each match is the white space and `--` comments before a token, then the
+# token in the group for its kind: a number, a word (a keyword or an
+# `ident`), a punctuation symbol, or `bad`, any other character.  The empty
+# alternative at `\Z` is `eof`.  Classes are ASCII, so `λ` is illegal.
 _TOKEN = re.compile(
-    r"[ \t\r\n]+|--[^\n]*"
-    r"|(?P<number>[0-9]+)"
-    r"|(?P<word>[A-Za-z][A-Za-z0-9_']*)"
-    r"|(?P<punct>:0(?![0-9])|->|[(){}\\.:*,;=_])"
-    r"|(?P<bad>.)"
+    r"((?:[ \t\r\n]+|--[^\n]*)*)"
+    r"(?:([0-9]+)|([A-Za-z][A-Za-z0-9_']*)|(:0(?![0-9])|->|[(){}\\.:*,;=_])|\Z|(.))"
 )
 
 
-def tokenize(source: str, filename: str = "<input>") -> list[Token]:
+def tokenize(source: str, filename: str = "<input>") -> Tokens:
     """Split source text into tokens, ending with an `eof` token at the end
     of the input.  Raises LexError on an illegal character or a number
     literal too long to convert."""
-    toks: list[Token] = []
-    for m in _TOKEN.finditer(source):
-        kind = m.lastgroup
-        if kind is None:
-            continue
-        text = m.group()
-        start, end = m.span()
-        if kind == "number":
+    kinds: list[str] = []
+    texts: list[str] = []
+    spans: list[Span] = []
+    values: dict[int, int] = {}
+    end = 0
+    for space, number, word, punct, bad in _TOKEN.findall(source):
+        start = end + len(space)
+        if punct:
+            kind = text = punct
+        elif word:
+            kind, text = word if word in KEYWORDS else "ident", word
+        elif number:
+            kind, text = "number", number
             try:
-                value = int(text)
+                values[len(kinds)] = int(number)
             except ValueError:  # past Python's limit on int() of a string
-                message = f"number literal too long ({len(text)} digits)"
-                raise LexError(message, Source(source, filename).span(start, end)) from None
-            toks.append(Token("number", text, start, end, value))
-        elif kind == "bad":
-            raise LexError(f"illegal character {text!r}", Source(source, filename).span(start, end))
-        elif kind == "word" and text not in KEYWORDS:
-            toks.append(Token("ident", text, start, end))
-        else:
-            toks.append(Token(text, text, start, end))
-    toks.append(Token("eof", "", len(source), len(source)))
-    return toks
+                message = f"number literal too long ({len(number)} digits)"
+                span = Source(source, filename).span(start, start + len(number))
+                raise LexError(message, span) from None
+        elif bad:
+            span = Source(source, filename).span(start, start + 1)
+            raise LexError(f"illegal character {bad!r}", span)
+        else:  # `\Z`, where findall may add an empty match
+            break
+        end = start + len(text)
+        kinds.append(kind)
+        texts.append(text)
+        spans.append((start, end))
+    kinds.append("eof")
+    texts.append("")
+    spans.append((len(source), len(source)))
+    return Tokens(kinds, texts, spans, values)
 
 
 # ---------------------------------------------------------------------------
@@ -190,174 +222,177 @@ _ATOM_STARTERS = frozenset({"ident", "number", "(", "_", *CONSTANTS, *_PREFIXES}
 
 
 class _Parser:
-    def __init__(self, tokens: list[Token], source: Source):
-        self.toks = tokens
+    def __init__(self, tokens: Tokens, source: Source):
+        self.kinds, self.texts, self.spans = tokens.kinds, tokens.texts, tokens.spans
+        self.values = tokens.values
         self.source = source
-        self.pos = 0
+        self.pos = 0  # the index of the next token
 
     # Every token is checked before it is consumed, and only a whole term
-    # consumes `eof`, so `pos` stays on the list without a bounds guard.
-    def peek(self) -> Token:
-        return self.toks[self.pos]
-
-    def next(self) -> Token:
-        t = self.toks[self.pos]
-        self.pos += 1
-        return t
-
-    def error(self, message: str, t: Token, expected: tuple[str, ...] = ()) -> ParseError:
+    # consumes `eof`, so `pos` stays on the lists without a bounds guard.
+    def error(self, message: str, i: int, expected: tuple[str, ...] = ()) -> ParseError:
         if expected:
             message = f"{message} (expected {', '.join(expected)})"
-        return ParseError(message, self.source.span(t.start, t.end))
+        return ParseError(message, self.source.span(*self.spans[i]))
 
-    def expect(self, kind: str) -> Token:
-        t = self.peek()
-        if t.kind != kind:
-            raise self.error(f"unexpected {describe(t)}", t, (kind,))
-        return self.next()
+    def unexpected(self, i: int, expected: tuple[str, ...], where: str = "") -> ParseError:
+        what = "end of input" if self.kinds[i] == "eof" else repr(self.texts[i])
+        return self.error(f"unexpected {what}{where}", i, expected)
+
+    def expect(self, kind: str) -> int:
+        i = self.pos
+        if self.kinds[i] != kind:
+            raise self.unexpected(i, (kind,))
+        self.pos = i + 1
+        return i
 
     # -- module -------------------------------------------------------------
 
     def module(self) -> Module:
+        kinds, texts, spans = self.kinds, self.texts, self.spans
         decls: list[Decl] = []
         names: set[str] = set()
         main: Surface | None = None
-        while True:
-            t = self.peek()
-            if t.kind == "eof":
-                break
-            if t.kind == "main":
-                self.next()
+        while kinds[self.pos] != "eof":
+            kind = kinds[self.pos]
+            if kind == "main":
+                self.pos += 1
                 self.expect("=")
                 main = self.term()
                 self.expect(";")
-                trailing = self.peek()
-                if trailing.kind != "eof":
-                    message = f"unexpected {describe(trailing)} after main expression"
-                    raise self.error(message, trailing, ("eof",))
+                if kinds[self.pos] != "eof":
+                    raise self.unexpected(self.pos, ("eof",), " after main expression")
                 break
-            if t.kind != "let":
-                raise self.error(f"unexpected {describe(t)}", t, ("let", "main"))
-            self.next()
+            if kind != "let":
+                raise self.unexpected(self.pos, ("let", "main"))
+            self.pos += 1
             name = self.binder_name()
             self.expect(":")
             ty = self.term()
             self.expect("=")
             body = self.term()
             end = self.expect(";")
-            if name.text in names:
-                raise self.error(f"duplicate declaration {name.text!r}", name)
-            names.add(name.text)
-            decls.append(Decl((name.start, end.end), name.text, ty, body))
+            if texts[name] in names:
+                raise self.error(f"duplicate declaration {texts[name]!r}", name)
+            names.add(texts[name])
+            decls.append(Decl((spans[name][0], spans[end][1]), texts[name], ty, body))
         return Module(self.source, tuple(decls), main)
 
-    def binder_name(self) -> Token:
-        t = self.peek()
-        if t.kind in ("ident", "_"):
-            return self.next()
-        raise self.error(f"unexpected {describe(t)}", t, ("identifier",))
+    def binder_name(self) -> int:
+        i = self.pos
+        if self.kinds[i] not in ("ident", "_"):
+            raise self.unexpected(i, ("identifier",))
+        self.pos = i + 1
+        return i
 
     # -- terms --------------------------------------------------------------
 
     def term(self) -> Surface:
-        t = self.peek()
-        if t.kind == "\\":
+        kind = self.kinds[self.pos]
+        if kind == "\\":
             return self.lam()
-        if t.kind == "let":
+        if kind == "let":
             return self.let_in()
         return self.fun()
 
     def lam(self) -> Surface:
-        start = self.expect("\\").start
-        binders: list[tuple[Token, Mode | None, Surface | None, Icit]] = []
-        while self.peek().kind != ".":
+        start = self.spans[self.expect("\\")][0]
+        binders: list[tuple[str, Mode | None, Surface | None, Icit]] = []
+        while self.kinds[self.pos] != ".":
             binders.append(self.lam_binder())
         if not binders:
-            raise self.error("lambda needs at least one binder", self.peek())
-        self.expect(".")
+            raise self.error("lambda needs at least one binder", self.pos)
+        self.pos += 1
         body = self.term()
         for name, mode, ann, icit in reversed(binders):
-            body = SLam((start, body.span[1]), name.text, mode, ann, icit, body)
+            body = SLam((start, body.span[1]), name, mode, ann, icit, body)
         return body
 
-    def lam_binder(self) -> tuple[Token, Mode | None, Surface | None, Icit]:
-        t = self.peek()
-        if t.kind in ("ident", "_"):
-            return self.next(), None, None, Icit.EXPL
-        if t.kind in ("(", "{"):
-            close = ")" if t.kind == "(" else "}"
-            icit = Icit.EXPL if t.kind == "(" else Icit.IMPL
-            self.next()
-            name = self.binder_name()
+    def lam_binder(self) -> tuple[str, Mode | None, Surface | None, Icit]:
+        i = self.pos
+        kind = self.kinds[i]
+        if kind in ("ident", "_"):
+            self.pos = i + 1
+            return self.texts[i], None, None, Icit.EXPL
+        if kind in ("(", "{"):
+            close = ")" if kind == "(" else "}"
+            icit = Icit.EXPL if kind == "(" else Icit.IMPL
+            self.pos = i + 1
+            name = self.texts[self.binder_name()]
             mode: Mode | None = None
             ann: Surface | None = None
-            if self.peek().kind in (":", ":0"):
-                mode = Mode.ZERO if self.next().kind == ":0" else Mode.OMEGA
+            kind = self.kinds[self.pos]
+            if kind in (":", ":0"):
+                self.pos += 1
+                mode = Mode.ZERO if kind == ":0" else Mode.OMEGA
                 ann = self.term()
             elif icit is Icit.EXPL:
                 message = "parenthesised lambda binder needs a type annotation"
-                raise self.error(message, self.peek(), (":", ":0"))
+                raise self.error(message, self.pos, (":", ":0"))
             self.expect(close)
             return name, mode, ann, icit
-        raise self.error(f"unexpected {describe(t)} in lambda binder", t, ("identifier", "(", "{"))
+        raise self.unexpected(i, ("identifier", "(", "{"), " in lambda binder")
 
     def let_in(self) -> Surface:
-        start = self.expect("let").start
-        name = self.binder_name()
+        start = self.spans[self.expect("let")][0]
+        name = self.texts[self.binder_name()]
         self.expect(":")
         ty = self.term()
         self.expect("=")
         defn = self.term()
         self.expect("in")
         body = self.term()
-        return SLet((start, body.span[1]), name.text, ty, defn, body)
+        return SLet((start, body.span[1]), name, ty, defn, body)
 
     def binder_group_ahead(self) -> bool:
         # `( x :` / `( x :0` / `{ x :` ... opens a Pi or Sigma binder.
-        toks, i = self.toks, self.pos
-        if toks[i].kind not in ("(", "{") or toks[i + 1].kind not in ("ident", "_"):
+        kinds, i = self.kinds, self.pos
+        if kinds[i] not in ("(", "{") or kinds[i + 1] not in ("ident", "_"):
             return False
-        return toks[i + 2].kind in (":", ":0")
+        return kinds[i + 2] in (":", ":0")
 
     def fun(self) -> Surface:
         if self.binder_group_ahead():
             return self.binder_form()
         lhs = self.sigma()
-        if self.peek().kind == "->":
-            self.next()
+        if self.kinds[self.pos] == "->":
+            self.pos += 1
             cod = self.fun()
             return SPi((lhs.span[0], cod.span[1]), "_", Mode.OMEGA, Icit.EXPL, lhs, cod)
         return lhs
 
     def binder_form(self) -> Surface:
-        opener = self.next()
-        icit = Icit.EXPL if opener.kind == "(" else Icit.IMPL
-        close = ")" if opener.kind == "(" else "}"
-        name = self.binder_name()
-        mode = Mode.ZERO if self.next().kind == ":0" else Mode.OMEGA
+        # The opener, the name and the colon, as `binder_group_ahead` found.
+        i = self.pos
+        start = self.spans[i][0]
+        icit = Icit.EXPL if self.kinds[i] == "(" else Icit.IMPL
+        close = ")" if icit is Icit.EXPL else "}"
+        name = self.texts[i + 1]
+        mode = Mode.ZERO if self.kinds[i + 2] == ":0" else Mode.OMEGA
+        self.pos = i + 3
         dom = self.term()
         self.expect(close)
-        t = self.peek()
-        if t.kind == "->":
-            self.next()
+        kind = self.kinds[self.pos]
+        if kind == "->":
+            self.pos += 1
             cod = self.fun()
-            return SPi((opener.start, cod.span[1]), name.text, mode, icit, dom, cod)
-        if t.kind == "*" and icit is Icit.EXPL:
-            self.next()
+            return SPi((start, cod.span[1]), name, mode, icit, dom, cod)
+        if kind == "*" and icit is Icit.EXPL:
+            self.pos += 1
             snd = self.sigma_component()
-            sig = SSigma((opener.start, snd.span[1]), name.text, mode, dom, snd)
-            if self.peek().kind == "->":
-                self.next()
+            sig = SSigma((start, snd.span[1]), name, mode, dom, snd)
+            if self.kinds[self.pos] == "->":
+                self.pos += 1
                 cod = self.fun()
-                return SPi((opener.start, cod.span[1]), "_", Mode.OMEGA, Icit.EXPL, sig, cod)
+                return SPi((start, cod.span[1]), "_", Mode.OMEGA, Icit.EXPL, sig, cod)
             return sig
         expected = ("->",) if icit is Icit.IMPL else ("->", "*")
-        raise self.error(f"unexpected {describe(t)} after binder", t, expected)
+        raise self.unexpected(self.pos, expected, " after binder")
 
     def sigma(self) -> Surface:
         lhs = self.app()
-        if self.peek().kind == "*":
-            self.next()
+        if self.kinds[self.pos] == "*":
+            self.pos += 1
             snd = self.sigma_component()
             return SSigma((lhs.span[0], snd.span[1]), "_", Mode.OMEGA, lhs, snd)
         return lhs
@@ -370,16 +405,17 @@ class _Parser:
         return self.sigma()
 
     def app(self) -> Surface:
+        kinds = self.kinds
         head = self.atom()
         # A binder group ends the application: it opens a Pi or Sigma type.
         while not self.binder_group_ahead():
-            t = self.peek()
-            if t.kind == "{":
-                self.next()
+            kind = kinds[self.pos]
+            if kind == "{":
+                self.pos += 1
                 arg = self.term()
-                end = self.expect("}")
-                head = SApp((head.span[0], end.end), head, arg, Icit.IMPL)
-            elif t.kind in _ATOM_STARTERS:
+                end = self.spans[self.expect("}")][1]
+                head = SApp((head.span[0], end), head, arg, Icit.IMPL)
+            elif kind in _ATOM_STARTERS:
                 arg = self.atom()
                 head = SApp((head.span[0], arg.span[1]), head, arg, Icit.EXPL)
             else:
@@ -387,60 +423,57 @@ class _Parser:
         return head
 
     def atom(self) -> Surface:
-        t = self.peek()
-        if t.kind in CONSTANTS:
-            self.next()
-            return SConst((t.start, t.end), t.kind)
-        if t.kind == "_":
-            self.next()
-            return SHole((t.start, t.end))
-        if t.kind in _PREFIXES:
-            self.next()
-            cls = _PREFIXES[t.kind]
+        i = self.pos
+        kind = self.kinds[i]
+        if kind == "ident":
+            self.pos = i + 1
+            return SVar(self.spans[i], self.texts[i])
+        if kind in CONSTANTS:
+            self.pos = i + 1
+            return SConst(self.spans[i], kind)
+        if kind == "_":
+            self.pos = i + 1
+            return SHole(self.spans[i])
+        if kind in _PREFIXES:
+            self.pos = i + 1
+            cls = _PREFIXES[kind]
             arity = len(cls.__match_args__) - 1  # the fields after the span
             # A loop, not a comprehension: a comprehension's frame would
             # halve how deep `succ (…)` may nest.
             args: list[Surface] = []
             while len(args) < arity:
                 args.append(self.atom())
-            return cls((t.start, args[-1].span[1]), *args)
-        if t.kind == "ident":
-            self.next()
-            return SVar((t.start, t.end), t.text)
-        if t.kind == "number":
-            self.next()
-            assert t.value is not None
-            return SNum((t.start, t.end), t.value)
-        if t.kind == "(":
-            self.next()
+            return cls((self.spans[i][0], args[-1].span[1]), *args)
+        if kind == "number":
+            self.pos = i + 1
+            return SNum(self.spans[i], self.values[i])
+        if kind == "(":
+            self.pos = i + 1
             inner = self.term()
-            if self.peek().kind == ",":
-                self.next()
+            if self.kinds[self.pos] == ",":
+                self.pos += 1
                 snd = self.term()
-                end = self.expect(")")
-                return SPair((t.start, end.end), inner, snd)
+                end = self.spans[self.expect(")")][1]
+                return SPair((self.spans[i][0], end), inner, snd)
             self.expect(")")
             return inner
-        raise self.error(f"unexpected {describe(t)}", t, ("term",))
-
-
-def describe(t: Token) -> str:
-    return "end of input" if t.kind == "eof" else f"{t.text!r}"
+        raise self.unexpected(i, ("term",))
 
 
 _T = TypeVar("_T")
 
 
 def _parse(source: str, filename: str, start: Callable[[_Parser], _T]) -> _T:
-    # The parser recurses at least once per nesting level, so the
-    # recursion limit bounds how deep a term may nest: 16 664 `succ (…)`
-    # levels under the limit of 100 000 that `tt0.cli.main` sets (Python
-    # 3.11).  Deeper input is reported where the parser stood.
+    # The parser takes six frames per `succ (…)` level and five per pair of
+    # parentheses, so the recursion limit bounds how deep a term may nest:
+    # 164 and 197 levels at the default limit of 1 000, 16 664 and 19 997
+    # under the limit of 100 000 that `tt0.cli.main` sets (Python 3.11).
+    # Deeper input is reported where the parser stood.
     p = _Parser(tokenize(source, filename), Source(source, filename))
     try:
         return start(p)
     except RecursionError:
-        raise p.error("term nested too deeply", p.peek()) from None
+        raise p.error("term nested too deeply", p.pos) from None
 
 
 def parse_module_text(source: str, filename: str = "<input>") -> Module:

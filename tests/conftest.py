@@ -1,13 +1,10 @@
 from __future__ import annotations
 
-import sys
 from pathlib import Path
 
 import pytest
 
 from tt0.elab import ElabResult, elaborate_text
-
-sys.setrecursionlimit(100_000)
 
 REPO = Path(__file__).resolve().parent.parent
 CORPUS = REPO / "corpus"

@@ -148,6 +148,65 @@ class TestTokenize:
             assert (s.start_line, s.start_col) == naive(t.start)
             assert (s.end_line, s.end_col) == naive(max(t.start, t.end - 1))
 
+    def test_input_may_end_anywhere_a_token_may(self):
+        def ends(source: str) -> list[tuple[str, int, int]]:
+            return [(t.kind, t.start, t.end) for t in tokenize(source)]
+
+        assert ends("x -- c") == [("ident", 0, 1), ("eof", 6, 6)]
+        assert ends("x --") == [("ident", 0, 1), ("eof", 4, 4)]
+        assert ends("x \n\t ") == [("ident", 0, 1), ("eof", 5, 5)]
+        assert ends(" \n") == [("eof", 2, 2)]
+        assert ends("x :0") == [("ident", 0, 1), (":0", 2, 4), ("eof", 4, 4)]
+        assert ends("x:") == [("ident", 0, 1), (":", 1, 2), ("eof", 2, 2)]
+        with pytest.raises(LexError, match="illegal character '-'") as e:
+            tokenize("x -")
+        span = e.value.span
+        assert (span.start_line, span.start_col, span.end_line, span.end_col) == (1, 3, 1, 3)
+
+    def test_illegal_character_on_the_line_after_a_comment(self):
+        assert kinds("-- λ\nx") == ["ident", "eof"]
+        with pytest.raises(LexError, match="illegal character 'λ'") as e:
+            tokenize("x -- c\nλ", "f.tt0")
+        assert str(e.value.span) == "f.tt0:2:1"
+
+    def test_literal_at_the_end_of_input(self):
+        toks = tokenize("x = " + "1" * 4300)
+        assert (toks[2].kind, toks[2].value, toks[2].end) == ("number", int("1" * 4300), 4304)
+        with pytest.raises(LexError, match=r"number literal too long \(4301 digits\)") as e:
+            tokenize("x = " + "1" * 4301)
+        span = e.value.span
+        assert (span.start_line, span.start_col, span.end_line, span.end_col) == (1, 5, 1, 4305)
+
+    def test_crlf_line_ends(self):
+        source = "let x : Nat\r\n  = zero;\r\n"
+        toks = tokenize(source)
+        assert [t.kind for t in toks] == ["let", "ident", ":", "Nat", "=", "zero", ";", "eof"]
+        where = Source(source).position
+        assert [where(t.start) for t in toks] == [
+            (1, 1), (1, 5), (1, 7), (1, 9), (2, 3), (2, 5), (2, 9), (3, 1),
+        ]
+
+    def test_empty_file(self):
+        assert parse_module_text("") == parse_module_text(" -- nothing\n")
+        assert parse_module_text("").decls == () and parse_module_text("").main is None
+        with pytest.raises(ParseError, match=r"^unexpected end of input \(expected term\)$") as e:
+            parse_term_text("", "f.tt0")
+        assert str(e.value.span) == "f.tt0:1:1"
+
+    @given(pieces=st.lists(st.sampled_from(TOKEN_ALPHABET), max_size=20))
+    @settings(max_examples=100, deadline=None)
+    def test_length_indexing_slicing_and_iteration_agree(self, pieces):
+        toks = tokenize("".join(pieces))
+        listed = list(toks)
+        assert len(listed) == len(toks) >= 1
+        assert [toks[i] for i in range(len(toks))] == listed
+        assert [toks[i] for i in range(-len(toks), 0)] == listed
+        assert toks[-1] == listed[-1] and toks[-1].kind == "eof"
+        assert toks[:] == listed and toks[1:-1] == listed[1:-1] and toks[::-2] == listed[::-2]
+        for i in (len(toks), -len(toks) - 1):
+            with pytest.raises(IndexError):
+                toks[i]
+
 
 class TestParse:
     def test_identity_declaration(self):
@@ -219,6 +278,17 @@ class TestParse:
         span = e.value.span
         assert span is not None
         assert span.start_line == 1 and 1 < span.start_col <= n
+
+    @given(pieces=st.lists(st.sampled_from([*TOKEN_ALPHABET, "λ", "-", "05"]), max_size=40))
+    @settings(max_examples=400, deadline=None)
+    def test_any_text_parses_or_raises_a_located_error(self, pieces):
+        source = "".join(pieces)
+        for parse in (parse_module_text, parse_term_text):
+            try:
+                parse(source, "f.tt0")
+            except (LexError, ParseError) as e:
+                assert e.span is not None and e.span.file == "f.tt0"
+                assert 1 <= e.span.start_line <= source.count("\n") + 1
 
 
 class TestRoundTrip:
