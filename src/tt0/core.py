@@ -129,9 +129,13 @@ class Succ(Term):
     arg: Term
 
 
-def succ(t: Term) -> Term:
-    """The successor of a term, folded when the term is a literal."""
-    return Lit(t.n + 1) if isinstance(t, Lit) else Succ(t)
+def succ(t: Term, k: int = 1) -> Term:
+    """The `k`-th successor of a term, folded when the term is a literal."""
+    if isinstance(t, Lit):
+        return Lit(t.n + k)
+    for _ in range(k):
+        t = Succ(t)
+    return t
 
 
 class NatElim(Term):
@@ -566,10 +570,7 @@ def quote(store: "MetaStore", depth: int, v: Value) -> Term:
             k = 0
             while type(v) is VSucc:
                 v, k = force(store, v.arg), k + 1
-            t = quote(store, depth, v)
-            for _ in range(k):
-                t = succ(t)
-            return t
+            return succ(quote(store, depth, v), k)
         case VNeutral(head, spine):
             t: Term
             if isinstance(head, VarH):
@@ -862,8 +863,10 @@ def kernel_infer(store: "MetaStore | None", ctx: Context, t: Term) -> Value:
             dom_v = evaluate(ctx.env, dom)
             kernel_check(store, ctx.bind(name, mode, dom_v).erased(), cod, Univ())
             return Univ()
-        case Succ(arg):
-            kernel_check(store, ctx, arg, NatTy())
+        case Succ():  # a chain in one loop: its length costs no stack
+            while type(t) is Succ:
+                t = t.arg
+            kernel_check(store, ctx, t, NatTy())
             return NatTy()
         case NatElim(motive, a, b, scrut) | BoolElim(motive, a, b, scrut):
             motive_ty, scrut_ty, case_tys = ELIMINATORS[type(t)]

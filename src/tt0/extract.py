@@ -60,9 +60,13 @@ class TSucc(Target):
     arg: Target
 
 
-def tsucc(t: Target) -> Target:
-    """The successor of a target term, folded when it is a literal."""
-    return TLit(t.n + 1) if isinstance(t, TLit) else TSucc(t)
+def tsucc(t: Target, k: int = 1) -> Target:
+    """The `k`-th successor of a target term, folded when it is a literal."""
+    if isinstance(t, TLit):
+        return TLit(t.n + k)
+    for _ in range(k):
+        t = TSucc(t)
+    return t
 
 
 class TNatRec(Target):
@@ -270,8 +274,7 @@ def _delay(env: tuple[list, int], t: Target) -> _Thunk:
     return _Thunk(None, None, t) if type(t) in (TLit, TTrue, TFalse) else _Thunk(env, t)
 
 
-# The successor case of `natrec z s pred`, in the environment (z, s, pred).
-_STEP = TApp(TApp(TVar(1), TVar(0)), TNatRec(TVar(2), TVar(1), TVar(0)))
+_NATREC = TNatRec(TVar(2), TVar(1), TVar(0))  # in the environment (z, s, pred)
 # The values each frame eliminates, and what is stuck on any other value.
 _ELIMINATES = {
     TApp: ((_Clo,), "applying a non-function"),
@@ -286,8 +289,10 @@ class _Machine:
     """A lazy Krivine-style machine (Sestoft's): a control term, its
     environment of thunks, and an explicit stack of frames: `(TApp, arg)`,
     `(TFst,)`, `(TSnd,)`, `(TNatRec, zcase, scase)`, `(TIf, then, else)`
-    of thunks, and a thunk to update.  Each β, `let` and ι step spends one
-    unit of fuel; `left` below 0 means unbounded, and negative fuel none."""
+    of thunks, and a thunk to update.  An ι-step on `succ pred` pushes
+    `(TApp, natrec z s pred)` and `(TApp, pred)`, then goes on with `s`.
+    Each β, `let` and ι step spends one unit of fuel; `left` below 0
+    means unbounded, and negative fuel none."""
 
     def __init__(self, fuel: int | None):
         self.left = -1 if fuel is None else max(fuel, 0)
@@ -355,14 +360,19 @@ class _Machine:
                 if tag is TApp:
                     env, t = _extend(v.env, f[1]), v.lam.body
                     break
-                if tv is _Succ or tv is TLit and v.n > 0:
+                if tv is _Succ or tv is TLit and v.n > 0:  # s pred (natrec z s pred)
                     pred = v.arg if tv is _Succ else _Thunk(None, None, TLit(v.n - 1))
-                    env, t = ([f[1], f[2], pred], 3), _STEP
+                    stack += (TApp, _Thunk(([f[1], f[2], pred], 3), _NATREC)), (TApp, pred)
+                    th = f[2]
                 elif tag is TFst or tag is TSnd:
-                    env, t = ([v.fst if tag is TFst else v.snd], 1), TVar(0)
+                    th = v.fst if tag is TFst else v.snd
                 else:  # natrec at zero, or a conditional
-                    env, t = ([f[2] if tv is TFalse else f[1]], 1), TVar(0)
-                break
+                    th = f[2] if tv is TFalse else f[1]
+                if th.value is None:  # continue with the chosen thunk
+                    stack.append(th)
+                    env, t = th.env, th.term
+                    break
+                v = th.value
 
     def quote(self, th: _Thunk, depth: int, force: bool = True) -> Target:
         """Read a thunk back as a target term, under `depth` binders, with
@@ -396,8 +406,12 @@ class _Machine:
                 todo.append((d + 1, _delay(_extend(v.env, var), v.lam.body)))
             elif tv is _Pair:
                 todo += [(TPair, 2), (d, v.snd), (d, v.fst)]
-            elif tv is _Succ:
-                todo += [(tsucc, 1), (d, v.arg)]
+            elif tv is _Succ:  # the chain in one loop, built at its base
+                k = 0
+                while type(v) is _Succ:
+                    x, k = v.arg, k + 1
+                    v = self.force(x, d) if force else x.value
+                todo += [(lambda b, k=k: tsucc(b, k), 1), (d, x)]
             elif tv is not _Ne or v.frame is None:
                 out.append(v if tv is not _Ne else TVar(d - 1 - v.head))
             else:  # the head, then the frame's thunks
@@ -444,8 +458,13 @@ def pp_target(t: Target, names: tuple[str, ...] = (), prec: int = 0) -> str:
             )
         case TPair(fst, snd):
             return f"({pp_target(fst, names, 0)}, {pp_target(snd, names, 0)})"
-        case TFst(arg) | TSnd(arg) | TSucc(arg):
-            word = {TFst: "fst", TSnd: "snd", TSucc: "succ"}[type(t)]
+        case TSucc():  # a chain in one loop, as `core.pp` prints one
+            k = 0
+            while type(t) is TSucc:
+                t, k = t.arg, k + 1
+            return co.succ_chain(k, prec, 1, pp_target(t, names, 2))
+        case TFst(arg) | TSnd(arg):
+            word = "fst" if type(t) is TFst else "snd"
             return _wrap(f"{word} {pp_target(arg, names, 2)}", prec, 1)
         case TNatRec(z, s, n):
             parts = " ".join(pp_target(u, names, 2) for u in (z, s, n))

@@ -257,8 +257,11 @@ def rename(
             case co.App(mode, icit, fn, arg):
                 fn = go(fn, k, runtime)
                 return co.App(mode, icit, fn, go(arg, k, runtime and mode is not Mode.ZERO))
-            case co.Succ(arg):
-                return co.Succ(go(arg, k, runtime))
+            case co.Succ():  # a chain in one loop: its length costs no stack
+                n = 0
+                while type(t) is co.Succ:
+                    t, n = t.arg, n + 1
+                return co.succ(go(t, k, runtime), n)
             case co.Lam(name, mode, icit, body):
                 return co.Lam(name, mode, icit, go_bind(body, k, mode, runtime))
             case co.Pi(name, mode, icit, dom, cod):

@@ -255,3 +255,65 @@ def test_conversion_of_long_successor_chains_over_a_variable(tmp_path):
         "ok plus : Nat → Nat → Nat",
         f"ok f : Π₀ (F : Nat → U). Π (x : Nat). F (plus {lit} x) → F (plus {lit} x)",
     ]
+
+
+def test_solving_a_long_successor_chain_at_default_recursion_limit():
+    # `rename` and the kernel's check of the solution walk the chain in
+    # loops, so the solve passes whatever limit an earlier test left set.
+    script = textwrap.dedent(
+        """
+        import sys
+        from tt0 import core as co
+        from tt0.core import Context, NatTy, VSucc, evaluate
+        from tt0.surface import Mode
+        from tt0.unify import MetaStore, fresh_meta, solve
+
+        assert sys.getrecursionlimit() == 1000, sys.getrecursionlimit()
+        store = MetaStore()
+        ctx = Context().bind("x", Mode.OMEGA, NatTy())
+        m = fresh_meta(store, ctx, NatTy())
+        rhs = co.vvar(0)
+        for _ in range(40_000):
+            rhs = VSucc(rhs)
+        solve(store, ctx.depth, 0, evaluate(ctx.env, m).spine, rhs, ctx.name)
+        body, k = store.lookup(0).solution_body, 0
+        while isinstance(body, co.Succ):
+            body, k = body.arg, k + 1
+        print(k, body)
+        """
+    )
+    proc = python("-c", script)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert proc.stdout == "40000 Var(ix=0)\n"
+
+
+def test_printing_a_long_successor_chain_over_a_variable(tmp_path):
+    # `pp_target` walks the chain in a loop: the library prints 5 000
+    # successors at the default limit, and `tt0 run` prints 120 000 as
+    # text under its own limit, as it does as JSON.
+    script = textwrap.dedent(
+        """
+        import sys
+        from tt0.extract import TLam, TSucc, TVar, pp_target
+
+        assert sys.getrecursionlimit() == 1000, sys.getrecursionlimit()
+        t = TVar(0)
+        for _ in range(5000):
+            t = TSucc(t)
+        print(pp_target(TLam("x", t)))
+        print(pp_target(TSucc(t), ("y",), 2))
+        """
+    )
+    library = python("-c", script)
+    assert library.returncode == 0, library.stderr[-2000:]
+
+    def chain(k: int, base: str) -> str:
+        return "succ " + "(succ " * (k - 1) + base + ")" * (k - 1)
+
+    assert library.stdout.splitlines() == ["\\x. " + chain(5000, "x"), f"({chain(5001, 'y')})"]
+    n = 120_000
+    f = tmp_path / "plus.tt0"
+    f.write_text(PLUS + f"main = \\(x : Nat). plus {n} x;\n")
+    run = python("-m", "tt0", "run", str(f))
+    assert run.returncode == 0, run.stderr[-2000:]
+    assert run.stdout == "\\x. " + chain(n, "x") + "\n"

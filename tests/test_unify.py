@@ -523,8 +523,9 @@ class TestRenameAgainstQuote:
         assert total > 0
 
     def test_deep_succ_chain_over_a_variable(self):
-        # The walk takes one frame per successor, as readback and the
-        # kernel do; anything more overflows under the tests' limit.
+        # `rename` and the kernel's check of the solution walk the chain in
+        # loops; `tests/test_large_numerals.py` solves it at the default
+        # recursion limit, in a fresh interpreter.
         store = MetaStore()
         ctx = Context().bind("x", W, NatTy())
         m = fresh_meta(store, ctx, NatTy())
