@@ -36,12 +36,17 @@ class Mode(enum.Enum):
     OMEGA = "w"
 
     def __str__(self) -> str:
-        return "0" if self is Mode.ZERO else "ω"
+        return "0" if self is ZERO else "ω"
 
 
 class Icit(enum.Enum):
     EXPL = "explicit"
     IMPL = "implicit"
+
+
+# The members as plain names: a global reads faster than an enum attribute.
+ZERO, OMEGA = Mode.ZERO, Mode.OMEGA
+EXPL, IMPL = Icit.EXPL, Icit.IMPL
 
 
 # ---------------------------------------------------------------------------
@@ -131,7 +136,7 @@ class Succ(Term):
 
 def succ(t: Term, k: int = 1) -> Term:
     """The `k`-th successor of a term, folded when the term is a literal."""
-    if isinstance(t, Lit):
+    if type(t) is Lit:
         return Lit(t.n + k)
     for _ in range(k):
         t = Succ(t)
@@ -204,39 +209,37 @@ def map_subterms(t: Term, f: Callable[[Term, int], Term], depth: int = 0) -> Ter
     """Rebuild `t` with `f(child, depth + k)` in place of each immediate
     subterm, where `k` is the number of binders `t` puts around that child;
     `t` itself when every child comes back as it was (`is`)."""
-    if type(t) is Var or type(t) in _CONSTANT_ROWS:
+    tt = type(t)
+    if tt is App:
+        g, a = f(t.fn, depth), f(t.arg, depth)
+        return t if g is t.fn and a is t.arg else App(t.mode, t.icit, g, a)
+    if tt is Var or tt in _CONSTANT_ROWS or tt is Meta:
         return t
-    inner = depth + 1
-    match t:
-        case Lam(name, mode, icit, body):
-            b = f(body, inner)
-            return t if b is body else Lam(name, mode, icit, b)
-        case App(mode, icit, fn, arg):
-            g, a = f(fn, depth), f(arg, depth)
-            return t if g is fn and a is arg else App(mode, icit, g, a)
-        case Pi(name, mode, icit, dom, cod):
-            a, b = f(dom, depth), f(cod, inner)
-            return t if a is dom and b is cod else Pi(name, mode, icit, a, b)
-        case Sigma(name, mode, fst_ty, snd_ty):
-            a, b = f(fst_ty, depth), f(snd_ty, inner)
-            return t if a is fst_ty and b is snd_ty else Sigma(name, mode, a, b)
-        case Pair(mode, fst, snd):
-            a, b = f(fst, depth), f(snd, depth)
-            return t if a is fst and b is snd else Pair(mode, a, b)
-        case Fst(mode, pair) | Snd(mode, pair):
-            a = f(pair, depth)
-            return t if a is pair else type(t)(mode, a)
-        case Succ(arg):
-            a = f(arg, depth)
-            return t if a is arg else succ(a)
-        case NatElim(motive, a, b, scrut) | BoolElim(motive, a, b, scrut):
-            old = (motive, a, b, scrut)
-            new = tuple(f(u, depth) for u in old)
-            return t if all(x is y for x, y in zip(new, old)) else type(t)(*new)
-        case Let(name, ty, defn, body):
-            a, b, c = f(ty, depth), f(defn, depth), f(body, inner)
-            return t if a is ty and b is defn and c is body else Let(name, a, b, c)
-    return t
+    if tt is Lam:
+        b = f(t.body, depth + 1)
+        return t if b is t.body else Lam(t.name, t.mode, t.icit, b)
+    if tt is Pi:
+        a, b = f(t.dom, depth), f(t.cod, depth + 1)
+        return t if a is t.dom and b is t.cod else Pi(t.name, t.mode, t.icit, a, b)
+    if tt is Sigma:
+        a, b = f(t.fst_ty, depth), f(t.snd_ty, depth + 1)
+        return t if a is t.fst_ty and b is t.snd_ty else Sigma(t.name, t.mode, a, b)
+    if tt is Pair:
+        a, b = f(t.fst, depth), f(t.snd, depth)
+        return t if a is t.fst and b is t.snd else Pair(t.mode, a, b)
+    if tt is Fst or tt is Snd:
+        a = f(t.pair, depth)
+        return t if a is t.pair else tt(t.mode, a)
+    if tt is Succ:
+        a = f(t.arg, depth)
+        return t if a is t.arg else succ(a)
+    if tt is Let:
+        a, b, c = f(t.ty, depth), f(t.defn, depth), f(t.body, depth + 1)
+        return t if a is t.ty and b is t.defn and c is t.body else Let(t.name, a, b, c)
+    # NatElim and BoolElim: four subterms, none under a binder
+    old = [getattr(t, k) for k in tt.__match_args__]
+    new = [f(u, depth) for u in old]
+    return t if all(x is y for x, y in zip(new, old)) else tt(*new)
 
 
 # ---------------------------------------------------------------------------
@@ -331,18 +334,19 @@ class VSucc(Value):
     arg: Value
 
 
+# The classes of natural-number values other than neutrals.
+_NATS = (VSucc, Lit)
+
+
 def vsucc(v: Value) -> Value:
-    return Lit(v.n + 1) if isinstance(v, Lit) else VSucc(v)
+    return Lit(v.n + 1) if type(v) is Lit else VSucc(v)
 
 
 def vpred(v: Value) -> Value | None:
     """The predecessor of a successor value; None for zero and neutrals."""
-    match v:
-        case Lit(n) if n > 0:
-            return Lit(n - 1)
-        case VSucc(arg):
-            return arg
-    return None
+    if type(v) is VSucc:
+        return v.arg
+    return Lit(v.n - 1) if type(v) is Lit and v.n > 0 else None
 
 
 def strip_succs(store: "MetaStore | None", a: Value, b: Value) -> tuple[Value, Value] | None:
@@ -415,69 +419,72 @@ def vvar(lvl: int) -> VNeutral:
 # ---------------------------------------------------------------------------
 # Evaluation.  Pure in the meta store: unsolved and solved metas alike
 # evaluate to flexible neutrals; `force` consults the store.  Call-by-need
-# for definitions: a `let` binds a thunk of its value.
+# for definitions: a `let` binds a thunk of its value.  Here and below a
+# walker branches on the exact class of a node (`type(t) is C`: no node
+# class has subclasses but `Constant`, whose leaves are the keys of
+# `_CONSTANT_ROWS`), its most frequent classes first, and reads the fields
+# it needs as attributes.  An application whose head evaluates to a lambda
+# is a β-step done in place.
 
 
 def evaluate(env: Env, t: Term) -> Value:
-    if type(t) is Var:
-        return entry_value(env[len(env) - 1 - t.ix])
-    if type(t) in _CONSTANT_ROWS:
+    tt = type(t)
+    if tt is Var:
+        v = env[len(env) - 1 - t.ix]
+        return v.force() if type(v) is Thunk else v
+    if tt is App:
+        fn, arg = evaluate(env, t.fn), evaluate(env, t.arg)
+        if type(fn) is VLam:  # β
+            return evaluate(fn.clos.env + (arg,), fn.clos.body)
+        return vapp(fn, t.mode, t.icit, arg)
+    if tt is Lam:
+        return VLam(t.name, t.mode, t.icit, Closure(env, t.body))
+    if tt in _CONSTANT_ROWS:
         return t
-    match t:
-        case Lam(name, mode, icit, body):
-            return VLam(name, mode, icit, Closure(env, body))
-        case App(mode, icit, fn, arg):
-            return vapp(evaluate(env, fn), mode, icit, evaluate(env, arg))
-        case Pi(name, mode, icit, dom, cod):
-            return VPi(name, mode, icit, evaluate(env, dom), Closure(env, cod))
-        case Sigma(name, mode, fst_ty, snd_ty):
-            return VSigma(name, mode, evaluate(env, fst_ty), Closure(env, snd_ty))
-        case Pair(mode, fst, snd):
-            return VPair(mode, evaluate(env, fst), evaluate(env, snd))
-        case Fst(mode, pair) | Snd(mode, pair):
-            return (vfst if type(t) is Fst else vsnd)(mode, evaluate(env, pair))
-        case Succ(arg):
-            return vsucc(evaluate(env, arg))
-        case NatElim(motive, a, b, scrut) | BoolElim(motive, a, b, scrut):
-            elim = vnatelim if type(t) is NatElim else vboolelim
-            return elim(
-                evaluate(env, motive), evaluate(env, a), evaluate(env, b), evaluate(env, scrut)
-            )
-        case Let(_, _, defn, body):
-            return evaluate(env + (definition(env, defn),), body)
-        case Meta(mid, mask):
-            v: Value = VNeutral(MetaH(mid))
-            for i, m in enumerate(mask, len(env) - len(mask)):
-                if m is not None:
-                    v = vapp(v, m, Icit.EXPL, entry_value(env[i]))
-            return v
+    if tt is Pi:
+        return VPi(t.name, t.mode, t.icit, evaluate(env, t.dom), Closure(env, t.cod))
+    if tt is Meta:  # applied to the captured binders
+        mask = t.mask
+        args = enumerate(mask, len(env) - len(mask))
+        spine = tuple(SApp(m, EXPL, entry_value(env[i])) for i, m in args if m is not None)
+        return VNeutral(MetaH(t.mid), spine)
+    if tt is Let:
+        return evaluate(env + (definition(env, t.defn),), t.body)
+    if tt is Succ:
+        return vsucc(evaluate(env, t.arg))
+    if tt is Sigma:
+        return VSigma(t.name, t.mode, evaluate(env, t.fst_ty), Closure(env, t.snd_ty))
+    if tt is Pair:
+        return VPair(t.mode, evaluate(env, t.fst), evaluate(env, t.snd))
+    if tt is Fst or tt is Snd:
+        return (vfst if tt is Fst else vsnd)(t.mode, evaluate(env, t.pair))
+    if tt is NatElim or tt is BoolElim:
+        args = [evaluate(env, getattr(t, k)) for k in tt.__match_args__]
+        return (vnatelim if tt is NatElim else vboolelim)(*args)
     raise AssertionError(f"unhandled term {t!r}")
 
 
 def vapp(fn: Value, mode: Mode, icit: Icit, arg: Value) -> Value:
-    match fn:
-        case VLam(_, _, _, clos):
-            return clos.apply(arg)
-        case VNeutral(head, spine):
-            return VNeutral(head, spine + (SApp(mode, icit, arg),))
+    if type(fn) is VLam:
+        return evaluate(fn.clos.env + (arg,), fn.clos.body)
+    if type(fn) is VNeutral:
+        return VNeutral(fn.head, fn.spine + (SApp(mode, icit, arg),))
     raise InternalError(f"applying a non-function value {fn!r}")
 
 
 def vfst(mode: Mode, v: Value) -> Value:
-    match v:
-        case VPair(_, fst, _):
-            return fst
-        case VNeutral(head, spine):
-            return VNeutral(head, spine + (SFst(mode),))
+    if type(v) is VPair:
+        return v.fst
+    if type(v) is VNeutral:
+        return VNeutral(v.head, v.spine + (SFst(mode),))
     raise InternalError(f"first projection of a non-pair value {v!r}")
 
 
 def vsnd(mode: Mode, v: Value) -> Value:
-    match v:
-        case VPair(_, _, snd):
-            return snd
-        case VNeutral(head, spine):
-            return VNeutral(head, spine + (SSnd(mode),))
+    if type(v) is VPair:
+        return v.snd
+    if type(v) is VNeutral:
+        return VNeutral(v.head, v.spine + (SSnd(mode),))
     raise InternalError(f"second projection of a non-pair value {v!r}")
 
 
@@ -488,42 +495,41 @@ def vnatelim(motive: Value, zcase: Value, scase: Value, scrut: Value) -> Value:
     while type(scrut) is VSucc:
         chain.append(scrut.arg)
         scrut = scrut.arg
-    match scrut:
-        case Lit(k):
-            ih, below = zcase, map(Lit, range(k))
-        case VNeutral(head, spine):
-            ih, below = VNeutral(head, spine + (SNatElim(motive, zcase, scase),)), ()
-        case _:
-            raise InternalError(f"natural-number elimination of {scrut!r}")
+    if type(scrut) is Lit:
+        ih, below = zcase, map(Lit, range(scrut.n))
+    elif type(scrut) is VNeutral:
+        ih, below = VNeutral(scrut.head, scrut.spine + (SNatElim(motive, zcase, scase),)), ()
+    else:
+        raise InternalError(f"natural-number elimination of {scrut!r}")
     for pred in itertools.chain(below, reversed(chain)):
         ih = _nat_step(scase, pred, ih)
     return ih
 
 
 def _nat_step(scase: Value, pred: Value, ih: Value) -> Value:
-    return vapp(vapp(scase, Mode.OMEGA, Icit.EXPL, pred), Mode.OMEGA, Icit.EXPL, ih)
+    return vapp(vapp(scase, OMEGA, EXPL, pred), OMEGA, EXPL, ih)
 
 
 def vboolelim(motive: Value, tcase: Value, fcase: Value, scrut: Value) -> Value:
-    match scrut:
-        case TrueTm():
-            return tcase
-        case FalseTm():
-            return fcase
-        case VNeutral(head, spine):
-            return VNeutral(head, spine + (SBoolElim(motive, tcase, fcase),))
+    if type(scrut) is TrueTm:
+        return tcase
+    if type(scrut) is FalseTm:
+        return fcase
+    if type(scrut) is VNeutral:
+        return VNeutral(scrut.head, scrut.spine + (SBoolElim(motive, tcase, fcase),))
     raise InternalError(f"boolean elimination of {scrut!r}")
 
 
 def apply_spine(v: Value, spine: tuple[SpineItem, ...]) -> Value:
     for item in spine:
-        match item:
-            case SApp(mode, icit, arg):
-                v = vapp(v, mode, icit, arg)
-            case SFst(mode) | SSnd(mode):
-                v = (vfst if type(item) is SFst else vsnd)(mode, v)
-            case SNatElim(motive, a, b) | SBoolElim(motive, a, b):
-                v = (vnatelim if type(item) is SNatElim else vboolelim)(motive, a, b, v)
+        ti = type(item)
+        if ti is SApp:
+            v = vapp(v, item.mode, item.icit, item.arg)
+        elif ti is SFst or ti is SSnd:
+            v = (vfst if ti is SFst else vsnd)(item.mode, v)
+        else:
+            elim = vnatelim if ti is SNatElim else vboolelim
+            v = elim(*[getattr(item, k) for k in ti.__match_args__], v)
     return v
 
 
@@ -543,55 +549,43 @@ def force(store: "MetaStore", v: Value) -> Value:
 
 def quote(store: "MetaStore", depth: int, v: Value) -> Term:
     v = force(store, v)
-    match v:
-        case VLam(name, mode, icit, clos):
-            return Lam(name, mode, icit, quote(store, depth + 1, clos.apply(vvar(depth))))
-        case VPi(name, mode, icit, dom, cod):
-            return Pi(
-                name,
-                mode,
-                icit,
-                quote(store, depth, dom),
-                quote(store, depth + 1, cod.apply(vvar(depth))),
-            )
-        case VSigma(name, mode, fst_ty, snd_ty):
-            return Sigma(
-                name,
-                mode,
-                quote(store, depth, fst_ty),
-                quote(store, depth + 1, snd_ty.apply(vvar(depth))),
-            )
-        case VPair(mode, fst, snd):
-            return Pair(mode, quote(store, depth, fst), quote(store, depth, snd))
-        case Constant():
-            return v
-        case VSucc():
-            # Counted in a loop; the base may be a meta solved to a literal.
-            k = 0
-            while type(v) is VSucc:
-                v, k = force(store, v.arg), k + 1
-            return succ(quote(store, depth, v), k)
-        case VNeutral(head, spine):
-            t: Term
-            if isinstance(head, VarH):
-                t = Var(depth - 1 - head.lvl)
-            else:
-                t = Meta(head.mid)
-            for item in spine:
-                t = _quote_spine_item(store, depth, t, item)
-            return t
+    tv = type(v)
+    if tv is VNeutral:
+        head = v.head
+        t = Var(depth - 1 - head.lvl) if type(head) is VarH else Meta(head.mid)
+        for item in v.spine:
+            t = _quote_spine_item(store, depth, t, item)
+        return t
+    if tv in _CONSTANT_ROWS:
+        return v
+    if tv is VLam:
+        return Lam(v.name, v.mode, v.icit, quote(store, depth + 1, v.clos.apply(vvar(depth))))
+    if tv is VPi:
+        dom = quote(store, depth, v.dom)
+        return Pi(v.name, v.mode, v.icit, dom, quote(store, depth + 1, v.cod.apply(vvar(depth))))
+    if tv is VSucc:
+        # Counted in a loop; the base may be a meta solved to a literal.
+        k = 0
+        while type(v) is VSucc:
+            v, k = force(store, v.arg), k + 1
+        return succ(quote(store, depth, v), k)
+    if tv is VSigma:
+        fst_ty = quote(store, depth, v.fst_ty)
+        return Sigma(v.name, v.mode, fst_ty, quote(store, depth + 1, v.snd_ty.apply(vvar(depth))))
+    if tv is VPair:
+        return Pair(v.mode, quote(store, depth, v.fst), quote(store, depth, v.snd))
     raise AssertionError(f"unhandled value {v!r}")
 
 
 def _quote_spine_item(store: "MetaStore", depth: int, t: Term, item: SpineItem) -> Term:
-    match item:
-        case SApp(mode, icit, arg):
-            return App(mode, icit, t, quote(store, depth, arg))
-        case SFst(mode) | SSnd(mode):
-            return (Fst if type(item) is SFst else Snd)(mode, t)
-        case SNatElim(motive, a, b) | SBoolElim(motive, a, b):
-            elim = NatElim if type(item) is SNatElim else BoolElim
-            return elim(*(quote(store, depth, u) for u in (motive, a, b)), t)
+    ti = type(item)
+    if ti is SApp:
+        return App(item.mode, item.icit, t, quote(store, depth, item.arg))
+    if ti is SFst or ti is SSnd:
+        return (Fst if ti is SFst else Snd)(item.mode, t)
+    if ti is SNatElim or ti is SBoolElim:
+        elim = NatElim if ti is SNatElim else BoolElim
+        return elim(*[quote(store, depth, getattr(item, k)) for k in ti.__match_args__], t)
     raise AssertionError(f"unhandled spine item {item!r}")
 
 
@@ -600,7 +594,10 @@ def normal_form(store: "MetaStore", env: Env, t: Term) -> Term:
 
 
 # ---------------------------------------------------------------------------
-# Conversion checking (rigid only; metavariable solving lives in unify)
+# Conversion checking (rigid only; metavariable solving lives in unify).
+# Arms on disjoint pairs of classes may come in any order; of the arms that
+# take a class on either side, λ-η comes before pair-η, so a lambda against
+# a pair applies the pair.
 
 
 def conv(store: "MetaStore | None", depth: int, a: Value, b: Value) -> bool:
@@ -608,62 +605,57 @@ def conv(store: "MetaStore | None", depth: int, a: Value, b: Value) -> bool:
         return True
     if store is not None:
         a, b = force(store, a), force(store, b)
-    if isinstance(a, Constant) and isinstance(b, Constant):
+    ta, tb = type(a), type(b)
+    if ta is VNeutral and tb is VNeutral:
+        if a.head != b.head or len(a.spine) != len(b.spine):
+            return False
+        return all(_conv_spine_item(store, depth, x, y) for x, y in zip(a.spine, b.spine))
+    if ta in _CONSTANT_ROWS and tb in _CONSTANT_ROWS:
         return a == b
-    match a, b:
-        case (VLam(_, mode, icit, _), _) | (_, VLam(_, mode, icit, _)):
-            # Both sides applied to a fresh variable as the first lambda
-            # binds it (eta for a side that is not a lambda).
-            if type(b) is VLam and b.mode is not mode:
-                return False
-            x = vvar(depth)
-            return conv(store, depth + 1, vapp(a, mode, icit, x), vapp(b, mode, icit, x))
-        case (VPair(mode, _, _), _) | (_, VPair(mode, _, _)):
-            # Both sides projected at the first pair's mode (eta for a side
-            # that is not a pair).
-            return conv(store, depth, vfst(mode, a), vfst(mode, b)) and conv(
-                store, depth, vsnd(mode, a), vsnd(mode, b)
+    if ta is tb and (ta is VPi or ta is VSigma):
+        # Only a function type has an implicitness to compare.
+        if a.mode is not b.mode or ta is VPi and a.icit is not b.icit:
+            return False
+        x = vvar(depth)
+        if ta is VPi:
+            return conv(store, depth, a.dom, b.dom) and conv(
+                store, depth + 1, a.cod.apply(x), b.cod.apply(x)
             )
-        case (VPi(_, mode, _, dom, cod), VPi(_, mode2, _, dom2, cod2)) | (
-            VSigma(_, mode, dom, cod), VSigma(_, mode2, dom2, cod2)
-        ):
-            # Only a function type has an implicitness to compare.
-            if mode is not mode2 or type(a) is VPi and a.icit is not b.icit:
-                return False
-            x = vvar(depth)
-            return conv(store, depth, dom, dom2) and conv(
-                store, depth + 1, cod.apply(x), cod2.apply(x)
-            )
-        case VSucc() | Lit(), VSucc() | Lit():
-            # succ x against succ y, or against a literal k > 0 as k - 1.
-            rest = strip_succs(store, a, b)
-            return rest is not None and conv(store, depth, *rest)
-        case VNeutral(h1, s1), VNeutral(h2, s2):
-            if h1 != h2 or len(s1) != len(s2):
-                return False
-            return all(
-                _conv_spine_item(store, depth, i1, i2) for i1, i2 in zip(s1, s2)
-            )
+        return conv(store, depth, a.fst_ty, b.fst_ty) and conv(
+            store, depth + 1, a.snd_ty.apply(x), b.snd_ty.apply(x)
+        )
+    if ta is VLam or tb is VLam:
+        # Both sides applied to a fresh variable as the first lambda binds
+        # it (eta for a side that is not a lambda).
+        lam = a if ta is VLam else b
+        if tb is VLam and b.mode is not lam.mode:
+            return False
+        x, mode, icit = vvar(depth), lam.mode, lam.icit
+        return conv(store, depth + 1, vapp(a, mode, icit, x), vapp(b, mode, icit, x))
+    if ta is VPair or tb is VPair:
+        # Both sides projected at the first pair's mode (eta for a side that
+        # is not a pair); after the lambda arm.
+        mode = (a if ta is VPair else b).mode
+        return conv(store, depth, vfst(mode, a), vfst(mode, b)) and conv(
+            store, depth, vsnd(mode, a), vsnd(mode, b)
+        )
+    if ta in _NATS and tb in _NATS:
+        # succ x against succ y, or against a literal k > 0 as k - 1.
+        rest = strip_succs(store, a, b)
+        return rest is not None and conv(store, depth, *rest)
     return False
 
 
-def _conv_spine_item(
-    store: "MetaStore", depth: int, a: SpineItem, b: SpineItem
-) -> bool:
-    match a, b:
-        case SApp(mode, _, arg), SApp(mode2, _, arg2):
-            return mode is mode2 and conv(store, depth, arg, arg2)
-        case (SFst(mode), SFst(mode2)) | (SSnd(mode), SSnd(mode2)):
-            return mode is mode2
-        case (SNatElim(p, x, y), SNatElim(p2, x2, y2)) | (
-            SBoolElim(p, x, y), SBoolElim(p2, x2, y2)
-        ):
-            return (
-                conv(store, depth, p, p2)
-                and conv(store, depth, x, x2)
-                and conv(store, depth, y, y2)
-            )
-    return False
+def _conv_spine_item(store: "MetaStore", depth: int, a: SpineItem, b: SpineItem) -> bool:
+    ta = type(a)
+    if ta is not type(b):
+        return False
+    if ta is SApp:
+        return a.mode is b.mode and conv(store, depth, a.arg, b.arg)
+    if ta is SFst or ta is SSnd:
+        return a.mode is b.mode
+    # the motives and the cases, in order
+    return all(conv(store, depth, getattr(a, k), getattr(b, k)) for k in ta.__match_args__)
 
 
 # ---------------------------------------------------------------------------
@@ -746,7 +738,7 @@ class Context(Record):
         lvl = len(self.env)
         if self.local or lvl != len(sig.entries):
             raise InternalError("declaration added to a context inside the signature")
-        sig.entries.append(CtxEntry(name, Mode.OMEGA, ty, value is not None))
+        sig.entries.append(CtxEntry(name, OMEGA, ty, value is not None))
         sig.levels[name] = lvl
         value = vvar(lvl) if value is None else value
         return Context(sig, (), self.env + (value,), self.flag)
@@ -789,21 +781,21 @@ class Context(Record):
 # an environment holding the motive value.
 _NAT_SUCC_CASE_TY = Pi(
     "k",
-    Mode.OMEGA,
-    Icit.EXPL,
+    OMEGA,
+    EXPL,
     NatTy(),
     Pi(
         "ih",
-        Mode.OMEGA,
-        Icit.EXPL,
-        App(Mode.OMEGA, Icit.EXPL, Var(1), Var(0)),
-        App(Mode.OMEGA, Icit.EXPL, Var(2), Succ(Var(1))),
+        OMEGA,
+        EXPL,
+        App(OMEGA, EXPL, Var(1), Var(0)),
+        App(OMEGA, EXPL, Var(2), Succ(Var(1))),
     ),
 )
 
 
 def motive_app(motive: Value, scrut: Value) -> Value:
-    return vapp(motive, Mode.OMEGA, Icit.EXPL, scrut)
+    return vapp(motive, OMEGA, EXPL, scrut)
 
 
 # The eliminators by class: the motive's type, the scrutinee's type, and
@@ -813,12 +805,12 @@ def motive_app(motive: Value, scrut: Value) -> Value:
 # runtime choice keeps mode stripping syntax-preserving.
 ELIMINATORS: dict[type, tuple[Value, Constant, Callable[[Value], tuple[Value, Value]]]] = {
     NatElim: (
-        VPi("n", Mode.OMEGA, Icit.EXPL, NatTy(), Closure((), Univ())),
+        VPi("n", OMEGA, EXPL, NatTy(), Closure((), Univ())),
         NatTy(),
         lambda p: (motive_app(p, Lit(0)), evaluate((p,), _NAT_SUCC_CASE_TY)),
     ),
     BoolElim: (
-        VPi("b", Mode.OMEGA, Icit.EXPL, BoolTy(), Closure((), Univ())),
+        VPi("b", OMEGA, EXPL, BoolTy(), Closure((), Univ())),
         BoolTy(),
         lambda p: (motive_app(p, TrueTm()), motive_app(p, FalseTm())),
     ),
@@ -826,86 +818,85 @@ ELIMINATORS: dict[type, tuple[Value, Constant, Callable[[Value], tuple[Value, Va
 
 
 def kernel_infer(store: "MetaStore | None", ctx: Context, t: Term) -> Value:
-    if type(t) in _CONSTANT_ROWS:
-        _, ty, code = _CONSTANT_ROWS[type(t)]
+    tt = type(t)
+    if tt is Var:
+        if not 0 <= t.ix < len(ctx.env):
+            raise InternalError(f"variable index {t.ix} out of scope at depth {ctx.depth}")
+        entry = ctx.entry(len(ctx.env) - 1 - t.ix)
+        if entry.mode is ZERO and not ctx.flag:
+            raise KernelError(f"erased variable {entry.name!r} used at runtime")
+        return entry.ty
+    if tt is App:
+        mode, icit = t.mode, t.icit
+        fn_ty = kernel_infer(store, ctx, t.fn)
+        if store is not None:
+            fn_ty = force(store, fn_ty)
+        if type(fn_ty) is not VPi:
+            raise KernelError("application of a non-function")
+        if fn_ty.mode is not mode or fn_ty.icit is not icit:
+            raise KernelError(
+                f"application annotation {mode}/{icit.value} does not match "
+                f"function type {fn_ty.mode}/{fn_ty.icit.value}"
+            )
+        kernel_check(store, ctx.erased() if mode is ZERO else ctx, t.arg, fn_ty.dom)
+        return fn_ty.cod.apply(Thunk(ctx.env, t.arg))
+    if tt in _CONSTANT_ROWS:
+        _, ty, code = _CONSTANT_ROWS[tt]
         if code is not None:
             _require_erased(ctx, code)
         return ty
-    match t:
-        case Var(ix):
-            if not 0 <= ix < len(ctx.env):
-                raise InternalError(f"variable index {ix} out of scope at depth {ctx.depth}")
-            entry = ctx.entry(len(ctx.env) - 1 - ix)
-            if entry.mode is Mode.ZERO and not ctx.flag:
-                raise KernelError(
-                    f"erased variable {entry.name!r} used at runtime"
-                )
-            return entry.ty
-        case App(mode, icit, fn, arg):
-            fn_ty = kernel_infer(store, ctx, fn)
-            if store is not None:
-                fn_ty = force(store, fn_ty)
-            if type(fn_ty) is not VPi:
-                raise KernelError("application of a non-function")
-            if fn_ty.mode is not mode or fn_ty.icit is not icit:
-                raise KernelError(
-                    f"application annotation {mode}/{icit.value} does not match "
-                    f"function type {fn_ty.mode}/{fn_ty.icit.value}"
-                )
-            arg_ctx = ctx.erased() if mode is Mode.ZERO else ctx
-            kernel_check(store, arg_ctx, arg, fn_ty.dom)
-            return fn_ty.cod.apply(Thunk(ctx.env, arg))
-        case Pi(name, mode, _, dom, cod) | Sigma(name, mode, dom, cod):
-            _require_erased(
-                ctx, "dependent function type" if type(t) is Pi else "dependent pair type"
+    if tt is Pi or tt is Sigma:
+        pi = tt is Pi
+        _require_erased(ctx, "dependent function type" if pi else "dependent pair type")
+        dom, cod = (t.dom, t.cod) if pi else (t.fst_ty, t.snd_ty)
+        kernel_check(store, ctx.erased(), dom, Univ())
+        dom_v = evaluate(ctx.env, dom)
+        kernel_check(store, ctx.bind(t.name, t.mode, dom_v).erased(), cod, Univ())
+        return Univ()
+    if tt is Meta:
+        if store is None:
+            raise InternalError(f"metavariable ?{t.mid} reached the kernel without a store")
+        entry, mask = store.lookup(t.mid), t.mask
+        if not mask:
+            return entry.closed_ty_value
+        if entry.sig.depth + len(mask) != ctx.depth:
+            raise InternalError(
+                f"meta mask length {len(mask)} != depth {ctx.depth} - {entry.sig.depth}"
             )
-            kernel_check(store, ctx.erased(), dom, Univ())
-            dom_v = evaluate(ctx.env, dom)
-            kernel_check(store, ctx.bind(name, mode, dom_v).erased(), cod, Univ())
-            return Univ()
-        case Succ():  # a chain in one loop: its length costs no stack
-            while type(t) is Succ:
-                t = t.arg
-            kernel_check(store, ctx, t, NatTy())
-            return NatTy()
-        case NatElim(motive, a, b, scrut) | BoolElim(motive, a, b, scrut):
-            motive_ty, scrut_ty, case_tys = ELIMINATORS[type(t)]
-            kernel_check(store, ctx.erased(), motive, motive_ty)
-            motive_v = evaluate(ctx.env, motive)
-            a_ty, b_ty = case_tys(motive_v)
-            kernel_check(store, ctx, a, a_ty)
-            kernel_check(store, ctx, b, b_ty)
-            kernel_check(store, ctx, scrut, scrut_ty)
-            return motive_app(motive_v, evaluate(ctx.env, scrut))
-        case Fst(mode, pair) | Snd(mode, pair):
-            pair_ty = kernel_infer(store, ctx, pair)
-            if store is not None:
-                pair_ty = force(store, pair_ty)
-            first = type(t) is Fst
-            if type(pair_ty) is not VSigma:
-                raise KernelError(f"{'first' if first else 'second'} projection of a non-pair")
-            if pair_ty.mode is not mode:
-                raise KernelError("projection mode does not match pair type")
-            if not first:
-                return pair_ty.snd_ty.apply(Thunk(ctx.env, Fst(mode, pair)))
-            if mode is Mode.ZERO and not ctx.flag:
-                raise KernelError("erased first projection used at runtime")
-            return pair_ty.fst_ty
-        case Let():
-            return kernel_infer(store, _let_body_ctx(store, ctx, t), t.body)
-        case Meta(mid, mask):
-            if store is None:
-                raise InternalError(f"metavariable ?{mid} reached the kernel without a store")
-            entry = store.lookup(mid)
-            if not mask:
-                return entry.closed_ty_value
-            if entry.sig.depth + len(mask) != ctx.depth:
-                raise InternalError(
-                    f"meta mask length {len(mask)} != depth {ctx.depth} - {entry.sig.depth}"
-                )
-            return evaluate(ctx.env, entry.ty)  # the capture is the context's tail
-        case Lam() | Pair():
-            raise KernelError("cannot infer a type for an unannotated introduction")
+        return evaluate(ctx.env, entry.ty)  # the capture is the context's tail
+    if tt is Let:
+        return kernel_infer(store, _let_body_ctx(store, ctx, t), t.body)
+    if tt is Succ:  # a chain in one loop: its length costs no stack
+        while type(t) is Succ:
+            t = t.arg
+        kernel_check(store, ctx, t, NatTy())
+        return NatTy()
+    if tt is NatElim or tt is BoolElim:
+        motive_ty, scrut_ty, case_tys = ELIMINATORS[tt]
+        motive, a, b, scrut = [getattr(t, k) for k in tt.__match_args__]
+        kernel_check(store, ctx.erased(), motive, motive_ty)
+        motive_v = evaluate(ctx.env, motive)
+        a_ty, b_ty = case_tys(motive_v)
+        kernel_check(store, ctx, a, a_ty)
+        kernel_check(store, ctx, b, b_ty)
+        kernel_check(store, ctx, scrut, scrut_ty)
+        return motive_app(motive_v, evaluate(ctx.env, scrut))
+    if tt is Fst or tt is Snd:
+        mode, first = t.mode, tt is Fst
+        pair_ty = kernel_infer(store, ctx, t.pair)
+        if store is not None:
+            pair_ty = force(store, pair_ty)
+        if type(pair_ty) is not VSigma:
+            raise KernelError(f"{'first' if first else 'second'} projection of a non-pair")
+        if pair_ty.mode is not mode:
+            raise KernelError("projection mode does not match pair type")
+        if not first:
+            return pair_ty.snd_ty.apply(Thunk(ctx.env, Fst(mode, t.pair)))
+        if mode is ZERO and not ctx.flag:
+            raise KernelError("erased first projection used at runtime")
+        return pair_ty.fst_ty
+    if tt is Lam or tt is Pair:
+        raise KernelError("cannot infer a type for an unannotated introduction")
     raise AssertionError(f"unhandled term {t!r}")
 
 
@@ -929,7 +920,7 @@ def kernel_check(store: "MetaStore | None", ctx: Context, t: Term, expected: Val
             raise KernelError(f"pair checked against a non-pair type {ctx.show(store, expected)}")
         if t.mode is not expected.mode:
             raise KernelError("pair mode does not match pair type mode")
-        fst_ctx = ctx.erased() if t.mode is Mode.ZERO else ctx
+        fst_ctx = ctx.erased() if t.mode is ZERO else ctx
         kernel_check(store, fst_ctx, t.fst, expected.fst_ty)
         kernel_check(store, ctx, t.snd, expected.snd_ty.apply(Thunk(ctx.env, t.fst)))
     elif type(t) is Let:
@@ -946,7 +937,7 @@ def _let_body_ctx(store: "MetaStore | None", ctx: Context, t: Let) -> Context:
     kernel_check(store, ctx.erased(), t.ty, Univ())
     ty_v = evaluate(ctx.env, t.ty)
     kernel_check(store, ctx, t.defn, ty_v)
-    return ctx.define(t.name, Mode.OMEGA, ty_v, definition(ctx.env, t.defn))
+    return ctx.define(t.name, OMEGA, ty_v, definition(ctx.env, t.defn))
 
 
 def _require_erased(ctx: Context, what: str) -> None:
@@ -960,7 +951,7 @@ def _require_erased(ctx: Context, what: str) -> None:
 
 def _mark(mode: Mode) -> str:
     """The subscript on an erased binder, projection or pair."""
-    return "₀" if mode is Mode.ZERO else ""
+    return "₀" if mode is ZERO else ""
 
 
 def _fresh(name: str, names: tuple[str, ...]) -> str:
@@ -974,68 +965,52 @@ def _fresh(name: str, names: tuple[str, ...]) -> str:
 def pp(t: Term, names: tuple[str, ...] = (), prec: int = 0) -> str:
     """Print a core term with named binders and explicit mode marks."""
     # prec: 0 lowest (lambda/let/pi), 1 sigma, 2 application, 3 atom
-    match t:
-        case Var(ix):
-            if 0 <= ix < len(names):
-                return names[len(names) - 1 - ix]
-            return f"@{ix}"
-        case Meta(mid, mask):
-            args = [pp(Var(len(mask) - 1 - i), names) for i, m in enumerate(mask) if m is not None]
-            return f"?{mid}[{', '.join(args)}]" if args else f"?{mid}"
-        case Lit(n):
-            return succ_chain(n, prec, 2)
-        case Constant():
-            return _CONSTANT_ROWS[type(t)][0]
-        case Succ():
-            k = 0
-            while type(t) is Succ:
-                t, k = t.arg, k + 1
-            return succ_chain(k, prec, 2, pp(t, names, 3))
-        case Fst(mode, pair) | Snd(mode, pair):
-            word = "fst" if type(t) is Fst else "snd"
-            return _wrap(f"{word}{_mark(mode)} {pp(pair, names, 3)}", prec, 2)
-        case NatElim(motive, a, b, c) | BoolElim(motive, a, b, c):
-            word = "natElim" if type(t) is NatElim else "boolElim"
-            parts = " ".join(pp(u, names, 3) for u in (motive, a, b, c))
-            return _wrap(f"{word} {parts}", prec, 2)
-        case App(_, icit, fn, arg):
-            if icit is Icit.IMPL:
-                return _wrap(f"{pp(fn, names, 2)} {{{pp(arg, names, 0)}}}", prec, 2)
-            return _wrap(f"{pp(fn, names, 2)} {pp(arg, names, 3)}", prec, 2)
-        case Lam(name, mode, icit, body):
-            x = _fresh(name, names)
-            binder = f"{{{x}}}" if icit is Icit.IMPL else x
-            return _wrap(f"λ{_mark(mode)} {binder}. {pp(body, names + (x,), 0)}", prec, 0)
-        case Pi(name, mode, icit, dom, cod):
-            x = _fresh(name, names)
-            if icit is Icit.EXPL and name == "_" and mode is Mode.OMEGA:
-                return _wrap(
-                    f"{pp(dom, names, 1)} → {pp(cod, names + (x,), 0)}", prec, 0
-                )
-            open_, close = ("{", "}") if icit is Icit.IMPL else ("(", ")")
-            return _wrap(
-                f"Π{_mark(mode)} {open_}{x} : {pp(dom, names, 0)}{close}. "
-                f"{pp(cod, names + (x,), 0)}",
-                prec,
-                0,
-            )
-        case Sigma(name, mode, fst_ty, snd_ty):
-            x = _fresh(name, names)
-            if name == "_":
-                lhs = pp(fst_ty, names, 2)
-            else:
-                lhs = f"({x} : {pp(fst_ty, names, 0)})"
-            return _wrap(f"{lhs} *{_mark(mode)} {pp(snd_ty, names + (x,), 1)}", prec, 0)
-        case Pair(mode, fst, snd):
-            return f"({pp(fst, names, 0)}, {pp(snd, names, 0)}){_mark(mode)}"
-        case Let(name, ty, defn, body):
-            x = _fresh(name, names)
-            return _wrap(
-                f"let {x} : {pp(ty, names, 0)} = {pp(defn, names, 0)} in "
-                f"{pp(body, names + (x,), 0)}",
-                prec,
-                0,
-            )
+    tt = type(t)
+    if tt is Var:
+        return names[len(names) - 1 - t.ix] if 0 <= t.ix < len(names) else f"@{t.ix}"
+    if tt is App:
+        if t.icit is IMPL:
+            return _wrap(f"{pp(t.fn, names, 2)} {{{pp(t.arg, names, 0)}}}", prec, 2)
+        return _wrap(f"{pp(t.fn, names, 2)} {pp(t.arg, names, 3)}", prec, 2)
+    if tt is Meta:
+        mask = t.mask
+        args = [pp(Var(len(mask) - 1 - i), names) for i, m in enumerate(mask) if m is not None]
+        return f"?{t.mid}[{', '.join(args)}]" if args else f"?{t.mid}"
+    if tt is Lit:
+        return succ_chain(t.n, prec, 2)
+    if tt in _CONSTANT_ROWS:
+        return _CONSTANT_ROWS[tt][0]
+    if tt is Succ:
+        k = 0
+        while type(t) is Succ:
+            t, k = t.arg, k + 1
+        return succ_chain(k, prec, 2, pp(t, names, 3))
+    if tt is Fst or tt is Snd:
+        word = "fst" if tt is Fst else "snd"
+        return _wrap(f"{word}{_mark(t.mode)} {pp(t.pair, names, 3)}", prec, 2)
+    if tt is NatElim or tt is BoolElim:
+        parts = " ".join(pp(getattr(t, k), names, 3) for k in tt.__match_args__)
+        return _wrap(f"{'natElim' if tt is NatElim else 'boolElim'} {parts}", prec, 2)
+    if tt is Pair:
+        return f"({pp(t.fst, names, 0)}, {pp(t.snd, names, 0)}){_mark(t.mode)}"
+    # Lam, Pi, Sigma and Let bind a name
+    x = _fresh(t.name, names)
+    inner = names + (x,)
+    if tt is Lam:
+        binder = f"{{{x}}}" if t.icit is IMPL else x
+        return _wrap(f"λ{_mark(t.mode)} {binder}. {pp(t.body, inner, 0)}", prec, 0)
+    if tt is Pi:
+        if t.icit is EXPL and t.name == "_" and t.mode is OMEGA:
+            return _wrap(f"{pp(t.dom, names, 1)} → {pp(t.cod, inner, 0)}", prec, 0)
+        open_, close = ("{", "}") if t.icit is IMPL else ("(", ")")
+        dom = pp(t.dom, names, 0)
+        return _wrap(f"Π{_mark(t.mode)} {open_}{x} : {dom}{close}. {pp(t.cod, inner, 0)}", prec, 0)
+    if tt is Sigma:
+        lhs = pp(t.fst_ty, names, 2) if t.name == "_" else f"({x} : {pp(t.fst_ty, names, 0)})"
+        return _wrap(f"{lhs} *{_mark(t.mode)} {pp(t.snd_ty, inner, 1)}", prec, 0)
+    if tt is Let:
+        ty, defn = pp(t.ty, names, 0), pp(t.defn, names, 0)
+        return _wrap(f"let {x} : {ty} = {defn} in {pp(t.body, inner, 0)}", prec, 0)
     raise AssertionError(f"unhandled term {t!r}")
 
 

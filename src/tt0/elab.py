@@ -12,7 +12,8 @@ from __future__ import annotations
 
 from . import core as co
 from . import surface as sf
-from .core import Context, Icit, Mode, Term, Thunk, Value, definition, evaluate, force, quote
+from .core import EXPL, IMPL, OMEGA, ZERO, Context, Term, Thunk, Value, definition, evaluate
+from .core import force, quote
 from .diagnostics import Diagnostic, ElabError, InternalError, Span, UnifyError
 from .record import Record
 from .unify import MetaStore, fresh_meta, unify
@@ -66,10 +67,10 @@ def insert_implicits(
 ) -> tuple[Term, Value]:
     """Apply a term to fresh metavariables while its type is an implicit Pi."""
     ty = force(store, ty)
-    while isinstance(ty, co.VPi) and ty.icit is Icit.IMPL:
-        arg_ctx = ctx.erased() if ty.mode is Mode.ZERO else ctx
+    while type(ty) is co.VPi and ty.icit is IMPL:
+        arg_ctx = ctx.erased() if ty.mode is ZERO else ctx
         m = fresh_meta(store, arg_ctx, ty.dom, span)
-        term = co.App(ty.mode, Icit.IMPL, term, m)
+        term = co.App(ty.mode, IMPL, term, m)
         ty = force(store, ty.cod.apply(Thunk(ctx.env, m)))
     return term, ty
 
@@ -103,15 +104,15 @@ def check(store: MetaStore, ctx: Context, t: sf.Surface, expected: Value) -> Ter
             inner = ctx.bind(t.name, expected.mode, expected.dom)
             body = check(store, inner, t.body, expected.cod.apply(co.vvar(ctx.depth)))
             return co.Lam(t.name, expected.mode, expected.icit, body)
-        if expected.icit is Icit.IMPL:
+        if expected.icit is IMPL:
             # Insert an implicit lambda around anything that is not itself an
             # implicit lambda.
             inner = ctx.bind(expected.name, expected.mode, expected.dom)
             body = check(store, inner, t, expected.cod.apply(co.vvar(ctx.depth)))
-            return co.Lam(expected.name, expected.mode, Icit.IMPL, body)
+            return co.Lam(expected.name, expected.mode, IMPL, body)
     elif type(t) is sf.SPair and type(expected) is co.VSigma:
         mode = expected.mode
-        fst_ctx = ctx.erased() if mode is Mode.ZERO else ctx
+        fst_ctx = ctx.erased() if mode is ZERO else ctx
         fst_t = check(store, fst_ctx, t.fst, expected.fst_ty)
         snd_t = check(store, ctx, t.snd, expected.snd_ty.apply(Thunk(ctx.env, fst_t)))
         return co.Pair(mode, fst_t, snd_t)
@@ -132,7 +133,7 @@ def _let(store: MetaStore, ctx: Context, t: sf.SLet) -> tuple[Term, Term, Contex
     ty_t = check_type(store, ctx, t.ty)
     ty_v = evaluate(ctx.env, ty_t)
     defn_t = check(store, ctx, t.defn, ty_v)
-    return ty_t, defn_t, ctx.define(t.name, Mode.OMEGA, ty_v, definition(ctx.env, defn_t))
+    return ty_t, defn_t, ctx.define(t.name, OMEGA, ty_v, definition(ctx.env, defn_t))
 
 
 # ---------------------------------------------------------------------------
@@ -150,7 +151,7 @@ def infer(store: MetaStore, ctx: Context, t: sf.Surface) -> tuple[Term, Value]:
         if found is None:
             raise ElabError(f"unbound name {t.name!r}", t.span)
         ix, entry = found
-        if entry.mode is Mode.ZERO and not ctx.flag:
+        if entry.mode is ZERO and not ctx.flag:
             raise ElabError(f"erased variable {t.name!r} used at runtime", t.span)
         return co.Var(ix), entry.ty
     if type(t) is sf.SPi:
@@ -167,7 +168,7 @@ def infer(store: MetaStore, ctx: Context, t: sf.Surface) -> tuple[Term, Value]:
             # annotated let instead.
             ann = quote(store, ctx.depth, fn_ty)
             fn_t = co.Let("f", ann, fn_t, co.Var(0))
-        if icit is Icit.EXPL:
+        if icit is EXPL:
             fn_t, fn_ty = insert_implicits(store, ctx, fn_t, fn_ty, fn.span)
         fn_ty = force(store, fn_ty)
         if type(fn_ty) is not co.VPi:
@@ -177,85 +178,79 @@ def infer(store: MetaStore, ctx: Context, t: sf.Surface) -> tuple[Term, Value]:
             # A metavariable can still become a function type.
             dom_m = fresh_meta(store, ctx.erased(), co.Univ(), fn.span)
             dom_v = evaluate(ctx.env, dom_m)
-            cod_ctx = ctx.bind("x", Mode.OMEGA, dom_v).erased()
+            cod_ctx = ctx.bind("x", OMEGA, dom_v).erased()
             cod_m = fresh_meta(store, cod_ctx, co.Univ(), fn.span)
-            pi = co.VPi("x", Mode.OMEGA, icit, dom_v, co.Closure(ctx.env, cod_m))
+            pi = co.VPi("x", OMEGA, icit, dom_v, co.Closure(ctx.env, cod_m))
             _unify_types(store, ctx, fn.span, fn_ty, pi)
             fn_ty = pi
         # Only an implicit argument can mismatch: explicit ones follow `insert_implicits`.
         if fn_ty.icit is not icit:
             raise ElabError("unexpected implicit argument to an explicit function", t.span)
-        arg_ctx = ctx.erased() if fn_ty.mode is Mode.ZERO else ctx
+        arg_ctx = ctx.erased() if fn_ty.mode is ZERO else ctx
         arg_t = check(store, arg_ctx, t.arg, fn_ty.dom)
         return co.App(fn_ty.mode, icit, fn_t, arg_t), fn_ty.cod.apply(Thunk(ctx.env, arg_t))
     if type(t) is sf.SNum:
         return co.Lit(t.value), co.NatTy()
-    match t:
-        case sf.SLam(name=name, mode=mode, ann=ann, icit=icit, body=body):
-            if icit is Icit.IMPL:
-                raise ElabError("cannot infer a type for an implicit lambda", t.span)
-            lam_mode = mode if mode is not None else Mode.OMEGA
-            if ann is not None:
-                dom_t = check_type(store, ctx, ann)
-            else:
-                dom_t = fresh_meta(store, ctx.erased(), co.Univ(), t.span)
-            dom_v = evaluate(ctx.env, dom_t)
-            inner = ctx.bind(name, lam_mode, dom_v)
-            body_t, body_ty = infer(store, inner, body)
-            body_t, body_ty = insert_implicits(store, inner, body_t, body_ty, body.span)
-            cod_t = quote(store, ctx.depth + 1, body_ty)
-            pi_ty = co.VPi(name, lam_mode, icit, dom_v, co.Closure(ctx.env, cod_t))
-            return co.Lam(name, lam_mode, icit, body_t), pi_ty
-        case sf.SSigma(name=name, mode=mode, fst_ty=fst_ty, snd_ty=snd_ty):
-            _require_erased(ctx, t.span, "a pair type")
-            fst_t = check_type(store, ctx, fst_ty)
-            inner = ctx.bind(name, mode, evaluate(ctx.env, fst_t))
-            snd_t = check_type(store, inner, snd_ty)
-            return co.Sigma(name, mode, fst_t, snd_t), co.Univ()
-        case sf.SPair():
+    if type(t) is sf.SLam:
+        if t.icit is IMPL:
+            raise ElabError("cannot infer a type for an implicit lambda", t.span)
+        lam_mode = t.mode if t.mode is not None else OMEGA
+        if t.ann is not None:
+            dom_t = check_type(store, ctx, t.ann)
+        else:
+            dom_t = fresh_meta(store, ctx.erased(), co.Univ(), t.span)
+        dom_v = evaluate(ctx.env, dom_t)
+        inner = ctx.bind(t.name, lam_mode, dom_v)
+        body_t, body_ty = infer(store, inner, t.body)
+        body_t, body_ty = insert_implicits(store, inner, body_t, body_ty, t.body.span)
+        cod_t = quote(store, ctx.depth + 1, body_ty)
+        pi_ty = co.VPi(t.name, lam_mode, t.icit, dom_v, co.Closure(ctx.env, cod_t))
+        return co.Lam(t.name, lam_mode, t.icit, body_t), pi_ty
+    if type(t) is sf.SLet:
+        ty_t, defn_t, inner = _let(store, ctx, t)
+        body_t, body_ty = infer(store, inner, t.body)
+        return co.Let(t.name, ty_t, defn_t, body_t), body_ty
+    if type(t) is sf.SSucc:
+        return co.succ(check(store, ctx, t.arg, co.NatTy())), co.NatTy()
+    if type(t) is sf.SNatElim or type(t) is sf.SBoolElim:
+        elim = co.NatElim if type(t) is sf.SNatElim else co.BoolElim
+        motive_ty, scrut_ty, case_tys = co.ELIMINATORS[elim]
+        motive_t = check_erased(store, ctx, t.motive, motive_ty)
+        motive_v = evaluate(ctx.env, motive_t)
+        a_ty, b_ty = case_tys(motive_v)
+        a, b = (t.zcase, t.scase) if elim is co.NatElim else (t.tcase, t.fcase)
+        a_t = check(store, ctx, a, a_ty)
+        b_t = check(store, ctx, b, b_ty)
+        scrut_t = check(store, ctx, t.scrut, scrut_ty)
+        res = co.motive_app(motive_v, evaluate(ctx.env, scrut_t))
+        return elim(motive_t, a_t, b_t, scrut_t), res
+    if type(t) is sf.SFst or type(t) is sf.SSnd:
+        pair_t, pair_ty = infer(store, ctx, t.arg)
+        pair_ty = force(store, pair_ty)
+        if type(pair_ty) is not co.VSigma:
+            got = ctx.show(store, pair_ty)
+            raise ElabError(f"projecting from a non-pair of type {got}", t.span)
+        mode = pair_ty.mode
+        if type(t) is sf.SSnd:
+            fst_v = Thunk(ctx.env, co.Fst(mode, pair_t))
+            return co.Snd(mode, pair_t), pair_ty.snd_ty.apply(fst_v)
+        if mode is ZERO and not ctx.flag:
             raise ElabError(
-                "cannot infer a type for a pair; annotate the enclosing binding",
+                "the first component of this pair is erased and cannot be "
+                "projected at runtime",
                 t.span,
             )
-        case sf.SFst(arg=arg) | sf.SSnd(arg=arg):
-            pair_t, pair_ty = infer(store, ctx, arg)
-            pair_ty = force(store, pair_ty)
-            if not isinstance(pair_ty, co.VSigma):
-                got = ctx.show(store, pair_ty)
-                raise ElabError(f"projecting from a non-pair of type {got}", t.span)
-            mode = pair_ty.mode
-            if type(t) is sf.SSnd:
-                fst_v = Thunk(ctx.env, co.Fst(mode, pair_t))
-                return co.Snd(mode, pair_t), pair_ty.snd_ty.apply(fst_v)
-            if mode is Mode.ZERO and not ctx.flag:
-                raise ElabError(
-                    "the first component of this pair is erased and cannot be "
-                    "projected at runtime",
-                    t.span,
-                )
-            return co.Fst(mode, pair_t), pair_ty.fst_ty
-        case sf.SLet():
-            ty_t, defn_t, inner = _let(store, ctx, t)
-            body_t, body_ty = infer(store, inner, t.body)
-            return co.Let(t.name, ty_t, defn_t, body_t), body_ty
-        case sf.SSucc(arg=arg):
-            arg_t = check(store, ctx, arg, co.NatTy())
-            return co.succ(arg_t), co.NatTy()
-        case sf.SNatElim(_, motive, a, b, scrut) | sf.SBoolElim(_, motive, a, b, scrut):
-            elim = co.NatElim if type(t) is sf.SNatElim else co.BoolElim
-            motive_ty, scrut_ty, case_tys = co.ELIMINATORS[elim]
-            motive_t = check_erased(store, ctx, motive, motive_ty)
-            motive_v = evaluate(ctx.env, motive_t)
-            a_ty, b_ty = case_tys(motive_v)
-            a_t = check(store, ctx, a, a_ty)
-            b_t = check(store, ctx, b, b_ty)
-            scrut_t = check(store, ctx, scrut, scrut_ty)
-            res = co.motive_app(motive_v, evaluate(ctx.env, scrut_t))
-            return elim(motive_t, a_t, b_t, scrut_t), res
-        case sf.SHole():
-            ty_m = fresh_meta(store, ctx.erased(), co.Univ(), t.span)
-            ty_v = evaluate(ctx.env, ty_m)
-            return fresh_meta(store, ctx, ty_v, t.span), ty_v
+        return co.Fst(mode, pair_t), pair_ty.fst_ty
+    if type(t) is sf.SSigma:
+        _require_erased(ctx, t.span, "a pair type")
+        fst_t = check_type(store, ctx, t.fst_ty)
+        inner = ctx.bind(t.name, t.mode, evaluate(ctx.env, fst_t))
+        return co.Sigma(t.name, t.mode, fst_t, check_type(store, inner, t.snd_ty)), co.Univ()
+    if type(t) is sf.SHole:
+        ty_v = evaluate(ctx.env, fresh_meta(store, ctx.erased(), co.Univ(), t.span))
+        return fresh_meta(store, ctx, ty_v, t.span), ty_v
+    if type(t) is sf.SPair:
+        raise ElabError("cannot infer a type for a pair; annotate the enclosing binding", t.span)
     raise AssertionError(f"unhandled surface term {t!r}")
 
 
@@ -335,7 +330,7 @@ def elaborate_module(m: sf.Module) -> ElabResult:
         for entry in store.unsolved():
             names = entry.sig.names + tuple(e.name for e in entry.entries)
             ctx_desc = ", ".join(
-                f"{e.name} :{'0' if e.mode is Mode.ZERO else ''} "
+                f"{e.name} :{'0' if e.mode is ZERO else ''} "
                 f"{co.pp(e.ty, names[: entry.sig.depth + i])}"
                 for i, e in enumerate(entry.entries)
             )

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from . import core as co
 from . import jsontext
-from .core import Context, Mode, Term, _fresh, _wrap
+from .core import OMEGA, ZERO, Context, Mode, Term, _fresh, _wrap
 from .diagnostics import Diagnostic, InternalError
 from .record import Record
 
@@ -103,8 +103,8 @@ def extract_at(modes: tuple[Mode, ...], t: Term) -> Target:
     """Extract `t` under binders of the given modes, oldest first."""
     levels, n = [], 0
     for m in modes:
-        levels.append(n if m is Mode.OMEGA else None)
-        n += m is Mode.OMEGA
+        levels.append(n if m is OMEGA else None)
+        n += m is OMEGA
     return _extract(levels, n, t)
 
 
@@ -112,46 +112,43 @@ def _extract(levels: list[int | None], n: int, t: Term) -> Target:
     """Extract `t` under binders whose runtime levels are `levels` (None for
     an erased one), `n` of them runtime.  `_under` pushes a binder on the
     list for the extraction of its scope, so one list serves every depth."""
-    match t:
-        case co.Var(ix):
-            level = levels[len(levels) - 1 - ix]
-            if level is None:
-                raise InternalError("erased variable at a runtime position")
-            return TVar(n - 1 - level)
-        case co.Lam(name, mode, _, body):
-            body_t = _under(levels, n, mode is Mode.OMEGA, body)
-            return TLam(name, body_t) if mode is Mode.OMEGA else body_t
-        case co.App(Mode.OMEGA, _, fn, arg):
-            return TApp(_extract(levels, n, fn), _extract(levels, n, arg))
-        case co.App(Mode.ZERO, _, fn, _):
-            return _extract(levels, n, fn)
-        case co.Pair(Mode.OMEGA, fst, snd):
-            return TPair(_extract(levels, n, fst), _extract(levels, n, snd))
-        case co.Pair(Mode.ZERO, _, snd):
-            return _extract(levels, n, snd)
-        case co.Fst(Mode.OMEGA, pair) | co.Snd(Mode.OMEGA, pair):
-            return (TFst if type(t) is co.Fst else TSnd)(_extract(levels, n, pair))
-        case co.Snd(Mode.ZERO, pair):
-            return _extract(levels, n, pair)
-        case co.Lit(k):
-            return TLit(k)
-        case co.Succ(arg):
-            return TSucc(_extract(levels, n, arg))
-        case co.TrueTm():
-            return TTrue()
-        case co.FalseTm():
-            return TFalse()
-        case co.NatElim(_, a, b, scrut) | co.BoolElim(_, a, b, scrut):
-            a, b, scrut = _extract(levels, n, a), _extract(levels, n, b), _extract(levels, n, scrut)
-            return TNatRec(a, b, scrut) if type(t) is co.NatElim else TIf(scrut, a, b)
-        case co.Let(name, _, defn, body):
-            return TLet(name, _extract(levels, n, defn), _under(levels, n, True, body))
-        case co.Fst(Mode.ZERO, _):
-            raise InternalError("erased first projection at a runtime position")
-        case co.Constant() | co.Pi() | co.Sigma():
-            raise InternalError("type code at a runtime position")
-        case co.Meta():
-            raise InternalError("metavariable in a term being extracted")
+    tt = type(t)
+    if tt is co.Var:
+        level = levels[len(levels) - 1 - t.ix]
+        if level is None:
+            raise InternalError("erased variable at a runtime position")
+        return TVar(n - 1 - level)
+    if tt is co.App:
+        fn = _extract(levels, n, t.fn)
+        return TApp(fn, _extract(levels, n, t.arg)) if t.mode is OMEGA else fn
+    if tt is co.Lam:
+        body_t = _under(levels, n, t.mode is OMEGA, t.body)
+        return TLam(t.name, body_t) if t.mode is OMEGA else body_t
+    if tt is co.Lit:
+        return TLit(t.n)
+    if tt is co.Let:
+        return TLet(t.name, _extract(levels, n, t.defn), _under(levels, n, True, t.body))
+    if tt is co.Succ:
+        return TSucc(_extract(levels, n, t.arg))
+    if tt is co.NatElim or tt is co.BoolElim:
+        a, b, scrut = [_extract(levels, n, getattr(t, k)) for k in tt.__match_args__[1:]]
+        return TNatRec(a, b, scrut) if tt is co.NatElim else TIf(scrut, a, b)
+    if tt is co.TrueTm or tt is co.FalseTm:
+        return TTrue() if tt is co.TrueTm else TFalse()
+    if tt is co.Pair:
+        if t.mode is ZERO:
+            return _extract(levels, n, t.snd)
+        return TPair(_extract(levels, n, t.fst), _extract(levels, n, t.snd))
+    if tt is co.Fst or tt is co.Snd:
+        if t.mode is OMEGA:
+            return (TFst if tt is co.Fst else TSnd)(_extract(levels, n, t.pair))
+        if tt is co.Snd:
+            return _extract(levels, n, t.pair)
+        raise InternalError("erased first projection at a runtime position")
+    if tt in co._CONSTANT_ROWS or tt is co.Pi or tt is co.Sigma:
+        raise InternalError("type code at a runtime position")
+    if tt is co.Meta:
+        raise InternalError("metavariable in a term being extracted")
     raise AssertionError(f"unhandled term {t!r}")
 
 
@@ -437,50 +434,57 @@ def eval_target(t: Target, fuel: int | None = DEFAULT_FUEL) -> Target:
 
 
 def pp_target(t: Target, names: tuple[str, ...] = (), prec: int = 0) -> str:
+    """The text of a target term, on an explicit stack of work, so that how
+    deep a term may be is bounded by memory.  Each node pushes the pieces of
+    its text in order, strings and the parts still to print, so the text is
+    joined once at the end."""
     # prec: 0 lowest (lambda, let), 1 application, 2 atom
-    match t:
-        case TVar(ix):
-            if 0 <= ix < len(names):
-                return names[len(names) - 1 - ix]
-            return f"@{ix}"
-        case TLit(n):
-            return co.succ_chain(n, prec, 1)
-        case TTrue():
-            return "true"
-        case TFalse():
-            return "false"
-        case TLam(name, body):
-            x = _fresh(name, names)
-            return _wrap(f"\\{x}. {pp_target(body, names + (x,), 0)}", prec, 0)
-        case TApp(fn, arg):
-            return _wrap(
-                f"{pp_target(fn, names, 1)} {pp_target(arg, names, 2)}", prec, 1
-            )
-        case TPair(fst, snd):
-            return f"({pp_target(fst, names, 0)}, {pp_target(snd, names, 0)})"
-        case TSucc():  # a chain in one loop, as `core.pp` prints one
+    out: list[str] = []
+    todo: list = [(t, names, prec)]
+    while todo:
+        item = todo.pop()
+        if type(item) is str:
+            out.append(item)
+            continue
+        t, names, prec = item
+        tt = type(t)
+        if tt is TVar:
+            out.append(names[len(names) - 1 - t.ix] if 0 <= t.ix < len(names) else f"@{t.ix}")
+            continue
+        if tt is TLit:
+            out.append(co.succ_chain(t.n, prec, 1))
+            continue
+        if tt is TTrue or tt is TFalse:
+            out.append("true" if tt is TTrue else "false")
+            continue
+        if tt is TApp:
+            at, seq = 1, [(t.fn, names, 1), " ", (t.arg, names, 2)]
+        elif tt is TLam or tt is TLet:
+            x = _fresh(t.name, names)
+            body = (t.body, names + (x,), 0)
+            if tt is TLam:
+                at, seq = 0, [f"\\{x}. ", body]
+            else:
+                at, seq = 0, [f"let {x} = ", (t.defn, names, 0), " in ", body]
+        elif tt is TPair:
+            at, seq = 2, ["(", (t.fst, names, 0), ", ", (t.snd, names, 0), ")"]
+        elif tt is TSucc:  # a chain in one loop, as `core.pp` prints one
             k = 0
             while type(t) is TSucc:
                 t, k = t.arg, k + 1
-            return co.succ_chain(k, prec, 1, pp_target(t, names, 2))
-        case TFst(arg) | TSnd(arg):
-            word = "fst" if type(t) is TFst else "snd"
-            return _wrap(f"{word} {pp_target(arg, names, 2)}", prec, 1)
-        case TNatRec(z, s, n):
-            parts = " ".join(pp_target(u, names, 2) for u in (z, s, n))
-            return _wrap(f"natrec {parts}", prec, 1)
-        case TIf(c, a, b):
-            parts = " ".join(pp_target(u, names, 2) for u in (c, a, b))
-            return _wrap(f"if {parts}", prec, 1)
-        case TLet(name, d, body):
-            x = _fresh(name, names)
-            return _wrap(
-                f"let {x} = {pp_target(d, names, 0)} in "
-                f"{pp_target(body, names + (x,), 0)}",
-                prec,
-                0,
-            )
-    raise AssertionError(f"unhandled target term {t!r}")
+            at, seq = 1, ["succ " + "(succ " * (k - 1), (t, names, 2), ")" * (k - 1)]
+        elif tt is TFst or tt is TSnd:
+            at, seq = 1, ["fst " if tt is TFst else "snd ", (t.arg, names, 2)]
+        elif tt is TNatRec or tt is TIf:  # a keyword and three atoms
+            at, seq = 1, ["natrec" if tt is TNatRec else "if"]
+            for k in tt.__match_args__:
+                seq += (" ", (getattr(t, k), names, 2))
+        else:
+            raise AssertionError(f"unhandled target term {t!r}")
+        if prec > at:
+            seq = ["(", *seq, ")"]
+        todo += reversed(seq)
+    return "".join(out)
 
 
 jsontext.TAGS.update({

@@ -29,7 +29,7 @@ _KEYS = {"fst_ty": "fst", "snd_ty": "snd", "icit": "implicit", "mid": "id", "els
 # The JSON value of each field that is neither a subterm nor a JSON scalar.
 _FIELD_VALUES: dict[str, Callable[..., object]] = {
     "mode": lambda m: m.value,
-    "icit": lambda i: i is co.Icit.IMPL,
+    "icit": lambda i: i is co.IMPL,
     "mask": lambda ms: [None if m is None else m.value for m in ms],
 }
 

@@ -15,7 +15,7 @@ import re
 from collections.abc import Sequence
 from typing import Callable, TypeVar
 
-from .core import CONSTANTS, Icit, Mode  # Icit and Mode are re-exported
+from .core import CONSTANTS, EXPL, IMPL, OMEGA, ZERO, Icit, Mode  # Icit and Mode are re-exported
 from .diagnostics import LexError, ParseError, Source, Span
 from .record import Record
 
@@ -116,27 +116,27 @@ class SLam(Surface):
     name: str = ""
     mode: Mode | None = None
     ann: Surface | None = None
-    icit: Icit = Icit.EXPL
+    icit: Icit = EXPL
     body: Surface | None = None
 
 
 class SApp(Surface):
     fn: Surface | None = None
     arg: Surface | None = None
-    icit: Icit = Icit.EXPL
+    icit: Icit = EXPL
 
 
 class SPi(Surface):
     name: str = "_"
-    mode: Mode = Mode.OMEGA
-    icit: Icit = Icit.EXPL
+    mode: Mode = OMEGA
+    icit: Icit = EXPL
     dom: Surface | None = None
     cod: Surface | None = None
 
 
 class SSigma(Surface):
     name: str = "_"
-    mode: Mode = Mode.OMEGA
+    mode: Mode = OMEGA
     fst_ty: Surface | None = None
     snd_ty: Surface | None = None
 
@@ -313,10 +313,10 @@ class _Parser:
         kind = self.kinds[i]
         if kind in ("ident", "_"):
             self.pos = i + 1
-            return self.texts[i], None, None, Icit.EXPL
+            return self.texts[i], None, None, EXPL
         if kind in ("(", "{"):
             close = ")" if kind == "(" else "}"
-            icit = Icit.EXPL if kind == "(" else Icit.IMPL
+            icit = EXPL if kind == "(" else IMPL
             self.pos = i + 1
             name = self.texts[self.binder_name()]
             mode: Mode | None = None
@@ -324,9 +324,9 @@ class _Parser:
             kind = self.kinds[self.pos]
             if kind in (":", ":0"):
                 self.pos += 1
-                mode = Mode.ZERO if kind == ":0" else Mode.OMEGA
+                mode = ZERO if kind == ":0" else OMEGA
                 ann = self.term()
-            elif icit is Icit.EXPL:
+            elif icit is EXPL:
                 message = "parenthesised lambda binder needs a type annotation"
                 raise self.error(message, self.pos, (":", ":0"))
             self.expect(close)
@@ -358,17 +358,17 @@ class _Parser:
         if self.kinds[self.pos] == "->":
             self.pos += 1
             cod = self.fun()
-            return SPi((lhs.span[0], cod.span[1]), "_", Mode.OMEGA, Icit.EXPL, lhs, cod)
+            return SPi((lhs.span[0], cod.span[1]), "_", OMEGA, EXPL, lhs, cod)
         return lhs
 
     def binder_form(self) -> Surface:
         # The opener, the name and the colon, as `binder_group_ahead` found.
         i = self.pos
         start = self.spans[i][0]
-        icit = Icit.EXPL if self.kinds[i] == "(" else Icit.IMPL
-        close = ")" if icit is Icit.EXPL else "}"
+        icit = EXPL if self.kinds[i] == "(" else IMPL
+        close = ")" if icit is EXPL else "}"
         name = self.texts[i + 1]
-        mode = Mode.ZERO if self.kinds[i + 2] == ":0" else Mode.OMEGA
+        mode = ZERO if self.kinds[i + 2] == ":0" else OMEGA
         self.pos = i + 3
         dom = self.term()
         self.expect(close)
@@ -377,16 +377,16 @@ class _Parser:
             self.pos += 1
             cod = self.fun()
             return SPi((start, cod.span[1]), name, mode, icit, dom, cod)
-        if kind == "*" and icit is Icit.EXPL:
+        if kind == "*" and icit is EXPL:
             self.pos += 1
             snd = self.sigma_component()
             sig = SSigma((start, snd.span[1]), name, mode, dom, snd)
             if self.kinds[self.pos] == "->":
                 self.pos += 1
                 cod = self.fun()
-                return SPi((start, cod.span[1]), "_", Mode.OMEGA, Icit.EXPL, sig, cod)
+                return SPi((start, cod.span[1]), "_", OMEGA, EXPL, sig, cod)
             return sig
-        expected = ("->",) if icit is Icit.IMPL else ("->", "*")
+        expected = ("->",) if icit is IMPL else ("->", "*")
         raise self.unexpected(self.pos, expected, " after binder")
 
     def sigma(self) -> Surface:
@@ -394,7 +394,7 @@ class _Parser:
         if self.kinds[self.pos] == "*":
             self.pos += 1
             snd = self.sigma_component()
-            return SSigma((lhs.span[0], snd.span[1]), "_", Mode.OMEGA, lhs, snd)
+            return SSigma((lhs.span[0], snd.span[1]), "_", OMEGA, lhs, snd)
         return lhs
 
     def sigma_component(self) -> Surface:
@@ -414,10 +414,10 @@ class _Parser:
                 self.pos += 1
                 arg = self.term()
                 end = self.spans[self.expect("}")][1]
-                head = SApp((head.span[0], end), head, arg, Icit.IMPL)
+                head = SApp((head.span[0], end), head, arg, IMPL)
             elif kind in _ATOM_STARTERS:
                 arg = self.atom()
-                head = SApp((head.span[0], arg.span[1]), head, arg, Icit.EXPL)
+                head = SApp((head.span[0], arg.span[1]), head, arg, EXPL)
             else:
                 break
         return head

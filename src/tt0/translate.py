@@ -19,7 +19,7 @@ Two translations, each followed by an independent kernel re-check:
 from __future__ import annotations
 
 from . import core as co
-from .core import Context, Mode, Term, Value, evaluate
+from .core import OMEGA, ZERO, Context, Term, Value, evaluate
 from .diagnostics import Diagnostic, InternalError
 from .elab import ElabResult
 from .record import Record
@@ -43,7 +43,7 @@ def strip_modes(t: Term) -> Term:
         if isinstance(u, co.Meta):
             raise InternalError("metavariable in a term being mode-stripped")
         u = co.map_subterms(u, go)
-        return u.replace(mode=Mode.OMEGA) if getattr(u, "mode", None) is Mode.ZERO else u
+        return u.replace(mode=OMEGA) if getattr(u, "mode", None) is ZERO else u
 
     return go(t, 0)
 

@@ -20,18 +20,8 @@ from __future__ import annotations
 from typing import Callable
 
 from . import core as co
-from .core import (
-    Context,
-    Icit,
-    Mode,
-    Term,
-    Value,
-    VNeutral,
-    evaluate,
-    force,
-    quote,
-    vvar,
-)
+from .core import EXPL, OMEGA, ZERO, Context, MetaH, Mode, Term, Value, VLam, VNeutral, VPair
+from .core import VPi, VSigma, evaluate, force, quote, vvar
 from .diagnostics import Diagnostic, InternalError, Span, UnifyError
 from .record import Record
 
@@ -102,9 +92,9 @@ def close(entries: tuple[CapturedEntry, ...], t: Term, solution: bool = False) -
         if e.defn is not None:
             t = co.Let(e.name, e.ty, e.defn, t)
         elif solution:
-            t = co.Lam(e.name, e.mode, Icit.EXPL, t)
+            t = co.Lam(e.name, e.mode, EXPL, t)
         else:
-            t = co.Pi(e.name, e.mode, Icit.EXPL, e.ty, t)
+            t = co.Pi(e.name, e.mode, EXPL, e.ty, t)
     return t
 
 
@@ -229,57 +219,54 @@ def rename(
         )
 
     def go(t: Term, k: int, runtime: bool) -> Term:
+        tt = type(t)
         guard = runtime and not pren.allow_erased
-        if guard and type(t) in _TYPE_CODES:
-            raise refuse(f"place {_TYPE_CODES[type(t)]}")
-        match t:
-            case co.Var(ix):
-                lvl = pren.cod + k - 1 - ix
-                found = pren.map.get(lvl)
-                if found is None and lvl < pren.top:
-                    # An opaque name left by a failed top-level declaration.
-                    found = (lvl, Mode.OMEGA)
-                if found is None:
-                    what = f"variable {_name_at(name_of, lvl)} is not in scope"
-                    raise UnifyError("scope", f"{what} for the solution of ?{mid}")
-                dlvl, mode = found
-                if mode is Mode.ZERO and guard:
-                    # A binder of `rhs` itself has no name in the context.
-                    named = name_of if lvl < pren.cod else _unnamed
-                    raise refuse(f"use erased variable {_name_at(named, lvl)}")
-                return co.Var(pren.dom + k - 1 - dlvl)
-            case co.Meta(m):
-                if m == mid:
-                    raise UnifyError(
-                        "occurs", f"occurs check: ?{mid} appears in its own solution"
-                    )
-                return t
-            case co.App(mode, icit, fn, arg):
-                fn = go(fn, k, runtime)
-                return co.App(mode, icit, fn, go(arg, k, runtime and mode is not Mode.ZERO))
-            case co.Succ():  # a chain in one loop: its length costs no stack
-                n = 0
-                while type(t) is co.Succ:
-                    t, n = t.arg, n + 1
-                return co.succ(go(t, k, runtime), n)
-            case co.Lam(name, mode, icit, body):
-                return co.Lam(name, mode, icit, go_bind(body, k, mode, runtime))
-            case co.Pi(name, mode, icit, dom, cod):
-                return co.Pi(
-                    name, mode, icit, go(dom, k, False), go_bind(cod, k, mode, False)
-                )
-            case co.Sigma(name, mode, fst_ty, snd_ty):
-                return co.Sigma(
-                    name, mode, go(fst_ty, k, False), go_bind(snd_ty, k, mode, False)
-                )
-            case co.Pair(mode, fst, snd):
-                fst = go(fst, k, runtime and mode is not Mode.ZERO)
-                return co.Pair(mode, fst, go(snd, k, runtime))
-            case co.NatElim(motive, a, b, scrut) | co.BoolElim(motive, a, b, scrut):
-                scrut = go(scrut, k, runtime)
-                return type(t)(go(motive, k, False), go(a, k, runtime), go(b, k, runtime), scrut)
+        if guard and tt in _TYPE_CODES:
+            raise refuse(f"place {_TYPE_CODES[tt]}")
+        if tt is co.Var:
+            lvl = pren.cod + k - 1 - t.ix
+            found = pren.map.get(lvl)
+            if found is None and lvl < pren.top:
+                # An opaque name left by a failed top-level declaration.
+                found = (lvl, OMEGA)
+            if found is None:
+                what = f"variable {_name_at(name_of, lvl)} is not in scope"
+                raise UnifyError("scope", f"{what} for the solution of ?{mid}")
+            dlvl, mode = found
+            if mode is ZERO and guard:
+                # A binder of `rhs` itself has no name in the context.
+                named = name_of if lvl < pren.cod else _unnamed
+                raise refuse(f"use erased variable {_name_at(named, lvl)}")
+            return co.Var(pren.dom + k - 1 - dlvl)
+        if tt is co.App:
+            fn = go(t.fn, k, runtime)
+            return co.App(t.mode, t.icit, fn, go(t.arg, k, runtime and t.mode is not ZERO))
+        if tt is co.Meta:
+            if t.mid == mid:
+                raise UnifyError("occurs", f"occurs check: ?{mid} appears in its own solution")
+            return t
+        if tt is co.Lam:
+            return co.Lam(t.name, t.mode, t.icit, go_bind(t.body, k, t.mode, runtime))
+        if tt is co.Pi:
+            dom = go(t.dom, k, False)
+            return co.Pi(t.name, t.mode, t.icit, dom, go_bind(t.cod, k, t.mode, False))
+        if tt is co.Succ:  # a chain in one loop: its length costs no stack
+            n = 0
+            while type(t) is co.Succ:
+                t, n = t.arg, n + 1
+            return co.succ(go(t, k, runtime), n)
+        if tt is co.Sigma:
+            fst_ty = go(t.fst_ty, k, False)
+            return co.Sigma(t.name, t.mode, fst_ty, go_bind(t.snd_ty, k, t.mode, False))
+        if tt is co.Pair:
+            fst = go(t.fst, k, runtime and t.mode is not ZERO)
+            return co.Pair(t.mode, fst, go(t.snd, k, runtime))
+        if tt is co.NatElim or tt is co.BoolElim:
+            motive, a, b, scrut = [getattr(t, f) for f in tt.__match_args__]
+            scrut = go(scrut, k, runtime)
+            return tt(go(motive, k, False), go(a, k, runtime), go(b, k, runtime), scrut)
         renamed = co.map_subterms(t, lambda u, k_: go(u, k_, runtime), k)
-        if isinstance(t, co.Fst) and t.mode is Mode.ZERO and guard:
+        if tt is co.Fst and t.mode is ZERO and guard:
             raise refuse("use an erased first projection")
         return renamed
 
@@ -324,7 +311,7 @@ def solve(
     # the signature.
     body = rename(store, mid, pren, rhs, name_of)
     for name, mode in reversed(binders):
-        body = co.Lam(name, mode, Icit.EXPL, body)
+        body = co.Lam(name, mode, EXPL, body)
     closed = close(entry.entries, body, solution=True)
 
     try:
@@ -348,79 +335,85 @@ def unify(store: MetaStore, depth: int, a: Value, b: Value, name_of: NameOf = _u
     if a is b:
         return
     a, b = force(store, a), force(store, b)
-    if isinstance(a, co.Constant) and isinstance(b, co.Constant):
+    ta, tb = type(a), type(b)
+    if ta in co._CONSTANT_ROWS and tb in co._CONSTANT_ROWS:
         if a != b:
             raise UnifyError("mismatch", _HEADS_DIFFER)
         return
-    match a, b:
-        case (co.VLam(name, mode, icit, _), _) | (_, co.VLam(name, mode, icit, _)):
-            # Both sides applied to a fresh variable, under the first lambda's
-            # binder (eta for a side that is not a lambda).
-            if type(b) is co.VLam and b.mode is not mode:
-                raise UnifyError("mismatch", "lambda modes differ")
-            x = vvar(depth)
-            a, b = co.vapp(a, mode, icit, x), co.vapp(b, mode, icit, x)
-            unify(store, depth + 1, a, b, _under(name_of, depth, name))
+    if ta is VLam or tb is VLam:
+        # Both sides applied to a fresh variable, under the first lambda's
+        # binder (eta for a side that is not a lambda).
+        lam = a if ta is VLam else b
+        if tb is VLam and b.mode is not lam.mode:
+            raise UnifyError("mismatch", "lambda modes differ")
+        x = vvar(depth)
+        a, b = co.vapp(a, lam.mode, lam.icit, x), co.vapp(b, lam.mode, lam.icit, x)
+        unify(store, depth + 1, a, b, _under(name_of, depth, lam.name))
+        return
+    if ta is tb and (ta is VPi or ta is VSigma):
+        # Only a function type has an implicitness to compare.
+        pi = ta is VPi
+        what, mark = ("function", "Π") if pi else ("pair", "*")
+        if a.mode is not b.mode:
+            raise UnifyError(
+                "mismatch",
+                f"{what} type modes differ ({mark}{_mode_mark(a.mode)} vs "
+                f"{mark}{_mode_mark(b.mode)})",
+            )
+        if pi and a.icit is not b.icit:
+            raise UnifyError("mismatch", "function type implicitness differs")
+        if pi:
+            dom, cod, dom2, cod2 = a.dom, a.cod, b.dom, b.cod
+        else:
+            dom, cod, dom2, cod2 = a.fst_ty, a.snd_ty, b.fst_ty, b.snd_ty
+        unify(store, depth, dom, dom2, name_of)
+        x = vvar(depth)
+        unify(store, depth + 1, cod.apply(x), cod2.apply(x), _under(name_of, depth, a.name))
+        return
+    if ta in co._NATS and tb in co._NATS:
+        # succ x against succ y, or against a literal k > 0 as k - 1; a
+        # pair that shares no successor has different heads.
+        rest = co.strip_succs(store, a, b)
+        if rest is None:
+            raise UnifyError("mismatch", _HEADS_DIFFER)
+        unify(store, depth, *rest, name_of)
+        return
+    flex_a = ta is VNeutral and type(a.head) is MetaH
+    flex_b = tb is VNeutral and type(b.head) is MetaH
+    if flex_a and flex_b:
+        if a.head.mid == b.head.mid:
+            _unify_spines(store, depth, a.spine, b.spine, name_of)
             return
-        case (co.VPi(name, mode, _, dom, cod), co.VPi(_, mode2, _, dom2, cod2)) | (
-            co.VSigma(name, mode, dom, cod), co.VSigma(_, mode2, dom2, cod2)
-        ):
-            # Only a function type has an implicitness to compare.
-            pi = type(a) is co.VPi
-            what, mark = ("function", "Π") if pi else ("pair", "*")
-            if mode is not mode2:
-                raise UnifyError(
-                    "mismatch",
-                    f"{what} type modes differ ({mark}{_mode_mark(mode)} vs "
-                    f"{mark}{_mode_mark(mode2)})",
-                )
-            if pi and a.icit is not b.icit:
-                raise UnifyError("mismatch", "function type implicitness differs")
-            unify(store, depth, dom, dom2, name_of)
-            x = vvar(depth)
-            unify(store, depth + 1, cod.apply(x), cod2.apply(x), _under(name_of, depth, name))
+        # Solve one side only if it is a pattern; otherwise try the other.
+        try:
+            solve(store, depth, a.head.mid, a.spine, b, name_of)
             return
-        case co.VSucc() | co.Lit(), co.VSucc() | co.Lit():
-            # succ x against succ y, or against a literal k > 0 as k - 1.
-            rest = co.strip_succs(store, a, b)
-            if rest is not None:
-                unify(store, depth, *rest, name_of)
-                return
-        case VNeutral(co.MetaH(m1), s1), VNeutral(co.MetaH(m2), s2):
-            if m1 == m2:
-                _unify_spines(store, depth, s1, s2, name_of)
-                return
-            # Solve one side only if it is a pattern; otherwise try the other.
-            try:
-                solve(store, depth, m1, s1, b, name_of)
-                return
-            except UnifyError as first:
-                if first.reason not in ("non-pattern", "non-linear", "scope"):
-                    raise
-                solve(store, depth, m2, s2, a, name_of)
-                return
-        case VNeutral(co.MetaH(m1), s1), _:
-            solve(store, depth, m1, s1, b, name_of)
+        except UnifyError as first:
+            if first.reason not in ("non-pattern", "non-linear", "scope"):
+                raise
+            solve(store, depth, b.head.mid, b.spine, a, name_of)
             return
-        case _, VNeutral(co.MetaH(m2), s2):
-            solve(store, depth, m2, s2, a, name_of)
-            return
-        case (co.VPair(mode, _, _), _) | (_, co.VPair(mode, _, _)):
-            # Both sides projected at the first pair's mode (eta for a side
-            # that is not a pair).  After meta solving, so that a flexible
-            # head is solved directly rather than eta-split into a
-            # non-pattern projection spine.
-            if type(b) is co.VPair and b.mode is not mode:
-                raise UnifyError("mismatch", "pair modes differ")
-            unify(store, depth, co.vfst(mode, a), co.vfst(mode, b), name_of)
-            unify(store, depth, co.vsnd(mode, a), co.vsnd(mode, b), name_of)
-            return
-        case VNeutral(h1, s1), VNeutral(h2, s2):
-            if h1 != h2:
-                x, y = _name_at(name_of, h1.lvl), _name_at(name_of, h2.lvl)
-                raise UnifyError("mismatch", f"variables {x} and {y} differ")
-            _unify_spines(store, depth, s1, s2, name_of)
-            return
+    if flex_a or flex_b:
+        flex, other = (a, b) if flex_a else (b, a)
+        solve(store, depth, flex.head.mid, flex.spine, other, name_of)
+        return
+    if ta is VPair or tb is VPair:
+        # Both sides projected at the first pair's mode (eta for a side that
+        # is not a pair).  After meta solving, so that a flexible head is
+        # solved directly rather than eta-split into a non-pattern
+        # projection spine.
+        mode = (a if ta is VPair else b).mode
+        if tb is VPair and b.mode is not mode:
+            raise UnifyError("mismatch", "pair modes differ")
+        unify(store, depth, co.vfst(mode, a), co.vfst(mode, b), name_of)
+        unify(store, depth, co.vsnd(mode, a), co.vsnd(mode, b), name_of)
+        return
+    if ta is VNeutral and tb is VNeutral:
+        if a.head != b.head:
+            x, y = _name_at(name_of, a.head.lvl), _name_at(name_of, b.head.lvl)
+            raise UnifyError("mismatch", f"variables {x} and {y} differ")
+        _unify_spines(store, depth, a.spine, b.spine, name_of)
+        return
     raise UnifyError("mismatch", _HEADS_DIFFER)
 
 
@@ -442,23 +435,20 @@ def _unify_spines(
     if len(s1) != len(s2):
         raise UnifyError("spine", "eliminations applied to the same head differ")
     for i1, i2 in zip(s1, s2):
-        match i1, i2:
-            case co.SApp(mode, _, arg), co.SApp(mode2, _, arg2):
-                if mode is not mode2:
-                    raise UnifyError("spine", "application modes differ")
-                unify(store, depth, arg, arg2, name_of)
-            case (co.SFst(mode), co.SFst(mode2)) | (co.SSnd(mode), co.SSnd(mode2)):
-                if mode is not mode2:
-                    raise UnifyError("spine", "projection modes differ")
-            case (co.SNatElim(p, x, y), co.SNatElim(p2, x2, y2)) | (
-                co.SBoolElim(p, x, y), co.SBoolElim(p2, x2, y2)
-            ):
-                unify(store, depth, p, p2, name_of)
-                unify(store, depth, x, x2, name_of)
-                unify(store, depth, y, y2, name_of)
-            case _:
-                raise UnifyError("spine", "eliminations applied to the same head differ")
+        ti = type(i1)
+        if ti is not type(i2):
+            raise UnifyError("spine", "eliminations applied to the same head differ")
+        if ti is co.SApp:
+            if i1.mode is not i2.mode:
+                raise UnifyError("spine", "application modes differ")
+            unify(store, depth, i1.arg, i2.arg, name_of)
+        elif ti is co.SFst or ti is co.SSnd:
+            if i1.mode is not i2.mode:
+                raise UnifyError("spine", "projection modes differ")
+        else:  # the motives and the cases, in order
+            for f in ti.__match_args__:
+                unify(store, depth, getattr(i1, f), getattr(i2, f), name_of)
 
 
 def _mode_mark(mode: Mode) -> str:
-    return "₀" if mode is Mode.ZERO else "ω"
+    return "₀" if mode is ZERO else "ω"

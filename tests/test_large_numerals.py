@@ -317,3 +317,60 @@ def test_printing_a_long_successor_chain_over_a_variable(tmp_path):
     run = python("-m", "tt0", "run", str(f))
     assert run.returncode == 0, run.stderr[-2000:]
     assert run.stdout == "\\x. " + chain(n, "x") + "\n"
+
+
+
+def test_printing_deep_terms_of_every_target_form(tmp_path):
+    # `pp_target` prints on an explicit stack: 20 000 levels of each form
+    # print at the default limit in the library, and `tt0 run` prints an
+    # application 120 000 deep as text, as it does as JSON.
+    n = 20_000
+    script = textwrap.dedent(
+        """
+        import sys
+        from tt0.extract import (
+            TApp, TFst, TIf, TLam, TLet, TLit, TNatRec, TPair, TSnd, TSucc, TTrue, TVar,
+            pp_target,
+        )
+
+        assert sys.getrecursionlimit() == 1000, sys.getrecursionlimit()
+        forms = [
+            lambda t: TApp(TVar(0), t),
+            lambda t: TApp(t, TVar(0)),
+            lambda t: TLam("_", t),
+            lambda t: TLet("_", TLit(1), t),
+            lambda t: TPair(t, TTrue()),
+            lambda t: TFst(t),
+            lambda t: TSnd(t),
+            lambda t: TNatRec(TLit(0), t, TVar(0)),
+            lambda t: TIf(t, TVar(0), TVar(0)),
+            lambda t: TSucc(TApp(TVar(0), t)),
+        ]
+        for form in forms:
+            t = TVar(0)
+            for _ in range(int(sys.argv[1])):
+                t = form(t)
+            print(pp_target(t, ("f",)))
+        """
+    )
+    library = python("-c", script, str(n))
+    assert library.returncode == 0, library.stderr[-2000:]
+    m = n - 1  # the levels below the outermost, each wrapped
+    assert library.stdout.splitlines() == [
+        "f " + "(f " * m + "f" + ")" * m,
+        "f" + " f" * n,
+        "\\_. " * n + "_",
+        "let _ = succ zero in " * n + "_",
+        "(" * n + "f" + ", true)" * n,
+        "fst " + "(fst " * m + "f" + ")" * m,
+        "snd " + "(snd " * m + "f" + ")" * m,
+        "natrec zero " + "(natrec zero " * m + "f" + " f)" * m + " f",
+        "if " + "(if " * m + "f" + " f f)" * m + " f f",
+        "succ (f " + "(succ (f " * m + "f" + "))" * m + ")",
+    ]
+    n = 120_000
+    f = tmp_path / "apply.tt0"
+    f.write_text(f"main = \\(f : Nat -> Nat) (x : Nat). natElim (\\k. Nat) x (\\k ih. f ih) {n};\n")
+    run = python("-m", "tt0", "run", str(f))
+    assert run.returncode == 0, run.stderr[-2000:]
+    assert run.stdout == "\\f. \\x. " + "f (" * (n - 1) + "f x" + ")" * (n - 1) + "\n"
