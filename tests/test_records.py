@@ -279,7 +279,7 @@ def test_init_signature_lists_the_fields_with_their_defaults(key):
     assert [p.name for p in params] == ["self", *fields]
     assert {p.kind for p in params} == {inspect.Parameter.POSITIONAL_OR_KEYWORD}
     defaults = {p.name: p.default for p in params if p.default is not p.empty}
-    assert defaults == {f: getattr(cls, f) for f in fields if hasattr(cls, f)}
+    assert defaults == importlib.import_module("record_pins").DEFAULTS.get(key, {})
     assert list(defaults) == fields[len(fields) - len(defaults) :]
 
 
