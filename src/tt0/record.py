@@ -132,4 +132,4 @@ def _method(cls: type, ns: dict, name: str, fields: tuple, defaults: tuple) -> F
     return method
 
 
-_RENAMED = ("co_varnames", "co_names", "co_consts")
+_RENAMED = ("co_varnames", "co_names")
