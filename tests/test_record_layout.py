@@ -5,15 +5,14 @@ view of the fields, which the benchmark's tracer reads to count nodes."""
 from __future__ import annotations
 
 import importlib
-import importlib.util
 import pkgutil
 import tracemalloc
 
 import pytest
 from record_pins import PINNED
+from test_tracer_names import load_tracer
 
 import tt0
-from conftest import REPO
 from tt0 import core as co
 from tt0.elab import closed_definition, closed_main
 from tt0.extract import Target, extract
@@ -62,13 +61,6 @@ def test_a_node_with_two_children_is_small():
     finally:
         tracemalloc.stop()
     assert size <= 160, size
-
-
-def load_tracer():
-    spec = importlib.util.spec_from_file_location("tracer", REPO / "perfbench" / "tracer.py")
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
 
 
 def walk(root: Record, base: type) -> int:
