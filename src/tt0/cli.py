@@ -3,12 +3,14 @@ verify the mode translations over `.tt0` files."""
 
 from __future__ import annotations
 
-import argparse
 import os
 import sys
 from collections.abc import Iterable, Iterator
 from contextlib import suppress
+from functools import cache
 from itertools import chain
+from types import SimpleNamespace
+from typing import TYPE_CHECKING
 
 from . import core as co
 from . import extract as ex
@@ -16,6 +18,9 @@ from . import translate
 from .diagnostics import Diagnostic, InternalError
 from .elab import ElabResult, closed_definition, closed_main, elaborate_text
 from .jsontext import to_json
+
+if TYPE_CHECKING:
+    from argparse import ArgumentParser, Namespace
 
 JSON_VERSION = 1
 
@@ -25,42 +30,72 @@ EXIT_USAGE = 2
 EXIT_FUEL = 3
 
 
-def build_parser() -> argparse.ArgumentParser:
+# Each option, as argparse's `add_argument` takes it; a flag has no `type`.
+_OPTIONS = {
+    "--json": {"dest": "json", "action": "store_true", "help": "machine-readable output"},
+    "--no-color": {"dest": "no_color", "action": "store_true", "help": "plain diagnostics"},
+    "--def": {"dest": "name", "metavar": "NAME", "type": str},
+    "--main": {"dest": "main", "action": "store_true"},
+    "--fuel": {"dest": "fuel", "metavar": "N", "type": int},
+}
+
+# Each command: its help, its options, and the options it takes exactly one of.
+_FLAGS = ("--json", "--no-color")
+_CLI = {
+    "check": ("elaborate and re-check every declaration", _FLAGS, ()),
+    "elab": ("print the elaborated core terms", _FLAGS, ()),
+    "nf": ("print the normal form of a definition", _FLAGS, ("--def",)),
+    "extract": ("print the extracted runtime program", _FLAGS, ("--def", "--main")),
+    "run": ("extract main, evaluate it, print the result", (*_FLAGS, "--fuel"), ()),
+    "meta": ("re-check the zeroed and mode-stripped module", _FLAGS, ()),
+}
+
+
+@cache
+def build_parser() -> ArgumentParser:
+    """Argparse's parser, built on first use, for the command lines `_read` leaves."""
+    import argparse
+
     p = argparse.ArgumentParser(prog="tt0", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
-
-    def common(sp: argparse.ArgumentParser) -> None:
+    for command, (help, options, one_of) in _CLI.items():
+        sp = sub.add_parser(command, help=help)
         sp.add_argument("file", help="input .tt0 file")
-        sp.add_argument("--json", action="store_true", help="machine-readable output")
-        sp.add_argument("--no-color", action="store_true", help="plain diagnostics")
-
-    sp = sub.add_parser("check", help="elaborate and re-check every declaration")
-    common(sp)
-
-    sp = sub.add_parser("elab", help="print the elaborated core terms")
-    common(sp)
-
-    sp = sub.add_parser("nf", help="print the normal form of a definition")
-    common(sp)
-    sp.add_argument("--def", dest="name", required=True, metavar="NAME")
-
-    sp = sub.add_parser("extract", help="print the extracted runtime program")
-    common(sp)
-    g = sp.add_mutually_exclusive_group(required=True)
-    g.add_argument("--def", dest="name", metavar="NAME")
-    g.add_argument("--main", action="store_true")
-
-    sp = sub.add_parser("run", help="extract main, evaluate it, print the result")
-    common(sp)
-    sp.add_argument("--fuel", type=int, default=None, metavar="N")
-
-    sp = sub.add_parser("meta", help="re-check the zeroed and mode-stripped module")
-    common(sp)
-
+        group = sp.add_mutually_exclusive_group(required=True) if len(one_of) > 1 else sp
+        for spelling in (*options, *one_of):
+            to = group if spelling in one_of else sp
+            to.add_argument(spelling, required=(spelling,) == one_of, **_OPTIONS[spelling])
     return p
 
 
-_PARSER = build_parser()
+def _read(argv: list[str]) -> SimpleNamespace | None:
+    """What argparse would return, when every token after the command is the
+    one FILE or the full spelling of one of the command's options, used once,
+    with a value not starting with `-`; otherwise None, for argparse to read."""
+    if not argv or argv[0] not in _CLI:
+        return None
+    _, options, one_of = _CLI[argv[0]]
+    unused = {s: _OPTIONS[s] for s in (*options, *one_of)}
+    args = {"command": argv[0], "file": None}
+    args |= {o["dest"]: None if "type" in o else False for o in unused.values()}
+    tokens = iter(argv[1:])
+    try:
+        for token in tokens:
+            if token in unused:
+                option = unused.pop(token)
+                value = next(tokens, "-") if "type" in option else ""
+                if value.startswith("-"):
+                    return None
+                args[option["dest"]] = option["type"](value) if "type" in option else True
+            elif token.startswith("-") or args["file"] is not None:
+                return None
+            else:
+                args["file"] = token
+    except ValueError:  # the value of --fuel is not an integer
+        return None
+    if args["file"] is None or one_of and sum(s not in unused for s in one_of) != 1:
+        return None
+    return SimpleNamespace(**args)
 
 
 # What a command returns: its exit code, the keys of its JSON envelope that
@@ -87,12 +122,12 @@ def _report(diags: list[Diagnostic], source: str | None, use_json: bool, color: 
 
 
 def _load(path: str) -> str:
-    """The text of a source file, line breaks as they are, so that the
-    tokenizer sees what the library sees; an unreadable or non-UTF-8 file
-    is a diagnostic."""
+    """The text of a source file without one leading byte-order mark, line
+    breaks as they are, so that the tokenizer sees what the library sees; an
+    unreadable or non-UTF-8 file is a diagnostic at its byte offset."""
     try:
         with open(path, "rb", buffering=0) as f:
-            return f.read().decode("utf-8")
+            return f.read().decode("utf-8").removeprefix("\ufeff")
     except OSError as e:
         reason = e.strerror
     except UnicodeDecodeError as e:
@@ -100,7 +135,7 @@ def _load(path: str) -> str:
     raise Diagnostic(f"cannot read {path}: {reason}")
 
 
-def cmd_check(result: ElabResult, args: argparse.Namespace) -> Output:
+def cmd_check(result: ElabResult, args: Namespace | SimpleNamespace) -> Output:
     names = result.sig.names
     rows = [{"name": d.name, "type": co.pp(d.ty, names[:i])} for i, d in enumerate(result.decls)]
     if result.main is not None:
@@ -109,7 +144,7 @@ def cmd_check(result: ElabResult, args: argparse.Namespace) -> Output:
     return EXIT_OK, {"checked": rows}, (f"ok {r['name']} : {r['type']}" for r in rows)
 
 
-def cmd_elab(result: ElabResult, args: argparse.Namespace) -> Output:
+def cmd_elab(result: ElabResult, args: Namespace | SimpleNamespace) -> Output:
     payload: dict = {
         "decls": [{"name": d.name, "type": d.ty, "body": d.body} for d in result.decls]
     }
@@ -127,18 +162,18 @@ def cmd_elab(result: ElabResult, args: argparse.Namespace) -> Output:
     return EXIT_OK, payload, text()
 
 
-def cmd_nf(result: ElabResult, args: argparse.Namespace) -> Output:
+def cmd_nf(result: ElabResult, args: Namespace | SimpleNamespace) -> Output:
     nf = co.normal_form(result.store, (), closed_definition(result, args.name))
     return EXIT_OK, {"nf": nf}, map(co.pp, [nf])
 
 
-def cmd_extract(result: ElabResult, args: argparse.Namespace) -> Output:
+def cmd_extract(result: ElabResult, args: Namespace | SimpleNamespace) -> Output:
     closed = closed_main(result) if args.main else closed_definition(result, args.name)
     target = ex.extract(co.Context(), closed)
     return EXIT_OK, {"target": target}, map(ex.pp_target, [target])
 
 
-def cmd_run(result: ElabResult, args: argparse.Namespace) -> Output:
+def cmd_run(result: ElabResult, args: Namespace | SimpleNamespace) -> Output:
     target = ex.extract(co.Context(), closed_main(result))
     fuel, source = args.fuel, "--fuel"
     if fuel is None:
@@ -156,7 +191,7 @@ def cmd_run(result: ElabResult, args: argparse.Namespace) -> Output:
     return EXIT_OK, {"result": nf, "numeral": k}, chain(map(ex.pp_target, [nf]), [f"= {k}"])
 
 
-def cmd_meta(result: ElabResult, args: argparse.Namespace) -> Output:
+def cmd_meta(result: ElabResult, args: Namespace | SimpleNamespace) -> Output:
     rows = translate.sweep(result)
     ok = all(r.zeroing_ok and r.stripping_ok for r in rows)
     decls = [{"name": r.name, "zeroing": r.zeroing_ok, "stripping": r.stripping_ok} for r in rows]
@@ -182,7 +217,7 @@ _COMMANDS = {
 def main(argv: list[str] | None = None) -> int:
     sys.setrecursionlimit(100_000)
     try:
-        args = _PARSER.parse_args(argv)
+        args = _read(sys.argv[1:] if argv is None else argv) or build_parser().parse_args(argv)
     except SystemExit as e:
         return EXIT_USAGE if e.code not in (0, None) else EXIT_OK
     source = None

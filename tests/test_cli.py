@@ -89,6 +89,26 @@ class TestCheck:
         [diag] = json.loads(err)["diagnostics"]
         assert diag["message"].startswith(f"cannot read {f}: not UTF-8 text")
 
+    def test_leading_byte_order_mark_is_dropped(self, capsys, tmp_path):
+        f = tmp_path / "bom.tt0"
+        f.write_bytes(b"\xef\xbb\xbfmain = 3;")
+        assert run(capsys, "check", str(f)) == (0, "ok main : Nat\n", "")
+        # Columns count from after the mark; a bad byte is located in the file.
+        f.write_bytes(b"\xef\xbb\xbfmain = x;")
+        code, _, err = run(capsys, "check", str(f), "--json")
+        assert code == 1
+        [diag] = json.loads(err)["diagnostics"]
+        assert (diag["line"], diag["col"]) == (1, 8)
+        f.write_bytes(b"\xef\xbb\xbfmain = \xff;")
+        code, _, err = run(capsys, "check", str(f))
+        assert code == 1
+        assert err == f"error: cannot read {f}: not UTF-8 text (invalid start byte at byte 10)\n"
+        # Only one mark is dropped: a second is a character of the program.
+        f.write_bytes(b"\xef\xbb\xbf\xef\xbb\xbfmain = 3;")
+        code, _, err = run(capsys, "check", str(f))
+        assert code == 1
+        assert err.startswith(f"{f}:1:1: error: illegal character '\\ufeff'")
+
     def test_deep_nesting_is_located_parse_error(self, tmp_path):
         # Run as the `tt0` script runs, so that a traceback would show.
         f = tmp_path / "deep.tt0"

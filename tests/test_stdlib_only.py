@@ -71,3 +71,27 @@ def test_importing_the_cli_does_not_import_dataclasses():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "False\n"
+
+
+def test_a_well_formed_command_line_imports_no_argparse():
+    # The driver reads such a command line itself; argparse, which writes
+    # help, usage and error text, and the modules it loads come on demand.
+    env = {**os.environ, "PYTHONPATH": str(REPO / "src")}
+    script = """\
+import contextlib, io, sys
+from tt0.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    print(main(["check", sys.argv[1], "--json"]), file=sys.stderr)
+print(sorted({"argparse", "gettext", "locale"} & set(sys.modules)), file=sys.stderr)
+print(main(["--help"]), file=sys.stderr)
+"""
+    path = REPO / "corpus" / "mult.tt0"
+    proc = subprocess.run(
+        [sys.executable, "-c", script, str(path)],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.stderr == "0\n[]\n0\n"
+    assert proc.stdout.startswith("usage: tt0 ")
