@@ -58,8 +58,8 @@ def build_parser() -> ArgumentParser:
 
     p = argparse.ArgumentParser(prog="tt0", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
-    for command, (help, options, one_of) in _CLI.items():
-        sp = sub.add_parser(command, help=help)
+    for command, (summary, options, one_of) in _CLI.items():
+        sp = sub.add_parser(command, help=summary)
         sp.add_argument("file", help="input .tt0 file")
         group = sp.add_mutually_exclusive_group(required=True) if len(one_of) > 1 else sp
         for spelling in (*options, *one_of):
@@ -69,9 +69,9 @@ def build_parser() -> ArgumentParser:
 
 
 def _read(argv: list[str]) -> SimpleNamespace | None:
-    """What argparse would return, when every token after the command is the
-    one FILE or the full spelling of one of the command's options, used once,
-    with a value not starting with `-`; otherwise None, for argparse to read."""
+    """What argparse would return, if every token after the command is the one
+    FILE or the full spelling of an option of the command, used once, with a
+    value not starting with `-`, and for nf and extract one of `one_of`; else None."""
     if not argv or argv[0] not in _CLI:
         return None
     _, options, one_of = _CLI[argv[0]]
@@ -91,7 +91,7 @@ def _read(argv: list[str]) -> SimpleNamespace | None:
                 return None
             else:
                 args["file"] = token
-    except ValueError:  # the value of --fuel is not an integer
+    except ValueError:  # a value its `type` refuses, as in argparse
         return None
     if args["file"] is None or one_of and sum(s not in unused for s in one_of) != 1:
         return None

@@ -16,7 +16,8 @@ import reader_check
 from test_interpreters import VERSIONS, interpreter
 
 from conftest import REPO
-from tt0.cli import _read
+from tt0.cli import _read, build_parser
+
 
 def test_the_reader_agrees_with_argparse():
     accepted, wrong = reader_check.disagreements(reader_check.ALPHABET)
@@ -43,21 +44,20 @@ def test_the_reader_agrees_with_argparse_under_every_interpreter(version):
 
 
 @pytest.mark.parametrize(
-    "argv, fields",
+    "argv",
     [
-        (["check", "f.tt0", "--json"], {}),
-        (["elab", "--no-color", "f.tt0"], {"no_color": True, "json": False}),
-        (["nf", "f.tt0", "--def", "plus"], {"name": "plus"}),
-        (["extract", "--def", "id", "f.tt0"], {"name": "id", "main": False}),
-        (["extract", "f.tt0", "--main", "--json"], {"name": None, "main": True}),
-        (["run", "f.tt0", "--fuel", "7", "--json"], {"fuel": 7}),
-        (["run", "f.tt0"], {"fuel": None, "json": False}),
-        (["meta", "f.tt0", "--json", "--no-color"], {"no_color": True}),
+        ["check", "f.tt0", "--json"],
+        ["elab", "--no-color", "f.tt0"],
+        ["nf", "f.tt0", "--def", "plus"],
+        ["extract", "--def", "id", "f.tt0"],
+        ["extract", "f.tt0", "--main", "--json"],
+        ["run", "f.tt0", "--fuel", "7", "--json"],
+        ["run", "f.tt0"],
+        ["meta", "f.tt0", "--json", "--no-color"],
     ],
-    ids=lambda a: " ".join(a) if isinstance(a, list) else "",
+    ids=" ".join,
 )
-def test_the_reader_reads_well_formed_command_lines(argv, fields):
-    args = vars(_read(argv))
-    assert {"command": argv[0], "file": "f.tt0", "json": "--json" in argv} | fields == {
-        k: args[k] for k in ["command", "file", "json", *fields]
-    }
+def test_the_reader_reads_the_usual_command_lines(argv):
+    args = _read(argv)
+    assert args is not None
+    assert vars(args) == vars(build_parser().parse_args(argv))
