@@ -100,8 +100,8 @@ def _read(argv: list[str]) -> SimpleNamespace | None:
 
 # What a command returns: its exit code, the keys of its JSON envelope that
 # follow "version", and its text lines.  The lines are lazy and `main` reads
-# them only without `--json`: a term's text can cost far more than its JSON
-# (a numeral's `succ` chain), and the term printers recurse.
+# them only without `--json`, whose output carries a result's term as JSON,
+# not as text, which can be long (a numeral prints as its `succ` chain).
 Output = tuple[int, dict, Iterable[str]]
 
 

@@ -945,84 +945,4 @@ def _require_erased(ctx: Context, what: str) -> None:
         raise KernelError(f"{what} is a type code and cannot be used at runtime")
 
 
-# ---------------------------------------------------------------------------
-# Pretty-printing
-
-
-def _mark(mode: Mode) -> str:
-    """The subscript on an erased binder, projection or pair."""
-    return "₀" if mode is ZERO else ""
-
-
-def _fresh(name: str, names: tuple[str, ...]) -> str:
-    if name == "_":
-        return name
-    while name in names:
-        name += "'"
-    return name
-
-
-def pp(t: Term, names: tuple[str, ...] = (), prec: int = 0) -> str:
-    """Print a core term with named binders and explicit mode marks."""
-    # prec: 0 lowest (lambda/let/pi), 1 sigma, 2 application, 3 atom
-    tt = type(t)
-    if tt is Var:
-        return names[len(names) - 1 - t.ix] if 0 <= t.ix < len(names) else f"@{t.ix}"
-    if tt is App:
-        if t.icit is IMPL:
-            return _wrap(f"{pp(t.fn, names, 2)} {{{pp(t.arg, names, 0)}}}", prec, 2)
-        return _wrap(f"{pp(t.fn, names, 2)} {pp(t.arg, names, 3)}", prec, 2)
-    if tt is Meta:
-        mask = t.mask
-        args = [pp(Var(len(mask) - 1 - i), names) for i, m in enumerate(mask) if m is not None]
-        return f"?{t.mid}[{', '.join(args)}]" if args else f"?{t.mid}"
-    if tt is Lit:
-        return succ_chain(t.n, prec, 2)
-    if tt in _CONSTANT_ROWS:
-        return _CONSTANT_ROWS[tt][0]
-    if tt is Succ:
-        k = 0
-        while type(t) is Succ:
-            t, k = t.arg, k + 1
-        return succ_chain(k, prec, 2, pp(t, names, 3))
-    if tt is Fst or tt is Snd:
-        word = "fst" if tt is Fst else "snd"
-        return _wrap(f"{word}{_mark(t.mode)} {pp(t.pair, names, 3)}", prec, 2)
-    if tt is NatElim or tt is BoolElim:
-        parts = " ".join(pp(getattr(t, k), names, 3) for k in tt.__match_args__)
-        return _wrap(f"{'natElim' if tt is NatElim else 'boolElim'} {parts}", prec, 2)
-    if tt is Pair:
-        return f"({pp(t.fst, names, 0)}, {pp(t.snd, names, 0)}){_mark(t.mode)}"
-    # Lam, Pi, Sigma and Let bind a name
-    x = _fresh(t.name, names)
-    inner = names + (x,)
-    if tt is Lam:
-        binder = f"{{{x}}}" if t.icit is IMPL else x
-        return _wrap(f"λ{_mark(t.mode)} {binder}. {pp(t.body, inner, 0)}", prec, 0)
-    if tt is Pi:
-        if t.icit is EXPL and t.name == "_" and t.mode is OMEGA:
-            return _wrap(f"{pp(t.dom, names, 1)} → {pp(t.cod, inner, 0)}", prec, 0)
-        open_, close = ("{", "}") if t.icit is IMPL else ("(", ")")
-        dom = pp(t.dom, names, 0)
-        return _wrap(f"Π{_mark(t.mode)} {open_}{x} : {dom}{close}. {pp(t.cod, inner, 0)}", prec, 0)
-    if tt is Sigma:
-        lhs = pp(t.fst_ty, names, 2) if t.name == "_" else f"({x} : {pp(t.fst_ty, names, 0)})"
-        return _wrap(f"{lhs} *{_mark(t.mode)} {pp(t.snd_ty, inner, 1)}", prec, 0)
-    if tt is Let:
-        ty, defn = pp(t.ty, names, 0), pp(t.defn, names, 0)
-        return _wrap(f"let {x} : {ty} = {defn} in {pp(t.body, inner, 0)}", prec, 0)
-    raise AssertionError(f"unhandled term {t!r}")
-
-
-def succ_chain(n: int, prec: int, at: int, base: str = "zero") -> str:
-    """The text `succ (succ (... base))` of n successors of `base` (an atom),
-    built without recursion: `succ u` binds at precedence `at`, so it is
-    parenthesised as an argument and where `prec` is above `at`."""
-    if n == 0:
-        return base
-    text = "succ " + "(succ " * (n - 1) + base + ")" * (n - 1)
-    return _wrap(text, prec, at)
-
-
-def _wrap(s: str, prec: int, at: int) -> str:
-    return f"({s})" if prec > at else s
+from .printer import pp  # noqa: E402 - for `Context.show`; `printer` imports this module

@@ -12,8 +12,9 @@ from __future__ import annotations
 
 from . import core as co
 from . import jsontext
-from .core import OMEGA, ZERO, Context, Mode, Term, _fresh, _wrap
+from .core import OMEGA, ZERO, Context, Mode, Term
 from .diagnostics import Diagnostic, InternalError
+from .printer import show
 from .record import Record
 
 
@@ -434,57 +435,40 @@ def eval_target(t: Target, fuel: int | None = DEFAULT_FUEL) -> Target:
 
 
 def pp_target(t: Target, names: tuple[str, ...] = (), prec: int = 0) -> str:
-    """The text of a target term, on an explicit stack of work, so that how
-    deep a term may be is bounded by memory.  Each node pushes the pieces of
-    its text in order, strings and the parts still to print, so the text is
-    joined once at the end."""
+    """The text of a target term."""
+    return show(t, names, prec, _target_pieces)
+
+
+def _target_pieces(t: Target, name, fresh):
     # prec: 0 lowest (lambda, let), 1 application, 2 atom
-    out: list[str] = []
-    todo: list = [(t, names, prec)]
-    while todo:
-        item = todo.pop()
-        if type(item) is str:
-            out.append(item)
-            continue
-        t, names, prec = item
-        tt = type(t)
-        if tt is TVar:
-            out.append(names[len(names) - 1 - t.ix] if 0 <= t.ix < len(names) else f"@{t.ix}")
-            continue
-        if tt is TLit:
-            out.append(co.succ_chain(t.n, prec, 1))
-            continue
-        if tt is TTrue or tt is TFalse:
-            out.append("true" if tt is TTrue else "false")
-            continue
-        if tt is TApp:
-            at, seq = 1, [(t.fn, names, 1), " ", (t.arg, names, 2)]
-        elif tt is TLam or tt is TLet:
-            x = _fresh(t.name, names)
-            body = (t.body, names + (x,), 0)
-            if tt is TLam:
-                at, seq = 0, [f"\\{x}. ", body]
-            else:
-                at, seq = 0, [f"let {x} = ", (t.defn, names, 0), " in ", body]
-        elif tt is TPair:
-            at, seq = 2, ["(", (t.fst, names, 0), ", ", (t.snd, names, 0), ")"]
-        elif tt is TSucc:  # a chain in one loop, as `core.pp` prints one
-            k = 0
-            while type(t) is TSucc:
-                t, k = t.arg, k + 1
-            at, seq = 1, ["succ " + "(succ " * (k - 1), (t, names, 2), ")" * (k - 1)]
-        elif tt is TFst or tt is TSnd:
-            at, seq = 1, ["fst " if tt is TFst else "snd ", (t.arg, names, 2)]
-        elif tt is TNatRec or tt is TIf:  # a keyword and three atoms
-            at, seq = 1, ["natrec" if tt is TNatRec else "if"]
-            for k in tt.__match_args__:
-                seq += (" ", (getattr(t, k), names, 2))
-        else:
-            raise AssertionError(f"unhandled target term {t!r}")
-        if prec > at:
-            seq = ["(", *seq, ")"]
-        todo += reversed(seq)
-    return "".join(out)
+    tt = type(t)
+    if tt is TVar:
+        return name(t.ix)
+    if tt is TApp:
+        return 1, [(t.fn, 1), " ", (t.arg, 2)]
+    if tt is TLam or tt is TLet:
+        x = fresh(t.name)
+        if tt is TLam:
+            return 0, [f"\\{x}. ", [x, t.body, 0]]
+        return 0, [f"let {x} = ", (t.defn, 0), " in ", [x, t.body, 0]]
+    if tt is TTrue or tt is TFalse:
+        return "true" if tt is TTrue else "false"
+    if tt is TPair:
+        return 2, ["(", (t.fst, 0), ", ", (t.snd, 0), ")"]
+    if tt is TSucc or tt is TLit:  # `succ t` on a literal prints as one literal more
+        k = 0
+        while type(t) is TSucc:
+            t, k = t.arg, k + 1
+        k, base = (k + t.n, "zero") if type(t) is TLit else (k, (t, 2))
+        return (1, ["succ " + "(succ " * (k - 1), base, ")" * (k - 1)]) if k else "zero"
+    if tt is TFst or tt is TSnd:
+        return 1, ["fst " if tt is TFst else "snd ", (t.arg, 2)]
+    if tt is TNatRec or tt is TIf:  # a keyword and three atoms
+        seq = ["natrec" if tt is TNatRec else "if"]
+        for k in tt.__match_args__:
+            seq += (" ", (getattr(t, k), 2))
+        return 1, seq
+    raise AssertionError(f"unhandled target term {t!r}")
 
 
 jsontext.TAGS.update({

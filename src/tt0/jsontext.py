@@ -8,8 +8,8 @@ use this module.
 
 from __future__ import annotations
 
+from _json import encode_basestring_ascii as _quote
 from functools import cache
-from json.encoder import encode_basestring_ascii as _quote
 from typing import Callable
 
 from . import core as co

@@ -7,7 +7,6 @@ syntax, so the printer lives with the tests.
 
 from __future__ import annotations
 
-from tt0.core import _wrap
 from tt0.surface import (
     _PREFIXES,
     Icit,
@@ -27,6 +26,10 @@ from tt0.surface import (
 )
 
 _PREFIX_NAMES = {cls: keyword for keyword, cls in _PREFIXES.items()}
+
+
+def _wrap(s: str, prec: int, at: int) -> str:
+    return f"({s})" if prec > at else s
 
 
 def _binder(x: str, mode: Mode | None, ty: Surface, icit: Icit = Icit.EXPL) -> str:

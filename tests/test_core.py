@@ -30,6 +30,7 @@ from tt0.core import (
 )
 from tt0.diagnostics import KernelError
 from tt0.elab import elaborate_text
+from tt0.extract import TLam, TVar, pp_target
 from tt0.jsontext import TAGS, to_json
 from tt0.surface import Icit, Mode
 from tt0.unify import MetaStore, fresh_meta, unify
@@ -690,6 +691,16 @@ def test_conv_without_store_separates_constants():
 
 
 class TestPrinting:
+    def test_nested_binders_of_one_name(self):
+        # Each binder takes one prime more than the binder around it, in the
+        # core printer and the target printer alike.
+        names = ["x" + "'" * i for i in range(300)]
+        core, target = Var(0), TVar(0)
+        for _ in names:
+            core, target = Lam("x", W, EX, core), TLam("x", target)
+        assert co.pp(core) == "".join(f"λ {x}. " for x in names) + names[-1]
+        assert pp_target(target) == "".join(f"\\{x}. " for x in names) + names[-1]
+
     def test_literal_prints_as_successor_chain(self):
         assert co.pp(Lit(0)) == "zero"
         assert co.pp(Lit(2)) == "succ (succ zero)"

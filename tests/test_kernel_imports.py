@@ -1,7 +1,7 @@
 """The kernel's module stands apart from the elaborator and the output
-formats: `tt0.core` and the tt0 modules it imports import nothing above
-them (ROADMAP item 11, acceptance criterion 1).  It also stays below the
-size at which compiling it costs more memory."""
+formats: `tt0.core` and the tt0 modules it imports, the term printer among
+them, import nothing above them (ROADMAP item 11, acceptance criterion 1).
+It also stays below the size at which compiling it costs more memory."""
 
 from __future__ import annotations
 
@@ -60,8 +60,12 @@ def kernel_closure() -> dict[str, set[str]]:
 
 def test_the_kernel_imports_nothing_above_it():
     reached = kernel_closure()
-    assert {"core", "diagnostics", "record"} <= reached.keys()
-    assert not reached.keys() & ABOVE_THE_KERNEL
+    assert reached.keys() == {"core", "diagnostics", "record", "printer"}
+
+
+def test_the_printer_imports_nothing_above_the_kernel():
+    local, _ = runtime_imports("printer")
+    assert "core" in local and not local & ABOVE_THE_KERNEL
 
 
 def test_the_kernel_imports_no_json_module():

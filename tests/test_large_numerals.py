@@ -320,21 +320,26 @@ def test_printing_a_long_successor_chain_over_a_variable(tmp_path):
 
 
 
-def test_printing_deep_terms_of_every_target_form(tmp_path):
-    # `pp_target` prints on an explicit stack: 20 000 levels of each form
-    # print at the default limit in the library, and `tt0 run` prints an
-    # application 120 000 deep as text, as it does as JSON.
+def test_printing_deep_terms_of_every_form(tmp_path):
+    # Both printers run on `tt0.printer`'s explicit stack: 20 000 levels of
+    # each target and each core form print at the default limit in the
+    # library, and `tt0 run` prints an application 120 000 deep as text, as
+    # it does as JSON.
     n = 20_000
     script = textwrap.dedent(
         """
         import sys
+        from tt0.core import (
+            EXPL, IMPL, OMEGA, ZERO, App, Fst, Lam, Let, Lit, NatElim, NatTy, Pair, Pi, Sigma,
+            TrueTm, Var, pp,
+        )
         from tt0.extract import (
             TApp, TFst, TIf, TLam, TLet, TLit, TNatRec, TPair, TSnd, TSucc, TTrue, TVar,
             pp_target,
         )
 
         assert sys.getrecursionlimit() == 1000, sys.getrecursionlimit()
-        forms = [
+        target_forms = [
             lambda t: TApp(TVar(0), t),
             lambda t: TApp(t, TVar(0)),
             lambda t: TLam("_", t),
@@ -346,11 +351,24 @@ def test_printing_deep_terms_of_every_target_form(tmp_path):
             lambda t: TIf(t, TVar(0), TVar(0)),
             lambda t: TSucc(TApp(TVar(0), t)),
         ]
-        for form in forms:
-            t = TVar(0)
-            for _ in range(int(sys.argv[1])):
-                t = form(t)
-            print(pp_target(t, ("f",)))
+        core_forms = [
+            lambda t: App(OMEGA, EXPL, Var(0), t),
+            lambda t: App(OMEGA, EXPL, t, Var(0)),
+            lambda t: App(ZERO, IMPL, Var(0), t),
+            lambda t: Lam("_", ZERO, EXPL, t),
+            lambda t: Pi("_", OMEGA, EXPL, NatTy(), t),
+            lambda t: Sigma("_", OMEGA, NatTy(), t),
+            lambda t: Let("_", NatTy(), Lit(1), t),
+            lambda t: Pair(OMEGA, t, TrueTm()),
+            lambda t: Fst(ZERO, t),
+            lambda t: NatElim(Var(0), t, Var(0), Var(0)),
+        ]
+        for forms, base, show in [(target_forms, TVar(0), pp_target), (core_forms, Var(0), pp)]:
+            for form in forms:
+                t = base
+                for _ in range(int(sys.argv[1])):
+                    t = form(t)
+                print(show(t, ("f",)))
         """
     )
     library = python("-c", script, str(n))
@@ -367,6 +385,16 @@ def test_printing_deep_terms_of_every_target_form(tmp_path):
         "natrec zero " + "(natrec zero " * m + "f" + " f)" * m + " f",
         "if " + "(if " * m + "f" + " f f)" * m + " f f",
         "succ (f " + "(succ (f " * m + "f" + "))" * m + ")",
+        "f " + "(f " * m + "f" + ")" * m,
+        "f" + " f" * n,
+        "f {" * n + "f" + "}" * n,
+        "λ₀ _. " * n + "_",
+        "Nat → " * n + "_",
+        "Nat * " + "(Nat * " * m + "_" + ")" * m,
+        "let _ : Nat = succ zero in " * n + "_",
+        "(" * n + "f" + ", true)" * n,
+        "fst₀ " + "(fst₀ " * m + "f" + ")" * m,
+        "natElim f " + "(natElim f " * m + "f" + " f f)" * m + " f f",
     ]
     n = 120_000
     f = tmp_path / "apply.tt0"

@@ -73,6 +73,28 @@ def test_importing_the_cli_does_not_import_dataclasses():
     assert proc.stdout == "False\n"
 
 
+def test_a_command_imports_no_json_package():
+    # `tt0.jsontext` quotes strings with the C function of `_json` that
+    # `json.encoder` itself uses, and no command decodes JSON.
+    env = {**os.environ, "PYTHONPATH": str(REPO / "src")}
+    script = """\
+import contextlib, io, sys
+from tt0.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    print(main(["check", sys.argv[1], "--json"]), file=sys.stderr)
+print(sorted(m for m in sys.modules if m.split(".")[0] == "json"), file=sys.stderr)
+"""
+    path = REPO / "corpus" / "mult.tt0"
+    proc = subprocess.run(
+        [sys.executable, "-c", script, str(path)],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.stderr == "0\n[]\n"
+
+
 def test_a_well_formed_command_line_imports_no_argparse():
     # The driver reads such a command line itself; argparse, which writes
     # help, usage and error text, and the modules it loads come on demand.
