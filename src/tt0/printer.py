@@ -1,32 +1,33 @@
-"""The text of a term, for the core terms of `tt0.core` and the target
-terms of `tt0.extract` alike: one loop on an explicit stack of work, so how
-deep a term may be is bounded by memory, not by the Python stack.  The core
-printer `pp` lives here, and `tt0.core` binds it for the kernel's messages."""
+"""The text of core and target terms: one loop on an explicit stack of work,
+so how deep a term may be is bounded by memory, not by the Python stack.
+`tt0.core` binds the core printer `pp` for the kernel's messages."""
 
 from __future__ import annotations
-
-from typing import Callable, Sequence
 
 from .core import _CONSTANT_ROWS, EXPL, IMPL, OMEGA, ZERO, App, BoolElim, Fst, Lam, Let, Lit
 from .core import Meta, NatElim, Pair, Pi, Sigma, Snd, Succ, Term, Var
 
 
-def show(t: object, names: Sequence[str], prec: int, pieces: Callable) -> str:
+def show(t: object, names: tuple[str, ...], prec: int, pieces) -> str:
     """The text of `t` at precedence `prec` with `names` in scope, innermost
-    last.  `pieces(t, name, fresh)` gives a leaf's text, or the precedence of
-    the node (higher binds tighter) and its pieces: strings, `(child, prec)`,
-    and `[x, child, prec]` for a child under the binder `x`.  `name(ix)` names
-    the variable of index `ix`; `fresh(x)` primes `x` until it is not in scope."""
-    scope = list(names)
-    counts = dict.fromkeys(scope, 1)  # only binders met here ever leave scope
+    last.  `pieces(t, name, fresh)` gives a leaf's text, or the node's
+    precedence (higher binds tighter) and its pieces: strings, `(child, prec)`,
+    and `[x, child, prec]` for a child under the binder `x`."""
+    def split(x: str) -> tuple[str, int]:  # `x''` is ("x", 2): no prime tried rehashes `x`
+        base = x.rstrip("'")
+        return base, len(x) - len(base)
 
-    def name(ix: int) -> str:
+    scope = list(names)
+    counts = dict.fromkeys(map(split, scope), 1)  # `names` never leave scope: one each
+
+    def name(ix: int) -> str:  # the variable of de Bruijn index `ix`
         return scope[-1 - ix] if 0 <= ix < len(scope) else f"@{ix}"
 
-    def fresh(x: str) -> str:
-        while x != "_" and counts.get(x):  # `_` clashes with nothing
-            x += "'"
-        return x
+    def fresh(x: str) -> str:  # `x` with primes added until no name in scope is `x`
+        base, primes = split(x)
+        while x != "_" and counts.get((base, primes)):  # `_` clashes with nothing
+            primes += 1
+        return base + "'" * primes
 
     out: list[str] = []
     todo: list = [(t, prec)]
@@ -48,19 +49,19 @@ def show(t: object, names: Sequence[str], prec: int, pieces: Callable) -> str:
         elif kind is list:  # enter a binder's scope, and leave it after its child
             x, child, prec = item
             scope.append(x)
-            counts[x] = counts.get(x, 0) + 1
+            counts[split(x)] = counts.get(split(x), 0) + 1
             todo += (None, (child, prec))
         else:
-            counts[scope.pop()] -= 1
+            counts[split(scope.pop())] -= 1
     return "".join(out)
 
 
-def pp(t: Term, names: Sequence[str] = (), prec: int = 0) -> str:
+def pp(t: Term, names: tuple[str, ...] = (), prec: int = 0) -> str:
     """Print a core term with named binders and explicit mode marks."""
     return show(t, names, prec, _core_pieces)
 
 
-def _core_pieces(t: Term, name: Callable[[int], str], fresh: Callable[[str], str]):
+def _core_pieces(t: Term, name, fresh):
     # prec: 0 lowest (lambda/let/pi), 1 sigma, 2 application, 3 atom
     tt = type(t)
     if tt is Var:
@@ -78,8 +79,7 @@ def _core_pieces(t: Term, name: Callable[[int], str], fresh: Callable[[str], str
     if tt in _CONSTANT_ROWS:
         return _CONSTANT_ROWS[tt][0]
     if tt is Meta:
-        mask = t.mask
-        args = [name(len(mask) - 1 - i) for i, m in enumerate(mask) if m is not None]
+        args = [name(len(t.mask) - 1 - i) for i, m in enumerate(t.mask) if m is not None]
         return f"?{t.mid}[{', '.join(args)}]" if args else f"?{t.mid}"
     if tt is NatElim or tt is BoolElim:
         seq = ["natElim" if tt is NatElim else "boolElim"]
