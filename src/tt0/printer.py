@@ -18,14 +18,15 @@ def show(t: object, names: tuple[str, ...], prec: int, pieces) -> str:
         return base, len(x) - len(base)
 
     scope = list(names)
-    counts = dict.fromkeys(map(split, scope), 1)  # `names` never leave scope: one each
+    outer = set(names)  # these never leave scope
+    counts: dict[tuple[str, int], int] = {}  # the split names of the binders in scope
 
     def name(ix: int) -> str:  # the variable of de Bruijn index `ix`
         return scope[-1 - ix] if 0 <= ix < len(scope) else f"@{ix}"
 
-    def fresh(x: str) -> str:  # `x` with primes added until no name in scope is `x`
+    def fresh(x: str) -> str:  # `x` primed until no name in scope is `x`; `_` stays
         base, primes = split(x)
-        while x != "_" and counts.get((base, primes)):  # `_` clashes with nothing
+        while x != "_" and (counts.get((base, primes)) or base + "'" * primes in outer):
             primes += 1
         return base + "'" * primes
 
@@ -86,15 +87,12 @@ def _core_pieces(t: Term, name, fresh):
         for k in tt.__match_args__:
             seq += (" ", (getattr(t, k), 3))
         return 2, seq
-    if tt is Let:
-        x = fresh(t.name)
-        return 0, [f"let {x} : ", (t.ty, 0), " = ", (t.defn, 0), " in ", [x, t.body, 0]]
-    mark = "₀" if t.mode is ZERO else ""  # on an erased former
+    mark = "₀" if getattr(t, "mode", None) is ZERO else ""  # on an erased former
     if tt is Fst or tt is Snd:
         return 2, [f"{'fst' if tt is Fst else 'snd'}{mark} ", (t.pair, 3)]
     if tt is Pair:
         return 3, ["(", (t.fst, 0), ", ", (t.snd, 0), f"){mark}"]
-    x = fresh(t.name)  # Lam, Pi and Sigma bind a name
+    x = fresh(t.name)  # Lam, Pi, Sigma and Let bind a name
     if tt is Pi:
         if t.icit is EXPL and t.name == "_" and t.mode is OMEGA:
             return 0, [(t.dom, 1), " → ", [x, t.cod, 0]]
@@ -105,4 +103,6 @@ def _core_pieces(t: Term, name, fresh):
     if tt is Sigma:
         lhs = [(t.fst_ty, 2)] if t.name == "_" else [f"({x} : ", (t.fst_ty, 0), ")"]
         return 0, [*lhs, f" *{mark} ", [x, t.snd_ty, 1]]
+    if tt is Let:
+        return 0, [f"let {x} : ", (t.ty, 0), " = ", (t.defn, 0), " in ", [x, t.body, 0]]
     raise AssertionError(f"unhandled term {t!r}")
